@@ -7,7 +7,7 @@ centralized IFCA baseline, a no-clustering decentralized-averaging
 baseline, and an experiment harness with multi-seed runs and sweeps.
 """
 
-from .baselines import CentralServerState, decentralized_avg_round, ifca_round
+from .baselines import CentralServerState, ifca_round
 from .config import ConfigError, ExperimentConfig, load_config
 from .core import (
     ClientState,

@@ -2,9 +2,11 @@
 
 IFCA keeps one global model per cluster on a server: clients pick the
 best-fitting global model by local loss, train it, and the server replaces
-each cluster model with the unweighted mean of the returned updates.  The
-``davg`` baseline is simply the decentralized round with a single model
-slot, i.e. plain decentralized FedAvg.
+each cluster model with the unweighted mean of the returned updates.  It
+shares the assign-and-train and measure steps with the decentralized round;
+only the merge differs.  The ``davg`` baseline needs no code of its own:
+``algorithm = davg`` runs the decentralized round with a single model slot,
+i.e. plain decentralized FedAvg.
 """
 
 from __future__ import annotations
@@ -14,32 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .core import (
-    ClientState,
-    Hyperparams,
-    RoundPlan,
-    assign_cluster,
-    build_client_data,
-    initialize,
-    local_update,
-    run_round,
-)
-from .metrics import (
-    RoundMetrics,
-    cluster_average,
-    clustering_accuracy,
-    dispersion,
-    f_cluster,
-    test_accuracy,
-)
+from .core import ClientState, Hyperparams, _assign_and_train, _measure, build_client_data, initialize
+from .metrics import RoundMetrics
 from .model import ModelShape, flatten_params, init_model
 from .seeding import derive_seed
-from .topology import Topology
 
 __all__ = [
     "CentralServerState",
     "ifca_round",
-    "decentralized_avg_round",
     "run_ifca_experiment_states",
 ]
 
@@ -69,56 +53,17 @@ def ifca_round(
     round ends with every client holding the new global models, which is
     what the metrics are computed on.
     """
-    k = len(server.models)
-    previous = [c.assignment for c in clients]
     for c in clients:
         c.models = [v.copy() for v in server.models]
-        c.outbox = None
-        assign_cluster(c)
-    changed = sum(1 for c, prev in zip(clients, previous) if c.assignment != prev)
-
-    for c in clients:
-        local_update(c, hp.gamma, hp.tau, hp.batch_size, derive_seed(round_seed, "sgd", c.client_id))
-
-    pre_avg = [cluster_average(clients, j) for j in range(k)]
+    changed, pre_avg = _assign_and_train(clients, range(len(clients)), hp, round_seed)
     new_models = []
-    for j in range(k):
+    for j, current in enumerate(server.models):
         returned = [c.models[j] for c in clients if c.assignment == j]
-        new_models.append(np.mean(returned, axis=0) if returned else server.models[j].copy())
+        new_models.append(np.mean(returned, axis=0) if returned else current.copy())
     server = CentralServerState(models=new_models)
-
     for c in clients:
         c.models = [v.copy() for v in server.models]
-    drift = tuple(
-        float(np.linalg.norm(cluster_average(clients, j) - pre_avg[j])) for j in range(k)
-    )
-
-    truth = [c.data.distribution_id for c in clients]
-    per_cluster = tuple(f_cluster(clients, j) for j in range(k))
-    measured = RoundMetrics(
-        round=round_index,
-        f_global=sum(per_cluster),
-        f_cluster=per_cluster,
-        disp=tuple(dispersion(clients, j) for j in range(k)),
-        clustering_accuracy=clustering_accuracy(clients, truth),
-        test_accuracy=test_accuracy(clients, hp.test_sets),
-        avg_drift=drift,
-        assignments_changed=changed,
-    )
-    return server, measured
-
-
-def decentralized_avg_round(
-    states: list[ClientState],
-    t: Topology,
-    plan: RoundPlan,
-    hp: Hyperparams,
-) -> tuple[list[ClientState], RoundMetrics]:
-    """No-clustering baseline: the decentralized round with one model slot."""
-    if len(states[0].models) != 1:
-        raise ValueError("decentralized averaging expects a single model per client")
-    updated, measured = run_round(states, t, plan, hp)
-    return list(updated), measured
+    return server, _measure(clients, pre_avg, hp, round_index, changed)
 
 
 def run_ifca_experiment_states(

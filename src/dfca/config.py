@@ -7,18 +7,18 @@ with an error message naming the offending key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
-from .datagen import SyntheticSpec
+from .datagen import SyntheticSpec, _n_test
+from .topology import MIXING_KINDS
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_overrides", "config_keys"]
 
 ALGORITHMS = ("dfca", "ifca", "davg")
 INIT_MODES = ("gi", "li")
 AGGREGATION_MODES = ("batch", "sequential")
-MIXING_KINDS = ("paper-uniform", "metropolis")
 DISCONNECTED_POLICIES = ("abort", "proceed")
 
 
@@ -93,12 +93,24 @@ class ExperimentConfig:
                 0.0 < self.participation_fraction <= 1.0,
                 "must be in (0, 1]",
             ),
+            (
+                "participation_fraction",
+                self.algorithm != "ifca" or self.participation_fraction >= 1.0,
+                "must be 1 for algorithm = ifca, whose rounds train every client",
+            ),
             ("data.n_classes", self.data_n_classes >= 2, "must be >= 2"),
             ("data.dim", self.data_dim >= 2, "must be >= 2"),
             ("data.samples_per_client", self.data_samples_per_client >= 2, "must be >= 2"),
             ("data.class_separation", self.data_class_separation > 0, "must be > 0"),
             ("data.noise_std", self.data_noise_std > 0, "must be > 0"),
             ("data.test_fraction", 0.0 < self.data_test_fraction < 1.0, "must be in (0, 1)"),
+            (
+                "data.test_fraction",
+                not 0.0 < self.data_test_fraction < 1.0
+                or 0 < _n_test(self.data_samples_per_client, self.data_test_fraction)
+                < self.data_samples_per_client,
+                f"leaves an empty side in a split of {self.data_samples_per_client} samples",
+            ),
             ("model.hidden", self.model_hidden >= 0, "must be >= 0"),
             ("seed", self.seed >= 0, "must be >= 0"),
             ("n_seeds", self.n_seeds >= 1, "must be >= 1"),
@@ -138,44 +150,21 @@ class ExperimentConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            key = f.name
-            for prefix in ("topology_", "data_", "model_"):
-                if key.startswith(prefix):
-                    key = prefix[:-1] + "." + key[len(prefix):]
-                    break
-            out[key] = getattr(self, f.name)
-        return out
+        return {_key(f.name): getattr(self, f.name) for f in fields(self)}
 
 
-_FIELD_BY_KEY = {
-    "algorithm": ("algorithm", str),
-    "n_clients": ("n_clients", int),
-    "k": ("k", int),
-    "topology.p": ("topology_p", float),
-    "topology.seed": ("topology_seed", int),
-    "init_mode": ("init_mode", str),
-    "aggregation_mode": ("aggregation_mode", str),
-    "mixing_kind": ("mixing_kind", str),
-    "gamma": ("gamma", float),
-    "tau": ("tau", int),
-    "batch_size": ("batch_size", int),
-    "T": ("T", int),
-    "participation_fraction": ("participation_fraction", float),
-    "data.n_classes": ("data_n_classes", int),
-    "data.dim": ("data_dim", int),
-    "data.samples_per_client": ("data_samples_per_client", int),
-    "data.class_separation": ("data_class_separation", float),
-    "data.noise_std": ("data_noise_std", float),
-    "data.test_fraction": ("data_test_fraction", float),
-    "model.hidden": ("model_hidden", int),
-    "seed": ("seed", int),
-    "n_seeds": ("n_seeds", int),
-    "output_dir": ("output_dir", str),
-    "on_disconnected": ("on_disconnected", str),
-    "restrict_receive_to_participants": ("restrict_receive_to_participants", _bool),
-}
+def _key(field_name: str) -> str:
+    """Config-file key of a field: ``topology_p`` -> ``topology.p``."""
+    for prefix in ("topology_", "data_", "model_"):
+        if field_name.startswith(prefix):
+            return prefix[:-1] + "." + field_name[len(prefix):]
+    return field_name
+
+
+# Field annotations are strings (postponed evaluation); ``int | None`` fields
+# are optional only in the dataclass, a config file always gives a number.
+_CASTERS = {"str": str, "int": int, "int | None": int, "float": float, "bool": _bool}
+_FIELD_BY_KEY = {_key(f.name): (f.name, _CASTERS[f.type]) for f in fields(ExperimentConfig)}
 
 
 def config_keys() -> list[str]:

@@ -327,6 +327,49 @@ def aggregate_sequential(
     return states
 
 
+def _assign_and_train(
+    states: Sequence[ClientState], participants: Sequence[int], hp: Hyperparams, round_seed: int
+) -> tuple[int, list[np.ndarray]]:
+    """The steps every algorithm shares before its merge: clear the outboxes,
+    reassign and train the participants.  Returns the number of changed
+    assignments and the cluster averages before the merge."""
+    previous = [s.assignment for s in states]
+    for s in states:
+        s.outbox = None
+    for i in participants:
+        assign_cluster(states[i])
+    changed = sum(1 for s, prev in zip(states, previous) if s.assignment != prev)
+    for i in participants:
+        local_update(states[i], hp.gamma, hp.tau, hp.batch_size, derive_seed(round_seed, "sgd", i))
+    return changed, [cluster_average(states, j) for j in range(len(states[0].models))]
+
+
+def _measure(
+    states: Sequence[ClientState],
+    pre_avg: Sequence[np.ndarray],
+    hp: Hyperparams,
+    round_index: int,
+    changed: int,
+) -> RoundMetrics:
+    """The trace row of a round, measured on the merged states."""
+    k = len(pre_avg)
+    drift = tuple(
+        float(np.linalg.norm(cluster_average(states, j) - pre_avg[j])) for j in range(k)
+    )
+    truth = [s.data.distribution_id for s in states]
+    per_cluster = tuple(f_cluster(states, j) for j in range(k))
+    return RoundMetrics(
+        round=round_index,
+        f_global=sum(per_cluster),
+        f_cluster=per_cluster,
+        disp=tuple(dispersion(states, j) for j in range(k)),
+        clustering_accuracy=clustering_accuracy(states, truth),
+        test_accuracy=test_accuracy(states, hp.test_sets),
+        avg_drift=drift,
+        assignments_changed=changed,
+    )
+
+
 def run_round(
     states: Sequence[ClientState],
     t: Topology,
@@ -338,19 +381,7 @@ def run_round(
     Non-participants neither train nor send but (unless the plan restricts
     receiving) still merge incoming models.
     """
-    k = len(states[0].models)
-    previous = [s.assignment for s in states]
-    for s in states:
-        s.outbox = None
-
-    for i in plan.participants:
-        assign_cluster(states[i])
-    changed = sum(1 for s, prev in zip(states, previous) if s.assignment != prev)
-
-    for i in plan.participants:
-        local_update(states[i], hp.gamma, hp.tau, hp.batch_size, derive_seed(plan.round_seed, "sgd", i))
-
-    pre_avg = [cluster_average(states, j) for j in range(k)]
+    changed, pre_avg = _assign_and_train(states, plan.participants, hp, plan.round_seed)
     mixing = hp.mixing
     if plan.mixing_kind == METROPOLIS and mixing is None:
         mixing = build_mixing_matrix(t, METROPOLIS)
@@ -360,23 +391,7 @@ def run_round(
         aggregate_sequential(states, t, plan, mixing=mixing)
     else:
         aggregate_batch(states, t, mixing=mixing, plan=plan)
-    drift = tuple(
-        float(np.linalg.norm(cluster_average(states, j) - pre_avg[j])) for j in range(k)
-    )
-
-    truth = [s.data.distribution_id for s in states]
-    per_cluster = tuple(f_cluster(states, j) for j in range(k))
-    measured = RoundMetrics(
-        round=plan.round_index,
-        f_global=sum(per_cluster),
-        f_cluster=per_cluster,
-        disp=tuple(dispersion(states, j) for j in range(k)),
-        clustering_accuracy=clustering_accuracy(states, truth),
-        test_accuracy=test_accuracy(states, hp.test_sets),
-        avg_drift=drift,
-        assignments_changed=changed,
-    )
-    return states, measured
+    return states, _measure(states, pre_avg, hp, plan.round_index, changed)
 
 
 def build_topology(config: ExperimentConfig) -> Topology:

@@ -250,12 +250,17 @@ def rotated_idx_datasets(
     return out
 
 
+def _n_test(n: int, test_fraction: float) -> int:
+    """Test-side size of a split of ``n`` samples at ``test_fraction``."""
+    return int(round(test_fraction * n))
+
+
 def train_test_split(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded disjoint (train, test) partition preserving ``distribution_id``."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n = len(d)
-    n_test = int(round(test_fraction * n))
+    n_test = _n_test(n, test_fraction)
     if n_test == 0 or n_test == n:
         raise ValueError(f"split of {n} samples at fraction {test_fraction} leaves an empty side")
     perm = np.random.default_rng(seed).permutation(n)

@@ -39,6 +39,15 @@ __all__ = [
 
 OUTPUT_ROOT_ENV = "DFCA_OUTPUT_ROOT"
 
+# SeedOutcome fields that summary.json reports per seed and as a mean and std.
+_FINALS = (
+    "final_test_accuracy",
+    "final_clustering_accuracy",
+    "final_f_global",
+    "stabilization_round",
+    "client_mean_test_accuracy",
+)
+
 
 @dataclass
 class SeedOutcome:
@@ -85,13 +94,7 @@ def run_one_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
             client_mean_test_accuracy=client_mean_test_accuracy(states, info["test_sets"]),
         )
     else:
-        outcome = dict(
-            final_test_accuracy=None,
-            final_clustering_accuracy=None,
-            final_f_global=None,
-            stabilization_round=None,
-            client_mean_test_accuracy=None,
-        )
+        outcome = dict.fromkeys(_FINALS)
     return SeedOutcome(seed=seed, trace=trace, connected=info.get("connected"), **outcome)
 
 
@@ -110,14 +113,7 @@ def _mean_std(values: list[float | None]) -> tuple[float | None, float | None]:
 
 
 def summarize(config: ExperimentConfig, outcomes: list[SeedOutcome]) -> dict:
-    per_seed = {
-        "final_test_accuracy": [o.final_test_accuracy for o in outcomes],
-        "final_clustering_accuracy": [o.final_clustering_accuracy for o in outcomes],
-        "final_f_global": [o.final_f_global for o in outcomes],
-        "stabilization_round": [o.stabilization_round for o in outcomes],
-        "client_mean_test_accuracy": [o.client_mean_test_accuracy for o in outcomes],
-        "connected": [o.connected for o in outcomes],
-    }
+    per_seed = {name: [getattr(o, name) for o in outcomes] for name in (*_FINALS, "connected")}
     summary = {
         "config": config.to_dict(),
         "seeds": [o.seed for o in outcomes],
@@ -125,16 +121,8 @@ def summarize(config: ExperimentConfig, outcomes: list[SeedOutcome]) -> dict:
         "mean": {},
         "std": {},
     }
-    for name in (
-        "final_test_accuracy",
-        "final_clustering_accuracy",
-        "final_f_global",
-        "stabilization_round",
-        "client_mean_test_accuracy",
-    ):
-        mean, std = _mean_std(per_seed[name])
-        summary["mean"][name] = mean
-        summary["std"][name] = std
+    for name in _FINALS:
+        summary["mean"][name], summary["std"][name] = _mean_std(per_seed[name])
     return summary
 
 

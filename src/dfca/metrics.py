@@ -105,26 +105,25 @@ def clustering_accuracy(states: Sequence["ClientState"], ground_truth: Sequence[
     return best
 
 
+def _client_hits(states: Sequence["ClientState"], test_sets: Sequence[Dataset]) -> list[np.ndarray]:
+    """Per client, which of its test samples its assigned model predicts right."""
+    return [
+        predict(unflatten_params(s.shape, s.models[s.assignment]), test.features) == test.labels
+        for s, test in zip(states, test_sets)
+    ]
+
+
 def test_accuracy(states: Sequence["ClientState"], test_sets: Sequence[Dataset]) -> float:
     """Sample-weighted top-1 accuracy of each client's assigned model on its
     own test split."""
-    correct = 0
-    total = 0
-    for s, test in zip(states, test_sets):
-        m = unflatten_params(s.shape, s.models[s.assignment])
-        correct += int(np.sum(predict(m, test.features) == test.labels))
-        total += len(test)
-    return correct / total
+    hits = _client_hits(states, test_sets)
+    return sum(int(np.sum(h)) for h in hits) / sum(len(h) for h in hits)
 
 
 def client_mean_test_accuracy(states: Sequence["ClientState"], test_sets: Sequence[Dataset]) -> float:
     """Unweighted mean of per-client test accuracies (reported alongside the
     sample-weighted figure)."""
-    accs = []
-    for s, test in zip(states, test_sets):
-        m = unflatten_params(s.shape, s.models[s.assignment])
-        accs.append(float(np.mean(predict(m, test.features) == test.labels)))
-    return float(np.mean(accs))
+    return float(np.mean([float(np.mean(h)) for h in _client_hits(states, test_sets)]))
 
 
 def trace_columns(k: int) -> list[str]:

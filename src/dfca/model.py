@@ -7,7 +7,10 @@ flattening order is w1, b1, w2, b2 (w1/b1 omitted when hidden=0).
 
 from __future__ import annotations
 
+import itertools
+import math
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +24,6 @@ __all__ = [
     "forward_loss",
     "predict",
     "gradient",
-    "sgd_step",
     "sgd_epochs",
     "flatten_params",
     "unflatten_params",
@@ -164,11 +166,6 @@ def gradient(m: MlpModel, batch: Dataset) -> np.ndarray:
     return np.concatenate(_grad_xy(m, batch.features, batch.labels))
 
 
-def sgd_step(values: np.ndarray, grad: np.ndarray, gamma: float) -> np.ndarray:
-    """One descent step: values - gamma * grad."""
-    return values - gamma * grad
-
-
 def sgd_epochs(
     m: MlpModel,
     d: Dataset,
@@ -193,14 +190,13 @@ def sgd_epochs(
     batch_size = min(batch_size, len(d))
     shape = m.shape
     values = flatten_params(m)
+    current = _layers(shape, values)  # views: each step updates them in place
     rng = np.random.default_rng(seed)
     for _ in range(tau):
         order = rng.permutation(len(d))
         for start in range(0, len(d), batch_size):
             idx = order[start : start + batch_size]
-            current = unflatten_params(shape, values)
-            grad = np.concatenate(_grad_xy(current, d.features[idx], d.labels[idx]))
-            values = sgd_step(values, grad, gamma)
+            values -= gamma * np.concatenate(_grad_xy(current, d.features[idx], d.labels[idx]))
     return unflatten_params(shape, values)
 
 
@@ -216,23 +212,21 @@ def unflatten_params(shape: ModelShape, values: np.ndarray) -> MlpModel:
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (shape.param_count,):
         raise ValueError(f"expected {shape.param_count} values, got shape {values.shape}")
-    pos = 0
+    return MlpModel(*(None if a is None else a.copy() for a in _layers(shape, values)))
 
-    def take(count: int, dims: tuple[int, ...]) -> np.ndarray:
-        nonlocal pos
-        out = values[pos : pos + count].reshape(dims).copy()
-        pos += count
-        return out
 
-    if shape.hidden == 0:
-        w1 = b1 = None
-    else:
-        w1 = take(shape.hidden * shape.dim, (shape.hidden, shape.dim))
-        b1 = take(shape.hidden, (shape.hidden,))
-    inner = shape.dim if shape.hidden == 0 else shape.hidden
-    w2 = take(shape.n_classes * inner, (shape.n_classes, inner))
-    b2 = take(shape.n_classes, (shape.n_classes,))
-    return MlpModel(w1=w1, b1=b1, w2=w2, b2=b2)
+# Unchecked views into a flat parameter vector, named like MlpModel's fields
+# so that _forward and _grad_xy accept them.
+_Layers = namedtuple("_Layers", "w1 b1 w2 b2")
+
+
+def _layers(shape: ModelShape, values: np.ndarray) -> _Layers:
+    """Split a flat vector in flatten order into per-layer views (no copy)."""
+    dims = [(shape.hidden, shape.dim), (shape.hidden,)] if shape.hidden else []
+    dims += [(shape.n_classes, shape.hidden or shape.dim), (shape.n_classes,)]
+    ends = itertools.accumulate(math.prod(d) for d in dims)
+    views = [values[end - math.prod(d) : end].reshape(d) for d, end in zip(dims, ends)]
+    return _Layers(*[None] * (4 - len(views)), *views)  # w1, b1 are None when hidden=0
 
 
 def params_to_bytes(values: np.ndarray) -> bytes:

@@ -222,6 +222,7 @@ def check_local_update_isolation() -> tuple[bool, str]:
 
 
 def check_sequential_equals_batch(inject_fault: bool = False) -> tuple[bool, str]:
+    """Under both weight rules: uniform counts (no matrix) and Metropolis."""
     rng = np.random.default_rng(17)
     shape = ModelShape(dim=2, hidden=0, n_classes=2)
     worst = 0.0
@@ -229,15 +230,16 @@ def check_sequential_equals_batch(inject_fault: bool = False) -> tuple[bool, str
         t = generate_erdos_renyi(n, 0.7, seed)
         states = _random_states(rng, n, k, shape)
         _stage_outboxes(states)
-        batch = aggregate_batch(_clone(states), t)
-        for order_seed in range(4):
-            plan = RoundPlan(participants=tuple(range(n)), round_seed=order_seed)
-            seq = aggregate_sequential(
-                _clone(states), t, plan, _fault_flip_weights=inject_fault
-            )
-            for b, s in zip(batch, seq):
-                for vb, vs in zip(b.models, s.models):
-                    worst = max(worst, float(np.abs(vb - vs).max()))
+        for mixing in (None, build_mixing_matrix(t, METROPOLIS)):
+            batch = aggregate_batch(_clone(states), t, mixing=mixing)
+            for order_seed in range(4):
+                plan = RoundPlan(participants=tuple(range(n)), round_seed=order_seed)
+                seq = aggregate_sequential(
+                    _clone(states), t, plan, mixing=mixing, _fault_flip_weights=inject_fault
+                )
+                for b, s in zip(batch, seq):
+                    for vb, vs in zip(b.models, s.models):
+                        worst = max(worst, float(np.abs(vb - vs).max()))
     return worst <= 1e-9, f"max |sequential - batch| coordinate gap {worst:.2e}"
 
 

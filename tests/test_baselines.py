@@ -1,9 +1,8 @@
 import numpy as np
-import pytest
 
-from dfca.baselines import CentralServerState, decentralized_avg_round, ifca_round
+from dfca.baselines import CentralServerState, ifca_round
 from dfca.config import ExperimentConfig
-from dfca.core import ClientState, Hyperparams, RoundPlan, aggregate_batch, run_round
+from dfca.core import ClientState, Hyperparams, aggregate_batch
 from dfca.datagen import Dataset
 from dfca.metrics import cluster_average, trace_row
 from dfca.model import ModelShape
@@ -91,26 +90,6 @@ class TestEquivalenceWithGossipOnCompleteGraph:
 
 
 class TestDecentralizedAveraging:
-    def test_is_exactly_run_round_with_one_model(self):
-        rng = np.random.default_rng(4)
-        n = 5
-        t = Topology(n, ~np.eye(n, dtype=bool))
-        make = lambda: make_clients(np.random.default_rng(4), n, 1)
-        hp = hyper(rng, n)
-        plan = RoundPlan(participants=tuple(range(n)), round_seed=9)
-        a, ma = decentralized_avg_round(make(), t, plan, hp)
-        b, mb = run_round(make(), t, plan, hp)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.models[0], sb.models[0])
-        assert ma == mb
-
-    def test_rejects_multi_model_states(self):
-        rng = np.random.default_rng(5)
-        t = Topology(2, ~np.eye(2, dtype=bool))
-        with pytest.raises(ValueError):
-            decentralized_avg_round(make_clients(rng, 2, 2), t,
-                                    RoundPlan(participants=(0, 1)), hyper(rng, 2))
-
     def test_davg_on_iid_data_equals_dfca_with_one_cluster(self):
         base = dict(n_clients=6, k=1, T=3, data_samples_per_client=30,
                     model_hidden=4, topology_p=0.8, n_seeds=1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dfca.cli import main
-from dfca.config import ConfigError, config_keys, load_config
+from dfca.config import ConfigError, ExperimentConfig, config_keys, load_config
 from dfca.harness import cmd_run, cmd_sweep
 from dfca.verify import run_verification
 
@@ -76,6 +76,34 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="override"):
             load_config(tiny_config, overrides=["gamma0.25"])
 
+    def test_ifca_rejects_partial_participation(self):
+        with pytest.raises(ConfigError, match="participation_fraction"):
+            ExperimentConfig(algorithm="ifca", participation_fraction=0.5).validate()
+        ExperimentConfig(algorithm="dfca", participation_fraction=0.5).validate()
+
+    @pytest.mark.parametrize("restrict", [True, False], ids=["true", "false"])
+    def test_every_key_round_trips(self, tmp_path, restrict):
+        cfg = ExperimentConfig(
+            algorithm="davg", n_clients=7, k=4, topology_p=0.45, topology_seed=3,
+            init_mode="li", aggregation_mode="batch", mixing_kind="metropolis", gamma=0.05,
+            tau=2, batch_size=8, T=9, participation_fraction=0.5, data_n_classes=3,
+            data_dim=5, data_samples_per_client=50, data_class_separation=2.5,
+            data_noise_std=0.5, data_test_fraction=0.3, model_hidden=6, seed=4, n_seeds=2,
+            output_dir="elsewhere", on_disconnected="abort",
+            restrict_receive_to_participants=restrict,
+        )
+        pairs = cfg.to_dict()
+        defaults = ExperimentConfig().to_dict()
+        assert sorted(pairs) == config_keys()
+        assert [k for k in pairs if pairs[k] == defaults[k]] == (
+            [] if restrict else ["restrict_receive_to_participants"]
+        )
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(
+            f"{k} = {str(v).lower() if isinstance(v, bool) else v}\n" for k, v in pairs.items()
+        ))
+        assert load_config(path) == cfg
+
     def test_key_list_covers_documented_interface(self):
         keys = config_keys()
         for expected in ("n_clients", "k", "topology.p", "topology.seed", "init_mode",
@@ -108,6 +136,13 @@ class TestCmdRun:
     def test_unknown_override_key_exits_nonzero(self, tiny_config, capsys):
         assert cmd_run(str(tiny_config), overrides=["bogus=1"]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_empty_split_side_rejected_before_running(self, tiny_config, capsys, output_root):
+        code = cmd_run(str(tiny_config), overrides=["data.samples_per_client=40",
+                                                    "data.test_fraction=0.01"])
+        assert code == 2
+        assert "data.test_fraction" in capsys.readouterr().err
+        assert not output_root.exists()
 
     def test_disconnected_abort_exits_nonzero(self, tiny_config, capsys):
         code = cmd_run(str(tiny_config), overrides=["topology.p=0.0", "on_disconnected=abort"])

@@ -17,7 +17,6 @@ from dfca.model import (
     params_to_bytes,
     predict,
     sgd_epochs,
-    sgd_step,
     unflatten_params,
 )
 
@@ -126,13 +125,6 @@ class TestGradient:
 
 
 class TestSgd:
-    def test_step_rule_on_scalar_quadratic(self):
-        # f(theta) = -theta^2 has gradient -2 at theta=1; one step with
-        # gamma=0.1 moves to 1.2
-        theta = np.array([1.0])
-        grad_at_theta = np.array([-2.0])
-        assert sgd_step(theta, grad_at_theta, 0.1).tolist() == [1.2]
-
     def test_tau_zero_rejected(self):
         m = init_model(ModelShape(dim=2, hidden=0, n_classes=2), seed=0)
         data = random_dataset(np.random.default_rng(0), 4, 2, 2)
