@@ -56,12 +56,11 @@ lam = 1 - spectral_gap(w)
 states = initialize(k=1, n=16, mode="li", model_shape=SHAPE, seed=2,
                     datasets=[random_dataset() for _ in range(16)])
 hp = Hyperparams(gamma=0.0, tau=1, batch_size=8,
-                 test_sets=[random_dataset(5) for _ in range(16)])
+                 test_sets=[random_dataset(5) for _ in range(16)], mixing=w)
 print(f"lambda = {lam:.3f}, so dispersion must shrink {lam**2:.3f}x per round")
 for r in range(6):
     avg_before = cluster_average(states, 0)
-    plan = RoundPlan(participants=tuple(range(16)), aggregation_mode="batch",
-                     mixing_kind=METROPOLIS, round_seed=r)
+    plan = RoundPlan(participants=tuple(range(16)), aggregation_mode="batch", round_seed=r)
     run_round(states, t, plan, hp)
     drift = np.abs(cluster_average(states, 0) - avg_before).max()
     print(f"round {r}: dispersion {dispersion(states, 0):9.5f}, average moved {drift:.1e}")

@@ -19,7 +19,6 @@ from .core import (
     assign_cluster,
     initialize,
     local_update,
-    neighborhood_split,
     run_experiment,
     run_round,
 )

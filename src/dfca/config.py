@@ -98,6 +98,11 @@ class ExperimentConfig:
                 self.algorithm != "ifca" or self.participation_fraction >= 1.0,
                 "must be 1 for algorithm = ifca, whose rounds train every client",
             ),
+            (
+                "init_mode",
+                self.algorithm != "ifca" or self.init_mode == "gi",
+                "must be gi for algorithm = ifca, whose server broadcasts one model set",
+            ),
             ("data.n_classes", self.data_n_classes >= 2, "must be >= 2"),
             ("data.dim", self.data_dim >= 2, "must be >= 2"),
             ("data.samples_per_client", self.data_samples_per_client >= 2, "must be >= 2"),

@@ -40,7 +40,6 @@ from .model import ModelShape, flatten_params, forward_loss, init_model, sgd_epo
 from .seeding import derive_seed, spawn_rng
 from .topology import (
     METROPOLIS,
-    PAPER_UNIFORM,
     MixingMatrix,
     Topology,
     build_mixing_matrix,
@@ -58,7 +57,6 @@ __all__ = [
     "initialize",
     "assign_cluster",
     "local_update",
-    "neighborhood_split",
     "aggregate_batch",
     "aggregate_sequential",
     "run_round",
@@ -106,7 +104,6 @@ class RoundPlan:
 
     participants: tuple[int, ...]
     aggregation_mode: str = "batch"
-    mixing_kind: str = PAPER_UNIFORM
     round_seed: int = 0
     round_index: int = 0
     arrival_order: dict[tuple[int, int], Sequence[int]] | None = None
@@ -115,7 +112,11 @@ class RoundPlan:
 
 @dataclass
 class Hyperparams:
-    """Per-run constants threaded through rounds."""
+    """Per-run constants threaded through rounds.
+
+    ``mixing`` selects the merge weights: None for uniform 1/(r+1) over self
+    plus the r reporting neighbors, or a mixing matrix.
+    """
 
     gamma: float
     tau: int
@@ -205,13 +206,6 @@ def local_update(
         c.models[j] = trained
     c.outbox = (j, trained)
     return c
-
-
-def neighborhood_split(
-    states: Sequence[ClientState], t: Topology, i: int, j: int
-) -> list[int]:
-    """Neighbors of ``i`` currently assigned to cluster ``j``, sorted."""
-    return [m for m in t.neighborhoods[i] if states[m].assignment == j]
 
 
 def _reporting(states: Sequence[ClientState], t: Topology, i: int, j: int) -> list[int]:
@@ -382,15 +376,10 @@ def run_round(
     receiving) still merge incoming models.
     """
     changed, pre_avg = _assign_and_train(states, plan.participants, hp, plan.round_seed)
-    mixing = hp.mixing
-    if plan.mixing_kind == METROPOLIS and mixing is None:
-        mixing = build_mixing_matrix(t, METROPOLIS)
-    elif plan.mixing_kind == PAPER_UNIFORM:
-        mixing = None
     if plan.aggregation_mode == "sequential":
-        aggregate_sequential(states, t, plan, mixing=mixing)
+        aggregate_sequential(states, t, plan, mixing=hp.mixing)
     else:
-        aggregate_batch(states, t, mixing=mixing, plan=plan)
+        aggregate_batch(states, t, mixing=hp.mixing, plan=plan)
     return states, _measure(states, pre_avg, hp, plan.round_index, changed)
 
 
@@ -478,7 +467,6 @@ def run_experiment_states(
         plan = RoundPlan(
             participants=_sample_participants(config, round_index),
             aggregation_mode=config.aggregation_mode,
-            mixing_kind=config.mixing_kind,
             round_seed=derive_seed(config.seed, "round", round_index),
             round_index=round_index,
             receive_restricted=config.restrict_receive_to_participants,

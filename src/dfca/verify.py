@@ -1,10 +1,16 @@
 """Executable property suite behind the ``verify`` CLI command.
 
 Each check builds a small instance, exercises one algorithmic guarantee,
-and reports pass/fail.  The whole suite runs in seconds.
+and reports pass/fail.  The whole suite runs in seconds.  Acceptance
+criteria 1-4 and 9 run the matching checks, pytest runs every check as its
+own case, and the test modules build their client states with the helpers
+defined here.
 """
 
 from __future__ import annotations
+
+import itertools
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -13,12 +19,14 @@ from .core import (
     ClientState,
     Hyperparams,
     RoundPlan,
+    _reporting,
     aggregate_batch,
     aggregate_sequential,
     assign_cluster,
     initialize,
     local_update,
     run_experiment,
+    run_round,
 )
 from .datagen import Dataset, generate_rotated_synthetic, rotate_image, SyntheticSpec
 from .metrics import cluster_average, dispersion, f_global, trace_row
@@ -45,42 +53,54 @@ from .topology import (
     to_edge_list_text,
 )
 
-__all__ = ["run_verification", "CHECK_NAMES"]
+__all__ = [
+    "CHECKS",
+    "CHECK_NAMES",
+    "run_verification",
+    "random_dataset",
+    "random_states",
+    "stage_outboxes",
+    "clone_states",
+    "fd_gradient",
+]
 
 
-def _random_dataset(rng: np.random.Generator, n: int, dim: int, n_classes: int) -> Dataset:
+def random_dataset(
+    rng: np.random.Generator, n: int, dim: int, n_classes: int, distribution_id: int = 0
+) -> Dataset:
+    """Standard-normal features with uniform random labels."""
     return Dataset(
         features=rng.standard_normal((n, dim)),
         labels=rng.integers(0, n_classes, size=n),
-        distribution_id=0,
+        distribution_id=distribution_id,
     )
 
 
-def _random_states(
-    rng: np.random.Generator, n: int, k: int, shape: ModelShape
+def random_states(
+    rng: np.random.Generator, n: int, k: int, shape: ModelShape, n_samples: int = 12
 ) -> list[ClientState]:
-    states = []
-    for i in range(n):
-        models = [rng.standard_normal(shape.param_count) for _ in range(k)]
-        data = _random_dataset(rng, 12, shape.dim, shape.n_classes)
-        states.append(
-            ClientState(
-                client_id=i,
-                shape=shape,
-                models=models,
-                assignment=int(rng.integers(0, k)),
-                data=data,
-            )
+    """``n`` clients with random models, a random assignment and a random
+    dataset; client ``i`` is labelled distribution ``i % 2``."""
+    return [
+        ClientState(
+            client_id=i,
+            shape=shape,
+            models=[rng.standard_normal(shape.param_count) for _ in range(k)],
+            assignment=int(rng.integers(0, k)),
+            data=random_dataset(rng, n_samples, shape.dim, shape.n_classes, i % 2),
         )
-    return states
+        for i in range(n)
+    ]
 
 
-def _stage_outboxes(states: list[ClientState]) -> None:
+def stage_outboxes(states: Sequence[ClientState]) -> None:
+    """Stage every client's assigned model as if it had just trained."""
     for s in states:
         s.outbox = (s.assignment, s.models[s.assignment])
 
 
-def _clone(states: list[ClientState]) -> list[ClientState]:
+def clone_states(states: Sequence[ClientState]) -> list[ClientState]:
+    """Deep copy of the models and outboxes; datasets are shared."""
     out = []
     for s in states:
         c = ClientState(
@@ -166,7 +186,8 @@ def check_flat_roundtrip() -> tuple[bool, str]:
     return True, "flatten/unflatten and byte encoding round-trip bitwise"
 
 
-def _fd_gradient(m: MlpModel, data: Dataset, h: float = 1e-5) -> np.ndarray:
+def fd_gradient(m: MlpModel, data: Dataset, h: float = 1e-5) -> np.ndarray:
+    """Central finite differences of the loss, one coordinate at a time."""
     shape = m.shape
     base = flatten_params(m)
     out = np.zeros_like(base)
@@ -182,36 +203,44 @@ def _fd_gradient(m: MlpModel, data: Dataset, h: float = 1e-5) -> np.ndarray:
 
 
 def check_gradient() -> tuple[bool, str]:
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(4)
+    widths = (0, 3, 4, 5, 6)
     worst = 0.0
-    for hidden in (0, 3, 6):
+    for hidden in widths:
         shape = ModelShape(dim=3, hidden=hidden, n_classes=3)
-        m = init_model(shape, seed=hidden + 1)
-        data = _random_dataset(rng, 7, 3, 3)
+        m = init_model(shape, seed=10 + hidden)
+        data = random_dataset(rng, 9, 3, 3)
         bp = gradient(m, data)
-        fd = _fd_gradient(m, data)
+        fd = fd_gradient(m, data)
         denom = np.maximum(np.abs(fd), 1e-3)
         worst = max(worst, float(np.max(np.abs(bp - fd) / denom)))
-    return worst <= 1e-4, f"max relative backprop-vs-finite-difference error {worst:.2e}"
+    return worst <= 1e-4, (
+        f"max relative backprop-vs-finite-difference error {worst:.2e} "
+        f"(h=1e-5, bound 1e-4) at hidden widths {widths}"
+    )
 
 
 def check_assignment_descent() -> tuple[bool, str]:
-    rng = np.random.default_rng(9)
+    rng = np.random.default_rng(1)
     shape = ModelShape(dim=4, hidden=3, n_classes=3)
     worst = -np.inf
-    for _ in range(40):
-        states = _random_states(rng, 5, 3, shape)
+    trials = 100
+    for _ in range(trials):
+        k = int(rng.integers(2, 5))
+        states = random_states(rng, int(rng.integers(2, 9)), k, shape)
         before = f_global(states)
         for s in states:
             assign_cluster(s)
         worst = max(worst, f_global(states) - before)
-    return worst <= 1e-12, f"max post-assignment loss increase {worst:.2e}"
+    return worst <= 1e-12, (
+        f"max post-assignment global-loss change {worst:.2e} over {trials} random states"
+    )
 
 
 def check_local_update_isolation() -> tuple[bool, str]:
     rng = np.random.default_rng(13)
     shape = ModelShape(dim=4, hidden=3, n_classes=3)
-    states = _random_states(rng, 3, 3, shape)
+    states = random_states(rng, 3, 3, shape)
     for s in states:
         frozen = [v.copy() for v in s.models]
         local_update(s, gamma=0.05, tau=2, batch_size=4, round_seed=1)
@@ -221,72 +250,140 @@ def check_local_update_isolation() -> tuple[bool, str]:
     return True, "non-assigned models are bitwise untouched by training"
 
 
+def _small_graphs() -> Iterator[Topology]:
+    """Complete, path, ring, star and two Erdos-Renyi graphs for n = 2..8."""
+    for n in range(2, 9):
+        yield Topology(n, ~np.eye(n, dtype=bool))
+        path = np.zeros((n, n), dtype=bool)
+        for i in range(n - 1):
+            path[i, i + 1] = path[i + 1, i] = True
+        yield Topology(n, path)
+        if n >= 3:
+            ring = path.copy()
+            ring[0, n - 1] = ring[n - 1, 0] = True
+            yield Topology(n, ring)
+        star = np.zeros((n, n), dtype=bool)
+        star[0, 1:] = star[1:, 0] = True
+        yield Topology(n, star)
+        for p, seed in ((0.3, 1), (0.6, 2)):
+            yield generate_erdos_renyi(n, p, seed)
+
+
+def _arrival_orders(
+    rng: np.random.Generator, states: Sequence[ClientState], t: Topology
+) -> dict[tuple[int, int], list[Sequence[int]]]:
+    """Per (receiver, cluster) pair with senders: every order of up to five
+    senders, six seeded orders of more."""
+    orders = {}
+    for i in range(t.n_clients):
+        for j in range(len(states[0].models)):
+            senders = _reporting(states, t, i, j)
+            if not senders:
+                continue
+            if len(senders) <= 5:
+                orders[(i, j)] = list(itertools.permutations(senders))
+            else:
+                orders[(i, j)] = [rng.permutation(senders) for _ in range(6)]
+    return orders
+
+
+def _max_gap(a: Sequence[ClientState], b: Sequence[ClientState]) -> float:
+    return max(
+        float(np.abs(va - vb).max()) for sa, sb in zip(a, b) for va, vb in zip(sa.models, sb.models)
+    )
+
+
 def check_sequential_equals_batch(inject_fault: bool = False) -> tuple[bool, str]:
-    """Under both weight rules: uniform counts (no matrix) and Metropolis."""
-    rng = np.random.default_rng(17)
+    """Under both weight rules, uniform counts (no matrix) and Metropolis.
+
+    Each ``aggregate_sequential`` call pins one arrival order for every
+    (receiver, cluster) pair; one more call per instance leaves the orders to
+    the seeded permutation that ``run_round`` uses.
+    """
+    rng = np.random.default_rng(0)
     shape = ModelShape(dim=2, hidden=0, n_classes=2)
-    worst = 0.0
-    for seed, n, k in ((0, 5, 2), (1, 6, 3), (2, 4, 2)):
-        t = generate_erdos_renyi(n, 0.7, seed)
-        states = _random_states(rng, n, k, shape)
-        _stage_outboxes(states)
-        for mixing in (None, build_mixing_matrix(t, METROPOLIS)):
-            batch = aggregate_batch(_clone(states), t, mixing=mixing)
-            for order_seed in range(4):
-                plan = RoundPlan(participants=tuple(range(n)), round_seed=order_seed)
-                seq = aggregate_sequential(
-                    _clone(states), t, plan, mixing=mixing, _fault_flip_weights=inject_fault
+    worst, n_pairs, n_orders = 0.0, 0, 0
+    for t in _small_graphs():
+        participants = tuple(range(t.n_clients))
+        for k in range(1, 5):
+            states = random_states(rng, t.n_clients, k, shape)
+            stage_outboxes(states)
+            orders = _arrival_orders(rng, states, t)
+            depth = max(map(len, orders.values()), default=0)
+            plans = [
+                RoundPlan(
+                    participants=participants,
+                    arrival_order={p: o[r] for p, o in orders.items() if r < len(o)},
                 )
-                for b, s in zip(batch, seq):
-                    for vb, vs in zip(b.models, s.models):
-                        worst = max(worst, float(np.abs(vb - vs).max()))
-    return worst <= 1e-9, f"max |sequential - batch| coordinate gap {worst:.2e}"
+                for r in range(depth)
+            ] + [RoundPlan(participants=participants, round_seed=k)]
+            for mixing in (None, build_mixing_matrix(t, METROPOLIS)):
+                batch = aggregate_batch(clone_states(states), t, mixing=mixing)
+                for plan in plans:
+                    seq = aggregate_sequential(
+                        clone_states(states), t, plan, mixing=mixing,
+                        _fault_flip_weights=inject_fault,
+                    )
+                    worst = max(worst, _max_gap(batch, seq))
+            n_pairs += len(orders)
+            n_orders += sum(map(len, orders.values()))
+    return worst <= 1e-9, (
+        f"{n_pairs} receiver/cluster pairs, {n_orders} arrival orders plus the seeded one, "
+        f"each under uniform and Metropolis weights: max |sequential - batch| {worst:.2e}"
+    )
 
 
 def check_gossip_consensus() -> tuple[bool, str]:
-    rng = np.random.default_rng(21)
-    shape = ModelShape(dim=3, hidden=0, n_classes=2)
-    seed = 0
-    while True:
-        t = generate_erdos_renyi(12, 0.3, seed)
-        if is_connected(t):
-            break
-        seed += 1
-    w = build_mixing_matrix(t, METROPOLIS)
-    lam = 1.0 - spectral_gap(w)
-    states = _random_states(rng, 12, 1, shape)
-    for s in states:
-        s.assignment = 0
-    worst_avg, worst_contract = 0.0, -np.inf
-    for _ in range(15):
-        avg_before = cluster_average(states, 0)
-        disp_before = dispersion(states, 0)
-        _stage_outboxes(states)
-        aggregate_batch(states, t, mixing=w)
-        worst_avg = max(
-            worst_avg, float(np.abs(cluster_average(states, 0) - avg_before).max())
+    """Batch Metropolis rounds through ``run_round`` on ten connected graphs."""
+    rng = np.random.default_rng(2)
+    shape = ModelShape(dim=4, hidden=0, n_classes=2)
+    n, rounds = 20, 12
+    graphs = ((seed, generate_erdos_renyi(n, 0.3, seed)) for seed in itertools.count())
+    connected = ((seed, t) for seed, t in graphs if is_connected(t))
+    worst_avg, worst_slack = 0.0, -np.inf
+    for seed, t in itertools.islice(connected, 10):
+        w = build_mixing_matrix(t, METROPOLIS)
+        lam = 1.0 - spectral_gap(w)
+        datasets = [random_dataset(rng, 12, shape.dim, shape.n_classes) for _ in range(n)]
+        states = initialize(k=1, n=n, mode="li", model_shape=shape, seed=seed, datasets=datasets)
+        hp = Hyperparams(
+            gamma=0.0,
+            tau=1,
+            batch_size=8,
+            test_sets=[random_dataset(rng, 4, shape.dim, shape.n_classes) for _ in range(n)],
+            mixing=w,
         )
-        worst_contract = max(
-            worst_contract, dispersion(states, 0) - lam**2 * disp_before
-        )
-    ok = worst_avg <= 1e-9 and worst_contract <= 1e-9
+        for r in range(rounds):
+            avg_before = cluster_average(states, 0)
+            disp_before = dispersion(states, 0)
+            plan = RoundPlan(
+                participants=tuple(range(n)), aggregation_mode="batch", round_seed=r, round_index=r
+            )
+            run_round(states, t, plan, hp)
+            worst_avg = max(
+                worst_avg, float(np.abs(cluster_average(states, 0) - avg_before).max())
+            )
+            worst_slack = max(worst_slack, dispersion(states, 0) - lam**2 * disp_before)
+    ok = worst_avg <= 1e-9 and worst_slack <= 1e-9
     return ok, (
-        f"avg drift {worst_avg:.2e}, worst contraction slack {worst_contract:.2e} (lambda={lam:.3f})"
+        f"10 connected graphs x {rounds} rounds: average drift {worst_avg:.2e}, "
+        f"worst contraction slack {worst_slack:.2e}"
     )
 
 
 def check_gi_zero_dispersion() -> tuple[bool, str]:
-    rng = np.random.default_rng(25)
-    shape = ModelShape(dim=4, hidden=3, n_classes=3)
-    datasets = [_random_dataset(rng, 10, 4, 3) for _ in range(6)]
-    states = initialize(k=3, n=6, mode="gi", model_shape=shape, seed=99, datasets=datasets)
-    disps = [dispersion(states, j) for j in range(3)]
-    return all(d == 0.0 for d in disps), f"initial dispersions {disps}"
+    rng = np.random.default_rng(3)
+    shape = ModelShape(dim=16, hidden=32, n_classes=4)
+    datasets = [random_dataset(rng, 20, 16, 4) for _ in range(20)]
+    states = initialize(k=4, n=20, mode="gi", model_shape=shape, seed=0, datasets=datasets)
+    disps = [dispersion(states, j) for j in range(4)]
+    return all(d == 0.0 for d in disps), f"initial dispersions {disps} (exact zeros)"
 
 
 def check_run_determinism() -> tuple[bool, str]:
     config = ExperimentConfig(
-        n_clients=8, k=2, T=3, data_samples_per_client=30, model_hidden=4, n_seeds=1
+        n_clients=8, k=2, T=3, data_samples_per_client=40, model_hidden=4, topology_p=0.6,
+        n_seeds=1,
     )
     config.validate()
     rows_a = [trace_row(m) for m in run_experiment(config)]

@@ -6,35 +6,17 @@ were established on the first full implementation and regress within +/-2
 accuracy points.
 """
 
-import itertools
 import time
 
 import numpy as np
 import pytest
 
+from dfca import verify
 from dfca.config import ExperimentConfig
-from dfca.core import (
-    ClientState,
-    Hyperparams,
-    RoundPlan,
-    aggregate_batch,
-    aggregate_sequential,
-    assign_cluster,
-    initialize,
-    run_round,
-)
-from dfca.datagen import Dataset
+from dfca.core import run_experiment
 from dfca.harness import cmd_run, stabilization_round
-from dfca.metrics import cluster_average, dispersion, f_global
-from dfca.model import ModelShape, flatten_params, forward_loss, gradient, init_model, unflatten_params
-from dfca.topology import (
-    METROPOLIS,
-    Topology,
-    build_mixing_matrix,
-    generate_erdos_renyi,
-    is_connected,
-    spectral_gap,
-)
+
+CHECKS = dict(verify.CHECKS)
 
 # Golden desk-scale results (5-seed means at N=20, k=2, p=0.3, T=150,
 # gamma=0.1, tau=5, default synthetic data): regress within +/-2 points.
@@ -49,41 +31,12 @@ def report(criterion, detail):
     print(f"PASS criterion {criterion}: {detail}")
 
 
-def random_dataset(rng, n=12, dim=3, n_classes=3, dist=0):
-    return Dataset(features=rng.standard_normal((n, dim)),
-                   labels=rng.integers(0, n_classes, size=n), distribution_id=dist)
-
-
-def make_states(rng, n, k, shape):
-    return [
-        ClientState(client_id=i, shape=shape,
-                    models=[rng.standard_normal(shape.param_count) for _ in range(k)],
-                    assignment=int(rng.integers(0, k)),
-                    data=random_dataset(rng, dim=shape.dim, n_classes=shape.n_classes, dist=i % 2))
-        for i in range(n)
-    ]
-
-
-def clone(states):
-    out = []
-    for s in states:
-        c = ClientState(client_id=s.client_id, shape=s.shape,
-                        models=[v.copy() for v in s.models],
-                        assignment=s.assignment, data=s.data)
-        if s.outbox is not None:
-            c.outbox = (s.outbox[0], s.outbox[1].copy())
-        out.append(c)
-    return out
-
-
 def run_batch(**config_kw):
     """Five-seed batch of full experiments; returns per-seed traces."""
     traces = []
     for seed in range(N_SEEDS):
         cfg = ExperimentConfig(seed=seed, **config_kw)
         cfg.validate()
-        from dfca.core import run_experiment
-
         traces.append(run_experiment(cfg))
     return traces
 
@@ -107,135 +60,35 @@ def davg_runs():
     return run_batch(algorithm="davg")
 
 
-class TestCriterion1SequentialEqualsBatch:
-    def topologies(self):
-        for n in range(2, 9):
-            complete = Topology(n, ~np.eye(n, dtype=bool))
-            yield complete
-            path = np.zeros((n, n), dtype=bool)
-            for i in range(n - 1):
-                path[i, i + 1] = path[i + 1, i] = True
-            yield Topology(n, path)
-            if n >= 3:
-                ring = path.copy()
-                ring[0, n - 1] = ring[n - 1, 0] = True
-                yield Topology(n, ring)
-            star = np.zeros((n, n), dtype=bool)
-            star[0, 1:] = star[1:, 0] = True
-            yield Topology(n, star)
-            for p, seed in ((0.3, 1), (0.6, 2)):
-                yield generate_erdos_renyi(n, p, seed)
+def run_check(criterion, name, bound_s=None):
+    """Run one ``dfca verify`` check as an acceptance criterion."""
+    t0 = time.time()
+    ok, detail = CHECKS[name]()
+    elapsed = time.time() - t0
+    assert ok, detail
+    if bound_s is not None:
+        assert elapsed < bound_s
+    report(criterion, f"{detail}; {elapsed:.1f}s")
 
+
+class TestCriterion1SequentialEqualsBatch:
     def test_exhaustive_permutation_equivalence(self):
-        t0 = time.time()
-        rng = np.random.default_rng(0)
-        shape = ModelShape(dim=2, hidden=0, n_classes=2)
-        checked_pairs = 0
-        checked_perms = 0
-        worst = 0.0
-        for t in self.topologies():
-            for k in range(1, 5):
-                states = make_states(rng, t.n_clients, k, shape)
-                for s in states:
-                    s.outbox = (s.assignment, s.models[s.assignment])
-                reference = clone(states)
-                aggregate_batch(reference, t)
-                for i in range(t.n_clients):
-                    for j in range(k):
-                        senders = [m for m in t.neighborhoods[i]
-                                   if states[m].outbox[0] == j]
-                        if not senders:
-                            continue
-                        if len(senders) <= 5:
-                            orders = itertools.permutations(senders)
-                        else:  # exhaustive only required up to 5 reporting neighbors
-                            orders = (list(rng.permutation(senders)) for _ in range(6))
-                        checked_pairs += 1
-                        for order in orders:
-                            trial = clone(states)
-                            plan = RoundPlan(participants=tuple(range(t.n_clients)),
-                                             arrival_order={(i, j): list(order)})
-                            aggregate_sequential(trial, t, plan)
-                            gap = float(np.abs(trial[i].models[j] - reference[i].models[j]).max())
-                            worst = max(worst, gap)
-                            checked_perms += 1
-                            assert gap <= 1e-9
-        elapsed = time.time() - t0
-        assert elapsed < 10.0
-        report(1, f"sequential == batch on {checked_pairs} receiver/cluster pairs, "
-                  f"{checked_perms} arrival permutations, worst gap {worst:.2e}, {elapsed:.1f}s")
+        run_check(1, "sequential-equals-batch", bound_s=10.0)
 
 
 class TestCriterion2AssignmentDescent:
     def test_hundred_randomized_states(self):
-        t0 = time.time()
-        rng = np.random.default_rng(1)
-        shape = ModelShape(dim=3, hidden=2, n_classes=3)
-        worst = -np.inf
-        for trial in range(100):
-            k = int(rng.integers(2, 5))
-            states = make_states(rng, int(rng.integers(2, 7)), k, shape)
-            before = f_global(states)
-            for s in states:
-                assign_cluster(s)
-            worst = max(worst, f_global(states) - before)
-            assert f_global(states) <= before + 1e-12
-        elapsed = time.time() - t0
-        assert elapsed < 10.0
-        report(2, f"assignment never increased global loss over 100 randomized states "
-                  f"(worst delta {worst:.2e}), {elapsed:.1f}s")
+        run_check(2, "assignment-is-descent", bound_s=10.0)
 
 
 class TestCriterion3ConsensusContraction:
     def test_dispersion_contracts_and_average_preserved(self):
-        t0 = time.time()
-        rng = np.random.default_rng(2)
-        shape = ModelShape(dim=4, hidden=0, n_classes=2)
-        connected_seeds = []
-        candidate = 0
-        while len(connected_seeds) < 10:
-            if is_connected(generate_erdos_renyi(20, 0.3, candidate)):
-                connected_seeds.append(candidate)
-            candidate += 1
-        worst_slack = -np.inf
-        worst_avg = 0.0
-        for seed in connected_seeds:
-            t = generate_erdos_renyi(20, 0.3, seed)
-            lam = 1.0 - spectral_gap(build_mixing_matrix(t, METROPOLIS))
-            datasets = [random_dataset(rng, dim=4, n_classes=2) for _ in range(20)]
-            states = initialize(k=1, n=20, mode="li", model_shape=shape,
-                                seed=seed, datasets=datasets)
-            hp = Hyperparams(gamma=0.0, tau=1, batch_size=8,
-                             test_sets=[random_dataset(rng, n=4, dim=4, n_classes=2)
-                                        for _ in range(20)])
-            for round_index in range(12):
-                avg_before = cluster_average(states, 0)
-                disp_before = dispersion(states, 0)
-                plan = RoundPlan(participants=tuple(range(20)), aggregation_mode="batch",
-                                 mixing_kind=METROPOLIS, round_seed=round_index,
-                                 round_index=round_index)
-                run_round(states, t, plan, hp)
-                avg_gap = float(np.abs(cluster_average(states, 0) - avg_before).max())
-                slack = dispersion(states, 0) - lam**2 * disp_before
-                worst_avg = max(worst_avg, avg_gap)
-                worst_slack = max(worst_slack, slack)
-                assert avg_gap <= 1e-9
-                assert slack <= 1e-9
-        elapsed = time.time() - t0
-        assert elapsed < 10.0
-        report(3, f"10 connected graphs x 12 rounds: worst contraction slack "
-                  f"{worst_slack:.2e}, worst average drift {worst_avg:.2e}, {elapsed:.1f}s")
+        run_check(3, "gossip-preserves-average-and-contracts", bound_s=10.0)
 
 
 class TestCriterion4GlobalInitZeroDispersion:
     def test_initial_dispersion_exactly_zero(self):
-        rng = np.random.default_rng(3)
-        shape = ModelShape(dim=16, hidden=32, n_classes=4)
-        datasets = [random_dataset(rng, n=20, dim=16, n_classes=4) for _ in range(20)]
-        states = initialize(k=4, n=20, mode="gi", model_shape=shape, seed=0, datasets=datasets)
-        disps = [dispersion(states, j) for j in range(4)]
-        assert disps == [0.0, 0.0, 0.0, 0.0]
-        report(4, f"global initialization starts at dispersion {disps} (exact zeros)")
+        run_check(4, "global-init-zero-dispersion")
 
 
 def final_clustering(traces):
@@ -312,8 +165,6 @@ class TestCriterion8ConnectivitySufficiency:
             for seed in range(N_SEEDS):
                 cfg = ExperimentConfig(seed=seed, n_clients=50, topology_p=p)
                 cfg.validate()
-                from dfca.core import run_experiment
-
                 finals.append(run_experiment(cfg)[-1].test_accuracy)
             means[p] = float(np.mean(finals))
         sufficient = [means[p] for p in (0.15, 0.2, 0.3)]
@@ -327,30 +178,8 @@ class TestCriterion8ConnectivitySufficiency:
 
 
 class TestCriterion9GradientCorrectness:
-    def finite_difference(self, m, data, h=1e-5):
-        shape = m.shape
-        base = flatten_params(m)
-        out = np.zeros_like(base)
-        for i in range(base.size):
-            plus, minus = base.copy(), base.copy()
-            plus[i] += h
-            minus[i] -= h
-            out[i] = (forward_loss(unflatten_params(shape, plus), data)
-                      - forward_loss(unflatten_params(shape, minus), data)) / (2 * h)
-        return out
-
     def test_backprop_matches_central_differences(self):
-        rng = np.random.default_rng(4)
-        checked = 0
-        for hidden, seed in ((0, 10), (3, 11), (6, 12), (4, 13)):
-            shape = ModelShape(dim=3, hidden=hidden, n_classes=3)
-            m = init_model(shape, seed=seed)
-            data = random_dataset(rng, n=9, dim=3, n_classes=3)
-            np.testing.assert_allclose(gradient(m, data), self.finite_difference(m, data),
-                                       rtol=1e-4, atol=1e-7)
-            checked += 1
-        report(9, f"backprop matches central finite differences (h=1e-5, rel 1e-4) "
-                  f"on {checked} random models")
+        run_check(9, "gradient-matches-finite-differences")
 
 
 class TestCriterion10Determinism:

@@ -8,7 +8,7 @@ import pytest
 from dfca.cli import main
 from dfca.config import ConfigError, ExperimentConfig, config_keys, load_config
 from dfca.harness import cmd_run, cmd_sweep
-from dfca.verify import run_verification
+from dfca.verify import CHECK_NAMES, CHECKS, run_verification
 
 TINY = """
 # desk-scale smoke configuration
@@ -144,6 +144,12 @@ class TestCmdRun:
         assert "data.test_fraction" in capsys.readouterr().err
         assert not output_root.exists()
 
+    def test_ifca_with_local_init_rejected_before_running(self, tiny_config, capsys, output_root):
+        code = cmd_run(str(tiny_config), overrides=["algorithm=ifca", "init_mode=li"])
+        assert code == 2
+        assert "init_mode" in capsys.readouterr().err
+        assert not output_root.exists()
+
     def test_disconnected_abort_exits_nonzero(self, tiny_config, capsys):
         code = cmd_run(str(tiny_config), overrides=["topology.p=0.0", "on_disconnected=abort"])
         assert code == 3
@@ -198,7 +204,14 @@ class TestVerifyCommand:
 
     def test_injected_fault_detected(self, capsys):
         assert run_verification(inject_fault=True) == 1
-        assert "FAIL sequential-equals-batch" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL sequential-equals-batch" in out
+        assert out.count("FAIL") == 1
+
+    @pytest.mark.parametrize("check", [check for _, check in CHECKS], ids=CHECK_NAMES)
+    def test_check(self, check):
+        ok, detail = check()
+        assert ok, detail
 
 
 class TestCliEntrypoint:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfca import verify
 from dfca.core import ClientState
 from dfca.datagen import Dataset, SyntheticSpec, generate_rotated_synthetic
 from dfca.metrics import (
@@ -34,11 +35,7 @@ def simple_data(rng, n=6, dist=0):
 
 
 def random_states(rng, n, k):
-    return [
-        state(i, [rng.standard_normal(SHAPE.param_count) for _ in range(k)],
-              int(rng.integers(0, k)), simple_data(rng, dist=i % 2))
-        for i in range(n)
-    ]
+    return verify.random_states(rng, n, k, SHAPE, n_samples=6)
 
 
 class TestClusterLoss:

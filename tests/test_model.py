@@ -19,6 +19,7 @@ from dfca.model import (
     sgd_epochs,
     unflatten_params,
 )
+from dfca.verify import fd_gradient, random_dataset
 
 
 def dataset(features, labels, dist=0):
@@ -27,26 +28,6 @@ def dataset(features, labels, dist=0):
 
 def zero_model(shape):
     return unflatten_params(shape, np.zeros(shape.param_count))
-
-
-def random_dataset(rng, n, dim, n_classes):
-    return dataset(rng.standard_normal((n, dim)), rng.integers(0, n_classes, size=n))
-
-
-def finite_difference_gradient(m, data, h=1e-5):
-    """Independent oracle: central differences of the loss per coordinate."""
-    shape = m.shape
-    base = flatten_params(m)
-    out = np.zeros_like(base)
-    for i in range(base.size):
-        plus, minus = base.copy(), base.copy()
-        plus[i] += h
-        minus[i] -= h
-        out[i] = (
-            forward_loss(unflatten_params(shape, plus), data)
-            - forward_loss(unflatten_params(shape, minus), data)
-        ) / (2 * h)
-    return out
 
 
 class TestForwardLoss:
@@ -109,9 +90,7 @@ class TestGradient:
         shape = ModelShape(dim=3, hidden=hidden, n_classes=3)
         m = init_model(shape, seed=seed)
         data = random_dataset(rng, 8, 3, 3)
-        np.testing.assert_allclose(
-            gradient(m, data), finite_difference_gradient(m, data), rtol=1e-4, atol=1e-7
-        )
+        np.testing.assert_allclose(gradient(m, data), fd_gradient(m, data), rtol=1e-4, atol=1e-7)
 
     def test_duplicated_batch_same_gradient(self):
         rng = np.random.default_rng(4)
