@@ -2,12 +2,12 @@
 
 Clients on a sparse random graph jointly learn k cluster-specific models by
 iterating loss-based cluster assignment, local SGD, and gossip-style
-neighbor averaging, with no central server.  The package also ships the
-centralized IFCA baseline, a no-clustering decentralized-averaging
-baseline, and an experiment harness with multi-seed runs and sweeps.
+neighbor averaging, with no central server.  The same round runs the
+centralized IFCA baseline (a server merge) and a no-clustering
+decentralized-averaging baseline; an experiment harness adds multi-seed runs
+and sweeps.
 """
 
-from .baselines import CentralServerState, ifca_round
 from .config import ConfigError, ExperimentConfig, load_config
 from .core import (
     ClientState,

@@ -1,21 +1,24 @@
-"""The decentralized clustered-training state machine.
+"""The clustered-training state machine shared by dfca, davg and ifca.
 
 Every round iterates three steps per participating client: pick the cluster
 whose model fits the local data best (argmin of the local loss), train that
-one model with local SGD, then gossip with graph neighbors.  Clients send
-only the model they just trained but receive and merge neighbor models for
-every cluster, so all k models propagate even through sparse graphs.
+one model with local SGD, then merge.  Clients send only the model they just
+trained but receive and merge models for every cluster, so all k models
+propagate even through sparse graphs.
 
-Aggregation comes in two flavors that agree to first order:
+``run_round`` has three merges:
 
 * batch - synchronous per-cluster neighbor averaging with uniform weights
   1/(r+1) over self plus the r reporting neighbors (or mixing-matrix
   weights when a matrix is supplied);
 * sequential - a running average that folds neighbor models in one at a
-  time in arrival order and telescopes to exactly the batch mean.
+  time in arrival order and telescopes to exactly the batch mean;
+* server - centralized IFCA: each cluster model becomes the mean of the
+  trained models of the clients that selected it, and every client receives
+  the result.  It needs no graph.
 
-Merges are computed in delta form (own + weighted sum of differences), so
-averaging identical vectors is exactly the identity.
+The gossip merges are computed in delta form (own + weighted sum of
+differences), so averaging identical vectors is exactly the identity.
 """
 
 from __future__ import annotations
@@ -96,6 +99,7 @@ class RoundPlan:
     """Everything that varies per round: who participates, how merges are
     ordered, and which aggregation rule applies.
 
+    ``aggregation_mode`` is ``batch``, ``sequential`` or ``server`` (IFCA).
     ``arrival_order`` may pin an explicit sender order per (receiver,
     cluster); any pair not listed gets a seeded permutation derived from
     ``round_seed``.  An explicit order must permute exactly the reporting
@@ -223,6 +227,18 @@ def _receivers(states: Sequence[ClientState], plan: RoundPlan | None) -> Sequenc
     return range(len(states))
 
 
+def _merge_weights(
+    mixing: MixingMatrix | None, i: int, senders: list[int]
+) -> tuple[dict[int, float], float, float]:
+    """The weight of each reporting sender, the receiver's own weight and the
+    batch normalizer: 1.0 each and r+1 when uniform; matrix row weights, the
+    remainder and 1.0 with a matrix."""
+    if mixing is None:
+        return dict.fromkeys(senders, 1.0), 1.0, len(senders) + 1.0
+    weights = {m: mixing.weights[i, m] for m in senders}
+    return weights, 1.0 - sum(weights.values()), 1.0
+
+
 def aggregate_batch(
     states: Sequence[ClientState],
     t: Topology,
@@ -245,15 +261,11 @@ def aggregate_batch(
             if not senders:
                 continue
             own = states[i].models[j]
+            weights, _, norm = _merge_weights(mixing, i, senders)
             acc = np.zeros_like(own)
-            if mixing is None:
-                for m in senders:
-                    acc += states[m].outbox[1] - own
-                updates[(i, j)] = own + acc / (len(senders) + 1)
-            else:
-                for m in senders:
-                    acc += mixing.weights[i, m] * (states[m].outbox[1] - own)
-                updates[(i, j)] = own + acc
+            for m, w in weights.items():
+                acc += w * (states[m].outbox[1] - own)
+            updates[(i, j)] = own + acc / norm
     for (i, j), value in updates.items():
         states[i].models[j] = value
     return states
@@ -298,62 +310,67 @@ def aggregate_sequential(
             if not senders:
                 continue
             value = states[i].models[j]
-            if mixing is None:
-                merged = 1.0  # the receiver's own copy
-                for m in _arrival(plan, i, j, senders):
-                    frac = 1.0 / (merged + 1.0)
-                    if _fault_flip_weights:
-                        frac = merged / (merged + 1.0)
-                    value = value + frac * (states[m].outbox[1] - value)
-                    merged += 1.0
-            else:
-                weight_sum = 1.0 - sum(mixing.weights[i, m] for m in senders)
-                for m in _arrival(plan, i, j, senders):
-                    w = mixing.weights[i, m]
-                    frac = w / (weight_sum + w)
-                    if _fault_flip_weights:
-                        frac = weight_sum / (weight_sum + w)
-                    value = value + frac * (states[m].outbox[1] - value)
-                    weight_sum += w
+            weights, weight_sum, _ = _merge_weights(mixing, i, senders)
+            for m in _arrival(plan, i, j, senders):
+                w = weights[m]
+                frac = w / (weight_sum + w)
+                if _fault_flip_weights:
+                    frac = weight_sum / (weight_sum + w)
+                value = value + frac * (states[m].outbox[1] - value)
+                weight_sum += w
             updates[(i, j)] = value
     for (i, j), value in updates.items():
         states[i].models[j] = value
     return states
 
 
-def _assign_and_train(
-    states: Sequence[ClientState], participants: Sequence[int], hp: Hyperparams, round_seed: int
-) -> tuple[int, list[np.ndarray]]:
-    """The steps every algorithm shares before its merge: clear the outboxes,
-    reassign and train the participants.  Returns the number of changed
-    assignments and the cluster averages before the merge."""
+def _server_mean(states: Sequence[ClientState]) -> None:
+    """Centralized merge: each cluster model becomes the mean of the trained
+    models of the clients that selected it (unchanged if none did), and every
+    client receives a copy of the new global models."""
+    merged = []
+    for j, current in enumerate(states[0].models):
+        returned = [s.models[j] for s in states if s.assignment == j]
+        merged.append(np.mean(returned, axis=0) if returned else current)
+    for s in states:
+        s.models = [v.copy() for v in merged]
+
+
+def run_round(
+    states: Sequence[ClientState],
+    t: Topology | None,
+    plan: RoundPlan,
+    hp: Hyperparams,
+) -> tuple[Sequence[ClientState], RoundMetrics]:
+    """One full round: assign, train, merge, measure.
+
+    Non-participants neither train nor send but (unless the plan restricts
+    receiving) still merge incoming models.  The ``server`` merge ignores
+    ``t`` and expects every client to start the round with the same models.
+    """
     previous = [s.assignment for s in states]
     for s in states:
         s.outbox = None
-    for i in participants:
+    for i in plan.participants:
         assign_cluster(states[i])
     changed = sum(1 for s, prev in zip(states, previous) if s.assignment != prev)
-    for i in participants:
-        local_update(states[i], hp.gamma, hp.tau, hp.batch_size, derive_seed(round_seed, "sgd", i))
-    return changed, [cluster_average(states, j) for j in range(len(states[0].models))]
+    for i in plan.participants:
+        local_update(states[i], hp.gamma, hp.tau, hp.batch_size, derive_seed(plan.round_seed, "sgd", i))
+    k = len(states[0].models)
+    pre_avg = [cluster_average(states, j) for j in range(k)]
 
+    if plan.aggregation_mode == "server":
+        _server_mean(states)
+    elif plan.aggregation_mode == "sequential":
+        aggregate_sequential(states, t, plan, mixing=hp.mixing)
+    else:
+        aggregate_batch(states, t, mixing=hp.mixing, plan=plan)
 
-def _measure(
-    states: Sequence[ClientState],
-    pre_avg: Sequence[np.ndarray],
-    hp: Hyperparams,
-    round_index: int,
-    changed: int,
-) -> RoundMetrics:
-    """The trace row of a round, measured on the merged states."""
-    k = len(pre_avg)
-    drift = tuple(
-        float(np.linalg.norm(cluster_average(states, j) - pre_avg[j])) for j in range(k)
-    )
+    drift = tuple(float(np.linalg.norm(cluster_average(states, j) - pre_avg[j])) for j in range(k))
     truth = [s.data.distribution_id for s in states]
     per_cluster = tuple(f_cluster(states, j) for j in range(k))
-    return RoundMetrics(
-        round=round_index,
+    return states, RoundMetrics(
+        round=plan.round_index,
         f_global=sum(per_cluster),
         f_cluster=per_cluster,
         disp=tuple(dispersion(states, j) for j in range(k)),
@@ -362,25 +379,6 @@ def _measure(
         avg_drift=drift,
         assignments_changed=changed,
     )
-
-
-def run_round(
-    states: Sequence[ClientState],
-    t: Topology,
-    plan: RoundPlan,
-    hp: Hyperparams,
-) -> tuple[Sequence[ClientState], RoundMetrics]:
-    """One full round: assign, train, aggregate, measure.
-
-    Non-participants neither train nor send but (unless the plan restricts
-    receiving) still merge incoming models.
-    """
-    changed, pre_avg = _assign_and_train(states, plan.participants, hp, plan.round_seed)
-    if plan.aggregation_mode == "sequential":
-        aggregate_sequential(states, t, plan, mixing=hp.mixing)
-    else:
-        aggregate_batch(states, t, mixing=hp.mixing, plan=plan)
-    return states, _measure(states, pre_avg, hp, plan.round_index, changed)
 
 
 def build_topology(config: ExperimentConfig) -> Topology:
@@ -437,14 +435,14 @@ def _sample_participants(config: ExperimentConfig, round_index: int) -> tuple[in
 def run_experiment_states(
     config: ExperimentConfig,
 ) -> tuple[list[RoundMetrics], list[ClientState], dict]:
-    """Run a full experiment and also return final states and run info."""
+    """Run a full experiment and also return final states and run info.
+
+    ``algorithm = ifca`` runs the server merge and builds no graph, so its
+    ``connected`` is None.
+    """
     config.validate()
-    if config.algorithm == "ifca":
-        from .baselines import run_ifca_experiment_states
-
-        return run_ifca_experiment_states(config)
-
-    t = build_topology(config)
+    centralized = config.algorithm == "ifca"
+    t = None if centralized else build_topology(config)
     trains, tests = build_client_data(config)
     shape = ModelShape(dim=config.data_dim, hidden=config.model_hidden, n_classes=config.data_n_classes)
     states = initialize(
@@ -460,20 +458,21 @@ def run_experiment_states(
         tau=config.tau,
         batch_size=config.batch_size,
         test_sets=tests,
-        mixing=build_mixing_matrix(t, METROPOLIS) if config.mixing_kind == METROPOLIS else None,
+        mixing=build_mixing_matrix(t, METROPOLIS)
+        if t is not None and config.mixing_kind == METROPOLIS else None,
     )
     trace: list[RoundMetrics] = []
     for round_index in range(config.T):
         plan = RoundPlan(
             participants=_sample_participants(config, round_index),
-            aggregation_mode=config.aggregation_mode,
+            aggregation_mode="server" if centralized else config.aggregation_mode,
             round_seed=derive_seed(config.seed, "round", round_index),
             round_index=round_index,
             receive_restricted=config.restrict_receive_to_participants,
         )
         _, measured = run_round(states, t, plan, hp)
         trace.append(measured)
-    info = {"connected": is_connected(t), "algorithm": config.algorithm, "test_sets": tests}
+    info = {"connected": None if t is None else is_connected(t), "test_sets": tests}
     return trace, states, info
 
 

@@ -14,12 +14,13 @@ environment variable overrides it.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "SeedOutcome",
     "stabilization_round",
     "write_trace",
+    "run_one_seed",
     "run_config_seeds",
     "cmd_run",
     "cmd_sweep",
@@ -82,6 +84,7 @@ def write_trace(path: Path, trace: Sequence[RoundMetrics], k: int) -> None:
 
 
 def run_one_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
+    """Run ``config`` under master seed ``seed`` and collect its finals."""
     cfg = config.replace(seed=seed)
     trace, states, info = run_experiment_states(cfg)
     if trace:
@@ -95,7 +98,7 @@ def run_one_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
         )
     else:
         outcome = dict.fromkeys(_FINALS)
-    return SeedOutcome(seed=seed, trace=trace, connected=info.get("connected"), **outcome)
+    return SeedOutcome(seed=seed, trace=trace, connected=info["connected"], **outcome)
 
 
 def run_config_seeds(config: ExperimentConfig) -> list[SeedOutcome]:
@@ -145,18 +148,30 @@ def _run_into(config: ExperimentConfig, run_dir: Path) -> dict:
     return summary
 
 
+def _exit_codes(command: Callable[..., int]) -> Callable[..., int]:
+    """Map the errors a command reports to its exit code: a ``ConfigError``
+    to 2 and a disconnected graph under ``on_disconnected = abort`` to 3."""
+
+    @functools.wraps(command)
+    def guarded(*args, **kwargs) -> int:
+        try:
+            return command(*args, **kwargs)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except DisconnectedGraphError as exc:
+            print(f"aborted: {exc}", file=sys.stderr)
+            return 3
+
+    return guarded
+
+
+@_exit_codes
 def cmd_run(config_path: str, overrides: Iterable[str] = ()) -> int:
     """Run ``n_seeds`` experiments and write traces plus a summary JSON."""
-    try:
-        config = load_config(config_path, overrides)
-        run_dir = _output_root(config) / Path(config_path).stem
-        summary = _run_into(config, run_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DisconnectedGraphError as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 3
+    config = load_config(config_path, overrides)
+    run_dir = _output_root(config) / Path(config_path).stem
+    summary = _run_into(config, run_dir)
     mean = summary["mean"]["final_test_accuracy"]
     std = summary["std"]["final_test_accuracy"]
     if mean is not None:
@@ -171,37 +186,31 @@ def _sanitize(key: str) -> str:
     return key.replace(".", "_")
 
 
+@_exit_codes
 def cmd_sweep(config_path: str, key: str, values: Sequence[str], overrides: Iterable[str] = ()) -> int:
     """One ``cmd_run`` per value of ``key``; emits a combined (value, mean, std) CSV."""
-    try:
-        if key not in _FIELD_BY_KEY:
-            raise ConfigError(f"unknown config key {key!r}")
-        caster = _FIELD_BY_KEY[key][1]
-        if caster not in (int, float):
-            raise ConfigError(f"config key {key!r} is not numeric and cannot be swept")
-        if not values:
-            raise ConfigError("sweep needs at least one value")
-        parsed = []
-        for v in values:
-            try:
-                parsed.append(caster(v))
-            except ValueError as exc:
-                raise ConfigError(f"sweep value {v!r} for key {key!r}: {exc}") from exc
+    if key not in _FIELD_BY_KEY:
+        raise ConfigError(f"unknown config key {key!r}")
+    caster = _FIELD_BY_KEY[key][1]
+    if caster not in (int, float):
+        raise ConfigError(f"config key {key!r} is not numeric and cannot be swept")
+    if not values:
+        raise ConfigError("sweep needs at least one value")
+    parsed = []
+    for v in values:
+        try:
+            parsed.append(caster(v))
+        except ValueError as exc:
+            raise ConfigError(f"sweep value {v!r} for key {key!r}: {exc}") from exc
 
-        base = load_config(config_path, overrides)
-        root = _output_root(base) / Path(config_path).stem
-        rows = []
-        for value in parsed:
-            config = load_config(config_path, list(overrides) + [f"{key}={value}"])
-            summary = _run_into(config, root / f"{key}={value}")
-            rows.append((value, summary["mean"]["final_test_accuracy"],
-                         summary["std"]["final_test_accuracy"]))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DisconnectedGraphError as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 3
+    base = load_config(config_path, overrides)
+    root = _output_root(base) / Path(config_path).stem
+    rows = []
+    for value in parsed:
+        config = load_config(config_path, list(overrides) + [f"{key}={value}"])
+        summary = _run_into(config, root / f"{key}={value}")
+        rows.append((value, summary["mean"]["final_test_accuracy"],
+                     summary["std"]["final_test_accuracy"]))
 
     combined = root / f"sweep_{_sanitize(key)}.csv"
     with open(combined, "w", newline="") as fh:

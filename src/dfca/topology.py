@@ -79,6 +79,9 @@ class MixingMatrix:
     of its neighbors.  ``metropolis`` uses 1/(1+max(deg(i), deg(m))) on every
     edge with the remainder on the diagonal; it is symmetric and therefore
     doubly stochastic.
+
+    Runs never build ``paper-uniform``: they merge without a matrix, 1/(r+1)
+    over self plus the r neighbors that report that round.
     """
 
     weights: np.ndarray
@@ -132,7 +135,8 @@ def is_connected(t: Topology) -> bool:
 
 
 def build_mixing_matrix(t: Topology, kind: str) -> MixingMatrix:
-    """Build the row-stochastic mixing matrix of the requested kind."""
+    """Build the row-stochastic mixing matrix of the requested kind (runs
+    build only ``metropolis``, see :class:`MixingMatrix`)."""
     if kind not in MIXING_KINDS:
         raise ValueError(f"unknown mixing kind {kind!r}")
     n = t.n_clients

@@ -1,67 +1,87 @@
 import numpy as np
 
-from dfca.baselines import CentralServerState, ifca_round
 from dfca.config import ExperimentConfig
-from dfca.core import ClientState, Hyperparams, aggregate_batch
-from dfca.datagen import Dataset
+from dfca.core import (
+    Hyperparams,
+    RoundPlan,
+    aggregate_batch,
+    assign_cluster,
+    local_update,
+    run_experiment,
+    run_round,
+)
 from dfca.metrics import cluster_average, trace_row
 from dfca.model import ModelShape
+from dfca.seeding import derive_seed
 from dfca.topology import Topology
+from dfca.verify import clone_states, random_dataset, random_states, stage_outboxes
 
 SHAPE = ModelShape(dim=3, hidden=2, n_classes=3)
 
 
-def random_dataset(rng, n=12, dist=0):
-    return Dataset(features=rng.standard_normal((n, 3)),
-                   labels=rng.integers(0, 3, size=n), distribution_id=dist)
-
-
-def make_clients(rng, n, k):
-    return [
-        ClientState(client_id=i, shape=SHAPE,
-                    models=[rng.standard_normal(SHAPE.param_count) for _ in range(k)],
-                    assignment=0, data=random_dataset(rng, dist=i % 2))
-        for i in range(n)
-    ]
-
-
 def hyper(rng, n):
     return Hyperparams(gamma=0.05, tau=1, batch_size=6,
-                       test_sets=[random_dataset(rng, n=5) for _ in range(n)])
+                       test_sets=[random_dataset(rng, 5, SHAPE.dim, SHAPE.n_classes)
+                                  for _ in range(n)])
+
+
+def ifca_clients(rng, n, scales):
+    """Clients holding bitwise copies of one global model per entry of
+    ``scales``, as every IFCA round starts; a large scale makes a model fit
+    no client."""
+    states = random_states(rng, n, len(scales), SHAPE)
+    globals_ = [rng.standard_normal(SHAPE.param_count) * scale for scale in scales]
+    for s in states:
+        s.models = [v.copy() for v in globals_]
+    return states, globals_
+
+
+def server_round(states, hp, round_seed):
+    """One server-merge round, plus the trained models it should average:
+    each client's assigned model after its own assign and local update."""
+    trained = clone_states(states)
+    for i, c in enumerate(trained):
+        assign_cluster(c)
+        local_update(c, hp.gamma, hp.tau, hp.batch_size, derive_seed(round_seed, "sgd", i))
+    plan = RoundPlan(participants=tuple(range(len(states))), aggregation_mode="server",
+                     round_seed=round_seed)
+    _, measured = run_round(states, None, plan, hp)
+    return trained, measured
 
 
 class TestIfcaRound:
     def test_single_client_per_cluster_copies_trained_model(self):
         rng = np.random.default_rng(0)
-        clients = make_clients(rng, 2, 2)
-        # force opposite preferences by making each client's favored model obvious
-        server = CentralServerState(models=[rng.standard_normal(SHAPE.param_count) for _ in range(2)])
-        new_server, _ = ifca_round(server, clients, hyper(rng, 2), round_seed=1)
-        by_cluster = {}
-        for c in clients:
-            by_cluster.setdefault(c.assignment, []).append(c)
-        for j, members in by_cluster.items():
-            if len(members) == 1:
-                np.testing.assert_array_equal(new_server.models[j], members[0].models[j])
+        states, _ = ifca_clients(rng, 3, (1.0, 1.0, 1.0))
+        trained, _ = server_round(states, hyper(rng, 3), round_seed=1)
+        members = {}
+        for c in trained:
+            members.setdefault(c.assignment, []).append(c)
+        lone = {j: m[0] for j, m in members.items() if len(m) == 1}
+        assert lone  # the instance must exercise the property
+        for j, c in lone.items():
+            for s in states:
+                np.testing.assert_array_equal(s.models[j], c.models[j])
 
     def test_unselected_cluster_model_unchanged(self):
         rng = np.random.default_rng(1)
-        clients = make_clients(rng, 3, 2)
-        server = CentralServerState(models=[rng.standard_normal(SHAPE.param_count) for _ in range(2)])
-        new_server, _ = ifca_round(server, clients, hyper(rng, 3), round_seed=2)
-        selected = {c.assignment for c in clients}
-        for j in range(2):
-            if j not in selected:
-                np.testing.assert_array_equal(new_server.models[j], server.models[j])
+        states, globals_ = ifca_clients(rng, 3, (1.0, 100.0))
+        trained, _ = server_round(states, hyper(rng, 3), round_seed=2)
+        assert {c.assignment for c in trained} == {0}
+        for s in states:
+            np.testing.assert_array_equal(s.models[1], globals_[1])
 
     def test_round_ends_with_clients_holding_globals(self):
         rng = np.random.default_rng(2)
-        clients = make_clients(rng, 3, 2)
-        server = CentralServerState(models=[rng.standard_normal(SHAPE.param_count) for _ in range(2)])
-        new_server, measured = ifca_round(server, clients, hyper(rng, 3), round_seed=3)
-        for c in clients:
+        states, _ = ifca_clients(rng, 5, (1.0, 1.0))
+        trained, measured = server_round(states, hyper(rng, 5), round_seed=3)
+        for j in {c.assignment for c in trained}:
+            mean = np.mean([c.models[j] for c in trained if c.assignment == j], axis=0)
+            np.testing.assert_array_equal(states[0].models[j], mean)
+        for s in states:
             for j in range(2):
-                np.testing.assert_array_equal(c.models[j], new_server.models[j])
+                np.testing.assert_array_equal(s.models[j], states[0].models[j])
+        assert len({id(v) for s in states for v in s.models}) == 2 * len(states)  # own copies
         assert all(d == 0.0 for d in measured.disp)  # broadcast copies agree exactly
 
 
@@ -69,16 +89,10 @@ class TestEquivalenceWithGossipOnCompleteGraph:
     def test_single_cluster_complete_graph_mean_matches_ifca_mean(self):
         rng = np.random.default_rng(3)
         n = 4
-        trained = [rng.standard_normal(SHAPE.param_count) for _ in range(n)]
-
         # decentralized side: everyone already trained, complete graph, one cluster
-        states = [
-            ClientState(client_id=i, shape=SHAPE, models=[trained[i].copy()],
-                        assignment=0, data=random_dataset(rng))
-            for i in range(n)
-        ]
-        for s in states:
-            s.outbox = (0, s.models[0])
+        states = random_states(rng, n, 1, SHAPE)
+        trained = [s.models[0].copy() for s in states]
+        stage_outboxes(states)
         aggregate_batch(states, Topology(n, ~np.eye(n, dtype=bool)))
         gossip_mean = cluster_average(states, 0)
 
@@ -97,7 +111,6 @@ class TestDecentralizedAveraging:
         dfca_cfg = ExperimentConfig(algorithm="dfca", **base)
         for cfg in (davg_cfg, dfca_cfg):
             cfg.validate()
-        from dfca.core import run_experiment
 
         rows_davg = [trace_row(m) for m in run_experiment(davg_cfg)]
         rows_dfca = [trace_row(m) for m in run_experiment(dfca_cfg)]

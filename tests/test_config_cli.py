@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
+
 import numpy as np
 import pytest
 
 from dfca.cli import main
 from dfca.config import ConfigError, ExperimentConfig, config_keys, load_config
 from dfca.harness import cmd_run, cmd_sweep
-from dfca.verify import CHECK_NAMES, CHECKS, run_verification
+from dfca.verify import CHECK_NAMES, CHECKS
 
 TINY = """
 # desk-scale smoke configuration
@@ -155,6 +157,14 @@ class TestCmdRun:
         assert code == 3
         assert "disconnected" in capsys.readouterr().err
 
+    def test_ifca_builds_no_graph(self, tiny_config, output_root):
+        # an empty graph under on_disconnected=abort would exit 3 if ifca sampled one
+        code = cmd_run(str(tiny_config), overrides=["algorithm=ifca", "topology.p=0",
+                                                    "on_disconnected=abort"])
+        assert code == 0
+        summary = json.loads((output_root / "tiny" / "summary.json").read_text())
+        assert summary["per_seed"]["connected"] == [None, None]
+
     def test_trace_header_layout(self, tiny_config, output_root):
         cmd_run(str(tiny_config))
         header = (output_root / "tiny" / "seed_0" / "trace.csv").read_text().splitlines()[0]
@@ -193,17 +203,17 @@ class TestCmdSweep:
 
 class TestVerifyCommand:
     def test_suite_passes_on_fresh_build(self, capsys):
-        import time
-
         start = time.time()
-        assert run_verification() == 0
+        assert main(["verify"]) == 0
         assert time.time() - start < 60.0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") >= 10
+        for name in CHECK_NAMES:
+            assert f"PASS {name}:" in out
+        assert out.count("PASS") == len(CHECKS)
 
     def test_injected_fault_detected(self, capsys):
-        assert run_verification(inject_fault=True) == 1
+        assert main(["verify", "--inject-fault"]) == 1
         out = capsys.readouterr().out
         assert "FAIL sequential-equals-batch" in out
         assert out.count("FAIL") == 1
