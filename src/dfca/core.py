@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import AGGREGATION_MODES, ExperimentConfig
 from .datagen import Dataset, generate_rotated_synthetic, train_test_split
 from .metrics import (
     RoundMetrics,
@@ -39,7 +39,15 @@ from .metrics import (
     f_cluster,
     test_accuracy,
 )
-from .model import ModelShape, flatten_params, forward_loss, init_model, sgd_epochs, unflatten_params
+from .model import (
+    ModelShape,
+    _layers,
+    flatten_params,
+    forward_loss,
+    init_model,
+    sgd_epochs,
+    unflatten_params,
+)
 from .seeding import derive_seed, spawn_rng
 from .topology import (
     METROPOLIS,
@@ -94,6 +102,9 @@ class ClientState:
             raise ValueError(f"assignment {self.assignment} out of range")
 
 
+_PLAN_MODES = (*AGGREGATION_MODES, "server")  # server is set for algorithm = ifca, not configured
+
+
 @dataclass
 class RoundPlan:
     """Everything that varies per round: who participates, how merges are
@@ -112,6 +123,12 @@ class RoundPlan:
     round_index: int = 0
     arrival_order: dict[tuple[int, int], Sequence[int]] | None = None
     receive_restricted: bool = False
+
+    def __post_init__(self) -> None:
+        if self.aggregation_mode not in _PLAN_MODES:
+            raise ValueError(
+                f"unknown aggregation mode {self.aggregation_mode!r}; expected one of {_PLAN_MODES}"
+            )
 
 
 @dataclass
@@ -172,12 +189,11 @@ def assign_cluster(c: ClientState) -> int:
     """Reassign ``c`` to the cluster whose model has the lowest local loss.
 
     Ties break toward the lowest cluster index.  Clusters with non-finite
-    loss are excluded; if every loss is non-finite the previous assignment
-    is kept and the event logged.
+    loss (including models with non-finite parameters) are excluded; if
+    every loss is non-finite the previous assignment is kept and the event
+    logged.
     """
-    losses = np.array(
-        [forward_loss(unflatten_params(c.shape, v), c.data) for v in c.models]
-    )
+    losses = np.array([forward_loss(_layers(c.shape, v), c.data) for v in c.models])
     finite = np.isfinite(losses)
     if not finite.any():
         logger.warning(

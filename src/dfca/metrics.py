@@ -1,18 +1,23 @@
 """Measured quantities: loss hierarchy, dispersion, clustering and test accuracy.
 
 All functions are read-only over client states and safe to parallelize.
+Losses and predictions are evaluated for many clients per forward pass:
+clients whose datasets have equal length are stacked, in chunks of about
+``_CHUNK_ROWS`` sample rows, and their models are read through per-layer
+views of the stacked parameter block.  Each client's value is bitwise the
+one a forward pass over that client alone gives.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .datagen import Dataset
-from .model import forward_loss, predict, unflatten_params
+from .model import ModelShape, _check_inputs, _layers, _mean_ce, predict
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import ClientState
@@ -55,12 +60,54 @@ class RoundMetrics:
             raise ValueError("per-cluster metric tuples must have equal length")
 
 
+_CHUNK_ROWS = 2048  # sample rows per stacked forward pass; bounds the temporaries
+
+
+def _chunks(lengths: Sequence[int]) -> Iterator[list[int]]:
+    """Positions with equal dataset length, in order, cut into chunks of at
+    most ``_CHUNK_ROWS`` sample rows (at least one position each)."""
+    groups: dict[int, list[int]] = {}
+    for pos, n in enumerate(lengths):
+        groups.setdefault(n, []).append(pos)
+    for n, members in groups.items():
+        step = max(1, _CHUNK_ROWS // n)
+        for start in range(0, len(members), step):
+            yield members[start : start + step]
+
+
+def _per_client(
+    shape: ModelShape,
+    models: Sequence[np.ndarray],
+    datasets: Sequence[Dataset],
+    score: Callable[..., np.ndarray],
+) -> np.ndarray:
+    """``score(layers, x, y)`` of ``models[i]`` on ``datasets[i]`` for every
+    position ``i``, one stacked forward pass per chunk."""
+    out = np.empty(len(models))
+    for chunk in _chunks([len(d) for d in datasets]):
+        layers = _layers(shape, np.stack([models[i] for i in chunk]))
+        x = np.stack([datasets[i].features for i in chunk])
+        y = np.stack([datasets[i].labels for i in chunk])
+        out[chunk] = score(layers, x, y)
+    return out
+
+
+def _losses(layers, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    _check_inputs(layers, x, y)
+    return _mean_ce(layers, x, y)
+
+
 def f_cluster(states: Sequence["ClientState"], j: int) -> float:
     """Sum of assigned-client losses for cluster ``j`` (0 if empty)."""
+    members = [s for s in states if s.assignment == j]
+    if not members:
+        return 0.0
+    models, datasets = [s.models[j] for s in members], [s.data for s in members]
     total = 0.0
-    for s in states:
-        if s.assignment == j:
-            total += forward_loss(unflatten_params(s.shape, s.models[j]), s.data)
+    # Python floats added one at a time in client order: builtin sum()
+    # compensates rounding from Python 3.12 on, and ndarray.sum() is pairwise.
+    for loss in _per_client(members[0].shape, models, datasets, _losses).tolist():
+        total += loss
     return total
 
 
@@ -70,6 +117,16 @@ def f_global(states: Sequence["ClientState"]) -> float:
     return sum(f_cluster(states, j) for j in range(k))
 
 
+def _average(stacked: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``base + mean(stacked - base)`` over the client axis, with ``base``
+    the first row.  The deviations go into ``scratch``, which may be
+    ``stacked`` itself: a fresh N x P temporary (2.7 MB at N=500) costs
+    more to allocate than the sum costs to compute."""
+    base = stacked[0].copy()
+    np.subtract(stacked, base, out=scratch)
+    return base + scratch.mean(axis=0)
+
+
 def cluster_average(states: Sequence["ClientState"], j: int) -> np.ndarray:
     """Network average of all clients' copies of model ``j``.
 
@@ -77,15 +134,15 @@ def cluster_average(states: Sequence["ClientState"], j: int) -> np.ndarray:
     themselves exactly.
     """
     stacked = np.stack([s.models[j] for s in states])
-    base = stacked[0]
-    return base + (stacked - base).mean(axis=0)
+    return _average(stacked, stacked)
 
 
 def dispersion(states: Sequence["ClientState"], j: int) -> float:
     """Mean squared distance of all N copies of model ``j`` from their average."""
     stacked = np.stack([s.models[j] for s in states])
-    avg = cluster_average(states, j)
-    return float(np.mean(np.sum((stacked - avg) ** 2, axis=1)))
+    dev = np.empty_like(stacked)
+    np.subtract(stacked, _average(stacked, dev), out=dev)
+    return float(np.mean(np.sum(np.square(dev, out=dev), axis=1)))
 
 
 def clustering_accuracy(states: Sequence["ClientState"], ground_truth: Sequence[int]) -> float:
@@ -105,25 +162,34 @@ def clustering_accuracy(states: Sequence["ClientState"], ground_truth: Sequence[
     return best
 
 
-def _client_hits(states: Sequence["ClientState"], test_sets: Sequence[Dataset]) -> list[np.ndarray]:
-    """Per client, which of its test samples its assigned model predicts right."""
-    return [
-        predict(unflatten_params(s.shape, s.models[s.assignment]), test.features) == test.labels
-        for s, test in zip(states, test_sets)
-    ]
+def _hits(layers, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.sum(predict(layers, x) == y, axis=-1)
+
+
+def _client_hits(
+    states: Sequence["ClientState"], test_sets: Sequence[Dataset]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per client, how many of its test samples its assigned model predicts
+    right, and how many test samples it has."""
+    if len(test_sets) != len(states):
+        raise ValueError("one test split per client is required")
+    models = [s.models[s.assignment] for s in states]
+    hits = _per_client(states[0].shape, models, test_sets, _hits)
+    return hits, np.array([len(t) for t in test_sets], dtype=float)
 
 
 def test_accuracy(states: Sequence["ClientState"], test_sets: Sequence[Dataset]) -> float:
     """Sample-weighted top-1 accuracy of each client's assigned model on its
     own test split."""
-    hits = _client_hits(states, test_sets)
-    return sum(int(np.sum(h)) for h in hits) / sum(len(h) for h in hits)
+    hits, sizes = _client_hits(states, test_sets)
+    return int(hits.sum()) / int(sizes.sum())
 
 
 def client_mean_test_accuracy(states: Sequence["ClientState"], test_sets: Sequence[Dataset]) -> float:
     """Unweighted mean of per-client test accuracies (reported alongside the
     sample-weighted figure)."""
-    return float(np.mean([float(np.mean(h)) for h in _client_hits(states, test_sets)]))
+    hits, sizes = _client_hits(states, test_sets)
+    return float(np.mean(hits / sizes))
 
 
 def trace_columns(k: int) -> list[str]:

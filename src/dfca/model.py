@@ -102,41 +102,46 @@ def init_model(shape: ModelShape, seed: int) -> MlpModel:
 
 
 def _forward(m: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Returns (logits, hidden pre-activation, hidden activation)."""
+    """Returns (logits, hidden pre-activation, hidden activation).
+
+    Layers and ``x`` may carry one leading model axis (see :func:`_layers`);
+    every slice is computed exactly as the unstacked call computes it.
+    """
     if m.w1 is None:
-        return x @ m.w2.T + m.b2, None, None
-    pre = x @ m.w1.T + m.b1
+        return x @ np.swapaxes(m.w2, -1, -2) + m.b2[..., None, :], None, None
+    pre = x @ np.swapaxes(m.w1, -1, -2) + m.b1[..., None, :]
     act = np.maximum(pre, 0.0)
-    return act @ m.w2.T + m.b2, pre, act
+    return act @ np.swapaxes(m.w2, -1, -2) + m.b2[..., None, :], pre, act
 
 
-def _check_inputs(m: MlpModel, d: Dataset) -> None:
-    dim = m.w2.shape[1] if m.w1 is None else m.w1.shape[1]
-    if d.dim != dim:
-        raise ValueError(f"dataset dim {d.dim} does not match model dim {dim}")
-    if int(d.labels.max()) >= m.w2.shape[0]:
-        raise ValueError(
-            f"label {int(d.labels.max())} out of range for {m.w2.shape[0]} classes"
-        )
+def _check_inputs(m: MlpModel, x: np.ndarray, y: np.ndarray) -> None:
+    dim = m.w2.shape[-1] if m.w1 is None else m.w1.shape[-1]
+    if x.shape[-1] != dim:
+        raise ValueError(f"dataset dim {x.shape[-1]} does not match model dim {dim}")
+    if int(y.max()) >= m.w2.shape[-2]:
+        raise ValueError(f"label {int(y.max())} out of range for {m.w2.shape[-2]} classes")
 
 
-def _mean_ce_xy(m: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
+def _mean_ce(m: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy over the sample axis: one value per stacked model
+    (a scalar for an unstacked one), each a row mean along the contiguous
+    axis so that it equals the unstacked value bitwise."""
     z, _, _ = _forward(m, x)
-    zmax = z.max(axis=1)
-    lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-    return float(np.mean(lse - z[np.arange(len(y)), y]))
+    zmax = z.max(axis=-1)
+    lse = zmax + np.log(np.exp(z - zmax[..., None]).sum(axis=-1))
+    return (lse - np.take_along_axis(z, y[..., None], axis=-1)[..., 0]).mean(axis=-1)
 
 
 def forward_loss(m: MlpModel, d: Dataset) -> float:
     """Mean softmax cross-entropy over all samples in ``d``."""
-    _check_inputs(m, d)
-    return _mean_ce_xy(m, d.features, d.labels)
+    _check_inputs(m, d.features, d.labels)
+    return float(_mean_ce(m, d.features, d.labels))
 
 
 def predict(m: MlpModel, x: np.ndarray) -> np.ndarray:
     """Top-1 class per row; ties break toward the lowest class index."""
     z, _, _ = _forward(m, x)
-    return np.argmax(z, axis=1)
+    return np.argmax(z, axis=-1)
 
 
 def _grad_xy(m: MlpModel, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
@@ -162,7 +167,7 @@ def gradient(m: MlpModel, batch: Dataset) -> np.ndarray:
     """Exact gradient of :func:`forward_loss` over ``batch`` as a flat vector."""
     if len(batch) == 0:
         raise ValueError("gradient of an empty batch is undefined")
-    _check_inputs(m, batch)
+    _check_inputs(m, batch.features, batch.labels)
     return np.concatenate(_grad_xy(m, batch.features, batch.labels))
 
 
@@ -186,7 +191,7 @@ def sgd_epochs(
         raise ValueError(f"tau must be >= 1, got {tau}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    _check_inputs(m, d)
+    _check_inputs(m, d.features, d.labels)
     batch_size = min(batch_size, len(d))
     shape = m.shape
     values = flatten_params(m)
@@ -221,11 +226,16 @@ _Layers = namedtuple("_Layers", "w1 b1 w2 b2")
 
 
 def _layers(shape: ModelShape, values: np.ndarray) -> _Layers:
-    """Split a flat vector in flatten order into per-layer views (no copy)."""
+    """Split flat vectors in flatten order into per-layer views (no copy).
+
+    ``values`` is one vector ``(P,)`` or a stack ``(m, P)``; a stack gives
+    views with the same leading model axis.
+    """
     dims = [(shape.hidden, shape.dim), (shape.hidden,)] if shape.hidden else []
     dims += [(shape.n_classes, shape.hidden or shape.dim), (shape.n_classes,)]
     ends = itertools.accumulate(math.prod(d) for d in dims)
-    views = [values[end - math.prod(d) : end].reshape(d) for d, end in zip(dims, ends)]
+    lead = values.shape[:-1]
+    views = [values[..., end - math.prod(d) : end].reshape(lead + d) for d, end in zip(dims, ends)]
     return _Layers(*[None] * (4 - len(views)), *views)  # w1, b1 are None when hidden=0
 
 

@@ -29,7 +29,16 @@ from .core import (
     run_round,
 )
 from .datagen import Dataset, generate_rotated_synthetic, rotate_image, SyntheticSpec
-from .metrics import cluster_average, dispersion, f_global, trace_row
+from .metrics import (
+    _CHUNK_ROWS,
+    client_mean_test_accuracy,
+    cluster_average,
+    dispersion,
+    f_cluster,
+    f_global,
+    test_accuracy,
+    trace_row,
+)
 from .model import (
     MlpModel,
     ModelShape,
@@ -39,6 +48,7 @@ from .model import (
     init_model,
     params_from_bytes,
     params_to_bytes,
+    predict,
     unflatten_params,
 )
 from .topology import (
@@ -380,6 +390,71 @@ def check_gi_zero_dispersion() -> tuple[bool, str]:
     return all(d == 0.0 for d in disps), f"initial dispersions {disps} (exact zeros)"
 
 
+def _per_client_metrics(states: Sequence[ClientState], test_sets: Sequence[Dataset]) -> tuple:
+    """Reference for the batched metrics: one unstacked forward pass per
+    client, losses added in client order, and the cluster averages and
+    dispersions computed with fresh temporaries."""
+    k = len(states[0].models)
+    f = []
+    for j in range(k):
+        total = 0.0
+        for s in states:
+            if s.assignment == j:
+                total += forward_loss(unflatten_params(s.shape, s.models[j]), s.data)
+        f.append(total)
+    hits = [
+        predict(unflatten_params(s.shape, s.models[s.assignment]), t.features) == t.labels
+        for s, t in zip(states, test_sets)
+    ]
+    acc = sum(int(np.sum(h)) for h in hits) / sum(len(h) for h in hits)
+    mean_acc = float(np.mean([float(np.mean(h)) for h in hits]))
+    avg, disp = [], []
+    for j in range(k):
+        stacked = np.stack([s.models[j] for s in states])
+        avg.append(stacked[0] + (stacked - stacked[0]).mean(axis=0))
+        disp.append(float(np.mean(np.sum((stacked - avg[j]) ** 2, axis=1))))
+    return f, acc, mean_acc, avg, disp
+
+
+def check_batched_metrics() -> tuple[bool, str]:
+    """Batched f_cluster and test accuracies, and the in-place cluster
+    averages and dispersions, against the per-client reference, bitwise,
+    for hidden widths 0 and 3 and k = 1..4.
+
+    Clients have unequal train and test lengths; every instance runs once
+    with random assignments and once with the last cluster empty.  Two
+    length mixes need several chunks of ``_CHUNK_ROWS`` rows: one through
+    long datasets, one through many short ones.
+    """
+    rng = np.random.default_rng(6)
+    long_n = _CHUNK_ROWS // 3 + 1  # two clients per chunk
+    mixes = ((12,) * 6, (5, 9, 12, 9, 5, 12, 3), (long_n,) * 5 + (7, 7), (8,) * (_CHUNK_ROWS // 8 + 4))
+    names = ("f_cluster", "test_accuracy", "client_mean_test_accuracy", "cluster_average", "dispersion")
+    instances, bad = 0, []
+    for hidden, k, lengths, empty_last in itertools.product((0, 3), range(1, 5), mixes, (False, True)):
+        shape = ModelShape(dim=4, hidden=hidden, n_classes=3)
+        states = random_states(rng, len(lengths), k, shape)
+        for s, n in zip(states, lengths):
+            s.data = random_dataset(rng, n, shape.dim, shape.n_classes)
+            if empty_last and k > 1:
+                s.assignment = int(rng.integers(0, k - 1))
+        tests = [random_dataset(rng, n, shape.dim, shape.n_classes) for n in rng.permutation(lengths)]
+        batched = (
+            [f_cluster(states, j) for j in range(k)],
+            test_accuracy(states, tests),
+            client_mean_test_accuracy(states, tests),
+            [cluster_average(states, j) for j in range(k)],
+            [dispersion(states, j) for j in range(k)],
+        )
+        instances += 1
+        for name, got, want in zip(names, batched, _per_client_metrics(states, tests)):
+            if np.asarray(got).tobytes() != np.asarray(want).tobytes():
+                bad.append(f"{name} (hidden={hidden}, k={k}, {len(lengths)} clients): {got} != {want}")
+    if bad:
+        return False, f"{len(bad)} mismatches, first: {bad[0]}"
+    return True, f"{instances} instances bitwise equal to the per-client reference"
+
+
 def check_run_determinism() -> tuple[bool, str]:
     config = ExperimentConfig(
         n_clients=8, k=2, T=3, data_samples_per_client=40, model_hidden=4, topology_p=0.6,
@@ -404,6 +479,7 @@ CHECKS = [
     ("gossip-preserves-average-and-contracts", check_gossip_consensus),
     ("global-init-zero-dispersion", check_gi_zero_dispersion),
     ("experiment-determinism", check_run_determinism),
+    ("batched-metrics-match-per-client", check_batched_metrics),
 ]
 
 CHECK_NAMES = [name for name, _ in CHECKS]

@@ -229,9 +229,6 @@ class TestCliEntrypoint:
         assert main(["run", str(tiny_config), "--set", "T=1"]) == 0
         assert (output_root / "tiny" / "seed_0" / "trace.csv").exists()
 
-    def test_verify_subcommand(self):
-        assert main(["verify"]) == 0
-
     def test_sweep_subcommand(self, tiny_config, output_root):
         assert main(["sweep", str(tiny_config), "--key", "gamma", "--values", "0.1,0.2"]) == 0
         assert (output_root / "tiny" / "sweep_gamma.csv").exists()

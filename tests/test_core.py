@@ -128,6 +128,15 @@ class TestAssignCluster:
             assert assign_cluster(s) == 1
         assert "non-finite" in caplog.text
 
+    def test_all_nan_models_keep_previous(self, caplog):
+        rng = np.random.default_rng(8)
+        s = make_states(rng, 1, 3)[0]
+        s.assignment = 2
+        s.models = [np.full(SHAPE.param_count, np.nan) for _ in range(3)]
+        with caplog.at_level("WARNING"):
+            assert assign_cluster(s) == 2
+        assert "non-finite" in caplog.text
+
 
 class TestLocalUpdate:
     def test_only_assigned_model_changes(self):
@@ -248,6 +257,10 @@ def tiny_problem(rng, n, k, init="gi", p=0.7, seed=0):
 
 
 class TestRunRound:
+    def test_unknown_aggregation_mode_rejected(self):
+        with pytest.raises(ValueError, match="seqential"):
+            RoundPlan(participants=(0,), aggregation_mode="seqential")
+
     def test_empty_participants_leaves_states_unchanged(self):
         rng = np.random.default_rng(16)
         t, states, hp = tiny_problem(rng, 4, 2)

@@ -63,6 +63,13 @@ class TestClusterLoss:
         )
         assert f_cluster(states, 1) == pytest.approx(total, rel=1e-12)
 
+    def test_nan_parameters_give_nan_not_an_error(self):
+        rng = np.random.default_rng(11)
+        states = random_states(rng, 3, 2)
+        states[1].assignment = 1
+        states[1].models[1] = np.full(SHAPE.param_count, np.nan)
+        assert np.isnan(f_cluster(states, 1))
+
     def test_global_loss_decomposes_over_clusters(self):
         rng = np.random.default_rng(3)
         states = random_states(rng, 6, 3)

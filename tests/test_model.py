@@ -110,6 +110,13 @@ class TestSgd:
         with pytest.raises(ValueError):
             sgd_epochs(m, data, gamma=0.1, tau=0, batch_size=2, seed=0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_raises(self):
+        m = init_model(ModelShape(dim=3, hidden=2, n_classes=2), seed=0)
+        data = random_dataset(np.random.default_rng(1), 8, 3, 2)
+        with pytest.raises(ValueError, match="finite"):
+            sgd_epochs(m, data, gamma=1e300, tau=3, batch_size=4, seed=0)
+
     def test_single_full_batch_epoch_is_one_gradient_step(self):
         rng = np.random.default_rng(5)
         shape = ModelShape(dim=3, hidden=2, n_classes=2)
