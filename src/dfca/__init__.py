@@ -42,6 +42,7 @@ from .metrics import (
     test_accuracy,
 )
 from .model import (
+    DivergenceError,
     MlpModel,
     ModelShape,
     flatten_params,

@@ -40,7 +40,9 @@ from .metrics import (
     test_accuracy,
 )
 from .model import (
+    DivergenceError,
     ModelShape,
+    _chunks,
     _layers,
     flatten_params,
     forward_loss,
@@ -208,24 +210,35 @@ def assign_cluster(c: ClientState) -> int:
 
 
 def local_update(
-    c: ClientState, gamma: float, tau: int, batch_size: int, round_seed: int
-) -> ClientState:
-    """Train only the assigned model and stage it in the outbox.
+    group: Sequence[ClientState], gamma: float, tau: int, batch_size: int, seeds: Sequence[int]
+) -> Sequence[ClientState]:
+    """Train each client's assigned model and stage it in the outbox.
 
-    All other model copies are left bitwise untouched.  ``gamma=0`` skips
-    training but still stages the (unchanged) assigned model for sending.
+    Clients with equal training-set lengths train together, in stacked
+    :func:`sgd_epochs` calls of at most ``_CHUNK_ROWS`` minibatch rows;
+    client ``group[r]`` shuffles with ``seeds[r]`` and ends bitwise where
+    training alone would leave it.  All other model copies are left bitwise
+    untouched.  ``gamma=0`` skips training but still stages the (unchanged)
+    assigned models for sending.  A model that diverges raises
+    :class:`DivergenceError` naming its client and cluster.
     """
-    j = c.assignment
-    if gamma == 0.0:
-        trained = c.models[j]
-    else:
-        updated = sgd_epochs(
-            unflatten_params(c.shape, c.models[j]), c.data, gamma, tau, batch_size, round_seed
-        )
-        trained = flatten_params(updated)
-        c.models[j] = trained
-    c.outbox = (j, trained)
-    return c
+    if gamma != 0.0:
+        for chunk in _chunks([len(c.data) for c in group], batch_size):
+            members = [group[r] for r in chunk]
+            block = np.stack([c.models[c.assignment] for c in members])
+            try:
+                updated = sgd_epochs(
+                    unflatten_params(members[0].shape, block), [c.data for c in members],
+                    gamma, tau, batch_size, [seeds[r] for r in chunk],
+                )
+            except DivergenceError as exc:
+                c = members[exc.where["row"]]
+                raise DivergenceError(client=c.client_id, cluster=c.assignment) from None
+            for c, trained in zip(members, flatten_params(updated)):
+                c.models[c.assignment] = trained.copy()  # a row view would pin the whole block
+    for c in group:
+        c.outbox = (c.assignment, c.models[c.assignment])
+    return group
 
 
 def _reporting(states: Sequence[ClientState], t: Topology, i: int, j: int) -> list[int]:
@@ -360,6 +373,7 @@ def run_round(
 ) -> tuple[Sequence[ClientState], RoundMetrics]:
     """One full round: assign, train, merge, measure.
 
+    All participants train in one :func:`local_update` call.
     Non-participants neither train nor send but (unless the plan restricts
     receiving) still merge incoming models.  The ``server`` merge ignores
     ``t`` and expects every client to start the round with the same models.
@@ -370,8 +384,11 @@ def run_round(
     for i in plan.participants:
         assign_cluster(states[i])
     changed = sum(1 for s, prev in zip(states, previous) if s.assignment != prev)
-    for i in plan.participants:
-        local_update(states[i], hp.gamma, hp.tau, hp.batch_size, derive_seed(plan.round_seed, "sgd", i))
+    seeds = [derive_seed(plan.round_seed, "sgd", i) for i in plan.participants]
+    try:
+        local_update([states[i] for i in plan.participants], hp.gamma, hp.tau, hp.batch_size, seeds)
+    except DivergenceError as exc:
+        raise DivergenceError(round=plan.round_index, **exc.where) from None
     k = len(states[0].models)
     pre_avg = [cluster_average(states, j) for j in range(k)]
 

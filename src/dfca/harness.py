@@ -27,6 +27,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, _FIELD_BY_KEY, load_config
 from .core import DisconnectedGraphError, run_experiment_states
 from .metrics import RoundMetrics, client_mean_test_accuracy, trace_columns, trace_row
+from .model import DivergenceError
 
 __all__ = [
     "OUTPUT_ROOT_ENV",
@@ -86,7 +87,10 @@ def write_trace(path: Path, trace: Sequence[RoundMetrics], k: int) -> None:
 def run_one_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
     """Run ``config`` under master seed ``seed`` and collect its finals."""
     cfg = config.replace(seed=seed)
-    trace, states, info = run_experiment_states(cfg)
+    try:
+        trace, states, info = run_experiment_states(cfg)
+    except DivergenceError as exc:
+        raise DivergenceError(seed=seed, **exc.where) from None
     if trace:
         final = trace[-1]
         outcome = dict(
@@ -150,7 +154,8 @@ def _run_into(config: ExperimentConfig, run_dir: Path) -> dict:
 
 def _exit_codes(command: Callable[..., int]) -> Callable[..., int]:
     """Map the errors a command reports to its exit code: a ``ConfigError``
-    to 2 and a disconnected graph under ``on_disconnected = abort`` to 3."""
+    to 2, a disconnected graph under ``on_disconnected = abort`` to 3 and
+    diverged local SGD to 4."""
 
     @functools.wraps(command)
     def guarded(*args, **kwargs) -> int:
@@ -162,6 +167,9 @@ def _exit_codes(command: Callable[..., int]) -> Callable[..., int]:
         except DisconnectedGraphError as exc:
             print(f"aborted: {exc}", file=sys.stderr)
             return 3
+        except DivergenceError as exc:
+            print(f"diverged: {exc}", file=sys.stderr)
+            return 4
 
     return guarded
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .datagen import Dataset
-from .model import ModelShape, _check_inputs, _layers, _mean_ce, predict
+from .model import ModelShape, _check_inputs, _chunks, _layers, _mean_ce, predict
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import ClientState
@@ -58,21 +58,6 @@ class RoundMetrics:
                 raise ValueError(f"{name}={v} outside [0, 1]")
         if len(self.disp) != len(self.f_cluster) or len(self.avg_drift) != len(self.f_cluster):
             raise ValueError("per-cluster metric tuples must have equal length")
-
-
-_CHUNK_ROWS = 2048  # sample rows per stacked forward pass; bounds the temporaries
-
-
-def _chunks(lengths: Sequence[int]) -> Iterator[list[int]]:
-    """Positions with equal dataset length, in order, cut into chunks of at
-    most ``_CHUNK_ROWS`` sample rows (at least one position each)."""
-    groups: dict[int, list[int]] = {}
-    for pos, n in enumerate(lengths):
-        groups.setdefault(n, []).append(pos)
-    for n, members in groups.items():
-        step = max(1, _CHUNK_ROWS // n)
-        for start in range(0, len(members), step):
-            yield members[start : start + step]
 
 
 def _per_client(

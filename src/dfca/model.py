@@ -12,6 +12,7 @@ import math
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .datagen import Dataset
 __all__ = [
     "ModelShape",
     "MlpModel",
+    "DivergenceError",
     "init_model",
     "forward_loss",
     "predict",
@@ -51,7 +53,11 @@ class ModelShape:
 
 @dataclass
 class MlpModel:
-    """Parameter container; ``w1``/``b1`` are None in the linear form."""
+    """Parameter container; ``w1``/``b1`` are None in the linear form.
+
+    The arrays may carry one leading model axis, holding a stack of models
+    of one shape (see :func:`unflatten_params` and :func:`sgd_epochs`).
+    """
 
     w1: np.ndarray | None
     b1: np.ndarray | None
@@ -62,10 +68,10 @@ class MlpModel:
         if (self.w1 is None) != (self.b1 is None):
             raise ValueError("w1 and b1 must both be present or both absent")
         if self.w1 is not None and (
-            self.w1.shape[0] != self.b1.shape[0] or self.w2.shape[1] != self.w1.shape[0]
+            self.w1.shape[-2] != self.b1.shape[-1] or self.w2.shape[-1] != self.w1.shape[-2]
         ):
             raise ValueError("inconsistent hidden-layer dimensions")
-        if self.w2.shape[0] != self.b2.shape[0]:
+        if self.w2.shape[-2] != self.b2.shape[-1]:
             raise ValueError("inconsistent output dimensions")
         for arr in (self.w1, self.b1, self.w2, self.b2):
             if arr is not None and not np.all(np.isfinite(arr)):
@@ -74,10 +80,25 @@ class MlpModel:
     @property
     def shape(self) -> ModelShape:
         if self.w1 is None:
-            return ModelShape(dim=self.w2.shape[1], hidden=0, n_classes=self.w2.shape[0])
+            return ModelShape(dim=self.w2.shape[-1], hidden=0, n_classes=self.w2.shape[-2])
         return ModelShape(
-            dim=self.w1.shape[1], hidden=self.w1.shape[0], n_classes=self.w2.shape[0]
+            dim=self.w1.shape[-1], hidden=self.w1.shape[-2], n_classes=self.w2.shape[-2]
         )
+
+
+class DivergenceError(ValueError):
+    """Local SGD left a model with non-finite parameters.
+
+    ``where`` locates the model, and each layer that knows more raises it
+    again with more: :func:`sgd_epochs` names the block row,
+    ``core.local_update`` the client and cluster, ``core.run_round`` the
+    round and ``harness.run_one_seed`` the seed.
+    """
+
+    def __init__(self, **where: int) -> None:
+        self.where = where
+        place = ", ".join(f"{key} {value}" for key, value in where.items())
+        super().__init__(f"local SGD left non-finite model parameters at {place}")
 
 
 def init_model(shape: ModelShape, seed: int) -> MlpModel:
@@ -101,17 +122,23 @@ def init_model(shape: ModelShape, seed: int) -> MlpModel:
     )
 
 
-def _forward(m: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Returns (logits, hidden pre-activation, hidden activation).
+def _forward(m: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Returns (logits, input of the output layer): the hidden activation,
+    or ``x`` itself in the linear form.
 
     Layers and ``x`` may carry one leading model axis (see :func:`_layers`);
-    every slice is computed exactly as the unstacked call computes it.
+    every slice is computed exactly as the unstacked call computes it.  The
+    bias and the ReLU are applied in place: on a stacked block each
+    temporary holds every row of the block.
     """
-    if m.w1 is None:
-        return x @ np.swapaxes(m.w2, -1, -2) + m.b2[..., None, :], None, None
-    pre = x @ np.swapaxes(m.w1, -1, -2) + m.b1[..., None, :]
-    act = np.maximum(pre, 0.0)
-    return act @ np.swapaxes(m.w2, -1, -2) + m.b2[..., None, :], pre, act
+    act = x
+    if m.w1 is not None:
+        act = x @ np.swapaxes(m.w1, -1, -2)
+        act += m.b1[..., None, :]
+        np.maximum(act, 0.0, out=act)
+    z = act @ np.swapaxes(m.w2, -1, -2)
+    z += m.b2[..., None, :]
+    return z, act
 
 
 def _check_inputs(m: MlpModel, x: np.ndarray, y: np.ndarray) -> None:
@@ -126,7 +153,7 @@ def _mean_ce(m: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean cross-entropy over the sample axis: one value per stacked model
     (a scalar for an unstacked one), each a row mean along the contiguous
     axis so that it equals the unstacked value bitwise."""
-    z, _, _ = _forward(m, x)
+    z, _ = _forward(m, x)
     zmax = z.max(axis=-1)
     lse = zmax + np.log(np.exp(z - zmax[..., None]).sum(axis=-1))
     return (lse - np.take_along_axis(z, y[..., None], axis=-1)[..., 0]).mean(axis=-1)
@@ -140,27 +167,29 @@ def forward_loss(m: MlpModel, d: Dataset) -> float:
 
 def predict(m: MlpModel, x: np.ndarray) -> np.ndarray:
     """Top-1 class per row; ties break toward the lowest class index."""
-    z, _, _ = _forward(m, x)
+    z, _ = _forward(m, x)
     return np.argmax(z, axis=-1)
 
 
 def _grad_xy(m: MlpModel, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-    """Backpropagated gradient of the mean cross-entropy, in flatten order."""
-    n = len(y)
-    z, pre, act = _forward(m, x)
-    zmax = z.max(axis=1, keepdims=True)
+    """Backpropagated gradient of the mean cross-entropy, in flatten order.
+
+    Layers, ``x`` and ``y`` may carry one leading model axis; every slice is
+    computed exactly as the unstacked call computes it.
+    """
+    lead = y.shape[:-1]
+    z, act = _forward(m, x)
+    zmax = z.max(axis=-1, keepdims=True)
     ez = np.exp(z - zmax)
-    probs = ez / ez.sum(axis=1, keepdims=True)
-    probs[np.arange(n), y] -= 1.0
-    g = probs / n
-    gb2 = g.sum(axis=0)
+    probs = ez / ez.sum(axis=-1, keepdims=True)
+    probs -= y[..., None] == np.arange(probs.shape[-1])  # one-hot; p - 0.0 is exactly p
+    g = probs / y.shape[-1]
+    out = [(np.swapaxes(g, -1, -2) @ act).reshape(lead + (-1,)), g.sum(axis=-2)]
     if m.w1 is None:
-        return [(g.T @ x).ravel(), gb2]
-    gw2 = g.T @ act
-    dact = (g @ m.w2) * (pre > 0)
-    gw1 = dact.T @ x
-    gb1 = dact.sum(axis=0)
-    return [gw1.ravel(), gb1, gw2.ravel(), gb2]
+        return out
+    dact = g @ m.w2
+    dact *= act > 0
+    return [(np.swapaxes(dact, -1, -2) @ x).reshape(lead + (-1,)), dact.sum(axis=-2), *out]
 
 
 def gradient(m: MlpModel, batch: Dataset) -> np.ndarray:
@@ -171,19 +200,45 @@ def gradient(m: MlpModel, batch: Dataset) -> np.ndarray:
     return np.concatenate(_grad_xy(m, batch.features, batch.labels))
 
 
+_CHUNK_ROWS = 2048  # rows per stacked pass; bounds the temporaries
+
+
+def _chunks(lengths: Sequence[int], batch_size: int | None = None) -> Iterator[list[int]]:
+    """Positions with equal dataset length, in order, cut into chunks of at
+    most ``_CHUNK_ROWS`` rows (at least one position each).  A dataset of
+    length n counts n rows, or ``min(n, batch_size)`` when it is trained in
+    minibatches."""
+    groups: dict[int, list[int]] = {}
+    for pos, n in enumerate(lengths):
+        groups.setdefault(n, []).append(pos)
+    for n, members in groups.items():
+        step = max(1, _CHUNK_ROWS // min(n, batch_size or n))
+        for start in range(0, len(members), step):
+            yield members[start : start + step]
+
+
 def sgd_epochs(
     m: MlpModel,
-    d: Dataset,
+    d: Dataset | Sequence[Dataset],
     gamma: float,
     tau: int,
     batch_size: int,
-    seed: int,
+    seed: int | Sequence[int],
 ) -> MlpModel:
     """Run ``tau`` epochs of minibatch SGD on ``d`` and return the new model.
 
     Each epoch visits a seeded shuffle of the data in batches of
     ``batch_size`` (clamped to the dataset size; the final short batch is
     kept).  Deterministic per seed; the input model is not modified.
+
+    Many clients train in one call when ``m`` is a stack of models (a
+    leading model axis, as :func:`unflatten_params` gives for an ``(m, P)``
+    block), ``d`` holds one dataset per model, all of one length, and
+    ``seed`` one seed per model.  The block runs one loop over epochs and
+    minibatches, each model drawing its own shuffle, and the result is the
+    stack of trained models, each bitwise the model a call for that client
+    alone returns.  A model whose parameters are no longer finite raises
+    :class:`DivergenceError` naming its row.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -191,31 +246,56 @@ def sgd_epochs(
         raise ValueError(f"tau must be >= 1, got {tau}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    _check_inputs(m, d.features, d.labels)
-    batch_size = min(batch_size, len(d))
+    single = isinstance(d, Dataset)
+    datasets, seeds = ([d], [seed]) if single else (d, seed)
     shape = m.shape
-    values = flatten_params(m)
+    values = flatten_params(m).reshape(-1, shape.param_count)
+    if not len(values) == len(datasets) == len(seeds):
+        raise ValueError(
+            f"{len(values)} models need as many datasets and seeds, "
+            f"got {len(datasets)} and {len(seeds)}"
+        )
+    if len({len(data) for data in datasets}) != 1:
+        raise ValueError("models trained in one call need datasets of one length")
+    for data in datasets:
+        _check_inputs(m, data.features, data.labels)
+    x = np.stack([data.features for data in datasets])
+    y = np.stack([data.labels for data in datasets])
+    n = y.shape[1]
+    batch_size = min(batch_size, n)
+    rows = np.arange(len(values))[:, None]
     current = _layers(shape, values)  # views: each step updates them in place
-    rng = np.random.default_rng(seed)
-    for _ in range(tau):
-        order = rng.permutation(len(d))
-        for start in range(0, len(d), batch_size):
-            idx = order[start : start + batch_size]
-            values -= gamma * np.concatenate(_grad_xy(current, d.features[idx], d.labels[idx]))
-    return unflatten_params(shape, values)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(tau):
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            for start in range(0, n, batch_size):
+                idx = order[:, start : start + batch_size]
+                step = np.concatenate(_grad_xy(current, x[rows, idx], y[rows, idx]), axis=-1)
+                step *= gamma
+                values -= step
+    diverged = np.flatnonzero(~np.isfinite(values).all(axis=-1))
+    if diverged.size:
+        raise DivergenceError(row=int(diverged[0]))
+    return unflatten_params(shape, values[0] if single else values)
 
 
 def flatten_params(m: MlpModel) -> np.ndarray:
-    """Canonical flat float64 vector: w1, b1, w2, b2."""
-    parts = [] if m.w1 is None else [m.w1.ravel(), m.b1]
-    parts += [m.w2.ravel(), m.b2]
-    return np.concatenate(parts).astype(np.float64, copy=False)
+    """Canonical flat float64 vector: w1, b1, w2, b2 (one row per model of a
+    stack)."""
+    lead = m.b2.shape[:-1]
+    parts = [] if m.w1 is None else [m.w1, m.b1]
+    parts += [m.w2, m.b2]
+    return np.concatenate([a.reshape(lead + (-1,)) for a in parts], axis=-1).astype(
+        np.float64, copy=False
+    )
 
 
 def unflatten_params(shape: ModelShape, values: np.ndarray) -> MlpModel:
-    """Inverse of :func:`flatten_params`; round-trips bitwise."""
+    """Inverse of :func:`flatten_params`; round-trips bitwise.  An ``(m, P)``
+    block gives a stack of ``m`` models."""
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != (shape.param_count,):
+    if values.ndim not in (1, 2) or values.shape[-1] != shape.param_count:
         raise ValueError(f"expected {shape.param_count} values, got shape {values.shape}")
     return MlpModel(*(None if a is None else a.copy() for a in _layers(shape, values)))
 

@@ -30,7 +30,6 @@ from .core import (
 )
 from .datagen import Dataset, generate_rotated_synthetic, rotate_image, SyntheticSpec
 from .metrics import (
-    _CHUNK_ROWS,
     client_mean_test_accuracy,
     cluster_average,
     dispersion,
@@ -40,8 +39,10 @@ from .metrics import (
     trace_row,
 )
 from .model import (
+    _CHUNK_ROWS,
     MlpModel,
     ModelShape,
+    _layers,
     flatten_params,
     forward_loss,
     gradient,
@@ -49,6 +50,7 @@ from .model import (
     params_from_bytes,
     params_to_bytes,
     predict,
+    sgd_epochs,
     unflatten_params,
 )
 from .topology import (
@@ -251,10 +253,10 @@ def check_local_update_isolation() -> tuple[bool, str]:
     rng = np.random.default_rng(13)
     shape = ModelShape(dim=4, hidden=3, n_classes=3)
     states = random_states(rng, 3, 3, shape)
-    for s in states:
-        frozen = [v.copy() for v in s.models]
-        local_update(s, gamma=0.05, tau=2, batch_size=4, round_seed=1)
-        for j, v in enumerate(frozen):
+    frozen = [[v.copy() for v in s.models] for s in states]
+    local_update(states, gamma=0.05, tau=2, batch_size=4, seeds=[1, 2, 3])
+    for s, models in zip(states, frozen):
+        for j, v in enumerate(models):
             if j != s.assignment and not np.array_equal(v, s.models[j]):
                 return False, f"client {s.client_id}: non-assigned model {j} changed"
     return True, "non-assigned models are bitwise untouched by training"
@@ -455,6 +457,79 @@ def check_batched_metrics() -> tuple[bool, str]:
     return True, f"{instances} instances bitwise equal to the per-client reference"
 
 
+def _per_client_sgd(
+    shape: ModelShape, values: np.ndarray, d: Dataset, gamma: float, tau: int, batch_size: int,
+    seed: int,
+) -> np.ndarray:
+    """Reference for the stacked trainer: one client's SGD loop with its own
+    unstacked forward and backward pass (``g.T @ x``, sums over axis 0)."""
+    values = values.copy()
+    m = _layers(shape, values)  # views: each step updates them in place
+    batch_size = min(batch_size, len(d))
+    rng = np.random.default_rng(seed)
+    for _ in range(tau):
+        order = rng.permutation(len(d))
+        for start in range(0, len(d), batch_size):
+            idx = order[start : start + batch_size]
+            x, y = d.features[idx], d.labels[idx]
+            act = x if m.w1 is None else np.maximum(x @ m.w1.T + m.b1, 0.0)
+            z = act @ m.w2.T + m.b2
+            ez = np.exp(z - z.max(axis=1, keepdims=True))
+            g = ez / ez.sum(axis=1, keepdims=True)
+            g[np.arange(len(y)), y] -= 1.0
+            g = g / len(y)
+            grads = [(g.T @ act).ravel(), g.sum(axis=0)]
+            if m.w1 is not None:
+                dact = (g @ m.w2) * (act > 0)
+                grads = [(dact.T @ x).ravel(), dact.sum(axis=0)] + grads
+            values -= gamma * np.concatenate(grads)
+    return values
+
+
+def check_stacked_sgd() -> tuple[bool, str]:
+    """Stacked training through ``local_update`` against the per-client
+    reference, bitwise, for hidden widths 0, 3 and 32.
+
+    Every client has its own model, data and seed.  Batches cover a short
+    last batch, a batch size at least the dataset length, and batch size 1,
+    in groups of one and five clients; one group mixes two dataset lengths
+    and one (hidden 0 and 3) spans three chunks of ``_CHUNK_ROWS`` minibatch
+    rows.  Lone clients also run the one-client form of ``sgd_epochs``.
+    """
+    rng = np.random.default_rng(7)
+    gamma, tau = 0.3, 2
+    spans = 2 * _CHUNK_ROWS // 16 + 3  # three chunks at batch size 16
+    groups = [((10,) * m, 4) for m in (1, 5)] + [((6,) * m, 8) for m in (1, 5)]
+    groups += [((7,) * m, 1) for m in (1, 5)] + [((10, 7, 10, 7, 7), 4), ((20,) * spans, 16)]
+    clients, bad = 0, []
+    for hidden in (0, 3, 32):
+        shape = ModelShape(dim=5, hidden=hidden, n_classes=3)
+        for lengths, batch_size in groups:
+            if hidden == 32 and len(lengths) == spans:
+                continue
+            block = 0.5 * rng.standard_normal((len(lengths), shape.param_count))
+            data = [random_dataset(rng, n, shape.dim, shape.n_classes) for n in lengths]
+            seeds = [int(s) for s in rng.integers(0, 2**32, size=len(lengths))]
+            states = [
+                ClientState(client_id=r, shape=shape, models=[v.copy()], assignment=0, data=d)
+                for r, (v, d) in enumerate(zip(block, data))
+            ]
+            local_update(states, gamma, tau, batch_size, seeds)
+            for s, v, d, seed in zip(states, block, data, seeds):
+                want = _per_client_sgd(shape, v, d, gamma, tau, batch_size, seed).tobytes()
+                got = [s.models[0]]
+                if len(lengths) == 1:
+                    alone = sgd_epochs(unflatten_params(shape, v), d, gamma, tau, batch_size, seed)
+                    got.append(flatten_params(alone))
+                clients += 1
+                if any(g.tobytes() != want for g in got):
+                    bad.append(f"hidden={hidden}, {len(lengths)} clients, batch {batch_size}, "
+                               f"client {s.client_id}")
+    if bad:
+        return False, f"{len(bad)} of {clients} clients differ, first: {bad[0]}"
+    return True, f"{clients} clients trained in stacked groups, bitwise equal to per-client SGD"
+
+
 def check_run_determinism() -> tuple[bool, str]:
     config = ExperimentConfig(
         n_clients=8, k=2, T=3, data_samples_per_client=40, model_hidden=4, topology_p=0.6,
@@ -480,6 +555,7 @@ CHECKS = [
     ("global-init-zero-dispersion", check_gi_zero_dispersion),
     ("experiment-determinism", check_run_determinism),
     ("batched-metrics-match-per-client", check_batched_metrics),
+    ("stacked-sgd-matches-per-client", check_stacked_sgd),
 ]
 
 CHECK_NAMES = [name for name, _ in CHECKS]

@@ -42,7 +42,7 @@ def server_round(states, hp, round_seed):
     trained = clone_states(states)
     for i, c in enumerate(trained):
         assign_cluster(c)
-        local_update(c, hp.gamma, hp.tau, hp.batch_size, derive_seed(round_seed, "sgd", i))
+        local_update([c], hp.gamma, hp.tau, hp.batch_size, [derive_seed(round_seed, "sgd", i)])
     plan = RoundPlan(participants=tuple(range(len(states))), aggregation_mode="server",
                      round_seed=round_seed)
     _, measured = run_round(states, None, plan, hp)

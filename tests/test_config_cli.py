@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +142,12 @@ class TestCmdRun:
         assert cmd_run(str(tiny_config), overrides=["bogus=1"]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_exits_4_naming_seed_round_and_client(self, capsys):
+        quick = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
+        assert cmd_run(str(quick), overrides=["gamma=1e4", "T=5"]) == 4
+        assert "seed 1, round 3, client 5, cluster 1" in capsys.readouterr().err
+
     def test_empty_split_side_rejected_before_running(self, tiny_config, capsys, output_root):
         code = cmd_run(str(tiny_config), overrides=["data.samples_per_client=40",
                                                     "data.test_fraction=0.01"])
@@ -201,12 +210,22 @@ class TestCmdSweep:
         assert len(lines) == 4
 
 
+@pytest.fixture(scope="session")
+def verify_run():
+    """One ``dfca verify`` run shared by the tests that read its report:
+    exit code, wall seconds and printed lines."""
+    out = io.StringIO()
+    start = time.time()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify"])
+    return code, time.time() - start, out.getvalue()
+
+
 class TestVerifyCommand:
-    def test_suite_passes_on_fresh_build(self, capsys):
-        start = time.time()
-        assert main(["verify"]) == 0
-        assert time.time() - start < 60.0
-        out = capsys.readouterr().out
+    def test_suite_passes_on_fresh_build(self, verify_run):
+        code, seconds, out = verify_run
+        assert code == 0
+        assert seconds < 60.0
         assert "FAIL" not in out
         for name in CHECK_NAMES:
             assert f"PASS {name}:" in out
@@ -218,10 +237,10 @@ class TestVerifyCommand:
         assert "FAIL sequential-equals-batch" in out
         assert out.count("FAIL") == 1
 
-    @pytest.mark.parametrize("check", [check for _, check in CHECKS], ids=CHECK_NAMES)
-    def test_check(self, check):
-        ok, detail = check()
-        assert ok, detail
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_check(self, verify_run, name):
+        report = [line for line in verify_run[2].splitlines() if line.split(":")[0].endswith(f" {name}")]
+        assert len(report) == 1 and report[0].startswith(f"PASS {name}:"), report
 
 
 class TestCliEntrypoint:

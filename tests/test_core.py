@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,17 @@ from dfca.core import (
     run_experiment,
     run_round,
 )
-from dfca.model import ModelShape, forward_loss, unflatten_params
+from dfca.model import (
+    DivergenceError,
+    ModelShape,
+    flatten_params,
+    forward_loss,
+    sgd_epochs,
+    unflatten_params,
+)
+from dfca.seeding import derive_seed
 from dfca.topology import Topology, generate_erdos_renyi
-from dfca.verify import stage_outboxes
+from dfca.verify import clone_states, stage_outboxes
 
 SHAPE = ModelShape(dim=3, hidden=2, n_classes=3)
 
@@ -144,7 +154,7 @@ class TestLocalUpdate:
         s = make_states(rng, 1, 2)[0]
         s.assignment = 0
         frozen = s.models[1].copy()
-        local_update(s, gamma=0.1, tau=1, batch_size=4, round_seed=0)
+        local_update([s], gamma=0.1, tau=1, batch_size=4, seeds=[0])
         assert np.array_equal(s.models[1], frozen)
         assert s.outbox[0] == 0
         assert s.outbox[1] is s.models[0]
@@ -153,7 +163,7 @@ class TestLocalUpdate:
         rng = np.random.default_rng(10)
         s = make_states(rng, 1, 2)[0]
         frozen = s.models[s.assignment].copy()
-        local_update(s, gamma=0.0, tau=1, batch_size=4, round_seed=0)
+        local_update([s], gamma=0.0, tau=1, batch_size=4, seeds=[0])
         assert np.array_equal(s.models[s.assignment], frozen)
         assert s.outbox is not None
 
@@ -163,7 +173,7 @@ class TestLocalUpdate:
         for seed in range(20):
             s = make_states(rng, 1, 2)[0]
             before = forward_loss(unflatten_params(SHAPE, s.models[s.assignment]), s.data)
-            local_update(s, gamma=0.1, tau=2, batch_size=5, round_seed=seed)
+            local_update([s], gamma=0.1, tau=2, batch_size=5, seeds=[seed])
             after = forward_loss(unflatten_params(SHAPE, s.models[s.assignment]), s.data)
             improved += after <= before
         assert improved >= 18  # descent in expectation, tiny batches may jitter
@@ -282,6 +292,46 @@ class TestRunRound:
         for s, models in zip(states, frozen):
             for j in range(2):
                 assert np.array_equal(s.models[j], models[j])
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.0])
+    def test_participants_train_like_per_client_sgd(self, gamma):
+        rng = np.random.default_rng(20)
+        states = make_states(rng, 9, 3)
+        for i, s in enumerate(states):  # two train lengths, so two stacked groups
+            s.data = random_dataset(rng, n=(10, 13)[i % 2], dist=i % 2)
+        tests = [random_dataset(rng, n=5) for _ in states]
+        hp = Hyperparams(gamma=gamma, tau=2, batch_size=4, test_sets=tests)
+        plan = RoundPlan(participants=(0, 2, 3, 6, 7), round_seed=21)
+        expected = clone_states(states)
+        for i in plan.participants:
+            c = expected[i]
+            assign_cluster(c)
+            if gamma:
+                trained = sgd_epochs(unflatten_params(SHAPE, c.models[c.assignment]), c.data,
+                                     gamma, hp.tau, hp.batch_size, derive_seed(21, "sgd", i))
+                c.models[c.assignment] = flatten_params(trained)
+            c.outbox = (c.assignment, c.models[c.assignment])
+        run_round(states, from_edges(9, []), plan, hp)  # no edges: nothing merges
+        for s, e in zip(states, expected):
+            assert s.assignment == e.assignment
+            for got, want in zip(s.models, e.models):
+                assert got.tobytes() == want.tobytes()
+            if e.outbox is None:
+                assert s.outbox is None
+            else:
+                assert s.outbox[0] == e.outbox[0]
+                assert s.outbox[1].tobytes() == e.outbox[1].tobytes()
+
+    def test_divergence_names_round_client_and_cluster(self):
+        rng = np.random.default_rng(22)
+        t, states, hp = tiny_problem(rng, 5, 2)
+        hp.gamma = 1e300
+        plan = RoundPlan(participants=(1, 3), round_index=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning leaks from the trainer
+            with pytest.raises(DivergenceError, match="round 4, client 1") as raised:
+                run_round(states, t, plan, hp)
+        assert raised.value.where == {"round": 4, "client": 1, "cluster": states[1].assignment}
 
     def test_non_participants_receive_but_do_not_send(self):
         rng = np.random.default_rng(18)

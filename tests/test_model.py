@@ -117,6 +117,14 @@ class TestSgd:
         with pytest.raises(ValueError, match="finite"):
             sgd_epochs(m, data, gamma=1e300, tau=3, batch_size=4, seed=0)
 
+    def test_stacked_call_needs_datasets_of_one_length(self):
+        shape = ModelShape(dim=2, hidden=0, n_classes=2)
+        block = np.stack([flatten_params(init_model(shape, seed=s)) for s in range(2)])
+        rng = np.random.default_rng(8)
+        data = [random_dataset(rng, n, 2, 2) for n in (4, 5)]
+        with pytest.raises(ValueError, match="one length"):
+            sgd_epochs(unflatten_params(shape, block), data, gamma=0.1, tau=1, batch_size=2, seed=[0, 1])
+
     def test_single_full_batch_epoch_is_one_gradient_step(self):
         rng = np.random.default_rng(5)
         shape = ModelShape(dim=3, hidden=2, n_classes=2)
