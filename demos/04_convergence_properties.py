@@ -24,7 +24,7 @@ from dfca import (
     initialize,
     spectral_gap,
 )
-from dfca.core import ClientState, run_round
+from dfca.core import RunState, run_round
 from dfca.datagen import Dataset
 from dfca.metrics import cluster_average, dispersion, f_global
 from dfca.model import ModelShape
@@ -67,32 +67,20 @@ for r in range(6):
 
 print("\n=== 3. Sequential merging equals the batch mean in any order ===")
 t = generate_erdos_renyi(5, 0.9, seed=5)
-base = []
+models, datasets = [], []
 for i in range(5):
-    base.append(ClientState(client_id=i, shape=SHAPE,
-                            models=[rng.standard_normal(SHAPE.param_count)],
-                            assignment=0, data=random_dataset()))
-for s in base:
-    s.outbox = (0, s.models[0])
+    models.append([rng.standard_normal(SHAPE.param_count)])
+    datasets.append(random_dataset())
+base = RunState(SHAPE, models, [0] * 5, datasets)
+base.sent[:] = 0  # every client sends its cluster-0 model
 
-
-def clone(sts):
-    out = []
-    for s in sts:
-        c = ClientState(client_id=s.client_id, shape=s.shape,
-                        models=[v.copy() for v in s.models], assignment=0, data=s.data)
-        c.outbox = (0, c.models[0])
-        out.append(c)
-    return out
-
-
-batch = clone(base)
+batch = base.copy()
 aggregate_batch(batch, t)
 receiver = 0
 senders = list(t.neighborhoods[receiver])
 worst = 0.0
 for order in itertools.permutations(senders):
-    trial = clone(base)
+    trial = base.copy()
     plan = RoundPlan(participants=tuple(range(5)),
                      arrival_order={(receiver, 0): list(order)})
     aggregate_sequential(trial, t, plan)

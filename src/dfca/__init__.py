@@ -11,6 +11,7 @@ and sweeps.
 from .config import ConfigError, ExperimentConfig, load_config
 from .core import (
     ClientState,
+    RunState,
     DisconnectedGraphError,
     Hyperparams,
     RoundPlan,

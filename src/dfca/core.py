@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -64,6 +64,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "ClientState",
+    "RunState",
     "RoundPlan",
     "Hyperparams",
     "DisconnectedGraphError",
@@ -81,27 +82,77 @@ class DisconnectedGraphError(RuntimeError):
     """Sampled topology is disconnected and the config says abort."""
 
 
-@dataclass
+class _Row:
+    """A :class:`ClientState` field: item ``client_id`` of the run's field of
+    the same name."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, c: "ClientState | None", owner: type | None = None):
+        return self if c is None else getattr(c.run, self.name)[c.client_id]
+
+    def __set__(self, c: "ClientState", value) -> None:
+        getattr(c.run, self.name)[c.client_id] = value
+
+
 class ClientState:
-    """One client: its k model copies, current assignment, and train data.
+    """Client ``client_id`` of a run, read and written through the run's
+    arrays.  ``outbox`` is the (cluster, parameters) pair the client sends
+    this round, None if it did not train; the merges read every outbox
+    before they write any model."""
 
-    ``outbox`` holds the single (cluster, parameters) pair the client sends
-    this round; it is None for clients that did not train.
-    """
+    __slots__ = ("run", "client_id")
+    models = _Row()
+    assignment = _Row()
+    data = _Row()
 
-    client_id: int
-    shape: ModelShape
-    models: list[np.ndarray]
-    assignment: int
-    data: Dataset
-    outbox: tuple[int, np.ndarray] | None = None
+    def __init__(self, run: "RunState", client_id: int) -> None:
+        self.run = run
+        self.client_id = client_id
 
-    def __post_init__(self) -> None:
-        lengths = {v.shape for v in self.models}
-        if len(lengths) != 1:
-            raise ValueError("all model vectors must have equal length")
-        if not 0 <= self.assignment < len(self.models):
-            raise ValueError(f"assignment {self.assignment} out of range")
+    @property
+    def outbox(self) -> tuple[int, np.ndarray] | None:
+        j = int(self.run.sent[self.client_id])
+        return None if j < 0 else (j, self.models[j])
+
+    @outbox.setter
+    def outbox(self, message: tuple[int, np.ndarray] | None) -> None:
+        if message is not None:
+            self.models[message[0]] = message[1]
+        self.run.sent[self.client_id] = -1 if message is None else message[0]
+
+
+class RunState(Sequence[ClientState]):
+    """Every model copy of a run in one ``(N, k, P)`` array, and each
+    client's assignment and the cluster it sent this round (-1 for none) as
+    ``(N,)`` int arrays.  Item ``i`` is client ``i``'s :class:`ClientState`.
+    A float64 ``models`` array is taken without a copy."""
+
+    def __init__(self, shape: ModelShape, models, assignment, data: Sequence[Dataset]) -> None:
+        self.shape = shape
+        self.models = np.asarray(models, dtype=np.float64)
+        n = len(self.models)
+        self.assignment = np.array(assignment, dtype=np.intp)
+        if self.assignment.shape != (n,) or len(data) != n:
+            raise ValueError(f"need {n} assignments and {n} datasets")
+        self.data = list(data)
+        self.sent = np.full(n, -1, dtype=np.intp)
+
+    def __len__(self) -> int:
+        return len(self.models)
+
+    def __getitem__(self, i: int) -> ClientState:
+        # A new view per call: views the run kept would form a reference
+        # cycle, and each finished run would stay in memory until the cyclic
+        # garbage collector happens to run.
+        return ClientState(self, range(len(self))[i])
+
+    def copy(self) -> "RunState":
+        """Copy of the models, assignments and outboxes; datasets are shared."""
+        twin = RunState(self.shape, self.models.copy(), self.assignment, self.data)
+        twin.sent[:] = self.sent
+        return twin
 
 
 _PLAN_MODES = (*AGGREGATION_MODES, "server")  # server is set for algorithm = ifca, not configured
@@ -155,7 +206,7 @@ def initialize(
     model_shape: ModelShape,
     seed: int,
     datasets: Sequence[Dataset],
-) -> list[ClientState]:
+) -> RunState:
     """Create all client states with globally or locally initialized models.
 
     ``gi`` draws one seeded model per cluster and gives every client an
@@ -165,23 +216,17 @@ def initialize(
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be >= 1")
-    if len(datasets) != n:
-        raise ValueError(f"expected {n} datasets, got {len(datasets)}")
     mode = mode.lower()
     if mode not in ("gi", "li"):
         raise ValueError(f"init mode must be 'gi' or 'li', got {mode!r}")
+    models = np.empty((n, k, model_shape.param_count))
+    for i in range(1 if mode == "gi" else n):
+        for j in range(k):
+            key = ("gi", j) if mode == "gi" else ("li", i, j)
+            models[i, j] = flatten_params(init_model(model_shape, derive_seed(seed, *key)))
     if mode == "gi":
-        shared = [flatten_params(init_model(model_shape, derive_seed(seed, "gi", j))) for j in range(k)]
-        model_sets = [[v.copy() for v in shared] for _ in range(n)]
-    else:
-        model_sets = [
-            [flatten_params(init_model(model_shape, derive_seed(seed, "li", i, j))) for j in range(k)]
-            for i in range(n)
-        ]
-    states = [
-        ClientState(client_id=i, shape=model_shape, models=model_sets[i], assignment=0, data=datasets[i])
-        for i in range(n)
-    ]
+        models[1:] = models[0]
+    states = RunState(model_shape, models, np.zeros(n, dtype=np.intp), datasets)
     for s in states:
         assign_cluster(s)
     return states
@@ -195,85 +240,90 @@ def assign_cluster(c: ClientState) -> int:
     every loss is non-finite the previous assignment is kept and the event
     logged.
     """
-    losses = np.array([forward_loss(_layers(c.shape, v), c.data) for v in c.models])
+    losses = forward_loss(_layers(c.run.shape, c.models), c.data)
     finite = np.isfinite(losses)
     if not finite.any():
         logger.warning(
             "client %d: all %d cluster losses non-finite, keeping assignment %d",
             c.client_id,
-            len(c.models),
+            len(losses),
             c.assignment,
         )
-        return c.assignment
-    c.assignment = int(np.argmin(np.where(finite, losses, np.inf)))
-    return c.assignment
+        return int(c.assignment)
+    c.assignment = j = int(np.argmin(np.where(finite, losses, np.inf)))
+    return j
 
 
 def local_update(
-    group: Sequence[ClientState], gamma: float, tau: int, batch_size: int, seeds: Sequence[int]
-) -> Sequence[ClientState]:
-    """Train each client's assigned model and stage it in the outbox.
+    states: RunState, rows: Sequence[int], gamma: float, tau: int, batch_size: int,
+    seeds: Sequence[int],
+) -> RunState:
+    """Train the assigned model of clients ``rows`` and stage it in their
+    outboxes.
 
     Clients with equal training-set lengths train together, in stacked
     :func:`sgd_epochs` calls of at most ``_CHUNK_ROWS`` minibatch rows;
-    client ``group[r]`` shuffles with ``seeds[r]`` and ends bitwise where
+    client ``rows[r]`` shuffles with ``seeds[r]`` and ends bitwise where
     training alone would leave it.  All other model copies are left bitwise
     untouched.  ``gamma=0`` skips training but still stages the (unchanged)
     assigned models for sending.  A model that diverges raises
     :class:`DivergenceError` naming its client and cluster.
     """
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = states.assignment[rows]
     if gamma != 0.0:
-        for chunk in _chunks([len(c.data) for c in group], batch_size):
-            members = [group[r] for r in chunk]
-            block = np.stack([c.models[c.assignment] for c in members])
+        for chunk in _chunks([len(states.data[i]) for i in rows], batch_size):
+            r, c = rows[chunk], cols[chunk]
             try:
                 updated = sgd_epochs(
-                    unflatten_params(members[0].shape, block), [c.data for c in members],
-                    gamma, tau, batch_size, [seeds[r] for r in chunk],
+                    unflatten_params(states.shape, states.models[r, c]),
+                    [states.data[i] for i in r], gamma, tau, batch_size, [seeds[p] for p in chunk],
                 )
             except DivergenceError as exc:
-                c = members[exc.where["row"]]
-                raise DivergenceError(client=c.client_id, cluster=c.assignment) from None
-            for c, trained in zip(members, flatten_params(updated)):
-                c.models[c.assignment] = trained.copy()  # a row view would pin the whole block
-    for c in group:
-        c.outbox = (c.assignment, c.models[c.assignment])
-    return group
+                p = exc.where["row"]
+                raise DivergenceError(client=int(r[p]), cluster=int(c[p])) from None
+            states.models[r, c] = flatten_params(updated)
+    states.sent[rows] = cols
+    return states
 
 
-def _reporting(states: Sequence[ClientState], t: Topology, i: int, j: int) -> list[int]:
-    """Neighbors of ``i`` whose outbox carries a cluster-``j`` model, sorted."""
-    return [
-        m
-        for m in t.neighborhoods[i]
-        if states[m].outbox is not None and states[m].outbox[0] == j
-    ]
-
-
-def _receivers(states: Sequence[ClientState], plan: RoundPlan | None) -> Sequence[int]:
+def _slots(
+    states: RunState, t: Topology, plan: RoundPlan | None
+) -> Iterator[tuple[int, int, list[int]]]:
+    """``(receiver, cluster, senders)`` for every receiver and cluster that
+    some neighbor sent a model of, with the senders ascending."""
     if plan is not None and plan.receive_restricted:
-        return plan.participants
-    return range(len(states))
+        receivers = np.asarray(plan.participants, dtype=np.intp)
+    else:
+        receivers = np.arange(len(states))
+    k = states.models.shape[1]
+    r, m = np.nonzero(t.adjacency[receivers] & (states.sent >= 0))  # senders ascend per receiver
+    slot = r * k + states.sent[m]
+    order = np.argsort(slot, kind="stable")
+    slot, m = slot[order], m[order]
+    firsts = np.flatnonzero(np.diff(slot, prepend=-1))
+    for s, senders in zip(slot[firsts].tolist(), np.split(m, firsts[1:])):
+        yield int(receivers[s // k]), s % k, senders.tolist()
 
 
 def _merge_weights(
     mixing: MixingMatrix | None, i: int, senders: list[int]
-) -> tuple[dict[int, float], float, float]:
+) -> tuple[Sequence[float], float, float]:
     """The weight of each reporting sender, the receiver's own weight and the
     batch normalizer: 1.0 each and r+1 when uniform; matrix row weights, the
     remainder and 1.0 with a matrix."""
     if mixing is None:
-        return dict.fromkeys(senders, 1.0), 1.0, len(senders) + 1.0
-    weights = {m: mixing.weights[i, m] for m in senders}
-    return weights, 1.0 - sum(weights.values()), 1.0
+        return [1.0] * len(senders), 1.0, len(senders) + 1.0
+    weights = mixing.weights[i, senders]
+    return weights, 1.0 - sum(weights), 1.0
 
 
 def aggregate_batch(
-    states: Sequence[ClientState],
+    states: RunState,
     t: Topology,
     mixing: MixingMatrix | None = None,
     plan: RoundPlan | None = None,
-) -> Sequence[ClientState]:
+) -> RunState:
     """Synchronous merge: every receiver replaces each cluster model with the
     weighted combination of its own copy and the reporting neighbors' outbox
     values, all computed from pre-round values.
@@ -282,25 +332,19 @@ def aggregate_batch(
     neighbor m contributes ``weights[i][m]`` and the receiver keeps the
     remainder.  Empty reporting sets leave the model untouched.
     """
-    updates: dict[tuple[int, int], np.ndarray] = {}
-    k = len(states[0].models)
-    for i in _receivers(states, plan):
-        for j in range(k):
-            senders = _reporting(states, t, i, j)
-            if not senders:
-                continue
-            own = states[i].models[j]
-            weights, _, norm = _merge_weights(mixing, i, senders)
-            acc = np.zeros_like(own)
-            for m, w in weights.items():
-                acc += w * (states[m].outbox[1] - own)
-            updates[(i, j)] = own + acc / norm
-    for (i, j), value in updates.items():
-        states[i].models[j] = value
+    outbox = list(states.models[np.arange(len(states)), states.sent])  # read before any write
+    for i, j, senders in _slots(states, t, plan):
+        own = states.models[i, j]
+        weights, _, norm = _merge_weights(mixing, i, senders)
+        acc = np.zeros_like(own)
+        for m, w in zip(senders, weights):
+            acc += w * (outbox[m] - own)
+        own += acc / norm
     return states
 
 
 def _arrival(plan: RoundPlan, i: int, j: int, senders: list[int]) -> list[int]:
+    """Positions in ``senders`` in the order their models arrive."""
     if plan.arrival_order is not None and (i, j) in plan.arrival_order:
         order = [int(m) for m in plan.arrival_order[(i, j)]]
         if sorted(order) != senders:
@@ -308,18 +352,17 @@ def _arrival(plan: RoundPlan, i: int, j: int, senders: list[int]) -> list[int]:
                 f"arrival order {order} for receiver {i}, cluster {j} "
                 f"does not permute the reporting set {senders}"
             )
-        return order
-    perm = spawn_rng(plan.round_seed, "arrival", i, j).permutation(len(senders))
-    return [senders[p] for p in perm]
+        return [senders.index(m) for m in order]
+    return spawn_rng(plan.round_seed, "arrival", i, j).permutation(len(senders)).tolist()
 
 
 def aggregate_sequential(
-    states: Sequence[ClientState],
+    states: RunState,
     t: Topology,
     plan: RoundPlan,
     mixing: MixingMatrix | None = None,
     _fault_flip_weights: bool = False,
-) -> Sequence[ClientState]:
+) -> RunState:
     """Running-average merge: incoming models are folded in one at a time.
 
     With r values already merged (the receiver's own copy counts as the
@@ -331,65 +374,59 @@ def aggregate_sequential(
     ``_fault_flip_weights`` deliberately swaps the merge factors; it exists
     only so the verification suite can prove this check can fail.
     """
-    updates: dict[tuple[int, int], np.ndarray] = {}
-    k = len(states[0].models)
-    for i in _receivers(states, plan):
-        for j in range(k):
-            senders = _reporting(states, t, i, j)
-            if not senders:
-                continue
-            value = states[i].models[j]
-            weights, weight_sum, _ = _merge_weights(mixing, i, senders)
-            for m in _arrival(plan, i, j, senders):
-                w = weights[m]
-                frac = w / (weight_sum + w)
-                if _fault_flip_weights:
-                    frac = weight_sum / (weight_sum + w)
-                value = value + frac * (states[m].outbox[1] - value)
-                weight_sum += w
-            updates[(i, j)] = value
-    for (i, j), value in updates.items():
-        states[i].models[j] = value
+    outbox = list(states.models[np.arange(len(states)), states.sent])  # read before any write
+    for i, j, senders in _slots(states, t, plan):
+        value = states.models[i, j]
+        weights, weight_sum, _ = _merge_weights(mixing, i, senders)
+        for p in _arrival(plan, i, j, senders):
+            w = weights[p]
+            frac = w / (weight_sum + w)
+            if _fault_flip_weights:
+                frac = weight_sum / (weight_sum + w)
+            value = value + frac * (outbox[senders[p]] - value)
+            weight_sum += w
+        states.models[i, j] = value
     return states
 
 
-def _server_mean(states: Sequence[ClientState]) -> None:
+def _server_mean(states: RunState) -> None:
     """Centralized merge: each cluster model becomes the mean of the trained
     models of the clients that selected it (unchanged if none did), and every
     client receives a copy of the new global models."""
-    merged = []
-    for j, current in enumerate(states[0].models):
-        returned = [s.models[j] for s in states if s.assignment == j]
-        merged.append(np.mean(returned, axis=0) if returned else current)
-    for s in states:
-        s.models = [v.copy() for v in merged]
+    merged = states.models[0].copy()
+    for j in range(len(merged)):
+        members = states.assignment == j
+        if members.any():
+            merged[j] = states.models[members, j].mean(axis=0)
+    states.models[:] = merged
 
 
 def run_round(
-    states: Sequence[ClientState],
+    states: RunState,
     t: Topology | None,
     plan: RoundPlan,
     hp: Hyperparams,
-) -> tuple[Sequence[ClientState], RoundMetrics]:
+) -> tuple[RunState, RoundMetrics]:
     """One full round: assign, train, merge, measure.
 
     All participants train in one :func:`local_update` call.
     Non-participants neither train nor send but (unless the plan restricts
     receiving) still merge incoming models.  The ``server`` merge ignores
     ``t`` and expects every client to start the round with the same models.
+    A cluster loss that is not finite after the merge raises
+    :class:`DivergenceError` naming the round and cluster.
     """
-    previous = [s.assignment for s in states]
-    for s in states:
-        s.outbox = None
+    previous = states.assignment.copy()
+    states.sent[:] = -1
     for i in plan.participants:
         assign_cluster(states[i])
-    changed = sum(1 for s, prev in zip(states, previous) if s.assignment != prev)
+    changed = int(np.count_nonzero(states.assignment != previous))
     seeds = [derive_seed(plan.round_seed, "sgd", i) for i in plan.participants]
     try:
-        local_update([states[i] for i in plan.participants], hp.gamma, hp.tau, hp.batch_size, seeds)
+        local_update(states, plan.participants, hp.gamma, hp.tau, hp.batch_size, seeds)
     except DivergenceError as exc:
-        raise DivergenceError(round=plan.round_index, **exc.where) from None
-    k = len(states[0].models)
+        raise exc.at(round=plan.round_index) from None
+    k = states.models.shape[1]
     pre_avg = [cluster_average(states, j) for j in range(k)]
 
     if plan.aggregation_mode == "server":
@@ -399,9 +436,15 @@ def run_round(
     else:
         aggregate_batch(states, t, mixing=hp.mixing, plan=plan)
 
-    drift = tuple(float(np.linalg.norm(cluster_average(states, j) - pre_avg[j])) for j in range(k))
-    truth = [s.data.distribution_id for s in states]
     per_cluster = tuple(f_cluster(states, j) for j in range(k))
+    for j, loss in enumerate(per_cluster):
+        if not np.isfinite(loss):
+            raise DivergenceError(
+                "loss went non-finite although local SGD left finite parameters",
+                round=plan.round_index, cluster=j,
+            )
+    drift = tuple(float(np.linalg.norm(cluster_average(states, j) - pre_avg[j])) for j in range(k))
+    truth = [d.distribution_id for d in states.data]
     return states, RoundMetrics(
         round=plan.round_index,
         f_global=sum(per_cluster),
@@ -467,7 +510,7 @@ def _sample_participants(config: ExperimentConfig, round_index: int) -> tuple[in
 
 def run_experiment_states(
     config: ExperimentConfig,
-) -> tuple[list[RoundMetrics], list[ClientState], dict]:
+) -> tuple[list[RoundMetrics], RunState, dict]:
     """Run a full experiment and also return final states and run info.
 
     ``algorithm = ifca`` runs the server merge and builds no graph, so its

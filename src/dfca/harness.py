@@ -8,7 +8,10 @@ Output layout::
     <output_root>/<config_name>/sweep_<key>.csv
 
 The output root is the config's ``output_dir`` unless the ``DFCA_OUTPUT_ROOT``
-environment variable overrides it.
+environment variable overrides it.  Each seed's trace is written as soon as
+that seed finishes, and every file is written to a sibling temporary file
+and then renamed into place, so a run that fails leaves the files of the
+seeds before it whole and no half-written file.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -35,7 +38,6 @@ __all__ = [
     "stabilization_round",
     "write_trace",
     "run_one_seed",
-    "run_config_seeds",
     "cmd_run",
     "cmd_sweep",
 ]
@@ -75,13 +77,25 @@ def stabilization_round(trace: Sequence[RoundMetrics]) -> int:
     return last_change + 1
 
 
-def write_trace(path: Path, trace: Sequence[RoundMetrics], k: int) -> None:
+def _write_atomically(path: Path, write: Callable[[TextIO], None]) -> None:
+    """Write ``path`` through ``write(file)`` on a sibling temporary file that
+    then replaces it, so ``path`` is either absent, the old file or whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trace_columns(k))
-        for m in trace:
-            writer.writerow(trace_row(m))
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_rows(path: Path, rows: Iterable[Sequence[str]]) -> None:
+    _write_atomically(path, lambda fh: csv.writer(fh).writerows(rows))
+
+
+def write_trace(path: Path, trace: Sequence[RoundMetrics], k: int) -> None:
+    _write_rows(path, [trace_columns(k), *map(trace_row, trace)])
 
 
 def run_one_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
@@ -90,7 +104,7 @@ def run_one_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
     try:
         trace, states, info = run_experiment_states(cfg)
     except DivergenceError as exc:
-        raise DivergenceError(seed=seed, **exc.where) from None
+        raise exc.at(seed=seed) from None
     if trace:
         final = trace[-1]
         outcome = dict(
@@ -103,11 +117,6 @@ def run_one_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
     else:
         outcome = dict.fromkeys(_FINALS)
     return SeedOutcome(seed=seed, trace=trace, connected=info["connected"], **outcome)
-
-
-def run_config_seeds(config: ExperimentConfig) -> list[SeedOutcome]:
-    """Run seeds 0..n_seeds-1 of ``config``."""
-    return [run_one_seed(config, s) for s in range(config.n_seeds)]
 
 
 def _mean_std(values: list[float | None]) -> tuple[float | None, float | None]:
@@ -139,14 +148,18 @@ def _output_root(config: ExperimentConfig) -> Path:
 
 
 def _write_summary(path: Path, summary: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _write_atomically(path, lambda fh: fh.write(text))
 
 
 def _run_into(config: ExperimentConfig, run_dir: Path) -> dict:
-    outcomes = run_config_seeds(config)
-    for o in outcomes:
-        write_trace(run_dir / f"seed_{o.seed}" / "trace.csv", o.trace, config.n_models)
+    """Run seeds 0..n_seeds-1, writing each seed's trace as it finishes, then
+    the summary."""
+    outcomes = []
+    for seed in range(config.n_seeds):
+        outcome = run_one_seed(config, seed)
+        write_trace(run_dir / f"seed_{seed}" / "trace.csv", outcome.trace, config.n_models)
+        outcomes.append(outcome)
     summary = summarize(config, outcomes)
     _write_summary(run_dir / "summary.json", summary)
     return summary
@@ -221,12 +234,11 @@ def cmd_sweep(config_path: str, key: str, values: Sequence[str], overrides: Iter
                      summary["std"]["final_test_accuracy"]))
 
     combined = root / f"sweep_{_sanitize(key)}.csv"
-    with open(combined, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "mean", "std"])
-        for value, mean, std in rows:
-            writer.writerow([repr(float(value)) if isinstance(value, float) else str(value),
-                             "" if mean is None else repr(float(mean)),
-                             "" if std is None else repr(float(std))])
+    _write_rows(combined, [["value", "mean", "std"]] + [
+        [repr(float(value)) if isinstance(value, float) else str(value),
+         "" if mean is None else repr(float(mean)),
+         "" if std is None else repr(float(std))]
+        for value, mean, std in rows
+    ])
     print(f"sweep over {key}: {len(rows)} runs -> {combined}")
     return 0

@@ -1,11 +1,12 @@
 """Measured quantities: loss hierarchy, dispersion, clustering and test accuracy.
 
-All functions are read-only over client states and safe to parallelize.
-Losses and predictions are evaluated for many clients per forward pass:
-clients whose datasets have equal length are stacked, in chunks of about
-``_CHUNK_ROWS`` sample rows, and their models are read through per-layer
-views of the stacked parameter block.  Each client's value is bitwise the
-one a forward pass over that client alone gives.
+All functions are read-only over a run's client states and read its
+``(N, k, P)`` model array directly.  Losses and predictions are evaluated
+for many clients per forward pass: clients whose datasets have equal length
+are stacked, in chunks of about ``_CHUNK_ROWS`` sample rows, and their
+models are gathered from the array into one block read through per-layer
+views.  Each client's value is bitwise the one a forward pass over that
+client alone gives.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .datagen import Dataset
-from .model import ModelShape, _check_inputs, _chunks, _layers, _mean_ce, predict
+from .model import _check_inputs, _chunks, _layers, _mean_ce, predict
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .core import ClientState
+    from .core import RunState
 
 __all__ = [
     "RoundMetrics",
@@ -61,18 +62,20 @@ class RoundMetrics:
 
 
 def _per_client(
-    shape: ModelShape,
-    models: Sequence[np.ndarray],
+    states: "RunState",
+    rows: np.ndarray,
+    cols: np.ndarray,
     datasets: Sequence[Dataset],
     score: Callable[..., np.ndarray],
 ) -> np.ndarray:
-    """``score(layers, x, y)`` of ``models[i]`` on ``datasets[i]`` for every
-    position ``i``, one stacked forward pass per chunk."""
-    out = np.empty(len(models))
+    """``score(layers, x, y)`` of model ``cols[p]`` of client ``rows[p]`` on
+    ``datasets[p]`` for every position ``p``, one stacked forward pass per
+    chunk."""
+    out = np.empty(len(rows))
     for chunk in _chunks([len(d) for d in datasets]):
-        layers = _layers(shape, np.stack([models[i] for i in chunk]))
-        x = np.stack([datasets[i].features for i in chunk])
-        y = np.stack([datasets[i].labels for i in chunk])
+        layers = _layers(states.shape, states.models[rows[chunk], cols[chunk]])
+        x = np.stack([datasets[p].features for p in chunk])
+        y = np.stack([datasets[p].labels for p in chunk])
         out[chunk] = score(layers, x, y)
     return out
 
@@ -82,64 +85,59 @@ def _losses(layers, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _mean_ce(layers, x, y)
 
 
-def f_cluster(states: Sequence["ClientState"], j: int) -> float:
+def f_cluster(states: "RunState", j: int) -> float:
     """Sum of assigned-client losses for cluster ``j`` (0 if empty)."""
-    members = [s for s in states if s.assignment == j]
-    if not members:
-        return 0.0
-    models, datasets = [s.models[j] for s in members], [s.data for s in members]
+    rows = np.flatnonzero(states.assignment == j)
+    datasets = [states.data[i] for i in rows]
     total = 0.0
     # Python floats added one at a time in client order: builtin sum()
     # compensates rounding from Python 3.12 on, and ndarray.sum() is pairwise.
-    for loss in _per_client(members[0].shape, models, datasets, _losses).tolist():
+    for loss in _per_client(states, rows, np.full(len(rows), j), datasets, _losses).tolist():
         total += loss
     return total
 
 
-def f_global(states: Sequence["ClientState"]) -> float:
+def f_global(states: "RunState") -> float:
     """Sum of every client's loss on its assigned model."""
-    k = len(states[0].models)
-    return sum(f_cluster(states, j) for j in range(k))
+    return sum(f_cluster(states, j) for j in range(states.models.shape[1]))
 
 
-def _average(stacked: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``base + mean(stacked - base)`` over the client axis, with ``base``
-    the first row.  The deviations go into ``scratch``, which may be
-    ``stacked`` itself: a fresh N x P temporary (2.7 MB at N=500) costs
-    more to allocate than the sum costs to compute."""
-    base = stacked[0].copy()
-    np.subtract(stacked, base, out=scratch)
-    return base + scratch.mean(axis=0)
+def _average(copies: np.ndarray, dev: np.ndarray) -> np.ndarray:
+    """``base + mean(copies - base)`` over the client axis, with ``base``
+    the first row; the deviations go into ``dev``."""
+    base = copies[0].copy()
+    np.subtract(copies, base, out=dev)
+    return base + dev.mean(axis=0)
 
 
-def cluster_average(states: Sequence["ClientState"], j: int) -> np.ndarray:
+def cluster_average(states: "RunState", j: int) -> np.ndarray:
     """Network average of all clients' copies of model ``j``.
 
     Computed as base + mean(deviations) so that identical copies average to
     themselves exactly.
     """
-    stacked = np.stack([s.models[j] for s in states])
-    return _average(stacked, stacked)
+    copies = states.models[:, j]
+    return _average(copies, np.empty_like(copies))
 
 
-def dispersion(states: Sequence["ClientState"], j: int) -> float:
+def dispersion(states: "RunState", j: int) -> float:
     """Mean squared distance of all N copies of model ``j`` from their average."""
-    stacked = np.stack([s.models[j] for s in states])
-    dev = np.empty_like(stacked)
-    np.subtract(stacked, _average(stacked, dev), out=dev)
+    copies = states.models[:, j]
+    dev = np.empty_like(copies)
+    np.subtract(copies, _average(copies, dev), out=dev)
     return float(np.mean(np.sum(np.square(dev, out=dev), axis=1)))
 
 
-def clustering_accuracy(states: Sequence["ClientState"], ground_truth: Sequence[int]) -> float:
+def clustering_accuracy(states: "RunState", ground_truth: Sequence[int]) -> float:
     """Best label-permutation match rate between assignments and the truth.
 
     Exhaustive over label permutations, which is exact (and cheap) for k <= 4.
     """
-    predicted = np.array([s.assignment for s in states])
+    predicted = states.assignment
     truth = np.asarray(ground_truth)
     if len(predicted) != len(truth):
         raise ValueError("one ground-truth cluster per client is required")
-    n_labels = int(max(len(states[0].models), predicted.max() + 1, truth.max() + 1))
+    n_labels = int(max(states.models.shape[1], predicted.max() + 1, truth.max() + 1))
     best = 0.0
     for perm in itertools.permutations(range(n_labels)):
         table = np.array(perm)
@@ -151,26 +149,23 @@ def _hits(layers, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sum(predict(layers, x) == y, axis=-1)
 
 
-def _client_hits(
-    states: Sequence["ClientState"], test_sets: Sequence[Dataset]
-) -> tuple[np.ndarray, np.ndarray]:
+def _client_hits(states: "RunState", test_sets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
     """Per client, how many of its test samples its assigned model predicts
     right, and how many test samples it has."""
     if len(test_sets) != len(states):
         raise ValueError("one test split per client is required")
-    models = [s.models[s.assignment] for s in states]
-    hits = _per_client(states[0].shape, models, test_sets, _hits)
+    hits = _per_client(states, np.arange(len(states)), states.assignment, test_sets, _hits)
     return hits, np.array([len(t) for t in test_sets], dtype=float)
 
 
-def test_accuracy(states: Sequence["ClientState"], test_sets: Sequence[Dataset]) -> float:
+def test_accuracy(states: "RunState", test_sets: Sequence[Dataset]) -> float:
     """Sample-weighted top-1 accuracy of each client's assigned model on its
     own test split."""
     hits, sizes = _client_hits(states, test_sets)
     return int(hits.sum()) / int(sizes.sum())
 
 
-def client_mean_test_accuracy(states: Sequence["ClientState"], test_sets: Sequence[Dataset]) -> float:
+def client_mean_test_accuracy(states: "RunState", test_sets: Sequence[Dataset]) -> float:
     """Unweighted mean of per-client test accuracies (reported alongside the
     sample-weighted figure)."""
     hits, sizes = _client_hits(states, test_sets)

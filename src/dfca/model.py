@@ -87,18 +87,31 @@ class MlpModel:
 
 
 class DivergenceError(ValueError):
-    """Local SGD left a model with non-finite parameters.
+    """Training went non-finite: ``what`` says how, ``where`` locates it.
 
-    ``where`` locates the model, and each layer that knows more raises it
-    again with more: :func:`sgd_epochs` names the block row,
-    ``core.local_update`` the client and cluster, ``core.run_round`` the
-    round and ``harness.run_one_seed`` the seed.
+    Each layer that knows more raises it again through :meth:`at`:
+    :func:`sgd_epochs` names the block row, ``core.local_update`` the client
+    and cluster, ``core.run_round`` the round and ``harness.run_one_seed``
+    the seed.
     """
 
-    def __init__(self, **where: int) -> None:
+    def __init__(
+        self, what: str = "local SGD left non-finite model parameters", **where: int
+    ) -> None:
+        self.what = what
         self.where = where
         place = ", ".join(f"{key} {value}" for key, value in where.items())
-        super().__init__(f"local SGD left non-finite model parameters at {place}")
+        super().__init__(f"{what} at {place}")
+
+    def at(self, **outer: int) -> "DivergenceError":
+        """The same error, also naming the places ``outer`` (listed first)."""
+        return DivergenceError(self.what, **outer, **self.where)
+
+
+# Floating-point error handling of every forward and backward pass: a model
+# that diverges produces inf and nan silently, and the callers' finiteness
+# checks report it with a DivergenceError instead.
+_NONFINITE_OK = dict(over="ignore", invalid="ignore")
 
 
 def init_model(shape: ModelShape, seed: int) -> MlpModel:
@@ -149,22 +162,29 @@ def _check_inputs(m: MlpModel, x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError(f"label {int(y.max())} out of range for {m.w2.shape[-2]} classes")
 
 
+@np.errstate(**_NONFINITE_OK)
 def _mean_ce(m: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean cross-entropy over the sample axis: one value per stacked model
     (a scalar for an unstacked one), each a row mean along the contiguous
-    axis so that it equals the unstacked value bitwise."""
+    axis so that it equals the unstacked value bitwise.  ``x`` and ``y`` may
+    lack the model axis, and then every model sees the same samples."""
     z, _ = _forward(m, x)
     zmax = z.max(axis=-1)
     lse = zmax + np.log(np.exp(z - zmax[..., None]).sum(axis=-1))
-    return (lse - np.take_along_axis(z, y[..., None], axis=-1)[..., 0]).mean(axis=-1)
+    picked = np.take_along_axis(z, np.broadcast_to(y[..., None], z.shape[:-1] + (1,)), axis=-1)
+    return (lse - picked[..., 0]).mean(axis=-1)
 
 
-def forward_loss(m: MlpModel, d: Dataset) -> float:
-    """Mean softmax cross-entropy over all samples in ``d``."""
+def forward_loss(m: MlpModel, d: Dataset) -> float | np.ndarray:
+    """Mean softmax cross-entropy over all samples in ``d``; for a stack of
+    models (see :func:`_layers`), one loss per model, each bitwise the loss
+    of that model alone."""
     _check_inputs(m, d.features, d.labels)
-    return float(_mean_ce(m, d.features, d.labels))
+    losses = _mean_ce(m, d.features, d.labels)
+    return float(losses) if losses.ndim == 0 else losses
 
 
+@np.errstate(**_NONFINITE_OK)
 def predict(m: MlpModel, x: np.ndarray) -> np.ndarray:
     """Top-1 class per row; ties break toward the lowest class index."""
     z, _ = _forward(m, x)
@@ -266,7 +286,7 @@ def sgd_epochs(
     rows = np.arange(len(values))[:, None]
     current = _layers(shape, values)  # views: each step updates them in place
     rngs = [np.random.default_rng(s) for s in seeds]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**_NONFINITE_OK):
         for _ in range(tau):
             order = np.stack([rng.permutation(n) for rng in rngs])
             for start in range(0, n, batch_size):

@@ -16,10 +16,10 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .core import (
-    ClientState,
     Hyperparams,
     RoundPlan,
-    _reporting,
+    RunState,
+    _slots,
     aggregate_batch,
     aggregate_sequential,
     assign_cluster,
@@ -71,8 +71,6 @@ __all__ = [
     "run_verification",
     "random_dataset",
     "random_states",
-    "stage_outboxes",
-    "clone_states",
     "fd_gradient",
 ]
 
@@ -90,42 +88,15 @@ def random_dataset(
 
 def random_states(
     rng: np.random.Generator, n: int, k: int, shape: ModelShape, n_samples: int = 12
-) -> list[ClientState]:
+) -> RunState:
     """``n`` clients with random models, a random assignment and a random
     dataset; client ``i`` is labelled distribution ``i % 2``."""
-    return [
-        ClientState(
-            client_id=i,
-            shape=shape,
-            models=[rng.standard_normal(shape.param_count) for _ in range(k)],
-            assignment=int(rng.integers(0, k)),
-            data=random_dataset(rng, n_samples, shape.dim, shape.n_classes, i % 2),
-        )
-        for i in range(n)
-    ]
-
-
-def stage_outboxes(states: Sequence[ClientState]) -> None:
-    """Stage every client's assigned model as if it had just trained."""
-    for s in states:
-        s.outbox = (s.assignment, s.models[s.assignment])
-
-
-def clone_states(states: Sequence[ClientState]) -> list[ClientState]:
-    """Deep copy of the models and outboxes; datasets are shared."""
-    out = []
-    for s in states:
-        c = ClientState(
-            client_id=s.client_id,
-            shape=s.shape,
-            models=[v.copy() for v in s.models],
-            assignment=s.assignment,
-            data=s.data,
-        )
-        if s.outbox is not None:
-            c.outbox = (s.outbox[0], s.outbox[1].copy())
-        out.append(c)
-    return out
+    models, assignment, data = [], [], []
+    for i in range(n):
+        models.append([rng.standard_normal(shape.param_count) for _ in range(k)])
+        assignment.append(int(rng.integers(0, k)))
+        data.append(random_dataset(rng, n_samples, shape.dim, shape.n_classes, i % 2))
+    return RunState(shape, models, assignment, data)
 
 
 def check_mixing_stochasticity() -> tuple[bool, str]:
@@ -253,8 +224,8 @@ def check_local_update_isolation() -> tuple[bool, str]:
     rng = np.random.default_rng(13)
     shape = ModelShape(dim=4, hidden=3, n_classes=3)
     states = random_states(rng, 3, 3, shape)
-    frozen = [[v.copy() for v in s.models] for s in states]
-    local_update(states, gamma=0.05, tau=2, batch_size=4, seeds=[1, 2, 3])
+    frozen = states.models.copy()
+    local_update(states, range(3), gamma=0.05, tau=2, batch_size=4, seeds=[1, 2, 3])
     for s, models in zip(states, frozen):
         for j, v in enumerate(models):
             if j != s.assignment and not np.array_equal(v, s.models[j]):
@@ -282,27 +253,17 @@ def _small_graphs() -> Iterator[Topology]:
 
 
 def _arrival_orders(
-    rng: np.random.Generator, states: Sequence[ClientState], t: Topology
+    rng: np.random.Generator, states: RunState, t: Topology
 ) -> dict[tuple[int, int], list[Sequence[int]]]:
     """Per (receiver, cluster) pair with senders: every order of up to five
     senders, six seeded orders of more."""
     orders = {}
-    for i in range(t.n_clients):
-        for j in range(len(states[0].models)):
-            senders = _reporting(states, t, i, j)
-            if not senders:
-                continue
-            if len(senders) <= 5:
-                orders[(i, j)] = list(itertools.permutations(senders))
-            else:
-                orders[(i, j)] = [rng.permutation(senders) for _ in range(6)]
+    for i, j, senders in _slots(states, t, None):
+        if len(senders) <= 5:
+            orders[(i, j)] = list(itertools.permutations(senders))
+        else:
+            orders[(i, j)] = [rng.permutation(senders) for _ in range(6)]
     return orders
-
-
-def _max_gap(a: Sequence[ClientState], b: Sequence[ClientState]) -> float:
-    return max(
-        float(np.abs(va - vb).max()) for sa, sb in zip(a, b) for va, vb in zip(sa.models, sb.models)
-    )
 
 
 def check_sequential_equals_batch(inject_fault: bool = False) -> tuple[bool, str]:
@@ -319,7 +280,7 @@ def check_sequential_equals_batch(inject_fault: bool = False) -> tuple[bool, str
         participants = tuple(range(t.n_clients))
         for k in range(1, 5):
             states = random_states(rng, t.n_clients, k, shape)
-            stage_outboxes(states)
+            states.sent[:] = states.assignment  # every client sends as if it had trained
             orders = _arrival_orders(rng, states, t)
             depth = max(map(len, orders.values()), default=0)
             plans = [
@@ -330,13 +291,12 @@ def check_sequential_equals_batch(inject_fault: bool = False) -> tuple[bool, str
                 for r in range(depth)
             ] + [RoundPlan(participants=participants, round_seed=k)]
             for mixing in (None, build_mixing_matrix(t, METROPOLIS)):
-                batch = aggregate_batch(clone_states(states), t, mixing=mixing)
+                batch = aggregate_batch(states.copy(), t, mixing=mixing)
                 for plan in plans:
                     seq = aggregate_sequential(
-                        clone_states(states), t, plan, mixing=mixing,
-                        _fault_flip_weights=inject_fault,
+                        states.copy(), t, plan, mixing=mixing, _fault_flip_weights=inject_fault,
                     )
-                    worst = max(worst, _max_gap(batch, seq))
+                    worst = max(worst, float(np.abs(batch.models - seq.models).max()))
             n_pairs += len(orders)
             n_orders += sum(map(len, orders.values()))
     return worst <= 1e-9, (
@@ -392,7 +352,7 @@ def check_gi_zero_dispersion() -> tuple[bool, str]:
     return all(d == 0.0 for d in disps), f"initial dispersions {disps} (exact zeros)"
 
 
-def _per_client_metrics(states: Sequence[ClientState], test_sets: Sequence[Dataset]) -> tuple:
+def _per_client_metrics(states: RunState, test_sets: Sequence[Dataset]) -> tuple:
     """Reference for the batched metrics: one unstacked forward pass per
     client, losses added in client order, and the cluster averages and
     dispersions computed with fresh temporaries."""
@@ -402,10 +362,10 @@ def _per_client_metrics(states: Sequence[ClientState], test_sets: Sequence[Datas
         total = 0.0
         for s in states:
             if s.assignment == j:
-                total += forward_loss(unflatten_params(s.shape, s.models[j]), s.data)
+                total += forward_loss(unflatten_params(states.shape, s.models[j]), s.data)
         f.append(total)
     hits = [
-        predict(unflatten_params(s.shape, s.models[s.assignment]), t.features) == t.labels
+        predict(unflatten_params(states.shape, s.models[s.assignment]), t.features) == t.labels
         for s, t in zip(states, test_sets)
     ]
     acc = sum(int(np.sum(h)) for h in hits) / sum(len(h) for h in hits)
@@ -510,11 +470,8 @@ def check_stacked_sgd() -> tuple[bool, str]:
             block = 0.5 * rng.standard_normal((len(lengths), shape.param_count))
             data = [random_dataset(rng, n, shape.dim, shape.n_classes) for n in lengths]
             seeds = [int(s) for s in rng.integers(0, 2**32, size=len(lengths))]
-            states = [
-                ClientState(client_id=r, shape=shape, models=[v.copy()], assignment=0, data=d)
-                for r, (v, d) in enumerate(zip(block, data))
-            ]
-            local_update(states, gamma, tau, batch_size, seeds)
+            states = RunState(shape, block[:, None].copy(), [0] * len(lengths), data)
+            local_update(states, range(len(lengths)), gamma, tau, batch_size, seeds)
             for s, v, d, seed in zip(states, block, data, seeds):
                 want = _per_client_sgd(shape, v, d, gamma, tau, batch_size, seed).tobytes()
                 got = [s.models[0]]

@@ -6,7 +6,9 @@ were established on the first full implementation and regress within +/-2
 accuracy points.
 """
 
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -31,23 +33,30 @@ def report(criterion, detail):
     print(f"PASS criterion {criterion}: {detail}")
 
 
+def _trace(config_kw):
+    cfg = ExperimentConfig(**config_kw)
+    cfg.validate()
+    return run_experiment(cfg)
+
+
+def run_all(configs):
+    """Traces of full experiments, one per config keyword dict, each run in a
+    worker process."""
+    with ProcessPoolExecutor(max_workers=os.cpu_count()) as pool:
+        return list(pool.map(_trace, configs))
+
+
 def run_batch(**config_kw):
     """Five-seed batch of full experiments; returns per-seed traces."""
-    traces = []
-    for seed in range(N_SEEDS):
-        cfg = ExperimentConfig(seed=seed, **config_kw)
-        cfg.validate()
-        traces.append(run_experiment(cfg))
-    return traces
+    return run_all([dict(seed=seed, **config_kw) for seed in range(N_SEEDS)])
 
 
 @pytest.fixture(scope="session")
 def desk_runs():
     """GI and LI desk-scale batches shared by criteria 5-7."""
     t0 = time.time()
-    gi = run_batch(init_mode="gi")
-    li = run_batch(init_mode="li")
-    return {"gi": gi, "li": li, "elapsed": time.time() - t0}
+    traces = run_all([dict(seed=seed, init_mode=mode) for mode in ("gi", "li") for seed in range(N_SEEDS)])
+    return {"gi": traces[:N_SEEDS], "li": traces[N_SEEDS:], "elapsed": time.time() - t0}
 
 
 @pytest.fixture(scope="session")
@@ -159,13 +168,11 @@ class TestCriterion8ConnectivitySufficiency:
 
     def test_accuracy_flat_above_threshold(self):
         t0 = time.time()
+        traces = run_all([dict(seed=seed, n_clients=50, topology_p=p)
+                          for p in self.SWEEP_P for seed in range(N_SEEDS)])
         means = {}
-        for p in self.SWEEP_P:
-            finals = []
-            for seed in range(N_SEEDS):
-                cfg = ExperimentConfig(seed=seed, n_clients=50, topology_p=p)
-                cfg.validate()
-                finals.append(run_experiment(cfg)[-1].test_accuracy)
+        for r, p in enumerate(self.SWEEP_P):
+            finals = [trace[-1].test_accuracy for trace in traces[r * N_SEEDS : (r + 1) * N_SEEDS]]
             means[p] = float(np.mean(finals))
         sufficient = [means[p] for p in (0.15, 0.2, 0.3)]
         spread = max(sufficient) - min(sufficient)

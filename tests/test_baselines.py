@@ -14,7 +14,7 @@ from dfca.metrics import cluster_average, trace_row
 from dfca.model import ModelShape
 from dfca.seeding import derive_seed
 from dfca.topology import Topology
-from dfca.verify import clone_states, random_dataset, random_states, stage_outboxes
+from dfca.verify import random_dataset, random_states
 
 SHAPE = ModelShape(dim=3, hidden=2, n_classes=3)
 
@@ -31,18 +31,17 @@ def ifca_clients(rng, n, scales):
     no client."""
     states = random_states(rng, n, len(scales), SHAPE)
     globals_ = [rng.standard_normal(SHAPE.param_count) * scale for scale in scales]
-    for s in states:
-        s.models = [v.copy() for v in globals_]
+    states.models[:] = globals_
     return states, globals_
 
 
 def server_round(states, hp, round_seed):
     """One server-merge round, plus the trained models it should average:
     each client's assigned model after its own assign and local update."""
-    trained = clone_states(states)
+    trained = states.copy()
     for i, c in enumerate(trained):
         assign_cluster(c)
-        local_update([c], hp.gamma, hp.tau, hp.batch_size, [derive_seed(round_seed, "sgd", i)])
+        local_update(trained, [i], hp.gamma, hp.tau, hp.batch_size, [derive_seed(round_seed, "sgd", i)])
     plan = RoundPlan(participants=tuple(range(len(states))), aggregation_mode="server",
                      round_seed=round_seed)
     _, measured = run_round(states, None, plan, hp)
@@ -81,7 +80,7 @@ class TestIfcaRound:
         for s in states:
             for j in range(2):
                 np.testing.assert_array_equal(s.models[j], states[0].models[j])
-        assert len({id(v) for s in states for v in s.models}) == 2 * len(states)  # own copies
+        assert states.models.shape == (len(states), 2, SHAPE.param_count)  # own copies
         assert all(d == 0.0 for d in measured.disp)  # broadcast copies agree exactly
 
 
@@ -92,7 +91,7 @@ class TestEquivalenceWithGossipOnCompleteGraph:
         # decentralized side: everyone already trained, complete graph, one cluster
         states = random_states(rng, n, 1, SHAPE)
         trained = [s.models[0].copy() for s in states]
-        stage_outboxes(states)
+        states.sent[:] = states.assignment  # everyone sends its trained model
         aggregate_batch(states, Topology(n, ~np.eye(n, dtype=bool)))
         gossip_mean = cluster_average(states, 0)
 

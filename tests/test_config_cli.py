@@ -143,10 +143,25 @@ class TestCmdRun:
         assert "bogus" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_divergence_exits_4_naming_seed_round_and_client(self, capsys):
+    def test_divergence_exits_4_naming_seed_round_and_client(self, capsys, output_root):
         quick = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
         assert cmd_run(str(quick), overrides=["gamma=1e4", "T=5"]) == 4
         assert "seed 1, round 3, client 5, cluster 1" in capsys.readouterr().err
+
+    def test_divergence_keeps_the_finished_seeds_whole(self, output_root):
+        quick = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
+        assert cmd_run(str(quick), overrides=["gamma=1e4", "T=5"]) == 4  # at seed 1
+        run_dir = output_root / "quick"
+        written = sorted(p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*") if p.is_file())
+        assert written == ["seed_0/trace.csv"]  # no summary, no temporary file
+        rows = (run_dir / "seed_0" / "trace.csv").read_text().splitlines()
+        assert rows[0].startswith("round,") and [r.split(",")[0] for r in rows[1:]] == list("01234")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_loss_overflow_exits_4_naming_seed_round_and_cluster(self, tiny_config, capsys, output_root):
+        assert cmd_run(str(tiny_config), overrides=["gamma=1e8", "T=5"]) == 4
+        assert "loss went non-finite although local SGD left finite parameters at seed 1, round 4, " \
+               "cluster 0" in capsys.readouterr().err
 
     def test_empty_split_side_rejected_before_running(self, tiny_config, capsys, output_root):
         code = cmd_run(str(tiny_config), overrides=["data.samples_per_client=40",

@@ -6,9 +6,9 @@ import pytest
 from dfca import verify
 from dfca.config import ConfigError, ExperimentConfig
 from dfca.core import (
-    ClientState,
     Hyperparams,
     RoundPlan,
+    RunState,
     aggregate_batch,
     aggregate_sequential,
     assign_cluster,
@@ -26,8 +26,7 @@ from dfca.model import (
     unflatten_params,
 )
 from dfca.seeding import derive_seed
-from dfca.topology import Topology, generate_erdos_renyi
-from dfca.verify import clone_states, stage_outboxes
+from dfca.topology import METROPOLIS, Topology, build_mixing_matrix, generate_erdos_renyi
 
 SHAPE = ModelShape(dim=3, hidden=2, n_classes=3)
 
@@ -40,23 +39,17 @@ def make_states(rng, n, k):
     return verify.random_states(rng, n, k, SHAPE, n_samples=10)
 
 
-def scalar_states(values_per_client, assignments=None, k=None):
+def stage_outboxes(states):
+    """Every client sends its assigned model, as if it had just trained."""
+    states.sent[:] = states.assignment
+
+
+def scalar_states(values_per_client, assignments=None):
     """States whose 'models' are length-1 vectors, for aggregation algebra."""
-    k = k or len(values_per_client[0])
-    rng = np.random.default_rng(0)
-    data = random_dataset(rng)
-    states = []
-    for i, values in enumerate(values_per_client):
-        states.append(
-            ClientState(
-                client_id=i,
-                shape=SHAPE,
-                models=[np.array([float(v)]) for v in values],
-                assignment=0 if assignments is None else assignments[i],
-                data=data,
-            )
-        )
-    return states
+    n = len(values_per_client)
+    models = np.array(values_per_client, dtype=float)[:, :, None]
+    data = [random_dataset(np.random.default_rng(0))] * n
+    return RunState(SHAPE, models, [0] * n if assignments is None else assignments, data)
 
 
 def complete(n):
@@ -76,7 +69,7 @@ class TestInitialize:
         datasets = [random_dataset(rng) for _ in range(5)]
         states = initialize(k=3, n=5, mode="gi", model_shape=SHAPE, seed=7, datasets=datasets)
         for j in range(3):
-            for s in states[1:]:
+            for s in states:
                 assert np.array_equal(s.models[j], states[0].models[j])
 
     def test_li_gives_distinct_models(self):
@@ -93,6 +86,27 @@ class TestInitialize:
         for s in states:
             losses = [forward_loss(unflatten_params(SHAPE, v), s.data) for v in s.models]
             assert s.assignment == int(np.argmin(losses))
+
+    def test_clients_are_views_of_one_array_that_every_step_writes(self):
+        rng = np.random.default_rng(23)
+        t, states, hp = tiny_problem(rng, 5, 2, p=1.0)
+        array = states.models
+        assert array.shape == (5, 2, SHAPE.param_count)
+        assert all(np.shares_memory(s.models, array) for s in states)
+        before = array.copy()
+        local_update(states, [1, 3], hp.gamma, hp.tau, hp.batch_size, seeds=[0, 1])
+        trained = [(i, states[i].assignment) for i in (1, 3)]
+        for i in range(5):
+            for j in range(2):
+                assert np.array_equal(array[i, j], before[i, j]) == ((i, j) not in trained)
+        assert all(np.shares_memory(states[i].outbox[1], array) for i in (1, 3))
+        hp.mixing = build_mixing_matrix(t, METROPOLIS)
+        for r, mode in enumerate(("server", "batch", "sequential")):
+            before = array.copy()
+            plan = RoundPlan(participants=(0, 2, 4), aggregation_mode=mode, round_seed=r)
+            run_round(states, t, plan, hp)
+            assert states.models is array and not np.array_equal(array, before)
+            assert all(np.shares_memory(s.models, array) for s in states)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -142,7 +156,7 @@ class TestAssignCluster:
         rng = np.random.default_rng(8)
         s = make_states(rng, 1, 3)[0]
         s.assignment = 2
-        s.models = [np.full(SHAPE.param_count, np.nan) for _ in range(3)]
+        s.models = np.full((3, SHAPE.param_count), np.nan)
         with caplog.at_level("WARNING"):
             assert assign_cluster(s) == 2
         assert "non-finite" in caplog.text
@@ -154,16 +168,16 @@ class TestLocalUpdate:
         s = make_states(rng, 1, 2)[0]
         s.assignment = 0
         frozen = s.models[1].copy()
-        local_update([s], gamma=0.1, tau=1, batch_size=4, seeds=[0])
+        local_update(s.run, [0], gamma=0.1, tau=1, batch_size=4, seeds=[0])
         assert np.array_equal(s.models[1], frozen)
         assert s.outbox[0] == 0
-        assert s.outbox[1] is s.models[0]
+        assert np.shares_memory(s.outbox[1], s.models[0])
 
     def test_gamma_zero_leaves_parameters_unchanged(self):
         rng = np.random.default_rng(10)
         s = make_states(rng, 1, 2)[0]
         frozen = s.models[s.assignment].copy()
-        local_update([s], gamma=0.0, tau=1, batch_size=4, seeds=[0])
+        local_update(s.run, [0], gamma=0.0, tau=1, batch_size=4, seeds=[0])
         assert np.array_equal(s.models[s.assignment], frozen)
         assert s.outbox is not None
 
@@ -173,7 +187,7 @@ class TestLocalUpdate:
         for seed in range(20):
             s = make_states(rng, 1, 2)[0]
             before = forward_loss(unflatten_params(SHAPE, s.models[s.assignment]), s.data)
-            local_update([s], gamma=0.1, tau=2, batch_size=5, seeds=[seed])
+            local_update(s.run, [0], gamma=0.1, tau=2, batch_size=5, seeds=[seed])
             after = forward_loss(unflatten_params(SHAPE, s.models[s.assignment]), s.data)
             improved += after <= before
         assert improved >= 18  # descent in expectation, tiny batches may jitter
@@ -202,8 +216,7 @@ class TestAggregateBatch:
         assert [s.models[0][0] for s in states] == [1.5, 3.0, 4.5]
 
     def test_cluster_split_restricts_senders(self):
-        states = scalar_states([[0.0, 10.0], [4.0, 20.0], [8.0, 30.0]],
-                               assignments=[0, 1, 0], k=2)
+        states = scalar_states([[0.0, 10.0], [4.0, 20.0], [8.0, 30.0]], assignments=[0, 1, 0])
         stage_outboxes(states)
         aggregate_batch(states, complete(3))
         # client 0: cluster-0 senders {2}: (0+8)/2; cluster-1 senders {1}: (10+20)/2
@@ -215,10 +228,8 @@ class TestAggregateBatch:
 
     def test_averaging_identical_vectors_is_bitwise_identity(self):
         value = np.random.default_rng(14).standard_normal(7)
-        states = []
-        for i in range(3):
-            states.append(ClientState(client_id=i, shape=SHAPE, models=[value.copy()],
-                                      assignment=0, data=random_dataset(np.random.default_rng(0))))
+        data = random_dataset(np.random.default_rng(0))
+        states = RunState(SHAPE, np.tile(value, (3, 1, 1)), [0] * 3, [data] * 3)
         stage_outboxes(states)
         aggregate_batch(states, complete(3))
         for s in states:
@@ -274,24 +285,20 @@ class TestRunRound:
     def test_empty_participants_leaves_states_unchanged(self):
         rng = np.random.default_rng(16)
         t, states, hp = tiny_problem(rng, 4, 2)
-        frozen = [[v.copy() for v in s.models] for s in states]
+        frozen = states.models.copy()
         plan = RoundPlan(participants=())
         _, measured = run_round(states, t, plan, hp)
-        for s, models in zip(states, frozen):
-            for j in range(2):
-                assert np.array_equal(s.models[j], models[j])
+        assert np.array_equal(states.models, frozen)
         assert measured.assignments_changed == 0
 
     def test_gi_round_with_zero_gamma_keeps_parameters_bitwise(self):
         rng = np.random.default_rng(17)
         t, states, hp = tiny_problem(rng, 5, 2)
         hp.gamma = 0.0
-        frozen = [[v.copy() for v in s.models] for s in states]
+        frozen = states.models.copy()
         plan = RoundPlan(participants=tuple(range(5)), aggregation_mode="batch")
         run_round(states, t, plan, hp)
-        for s, models in zip(states, frozen):
-            for j in range(2):
-                assert np.array_equal(s.models[j], models[j])
+        assert np.array_equal(states.models, frozen)
 
     @pytest.mark.parametrize("gamma", [0.3, 0.0])
     def test_participants_train_like_per_client_sgd(self, gamma):
@@ -302,7 +309,7 @@ class TestRunRound:
         tests = [random_dataset(rng, n=5) for _ in states]
         hp = Hyperparams(gamma=gamma, tau=2, batch_size=4, test_sets=tests)
         plan = RoundPlan(participants=(0, 2, 3, 6, 7), round_seed=21)
-        expected = clone_states(states)
+        expected = states.copy()
         for i in plan.participants:
             c = expected[i]
             assign_cluster(c)
@@ -332,6 +339,19 @@ class TestRunRound:
             with pytest.raises(DivergenceError, match="round 4, client 1") as raised:
                 run_round(states, t, plan, hp)
         assert raised.value.where == {"round": 4, "client": 1, "cluster": states[1].assignment}
+
+    def test_non_finite_loss_names_round_and_cluster(self):
+        rng = np.random.default_rng(24)
+        t, states, hp = tiny_problem(rng, 4, 2)
+        hp.gamma = 0.0  # the parameters stay finite, only the losses overflow
+        states.models[:] = 1e300
+        first = int(states.assignment.min())
+        plan = RoundPlan(participants=(0, 1, 2, 3), round_index=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning leaks from the forward passes
+            with pytest.raises(DivergenceError, match="loss went non-finite") as raised:
+                run_round(states, t, plan, hp)
+        assert raised.value.where == {"round": 2, "cluster": first}
 
     def test_non_participants_receive_but_do_not_send(self):
         rng = np.random.default_rng(18)

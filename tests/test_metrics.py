@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfca import verify
-from dfca.core import ClientState
+from dfca.core import RunState
 from dfca.datagen import Dataset, SyntheticSpec, generate_rotated_synthetic
 from dfca.metrics import (
     RoundMetrics,
@@ -26,8 +26,9 @@ def dataset(features, labels, dist=0):
     return Dataset(features=np.asarray(features, float), labels=np.asarray(labels), distribution_id=dist)
 
 
-def state(client_id, models, assignment, data):
-    return ClientState(client_id=client_id, shape=SHAPE, models=models, assignment=assignment, data=data)
+def one_model_states(models, datasets, shape=SHAPE):
+    """Clients holding one model each, all assigned to it."""
+    return RunState(shape, np.array(models, dtype=float)[:, None], [0] * len(models), datasets)
 
 
 def simple_data(rng, n=6, dist=0):
@@ -82,15 +83,12 @@ class TestDispersion:
     def test_identical_copies_give_exact_zero(self):
         rng = np.random.default_rng(4)
         value = rng.standard_normal(SHAPE.param_count)
-        states = [state(i, [value.copy()], 0, simple_data(rng)) for i in range(5)]
+        states = one_model_states([value] * 5, [simple_data(rng) for _ in range(5)])
         assert dispersion(states, 0) == 0.0
 
     def test_two_scalar_copies(self):
         rng = np.random.default_rng(5)
-        states = [
-            state(0, [np.array([0.0])], 0, simple_data(rng)),
-            state(1, [np.array([2.0])], 0, simple_data(rng)),
-        ]
+        states = one_model_states([[0.0], [2.0]], [simple_data(rng), simple_data(rng)])
         assert dispersion(states, 0) == 1.0
         assert cluster_average(states, 0)[0] == 1.0
 
@@ -151,7 +149,7 @@ class TestTestAccuracy:
         m = MlpModel(w1=None, b1=None, w2=np.array([[-5.0, 0.0], [5.0, 0.0]]), b2=np.zeros(2))
         vec = flatten_params(m)
         data = dataset([[1.0, 0.0], [-1.0, 0.0]], [1, 0])
-        states = [state(0, [vec], 0, data)]
+        states = one_model_states([vec], [data])
         assert sample_weighted_accuracy(states, [data]) == 1.0
 
     def test_sample_weighted_mean(self):
@@ -162,20 +160,16 @@ class TestTestAccuracy:
         test_a = dataset([[1.0, 0.0]] * 10, [1] * 10)  # perfect model: 10/10
         test_b = dataset([[1.0, 0.0]] * 15 + [[-1.0, 0.0]] * 15, [0] * 15 + [1] * 15)
         # zero model predicts class 0 everywhere: 15/30
-        states = [state(0, [perfect], 0, test_a), state(1, [zero], 0, test_b)]
+        states = one_model_states([perfect, zero], [test_a, test_b])
         assert sample_weighted_accuracy(states, [test_a, test_b]) == pytest.approx(0.625)
         assert client_mean_test_accuracy(states, [test_a, test_b]) == pytest.approx(0.75)
 
     def test_zero_model_near_chance_on_default_spec(self):
         spec = SyntheticSpec()
         rng = np.random.default_rng(10)
-        states, tests = [], []
         shape = ModelShape(dim=spec.dim, hidden=0, n_classes=spec.n_classes)
-        for i in range(5):
-            d = generate_rotated_synthetic(spec, k=2, client_cluster=i % 2, seed=i)
-            states.append(ClientState(client_id=i, shape=shape,
-                                      models=[np.zeros(shape.param_count)], assignment=0, data=d))
-            tests.append(d)
+        tests = [generate_rotated_synthetic(spec, k=2, client_cluster=i % 2, seed=i) for i in range(5)]
+        states = one_model_states(np.zeros((5, shape.param_count)), tests, shape)
         acc = sample_weighted_accuracy(states, tests)
         assert acc <= 1.0 / spec.n_classes + 0.1
 

@@ -64,6 +64,17 @@ class TestForwardLoss:
         shuffled = dataset(data.features[perm], data.labels[perm])
         assert forward_loss(m, data) == pytest.approx(forward_loss(m, shuffled), rel=1e-12)
 
+    @pytest.mark.parametrize("hidden", [0, 3])
+    def test_stack_of_models_gives_each_unstacked_loss(self, hidden):
+        shape = ModelShape(dim=4, hidden=hidden, n_classes=3)
+        rng = np.random.default_rng(hidden)
+        block = rng.standard_normal((5, shape.param_count))
+        data = random_dataset(rng, 17, 4, 3)
+        losses = forward_loss(unflatten_params(shape, block), data)
+        assert losses.shape == (5,)
+        for got, values in zip(losses, block):
+            assert got.tobytes() == np.float64(forward_loss(unflatten_params(shape, values), data)).tobytes()
+
     def test_dimension_mismatch_rejected(self):
         m = init_model(ModelShape(dim=4, hidden=0, n_classes=3), seed=0)
         with pytest.raises(ValueError):
