@@ -7,6 +7,7 @@ with an error message naming the offending key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
@@ -124,6 +125,11 @@ class ExperimentConfig:
                 self.on_disconnected in DISCONNECTED_POLICIES,
                 f"must be one of {DISCONNECTED_POLICIES}",
             ),
+        ]
+        checks += [
+            (_key(f.name), math.isfinite(getattr(self, f.name)), "must be finite")
+            for f in fields(self)
+            if f.type == "float"
         ]
         for key, ok, hint in checks:
             if not ok:

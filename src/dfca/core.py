@@ -24,6 +24,7 @@ differences), so averaging identical vectors is exactly the identity.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -41,10 +42,9 @@ from .metrics import (
 )
 from .model import (
     DivergenceError,
+    MlpModel,
     ModelShape,
     _chunks,
-    _layers,
-    flatten_params,
     forward_loss,
     init_model,
     sgd_epochs,
@@ -146,7 +146,7 @@ class RunState(Sequence[ClientState]):
         # A new view per call: views the run kept would form a reference
         # cycle, and each finished run would stay in memory until the cyclic
         # garbage collector happens to run.
-        return ClientState(self, range(len(self))[i])
+        return ClientState(self, range(len(self))[operator.index(i)])
 
     def copy(self) -> "RunState":
         """Copy of the models, assignments and outboxes; datasets are shared."""
@@ -223,7 +223,7 @@ def initialize(
     for i in range(1 if mode == "gi" else n):
         for j in range(k):
             key = ("gi", j) if mode == "gi" else ("li", i, j)
-            models[i, j] = flatten_params(init_model(model_shape, derive_seed(seed, *key)))
+            models[i, j] = init_model(model_shape, derive_seed(seed, *key)).values
     if mode == "gi":
         models[1:] = models[0]
     states = RunState(model_shape, models, np.zeros(n, dtype=np.intp), datasets)
@@ -240,7 +240,7 @@ def assign_cluster(c: ClientState) -> int:
     every loss is non-finite the previous assignment is kept and the event
     logged.
     """
-    losses = forward_loss(_layers(c.run.shape, c.models), c.data)
+    losses = forward_loss(MlpModel(c.run.shape, c.models), c.data)
     finite = np.isfinite(losses)
     if not finite.any():
         logger.warning(
@@ -282,7 +282,7 @@ def local_update(
             except DivergenceError as exc:
                 p = exc.where["row"]
                 raise DivergenceError(client=int(r[p]), cluster=int(c[p])) from None
-            states.models[r, c] = flatten_params(updated)
+            states.models[r, c] = updated.values
     states.sent[rows] = cols
     return states
 

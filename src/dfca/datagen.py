@@ -57,6 +57,8 @@ class Dataset:
             raise ValueError("features and labels must have equal length")
         if feats.shape[0] < 1:
             raise ValueError("a dataset must contain at least one sample")
+        if labels.min() < 0:
+            raise ValueError(f"label {int(labels.min())} is negative; classes are in [0, C)")
         feats.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .datagen import Dataset
-from .model import _check_inputs, _chunks, _layers, _mean_ce, predict
+from .model import MlpModel, _check_inputs, _chunks, _mean_ce, predict
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import RunState
@@ -68,21 +68,21 @@ def _per_client(
     datasets: Sequence[Dataset],
     score: Callable[..., np.ndarray],
 ) -> np.ndarray:
-    """``score(layers, x, y)`` of model ``cols[p]`` of client ``rows[p]`` on
+    """``score(m, x, y)`` of model ``cols[p]`` of client ``rows[p]`` on
     ``datasets[p]`` for every position ``p``, one stacked forward pass per
     chunk."""
     out = np.empty(len(rows))
     for chunk in _chunks([len(d) for d in datasets]):
-        layers = _layers(states.shape, states.models[rows[chunk], cols[chunk]])
+        m = MlpModel(states.shape, states.models[rows[chunk], cols[chunk]])
         x = np.stack([datasets[p].features for p in chunk])
         y = np.stack([datasets[p].labels for p in chunk])
-        out[chunk] = score(layers, x, y)
+        out[chunk] = score(m, x, y)
     return out
 
 
-def _losses(layers, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    _check_inputs(layers, x, y)
-    return _mean_ce(layers, x, y)
+def _losses(m: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    _check_inputs(m, x, y)
+    return _mean_ce(m, x, y)
 
 
 def f_cluster(states: "RunState", j: int) -> float:
@@ -145,8 +145,8 @@ def clustering_accuracy(states: "RunState", ground_truth: Sequence[int]) -> floa
     return best
 
 
-def _hits(layers, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.sum(predict(layers, x) == y, axis=-1)
+def _hits(m: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.sum(predict(m, x) == y, axis=-1)
 
 
 def _client_hits(states: "RunState", test_sets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:

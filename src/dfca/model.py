@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -51,39 +50,30 @@ class ModelShape:
         return self.hidden * (self.dim + 1) + self.n_classes * (self.hidden + 1)
 
 
-@dataclass
 class MlpModel:
-    """Parameter container; ``w1``/``b1`` are None in the linear form.
+    """Per-layer views ``w1``, ``b1``, ``w2``, ``b2`` of the flat float64
+    parameters ``values``, in flatten order; ``w1``/``b1`` are None in the
+    linear form.
 
-    The arrays may carry one leading model axis, holding a stack of models
-    of one shape (see :func:`unflatten_params` and :func:`sgd_epochs`).
+    ``values`` is one model ``(P,)`` or a stack of models of one shape
+    ``(m, P)``, and then every view carries the same leading model axis.
+    Construction copies nothing and checks nothing: a write through a view
+    is a write to ``values``.  :func:`unflatten_params` is the checked copy.
     """
 
-    w1: np.ndarray | None
-    b1: np.ndarray | None
-    w2: np.ndarray
-    b2: np.ndarray
+    __slots__ = ("shape", "values", "w1", "b1", "w2", "b2")
 
-    def __post_init__(self) -> None:
-        if (self.w1 is None) != (self.b1 is None):
-            raise ValueError("w1 and b1 must both be present or both absent")
-        if self.w1 is not None and (
-            self.w1.shape[-2] != self.b1.shape[-1] or self.w2.shape[-1] != self.w1.shape[-2]
-        ):
-            raise ValueError("inconsistent hidden-layer dimensions")
-        if self.w2.shape[-2] != self.b2.shape[-1]:
-            raise ValueError("inconsistent output dimensions")
-        for arr in (self.w1, self.b1, self.w2, self.b2):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise ValueError("model parameters must be finite")
-
-    @property
-    def shape(self) -> ModelShape:
-        if self.w1 is None:
-            return ModelShape(dim=self.w2.shape[-1], hidden=0, n_classes=self.w2.shape[-2])
-        return ModelShape(
-            dim=self.w1.shape[-1], hidden=self.w1.shape[-2], n_classes=self.w2.shape[-2]
-        )
+    def __init__(self, shape: ModelShape, values: np.ndarray) -> None:
+        self.shape = shape
+        self.values = values
+        dims = [(shape.hidden, shape.dim), (shape.hidden,)] if shape.hidden else []
+        dims += [(shape.n_classes, shape.hidden or shape.dim), (shape.n_classes,)]
+        ends = itertools.accumulate(math.prod(d) for d in dims)
+        lead = values.shape[:-1]
+        views = [
+            values[..., end - math.prod(d) : end].reshape(lead + d) for d, end in zip(dims, ends)
+        ]
+        self.w1, self.b1, self.w2, self.b2 = [None] * (4 - len(views)) + views
 
 
 class DivergenceError(ValueError):
@@ -117,29 +107,20 @@ _NONFINITE_OK = dict(over="ignore", invalid="ignore")
 def init_model(shape: ModelShape, seed: int) -> MlpModel:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
     rng = np.random.default_rng(seed)
-    if shape.hidden == 0:
-        bound = 1.0 / np.sqrt(shape.dim)
-        return MlpModel(
-            w1=None,
-            b1=None,
-            w2=rng.uniform(-bound, bound, (shape.n_classes, shape.dim)),
-            b2=rng.uniform(-bound, bound, shape.n_classes),
-        )
-    bound1 = 1.0 / np.sqrt(shape.dim)
-    bound2 = 1.0 / np.sqrt(shape.hidden)
-    return MlpModel(
-        w1=rng.uniform(-bound1, bound1, (shape.hidden, shape.dim)),
-        b1=rng.uniform(-bound1, bound1, shape.hidden),
-        w2=rng.uniform(-bound2, bound2, (shape.n_classes, shape.hidden)),
-        b2=rng.uniform(-bound2, bound2, shape.n_classes),
-    )
+    m = MlpModel(shape, np.empty(shape.param_count))
+    for w, b in ((m.w1, m.b1), (m.w2, m.b2)):
+        if w is not None:
+            bound = 1.0 / np.sqrt(w.shape[-1])
+            w[...] = rng.uniform(-bound, bound, w.shape)
+            b[...] = rng.uniform(-bound, bound, b.shape)
+    return m
 
 
 def _forward(m: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Returns (logits, input of the output layer): the hidden activation,
     or ``x`` itself in the linear form.
 
-    Layers and ``x`` may carry one leading model axis (see :func:`_layers`);
+    Layers and ``x`` may carry one leading model axis (see :class:`MlpModel`);
     every slice is computed exactly as the unstacked call computes it.  The
     bias and the ReLU are applied in place: on a stacked block each
     temporary holds every row of the block.
@@ -155,11 +136,10 @@ def _forward(m: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_inputs(m: MlpModel, x: np.ndarray, y: np.ndarray) -> None:
-    dim = m.w2.shape[-1] if m.w1 is None else m.w1.shape[-1]
-    if x.shape[-1] != dim:
-        raise ValueError(f"dataset dim {x.shape[-1]} does not match model dim {dim}")
-    if int(y.max()) >= m.w2.shape[-2]:
-        raise ValueError(f"label {int(y.max())} out of range for {m.w2.shape[-2]} classes")
+    if x.shape[-1] != m.shape.dim:
+        raise ValueError(f"dataset dim {x.shape[-1]} does not match model dim {m.shape.dim}")
+    if int(y.max()) >= m.shape.n_classes:
+        raise ValueError(f"label {int(y.max())} out of range for {m.shape.n_classes} classes")
 
 
 @np.errstate(**_NONFINITE_OK)
@@ -177,7 +157,7 @@ def _mean_ce(m: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def forward_loss(m: MlpModel, d: Dataset) -> float | np.ndarray:
     """Mean softmax cross-entropy over all samples in ``d``; for a stack of
-    models (see :func:`_layers`), one loss per model, each bitwise the loss
+    models (see :class:`MlpModel`), one loss per model, each bitwise the loss
     of that model alone."""
     _check_inputs(m, d.features, d.labels)
     losses = _mean_ce(m, d.features, d.labels)
@@ -269,7 +249,7 @@ def sgd_epochs(
     single = isinstance(d, Dataset)
     datasets, seeds = ([d], [seed]) if single else (d, seed)
     shape = m.shape
-    values = flatten_params(m).reshape(-1, shape.param_count)
+    values = m.values.reshape(-1, shape.param_count).copy()
     if not len(values) == len(datasets) == len(seeds):
         raise ValueError(
             f"{len(values)} models need as many datasets and seeds, "
@@ -284,7 +264,7 @@ def sgd_epochs(
     n = y.shape[1]
     batch_size = min(batch_size, n)
     rows = np.arange(len(values))[:, None]
-    current = _layers(shape, values)  # views: each step updates them in place
+    current = MlpModel(shape, values)  # views: each step updates them in place
     rngs = [np.random.default_rng(s) for s in seeds]
     with np.errstate(**_NONFINITE_OK):
         for _ in range(tau):
@@ -297,46 +277,25 @@ def sgd_epochs(
     diverged = np.flatnonzero(~np.isfinite(values).all(axis=-1))
     if diverged.size:
         raise DivergenceError(row=int(diverged[0]))
-    return unflatten_params(shape, values[0] if single else values)
+    return MlpModel(shape, values[0] if single else values)
 
 
 def flatten_params(m: MlpModel) -> np.ndarray:
     """Canonical flat float64 vector: w1, b1, w2, b2 (one row per model of a
-    stack)."""
-    lead = m.b2.shape[:-1]
-    parts = [] if m.w1 is None else [m.w1, m.b1]
-    parts += [m.w2, m.b2]
-    return np.concatenate([a.reshape(lead + (-1,)) for a in parts], axis=-1).astype(
-        np.float64, copy=False
-    )
+    stack).  A copy of ``m.values``."""
+    return m.values.copy()
 
 
 def unflatten_params(shape: ModelShape, values: np.ndarray) -> MlpModel:
-    """Inverse of :func:`flatten_params`; round-trips bitwise.  An ``(m, P)``
-    block gives a stack of ``m`` models."""
-    values = np.asarray(values, dtype=np.float64)
+    """Checked copy of flat parameters in flatten order; the inverse of
+    :func:`flatten_params`, round-tripping bitwise.  An ``(m, P)`` block
+    gives a stack of ``m`` models."""
+    values = np.array(values, dtype=np.float64)
     if values.ndim not in (1, 2) or values.shape[-1] != shape.param_count:
         raise ValueError(f"expected {shape.param_count} values, got shape {values.shape}")
-    return MlpModel(*(None if a is None else a.copy() for a in _layers(shape, values)))
-
-
-# Unchecked views into a flat parameter vector, named like MlpModel's fields
-# so that _forward and _grad_xy accept them.
-_Layers = namedtuple("_Layers", "w1 b1 w2 b2")
-
-
-def _layers(shape: ModelShape, values: np.ndarray) -> _Layers:
-    """Split flat vectors in flatten order into per-layer views (no copy).
-
-    ``values`` is one vector ``(P,)`` or a stack ``(m, P)``; a stack gives
-    views with the same leading model axis.
-    """
-    dims = [(shape.hidden, shape.dim), (shape.hidden,)] if shape.hidden else []
-    dims += [(shape.n_classes, shape.hidden or shape.dim), (shape.n_classes,)]
-    ends = itertools.accumulate(math.prod(d) for d in dims)
-    lead = values.shape[:-1]
-    views = [values[..., end - math.prod(d) : end].reshape(lead + d) for d, end in zip(dims, ends)]
-    return _Layers(*[None] * (4 - len(views)), *views)  # w1, b1 are None when hidden=0
+    if not np.isfinite(values).all():
+        raise ValueError("model parameters must be finite")
+    return MlpModel(shape, values)
 
 
 def params_to_bytes(values: np.ndarray) -> bytes:

@@ -42,7 +42,6 @@ from .model import (
     _CHUNK_ROWS,
     MlpModel,
     ModelShape,
-    _layers,
     flatten_params,
     forward_loss,
     gradient,
@@ -424,7 +423,7 @@ def _per_client_sgd(
     """Reference for the stacked trainer: one client's SGD loop with its own
     unstacked forward and backward pass (``g.T @ x``, sums over axis 0)."""
     values = values.copy()
-    m = _layers(shape, values)  # views: each step updates them in place
+    m = MlpModel(shape, values)  # views: each step updates them in place
     batch_size = min(batch_size, len(d))
     rng = np.random.default_rng(seed)
     for _ in range(tau):

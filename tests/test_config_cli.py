@@ -109,6 +109,15 @@ class TestConfigParsing:
         ))
         assert load_config(path) == cfg
 
+    @pytest.mark.parametrize("key", [
+        "topology.p", "gamma", "participation_fraction", "data.class_separation",
+        "data.noise_std", "data.test_fraction",
+    ])
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_non_finite_float_named_in_error(self, tiny_config, key, value):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            load_config(tiny_config, overrides=[f"{key}={value}"])
+
     def test_key_list_covers_documented_interface(self):
         keys = config_keys()
         for expected in ("n_clients", "k", "topology.p", "topology.seed", "init_mode",
@@ -162,6 +171,11 @@ class TestCmdRun:
         assert cmd_run(str(tiny_config), overrides=["gamma=1e8", "T=5"]) == 4
         assert "loss went non-finite although local SGD left finite parameters at seed 1, round 4, " \
                "cluster 0" in capsys.readouterr().err
+
+    def test_infinite_noise_exits_2_naming_the_key(self, tiny_config, capsys, output_root):
+        assert cmd_run(str(tiny_config), overrides=["data.noise_std=inf", "T=3", "n_seeds=1"]) == 2
+        assert "data.noise_std" in capsys.readouterr().err
+        assert not output_root.exists()
 
     def test_empty_split_side_rejected_before_running(self, tiny_config, capsys, output_root):
         code = cmd_run(str(tiny_config), overrides=["data.samples_per_client=40",

@@ -108,6 +108,16 @@ class TestInitialize:
             assert states.models is array and not np.array_equal(array, before)
             assert all(np.shares_memory(s.models, array) for s in states)
 
+    def test_run_state_is_indexed_by_integers_only(self):
+        states = make_states(np.random.default_rng(24), 4, 2)
+        assert states[np.int64(2)].client_id == 2 and states[-1].client_id == 3
+        assert [s.client_id for s in states] == [0, 1, 2, 3]
+        with pytest.raises(IndexError):
+            states[4]
+        for key in (slice(1, 3), 1.0, [0, 1]):
+            with pytest.raises(TypeError):
+                states[key]
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             initialize(k=1, n=1, mode="xx", model_shape=SHAPE, seed=0,
@@ -134,14 +144,12 @@ class TestAssignCluster:
         if losses[0] <= losses[1]:
             assert chosen == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_excluded(self):
         rng = np.random.default_rng(6)
         s = make_states(rng, 1, 2)[0]
         s.models[0] = np.full(SHAPE.param_count, 1e300)  # overflows to non-finite loss
         assert assign_cluster(s) == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_all_non_finite_keeps_previous(self, caplog):
         rng = np.random.default_rng(7)
         s = make_states(rng, 1, 2)[0]

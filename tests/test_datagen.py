@@ -211,3 +211,7 @@ class TestDatasetType:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Dataset(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=int), distribution_id=0)
+
+    def test_rejects_negative_label(self):
+        with pytest.raises(ValueError, match="negative"):
+            Dataset(features=[[1.0, 2.0], [0.5, 0.1]], labels=[-1, 0], distribution_id=0)

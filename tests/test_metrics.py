@@ -17,7 +17,7 @@ from dfca.metrics import (
     trace_columns,
 )
 from dfca.metrics import test_accuracy as sample_weighted_accuracy
-from dfca.model import MlpModel, ModelShape, flatten_params, forward_loss, unflatten_params
+from dfca.model import ModelShape, flatten_params, forward_loss, unflatten_params
 
 SHAPE = ModelShape(dim=2, hidden=0, n_classes=2)
 
@@ -146,16 +146,16 @@ class TestClusteringAccuracy:
 class TestTestAccuracy:
     def test_perfect_classifier(self):
         # w2 row 1 fires on positive x-coordinate
-        m = MlpModel(w1=None, b1=None, w2=np.array([[-5.0, 0.0], [5.0, 0.0]]), b2=np.zeros(2))
+        # w2 = [[-5, 0], [5, 0]], b2 = 0
+        m = unflatten_params(SHAPE, np.array([-5.0, 0.0, 5.0, 0.0, 0.0, 0.0]))
         vec = flatten_params(m)
         data = dataset([[1.0, 0.0], [-1.0, 0.0]], [1, 0])
         states = one_model_states([vec], [data])
         assert sample_weighted_accuracy(states, [data]) == 1.0
 
     def test_sample_weighted_mean(self):
-        perfect = flatten_params(
-            MlpModel(w1=None, b1=None, w2=np.array([[-5.0, 0.0], [5.0, 0.0]]), b2=np.zeros(2))
-        )
+        # w2 = [[-5, 0], [5, 0]], b2 = 0
+        perfect = flatten_params(unflatten_params(SHAPE, np.array([-5.0, 0.0, 5.0, 0.0, 0.0, 0.0])))
         zero = np.zeros(SHAPE.param_count)
         test_a = dataset([[1.0, 0.0]] * 10, [1] * 10)  # perfect model: 10/10
         test_b = dataset([[1.0, 0.0]] * 15 + [[-1.0, 0.0]] * 15, [0] * 15 + [1] * 15)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -39,19 +40,17 @@ class TestForwardLoss:
     def test_confident_true_logit_drives_loss_to_zero(self):
         # logit 20 on the true class, 0 elsewhere, C=4
         shape = ModelShape(dim=1, hidden=0, n_classes=4)
-        m = MlpModel(w1=None, b1=None, w2=np.zeros((4, 1)), b2=np.array([20.0, 0.0, 0.0, 0.0]))
+        # w2 = 0 (4x1), b2 = [20, 0, 0, 0]
+        m = unflatten_params(shape, np.array([0.0, 0.0, 0.0, 0.0, 20.0, 0.0, 0.0, 0.0]))
         data = dataset([[0.0]], [0])
         assert forward_loss(m, data) < 1e-8
 
     def test_matches_hand_computed_cross_entropy(self):
         # d=2, C=2, x=[1,2], label 0: logits [0.1, 0.3],
         # loss = log(e^0.1 + e^0.3) - 0.1 = 0.798138869381592
-        m = MlpModel(
-            w1=None,
-            b1=None,
-            w2=np.array([[0.5, -0.25], [-1.0, 0.75]]),
-            b2=np.array([0.1, -0.2]),
-        )
+        # w2 = [[0.5, -0.25], [-1.0, 0.75]], b2 = [0.1, -0.2]
+        shape = ModelShape(dim=2, hidden=0, n_classes=2)
+        m = unflatten_params(shape, np.array([0.5, -0.25, -1.0, 0.75, 0.1, -0.2]))
         data = dataset([[1.0, 2.0]], [0])
         assert forward_loss(m, data) == pytest.approx(0.798138869381592, abs=1e-12)
 
@@ -121,7 +120,6 @@ class TestSgd:
         with pytest.raises(ValueError):
             sgd_epochs(m, data, gamma=0.1, tau=0, batch_size=2, seed=0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
         m = init_model(ModelShape(dim=3, hidden=2, n_classes=2), seed=0)
         data = random_dataset(np.random.default_rng(1), 8, 3, 2)
@@ -208,6 +206,51 @@ class TestFlatParams:
     def test_wrong_length_vector_rejected(self):
         with pytest.raises(ValueError):
             unflatten_params(ModelShape(dim=2, hidden=0, n_classes=2), np.zeros(5))
+
+    def test_unflatten_returns_a_copy(self):
+        shape = ModelShape(dim=3, hidden=2, n_classes=2)
+        vec = np.arange(float(shape.param_count))
+        m = unflatten_params(shape, vec)
+        assert not np.shares_memory(m.values, vec)
+        m.w2[...] = -1.0
+        assert np.array_equal(vec, np.arange(float(shape.param_count)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_unflatten_rejects_non_finite(self, bad):
+        shape = ModelShape(dim=2, hidden=0, n_classes=2)
+        vec = np.zeros(shape.param_count)
+        vec[3] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            unflatten_params(shape, vec)
+
+    @pytest.mark.parametrize(
+        "shape,seed,digest",
+        [
+            (ModelShape(16, 32, 4), 0, "1ca3b039a068c103870b4b1d5dea60c431773935505cc3434f6bdbad236766e3"),
+            (ModelShape(5, 0, 3), 7, "169386153f759c0d6f4e5d4f26b3fb5e84b1d857fbb109cc328b23358fdf26b0"),
+        ],
+    )
+    def test_init_model_golden_digest(self, shape, seed, digest):
+        blob = params_to_bytes(flatten_params(init_model(shape, seed)))
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+
+class TestMlpModel:
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("hidden", [0, 4])
+    def test_layers_are_views_of_values(self, lead, hidden):
+        shape = ModelShape(dim=3, hidden=hidden, n_classes=2)
+        values = np.zeros(lead + (shape.param_count,))
+        m = MlpModel(shape, values)
+        assert m.values is values
+        assert m.w2.shape == lead + (2, hidden or 3) and m.b2.shape == lead + (2,)
+        assert (m.w1 is None) == (hidden == 0) and (m.b1 is None) == (hidden == 0)
+        for layer in (m.w1, m.b1, m.w2, m.b2):
+            assert layer is None or np.shares_memory(layer, values)
+        m.w2[..., 1, 0] = 7.0
+        offset = hidden * 3 + hidden  # w1 and b1 come first
+        assert np.array_equal(values[..., offset + (hidden or 3)], np.full(lead, 7.0))
+        assert values.sum() == 7.0 * math.prod(lead)
 
 
 class TestPredict:
