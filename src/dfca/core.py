@@ -227,20 +227,36 @@ def initialize(
     if mode == "gi":
         models[1:] = models[0]
     states = RunState(model_shape, models, np.zeros(n, dtype=np.intp), datasets)
-    for s in states:
-        assign_cluster(s)
+    _assign_clusters(states, range(n))
     return states
 
 
-def assign_cluster(c: ClientState) -> int:
+def _assign_clusters(states: RunState, rows: Sequence[int]) -> None:
+    """:func:`assign_cluster` for clients ``rows``, their losses computed in
+    one stacked :func:`forward_loss` call per chunk of ``_CHUNK_ROWS`` rows
+    (``k`` rows per sample); each loss is bitwise the one client's own."""
+    rows = np.asarray(rows, dtype=np.intp)
+    k = states.models.shape[1]
+    losses = np.empty((len(rows), k))
+    for chunk in _chunks([k * len(states.data[i]) for i in rows]):
+        r = rows[chunk]
+        block = MlpModel(states.shape, states.models[r])
+        losses[chunk] = forward_loss(block, [states.data[i] for i in r])
+    for i, row in zip(rows.tolist(), losses):
+        assign_cluster(states[i], row)
+
+
+def assign_cluster(c: ClientState, losses: np.ndarray | None = None) -> int:
     """Reassign ``c`` to the cluster whose model has the lowest local loss.
 
-    Ties break toward the lowest cluster index.  Clusters with non-finite
-    loss (including models with non-finite parameters) are excluded; if
-    every loss is non-finite the previous assignment is kept and the event
-    logged.
+    ``losses`` are the client's k cluster losses, computed here when not
+    given.  Ties break toward the lowest cluster index.  Clusters with
+    non-finite loss (including models with non-finite parameters) are
+    excluded; if every loss is non-finite the previous assignment is kept
+    and the event logged.
     """
-    losses = forward_loss(MlpModel(c.run.shape, c.models), c.data)
+    if losses is None:
+        losses = forward_loss(MlpModel(c.run.shape, c.models), c.data)
     finite = np.isfinite(losses)
     if not finite.any():
         logger.warning(
@@ -318,6 +334,52 @@ def _merge_weights(
     return weights, 1.0 - sum(weights), 1.0
 
 
+_FOLD_SLOTS = 64  # receiver slots per pass of the fold; bounds the gathered rows
+
+
+def _fold(
+    states: RunState, table: list[tuple[int, int, list[int], Sequence[float], float]], running: bool
+) -> None:
+    """Merge the senders' outbox models into every receiver slot of ``table``.
+
+    Each entry is ``(receiver, cluster, senders, factors, norm)``, the
+    senders in merge order with one factor each.  ``running`` folds every
+    arrival into the value, ``v += f * (x - v)``; otherwise the terms
+    ``f * (x - v)`` of the pre-merge value add up in ``acc`` and
+    ``v += acc / norm``.  The sent rows are copied once, before any write.
+    Slots run longest first, ``_FOLD_SLOTS`` at a time: at each arrival
+    position one gather and three in-place operations update the chunk's
+    slots that still have a sender there, and the chunk is written back
+    before the next is gathered.  Elementwise these are the operations of
+    merging one slot and one sender at a time, so every value is bitwise
+    the same.
+    """
+    sending = np.flatnonzero(states.sent >= 0)
+    outbox = states.models[sending, states.sent[sending]]  # read before any write
+    outbox_row = np.zeros(len(states), dtype=np.intp)
+    outbox_row[sending] = np.arange(len(sending))
+    table = sorted(table, key=lambda entry: -len(entry[2]))
+    for start in range(0, len(table), _FOLD_SLOTS):
+        rows, cols, senders, factors, norms = zip(*table[start : start + _FOLD_SLOTS])
+        held = np.arange(len(senders[0])) < np.array([len(m) for m in senders])[:, None]
+        sender, factor = np.zeros(held.shape, dtype=np.intp), np.zeros(held.shape)
+        sender[held] = outbox_row[[m for ms in senders for m in ms]]  # row-major: slot by slot
+        factor[held] = [f for fs in factors for f in fs]
+        value = states.models[rows, cols]
+        acc = value if running else np.zeros_like(value)
+        buf = np.empty_like(value)
+        for q, active in enumerate(held.sum(axis=0).tolist()):
+            d = buf[:active]
+            np.take(outbox, sender[:active, q], axis=0, out=d)
+            d -= value[:active]
+            d *= factor[:active, q, None]
+            acc[:active] += d
+        if not running:
+            acc /= np.array(norms)[:, None]
+            value += acc
+        states.models[rows, cols] = value
+
+
 def aggregate_batch(
     states: RunState,
     t: Topology,
@@ -332,14 +394,11 @@ def aggregate_batch(
     neighbor m contributes ``weights[i][m]`` and the receiver keeps the
     remainder.  Empty reporting sets leave the model untouched.
     """
-    outbox = list(states.models[np.arange(len(states)), states.sent])  # read before any write
+    table = []
     for i, j, senders in _slots(states, t, plan):
-        own = states.models[i, j]
         weights, _, norm = _merge_weights(mixing, i, senders)
-        acc = np.zeros_like(own)
-        for m, w in zip(senders, weights):
-            acc += w * (outbox[m] - own)
-        own += acc / norm
+        table.append((i, j, senders, weights, norm))
+    _fold(states, table, running=False)
     return states
 
 
@@ -374,18 +433,17 @@ def aggregate_sequential(
     ``_fault_flip_weights`` deliberately swaps the merge factors; it exists
     only so the verification suite can prove this check can fail.
     """
-    outbox = list(states.models[np.arange(len(states)), states.sent])  # read before any write
+    table = []
     for i, j, senders in _slots(states, t, plan):
-        value = states.models[i, j]
         weights, weight_sum, _ = _merge_weights(mixing, i, senders)
-        for p in _arrival(plan, i, j, senders):
+        order = _arrival(plan, i, j, senders)
+        factors = []
+        for p in order:
             w = weights[p]
-            frac = w / (weight_sum + w)
-            if _fault_flip_weights:
-                frac = weight_sum / (weight_sum + w)
-            value = value + frac * (outbox[senders[p]] - value)
+            factors.append((weight_sum if _fault_flip_weights else w) / (weight_sum + w))
             weight_sum += w
-        states.models[i, j] = value
+        table.append((i, j, [senders[p] for p in order], factors, 1.0))
+    _fold(states, table, running=True)
     return states
 
 
@@ -418,8 +476,7 @@ def run_round(
     """
     previous = states.assignment.copy()
     states.sent[:] = -1
-    for i in plan.participants:
-        assign_cluster(states[i])
+    _assign_clusters(states, plan.participants)
     changed = int(np.count_nonzero(states.assignment != previous))
     seeds = [derive_seed(plan.round_seed, "sgd", i) for i in plan.participants]
     try:

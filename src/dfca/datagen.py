@@ -50,7 +50,14 @@ class Dataset:
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind == "f":
+            fractional = ~np.isfinite(labels) | (labels != np.round(labels))
+            if fractional.any():
+                raise ValueError(
+                    f"label {labels[fractional][0]} is not a whole number; classes are in [0, C)"
+                )
+        labels = labels.astype(np.int64)
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-d, got shape {feats.shape}")
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:

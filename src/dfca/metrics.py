@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .datagen import Dataset
-from .model import MlpModel, _check_inputs, _chunks, _mean_ce, predict
+from .model import MlpModel, _check_inputs, _chunks, _mean_ce, _stack_data, predict
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import RunState
@@ -74,8 +74,7 @@ def _per_client(
     out = np.empty(len(rows))
     for chunk in _chunks([len(d) for d in datasets]):
         m = MlpModel(states.shape, states.models[rows[chunk], cols[chunk]])
-        x = np.stack([datasets[p].features for p in chunk])
-        y = np.stack([datasets[p].labels for p in chunk])
+        x, y = _stack_data([datasets[p] for p in chunk])
         out[chunk] = score(m, x, y)
     return out
 

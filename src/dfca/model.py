@@ -155,12 +155,34 @@ def _mean_ce(m: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (lse - picked[..., 0]).mean(axis=-1)
 
 
-def forward_loss(m: MlpModel, d: Dataset) -> float | np.ndarray:
+def _stack_data(datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
+    """Features ``(c, n, d)`` and labels ``(c, n)`` of ``c`` datasets of one
+    length."""
+    if len({len(data) for data in datasets}) != 1:
+        raise ValueError("models evaluated or trained in one call need datasets of one length")
+    x = np.stack([data.features for data in datasets])
+    return x, np.stack([data.labels for data in datasets])
+
+
+def forward_loss(m: MlpModel, d: Dataset | Sequence[Dataset]) -> float | np.ndarray:
     """Mean softmax cross-entropy over all samples in ``d``; for a stack of
     models (see :class:`MlpModel`), one loss per model, each bitwise the loss
-    of that model alone."""
-    _check_inputs(m, d.features, d.labels)
-    losses = _mean_ce(m, d.features, d.labels)
+    of that model alone.
+
+    ``d`` may also hold one dataset per row of the stack, all of one length:
+    a ``(c, P)`` block then gives ``c`` losses and a ``(c, k, P)`` block, row
+    ``r`` of which is scored on ``d[r]``, gives ``(c, k)`` losses.
+    """
+    if isinstance(d, Dataset):
+        x, y = d.features, d.labels
+    else:
+        if len(d) != len(m.values):
+            raise ValueError(f"{len(m.values)} stacked rows need as many datasets, got {len(d)}")
+        x, y = _stack_data(d)
+        for _ in range(m.values.ndim - 2):  # each dataset serves every model of its row
+            x, y = x[:, None], y[:, None]
+    _check_inputs(m, x, y)
+    losses = _mean_ce(m, x, y)
     return float(losses) if losses.ndim == 0 else losses
 
 
@@ -255,12 +277,8 @@ def sgd_epochs(
             f"{len(values)} models need as many datasets and seeds, "
             f"got {len(datasets)} and {len(seeds)}"
         )
-    if len({len(data) for data in datasets}) != 1:
-        raise ValueError("models trained in one call need datasets of one length")
-    for data in datasets:
-        _check_inputs(m, data.features, data.labels)
-    x = np.stack([data.features for data in datasets])
-    y = np.stack([data.labels for data in datasets])
+    x, y = _stack_data(datasets)
+    _check_inputs(m, x, y)
     n = y.shape[1]
     batch_size = min(batch_size, n)
     rows = np.arange(len(values))[:, None]

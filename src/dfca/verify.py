@@ -16,9 +16,12 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .core import (
+    _FOLD_SLOTS,
     Hyperparams,
     RoundPlan,
     RunState,
+    _arrival,
+    _merge_weights,
     _slots,
     aggregate_batch,
     aggregate_sequential,
@@ -55,6 +58,7 @@ from .model import (
 from .topology import (
     METROPOLIS,
     PAPER_UNIFORM,
+    MixingMatrix,
     Topology,
     build_mixing_matrix,
     from_edge_list_text,
@@ -304,6 +308,88 @@ def check_sequential_equals_batch(inject_fault: bool = False) -> tuple[bool, str
     )
 
 
+def _per_slot_batch(
+    states: RunState, t: Topology, mixing: MixingMatrix | None, plan: RoundPlan
+) -> RunState:
+    """Reference for the batch merge: one receiver slot and one sender at a
+    time, senders ascending."""
+    outbox = list(states.models[np.arange(len(states)), states.sent])  # read before any write
+    for i, j, senders in _slots(states, t, plan):
+        own = states.models[i, j]
+        weights, _, norm = _merge_weights(mixing, i, senders)
+        acc = np.zeros_like(own)
+        for m, w in zip(senders, weights):
+            acc += w * (outbox[m] - own)
+        own += acc / norm
+    return states
+
+
+def _per_slot_sequential(
+    states: RunState, t: Topology, plan: RoundPlan, mixing: MixingMatrix | None
+) -> RunState:
+    """Reference for the sequential merge: one receiver slot and one sender
+    at a time, in arrival order."""
+    outbox = list(states.models[np.arange(len(states)), states.sent])  # read before any write
+    for i, j, senders in _slots(states, t, plan):
+        value = states.models[i, j]
+        weights, weight_sum, _ = _merge_weights(mixing, i, senders)
+        for p in _arrival(plan, i, j, senders):
+            w = weights[p]
+            frac = w / (weight_sum + w)
+            value = value + frac * (outbox[senders[p]] - value)
+            weight_sum += w
+        states.models[i, j] = value
+    return states
+
+
+def check_merges_match_per_slot() -> tuple[bool, str]:
+    """Both gossip merges against the per-slot references, bitwise.
+
+    Graphs are the small ones of ``sequential-equals-batch`` with k = 1..4,
+    plus one with more receiver slots than one pass of the fold and unequal
+    sender counts.  About a third of the clients do not send.  Each instance
+    runs under uniform and Metropolis weights, with and without restricted
+    receiving, and the sequential merge with explicit and seeded arrival
+    orders.
+    """
+    rng = np.random.default_rng(8)
+    shape = ModelShape(dim=2, hidden=0, n_classes=2)
+    cases = [(t, k) for t in _small_graphs() for k in range(1, 5)]
+    cases.append((generate_erdos_renyi(_FOLD_SLOTS, 0.3, 5), 3))
+    merges, most_slots, bad = 0, 0, []
+    for t, k in cases:
+        states = random_states(rng, t.n_clients, k, shape)
+        sending = np.flatnonzero(rng.random(t.n_clients) < 0.7)
+        states.sent[sending] = states.assignment[sending]
+        participants = tuple(sending.tolist())
+        explicit = {(i, j): rng.permutation(m) for i, j, m in _slots(states, t, None)}
+        most_slots = max(most_slots, len(explicit))
+        weights = (None, build_mixing_matrix(t, METROPOLIS))
+        for mixing, restricted in itertools.product(weights, (False, True)):
+            plans = [
+                RoundPlan(
+                    participants, round_seed=k, arrival_order=order, receive_restricted=restricted
+                )
+                for order in (explicit, None)
+            ]
+            runs = [(aggregate_batch, _per_slot_batch, (mixing, plans[0]))]
+            runs += [(aggregate_sequential, _per_slot_sequential, (plan, mixing)) for plan in plans]
+            for merge, reference, args in runs:
+                merges += 1
+                got, want = merge(states.copy(), t, *args), reference(states.copy(), t, *args)
+                if got.models.tobytes() != want.models.tobytes():
+                    bad.append(
+                        f"{merge.__name__}, {t.n_clients} clients, k={k}, "
+                        f"Metropolis={mixing is not None}, restricted={restricted}"
+                    )
+    if bad:
+        return False, f"{len(bad)} of {merges} merges differ, first: {bad[0]}"
+    return True, (
+        f"{merges} batch and sequential merges over {len(cases)} instances (up to {most_slots} "
+        f"receiver slots) bitwise equal to the per-slot references"
+    )
+
+
 def check_gossip_consensus() -> tuple[bool, str]:
     """Batch Metropolis rounds through ``run_round`` on ten connected graphs."""
     rng = np.random.default_rng(2)
@@ -507,6 +593,7 @@ CHECKS = [
     ("assignment-is-descent", check_assignment_descent),
     ("local-update-touches-only-assigned", check_local_update_isolation),
     ("sequential-equals-batch", check_sequential_equals_batch),
+    ("merges-match-per-slot", check_merges_match_per_slot),
     ("gossip-preserves-average-and-contracts", check_gossip_consensus),
     ("global-init-zero-dispersion", check_gi_zero_dispersion),
     ("experiment-determinism", check_run_determinism),

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dfca import verify
+from dfca import core, model, verify
 from dfca.config import ConfigError, ExperimentConfig
 from dfca.core import (
     Hyperparams,
@@ -168,6 +168,25 @@ class TestAssignCluster:
         with caplog.at_level("WARNING"):
             assert assign_cluster(s) == 2
         assert "non-finite" in caplog.text
+
+    def test_batched_assignment_matches_per_client_loop(self, caplog):
+        rng = np.random.default_rng(9)
+        k, lengths = 3, [40, 25] * 30  # each length spans several chunks of _CHUNK_ROWS rows
+        assert max(model._CHUNK_ROWS // (k * n) for n in lengths) < len(lengths) // 2
+        states = make_states(rng, len(lengths), k)
+        for s, n in zip(states, lengths):
+            s.data = random_dataset(rng, n)
+        states.models[7] = np.nan
+        states.assignment[7] = 2
+        looped = states.copy()
+        for s in looped:
+            assign_cluster(s)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            core._assign_clusters(states, range(len(states)))
+        np.testing.assert_array_equal(states.assignment, looped.assignment)
+        assert states.assignment[7] == 2
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == ["client 7"]
 
 
 class TestLocalUpdate:

@@ -215,3 +215,11 @@ class TestDatasetType:
     def test_rejects_negative_label(self):
         with pytest.raises(ValueError, match="negative"):
             Dataset(features=[[1.0, 2.0], [0.5, 0.1]], labels=[-1, 0], distribution_id=0)
+
+    def test_rejects_fractional_label(self):
+        with pytest.raises(ValueError, match="0.7 is not a whole number"):
+            Dataset(features=[[1.0, 2.0], [0.5, 0.1]], labels=[0.7, 1.9], distribution_id=0)
+
+    def test_whole_float_labels_become_integers(self):
+        d = Dataset(features=[[1.0, 2.0], [0.5, 0.1]], labels=[1.0, 0.0], distribution_id=0)
+        assert d.labels.dtype == np.int64 and d.labels.tolist() == [1, 0]

@@ -74,6 +74,30 @@ class TestForwardLoss:
         for got, values in zip(losses, block):
             assert got.tobytes() == np.float64(forward_loss(unflatten_params(shape, values), data)).tobytes()
 
+    @pytest.mark.parametrize("hidden", [0, 3])
+    def test_stack_over_a_dataset_list_gives_each_unstacked_loss(self, hidden):
+        shape = ModelShape(dim=4, hidden=hidden, n_classes=3)
+        rng = np.random.default_rng(10 + hidden)
+        block = rng.standard_normal((6, 3, shape.param_count))
+        data = [random_dataset(rng, 13, 4, 3) for _ in range(6)]
+        losses = forward_loss(MlpModel(shape, block), data)
+        assert losses.shape == (6, 3)
+        flat = forward_loss(unflatten_params(shape, block[:, 0]), data)
+        for r, d in enumerate(data):
+            assert flat[r].tobytes() == losses[r, 0].tobytes()
+            for j in range(3):
+                alone = np.float64(forward_loss(unflatten_params(shape, block[r, j]), d))
+                assert losses[r, j].tobytes() == alone.tobytes()
+
+    def test_dataset_list_needs_one_dataset_per_row_and_one_length(self):
+        shape = ModelShape(dim=2, hidden=0, n_classes=2)
+        m = unflatten_params(shape, np.zeros((2, shape.param_count)))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="as many datasets"):
+            forward_loss(m, [random_dataset(rng, 5, 2, 2)])
+        with pytest.raises(ValueError, match="one length"):
+            forward_loss(m, [random_dataset(rng, 5, 2, 2), random_dataset(rng, 6, 2, 2)])
+
     def test_dimension_mismatch_rejected(self):
         m = init_model(ModelShape(dim=4, hidden=0, n_classes=3), seed=0)
         with pytest.raises(ValueError):
