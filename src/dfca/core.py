@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -304,80 +304,79 @@ def local_update(
 
 
 def _slots(
-    states: RunState, t: Topology, plan: RoundPlan | None
-) -> Iterator[tuple[int, int, list[int]]]:
-    """``(receiver, cluster, senders)`` for every receiver and cluster that
-    some neighbor sent a model of, with the senders ascending."""
+    states: RunState, t: Topology, plan: RoundPlan | None, mixing: MixingMatrix | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every receiver slot that some neighbor sent a model of: receivers
+    ``(S,)``, clusters ``(S,)``, an ``(S, L)`` table of senders ascending,
+    padded with -1, and their weights, 0.0 in the padding: the matrix row
+    weights, or 1.0 without a matrix."""
+    n = len(states)
+    for name, size in (("topology", t.n_clients), ("mixing matrix", getattr(mixing, "n", n))):
+        if size != n:
+            raise ValueError(f"the {name} has {size} clients, the run has {n}")
     if plan is not None and plan.receive_restricted:
         receivers = np.asarray(plan.participants, dtype=np.intp)
     else:
-        receivers = np.arange(len(states))
+        receivers = np.arange(n)
     k = states.models.shape[1]
     r, m = np.nonzero(t.adjacency[receivers] & (states.sent >= 0))  # senders ascend per receiver
     slot = r * k + states.sent[m]
     order = np.argsort(slot, kind="stable")
     slot, m = slot[order], m[order]
     firsts = np.flatnonzero(np.diff(slot, prepend=-1))
-    for s, senders in zip(slot[firsts].tolist(), np.split(m, firsts[1:])):
-        yield int(receivers[s // k]), s % k, senders.tolist()
-
-
-def _merge_weights(
-    mixing: MixingMatrix | None, i: int, senders: list[int]
-) -> tuple[Sequence[float], float, float]:
-    """The weight of each reporting sender, the receiver's own weight and the
-    batch normalizer: 1.0 each and r+1 when uniform; matrix row weights, the
-    remainder and 1.0 with a matrix."""
+    counts = np.diff(firsts, append=len(slot))
+    position = np.arange(len(slot)) - np.repeat(firsts, counts)
+    senders = np.full((len(firsts), counts.max(initial=0)), -1, dtype=np.intp)
+    senders[np.repeat(np.arange(len(firsts)), counts), position] = m
+    rows, cols, held = receivers[slot[firsts] // k], slot[firsts] % k, senders >= 0
     if mixing is None:
-        return [1.0] * len(senders), 1.0, len(senders) + 1.0
-    weights = mixing.weights[i, senders]
-    return weights, 1.0 - sum(weights), 1.0
+        return rows, cols, senders, held * 1.0
+    return rows, cols, senders, np.where(held, mixing.weights[rows[:, None], senders], 0.0)
 
 
 _FOLD_SLOTS = 64  # receiver slots per pass of the fold; bounds the gathered rows
 
 
 def _fold(
-    states: RunState, table: list[tuple[int, int, list[int], Sequence[float], float]], running: bool
+    states: RunState, rows: np.ndarray, cols: np.ndarray, senders: np.ndarray,
+    factors: np.ndarray, norms: np.ndarray | None = None,
 ) -> None:
-    """Merge the senders' outbox models into every receiver slot of ``table``.
+    """Merge the senders' outbox models into receiver slots ``(rows, cols)``.
 
-    Each entry is ``(receiver, cluster, senders, factors, norm)``, the
-    senders in merge order with one factor each.  ``running`` folds every
-    arrival into the value, ``v += f * (x - v)``; otherwise the terms
-    ``f * (x - v)`` of the pre-merge value add up in ``acc`` and
-    ``v += acc / norm``.  The sent rows are copied once, before any write.
-    Slots run longest first, ``_FOLD_SLOTS`` at a time: at each arrival
-    position one gather and three in-place operations update the chunk's
-    slots that still have a sender there, and the chunk is written back
-    before the next is gathered.  Elementwise these are the operations of
-    merging one slot and one sender at a time, so every value is bitwise
-    the same.
+    ``senders`` holds each slot's senders in merge order, padded with -1, and
+    ``factors`` one factor per sender.  Without ``norms`` every arrival folds
+    into the value, ``v += f * (x - v)``; with them the terms ``f * (x - v)``
+    of the pre-merge value add up in ``acc`` and ``v += acc / norm``.  The
+    sent rows are copied once, before any write.  Slots run longest first,
+    ``_FOLD_SLOTS`` at a time: at each arrival position one gather and three
+    in-place operations update the chunk's slots that still have a sender
+    there, and the chunk is written back before the next is gathered.
+    Elementwise these are the operations of merging one slot and one sender
+    at a time, so every value is bitwise the same.
     """
     sending = np.flatnonzero(states.sent >= 0)
     outbox = states.models[sending, states.sent[sending]]  # read before any write
     outbox_row = np.zeros(len(states), dtype=np.intp)
     outbox_row[sending] = np.arange(len(sending))
-    table = sorted(table, key=lambda entry: -len(entry[2]))
-    for start in range(0, len(table), _FOLD_SLOTS):
-        rows, cols, senders, factors, norms = zip(*table[start : start + _FOLD_SLOTS])
-        held = np.arange(len(senders[0])) < np.array([len(m) for m in senders])[:, None]
-        sender, factor = np.zeros(held.shape, dtype=np.intp), np.zeros(held.shape)
-        sender[held] = outbox_row[[m for ms in senders for m in ms]]  # row-major: slot by slot
-        factor[held] = [f for fs in factors for f in fs]
-        value = states.models[rows, cols]
-        acc = value if running else np.zeros_like(value)
+    held = senders >= 0
+    longest_first = np.argsort(-np.count_nonzero(held, axis=1), kind="stable")
+    for start in range(0, len(rows), _FOLD_SLOTS):
+        s = longest_first[start : start + _FOLD_SLOTS]
+        active = np.count_nonzero(held[s], axis=0)  # per position: a prefix of the chunk
+        sender, factor = outbox_row[senders[s]], factors[s]
+        value = states.models[rows[s], cols[s]]
+        acc = value if norms is None else np.zeros_like(value)
         buf = np.empty_like(value)
-        for q, active in enumerate(held.sum(axis=0).tolist()):
-            d = buf[:active]
-            np.take(outbox, sender[:active, q], axis=0, out=d)
-            d -= value[:active]
-            d *= factor[:active, q, None]
-            acc[:active] += d
-        if not running:
-            acc /= np.array(norms)[:, None]
+        for q, a in enumerate(active[active > 0].tolist()):
+            d = buf[:a]
+            np.take(outbox, sender[:a, q], axis=0, out=d)
+            d -= value[:a]
+            d *= factor[:a, q, None]
+            acc[:a] += d
+        if norms is not None:
+            acc /= norms[s, None]
             value += acc
-        states.models[rows, cols] = value
+        states.models[rows[s], cols[s]] = value
 
 
 def aggregate_batch(
@@ -394,11 +393,9 @@ def aggregate_batch(
     neighbor m contributes ``weights[i][m]`` and the receiver keeps the
     remainder.  Empty reporting sets leave the model untouched.
     """
-    table = []
-    for i, j, senders in _slots(states, t, plan):
-        weights, _, norm = _merge_weights(mixing, i, senders)
-        table.append((i, j, senders, weights, norm))
-    _fold(states, table, running=False)
+    rows, cols, senders, weights = _slots(states, t, plan, mixing)
+    norms = np.count_nonzero(senders >= 0, axis=1) + 1.0 if mixing is None else np.ones(len(rows))
+    _fold(states, rows, cols, senders, weights, norms)
     return states
 
 
@@ -433,17 +430,19 @@ def aggregate_sequential(
     ``_fault_flip_weights`` deliberately swaps the merge factors; it exists
     only so the verification suite can prove this check can fail.
     """
-    table = []
-    for i, j, senders in _slots(states, t, plan):
-        weights, weight_sum, _ = _merge_weights(mixing, i, senders)
-        order = _arrival(plan, i, j, senders)
-        factors = []
-        for p in order:
-            w = weights[p]
-            factors.append((weight_sum if _fault_flip_weights else w) / (weight_sum + w))
-            weight_sum += w
-        table.append((i, j, [senders[p] for p in order], factors, 1.0))
-    _fold(states, table, running=True)
+    rows, cols, senders, weights = _slots(states, t, plan, mixing)
+    counts = np.count_nonzero(senders >= 0, axis=1)
+    order = np.tile(np.arange(senders.shape[1]), (len(rows), 1))  # padding stays in place
+    for s, (i, j, r) in enumerate(zip(rows.tolist(), cols.tolist(), counts.tolist())):
+        order[s, :r] = _arrival(plan, i, j, senders[s, :r].tolist())
+    # np.cumsum adds left to right like the scalar recurrence; a pairwise sum would change bits.
+    own = np.ones(len(rows))
+    if mixing is not None:
+        own -= np.cumsum(np.column_stack([np.zeros(len(rows)), weights]), axis=1)[:, -1]
+    arrived = np.take_along_axis(weights, order, axis=1)
+    merged = np.cumsum(np.column_stack([own, arrived]), axis=1)  # weight before, after each arrival
+    factors = (merged[:, :-1] if _fault_flip_weights else arrived) / merged[:, 1:]
+    _fold(states, rows, cols, np.take_along_axis(senders, order, axis=1), factors)
     return states
 
 
@@ -472,8 +471,16 @@ def run_round(
     receiving) still merge incoming models.  The ``server`` merge ignores
     ``t`` and expects every client to start the round with the same models.
     A cluster loss that is not finite after the merge raises
-    :class:`DivergenceError` naming the round and cluster.
+    :class:`DivergenceError` naming the round and cluster.  Participants
+    must be distinct clients of the run.
     """
+    seen: set[int] = set()
+    for i in plan.participants:
+        if not 0 <= i < len(states):
+            raise ValueError(f"participant {i} is not a client of this {len(states)}-client run")
+        if i in seen:
+            raise ValueError(f"participant {i} is listed more than once")
+        seen.add(i)
     previous = states.assignment.copy()
     states.sent[:] = -1
     _assign_clusters(states, plan.participants)

@@ -21,8 +21,6 @@ from .core import (
     RoundPlan,
     RunState,
     _arrival,
-    _merge_weights,
-    _slots,
     aggregate_batch,
     aggregate_sequential,
     assign_cluster,
@@ -255,13 +253,39 @@ def _small_graphs() -> Iterator[Topology]:
             yield generate_erdos_renyi(n, p, seed)
 
 
+def _reference_slots(
+    states: RunState, t: Topology, plan: RoundPlan | None
+) -> Iterator[tuple[int, int, list[int]]]:
+    """``(receiver, cluster, senders)`` for every receiver and cluster that
+    some neighbor sent a model of, one receiver and one cluster at a time,
+    the senders ascending."""
+    restricted = plan is not None and plan.receive_restricted
+    for i in plan.participants if restricted else range(len(states)):
+        for j in range(states.models.shape[1]):
+            senders = [m for m in t.neighborhoods[i] if states.sent[m] == j]
+            if senders:
+                yield i, j, senders
+
+
+def _reference_weights(
+    mixing: MixingMatrix | None, i: int, senders: list[int]
+) -> tuple[list[float], float, float]:
+    """The weight of each sender, the receiver's own weight and the batch
+    normalizer: 1.0 each and r+1 when uniform; matrix row weights, the
+    remainder and 1.0 with a matrix."""
+    if mixing is None:
+        return [1.0] * len(senders), 1.0, len(senders) + 1.0
+    weights = [float(mixing.weights[i, m]) for m in senders]
+    return weights, 1.0 - sum(weights), 1.0
+
+
 def _arrival_orders(
     rng: np.random.Generator, states: RunState, t: Topology
 ) -> dict[tuple[int, int], list[Sequence[int]]]:
     """Per (receiver, cluster) pair with senders: every order of up to five
     senders, six seeded orders of more."""
     orders = {}
-    for i, j, senders in _slots(states, t, None):
+    for i, j, senders in _reference_slots(states, t, None):
         if len(senders) <= 5:
             orders[(i, j)] = list(itertools.permutations(senders))
         else:
@@ -314,9 +338,9 @@ def _per_slot_batch(
     """Reference for the batch merge: one receiver slot and one sender at a
     time, senders ascending."""
     outbox = list(states.models[np.arange(len(states)), states.sent])  # read before any write
-    for i, j, senders in _slots(states, t, plan):
+    for i, j, senders in _reference_slots(states, t, plan):
         own = states.models[i, j]
-        weights, _, norm = _merge_weights(mixing, i, senders)
+        weights, _, norm = _reference_weights(mixing, i, senders)
         acc = np.zeros_like(own)
         for m, w in zip(senders, weights):
             acc += w * (outbox[m] - own)
@@ -330,9 +354,9 @@ def _per_slot_sequential(
     """Reference for the sequential merge: one receiver slot and one sender
     at a time, in arrival order."""
     outbox = list(states.models[np.arange(len(states)), states.sent])  # read before any write
-    for i, j, senders in _slots(states, t, plan):
+    for i, j, senders in _reference_slots(states, t, plan):
         value = states.models[i, j]
-        weights, weight_sum, _ = _merge_weights(mixing, i, senders)
+        weights, weight_sum, _ = _reference_weights(mixing, i, senders)
         for p in _arrival(plan, i, j, senders):
             w = weights[p]
             frac = w / (weight_sum + w)
@@ -362,7 +386,7 @@ def check_merges_match_per_slot() -> tuple[bool, str]:
         sending = np.flatnonzero(rng.random(t.n_clients) < 0.7)
         states.sent[sending] = states.assignment[sending]
         participants = tuple(sending.tolist())
-        explicit = {(i, j): rng.permutation(m) for i, j, m in _slots(states, t, None)}
+        explicit = {(i, j): rng.permutation(m) for i, j, m in _reference_slots(states, t, None)}
         most_slots = max(most_slots, len(explicit))
         weights = (None, build_mixing_matrix(t, METROPOLIS))
         for mixing, restricted in itertools.product(weights, (False, True)):

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfca import core, model, verify
 from dfca.config import ConfigError, ExperimentConfig
@@ -287,6 +289,68 @@ class TestAggregateSequential:
             aggregate_sequential(states, complete(3), plan)
 
 
+@pytest.mark.parametrize("merge", ["batch", "sequential"])
+@pytest.mark.parametrize("what, size", [("topology", 4), ("topology", 2), ("mixing matrix", 4),
+                                        ("mixing matrix", 2)])
+def test_merges_reject_a_topology_or_matrix_of_another_size(merge, what, size):
+    states = make_states(np.random.default_rng(25), 3, 2)
+    stage_outboxes(states)
+    frozen = states.models.copy()
+    t, mixing = complete(3), None
+    if what == "topology":
+        t = complete(size)
+    else:
+        mixing = build_mixing_matrix(complete(size), METROPOLIS)
+    with pytest.raises(ValueError, match=f"the {what} has {size} clients, the run has 3"):
+        if merge == "batch":
+            aggregate_batch(states, t, mixing=mixing)
+        else:
+            aggregate_sequential(states, t, RoundPlan(participants=(0, 1, 2)), mixing=mixing)
+    assert np.array_equal(states.models, frozen)
+
+
+class TestMergeIsConvex:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_merged_coordinate_lies_between_its_inputs(self, data):
+        """Every merge is a convex combination of the receiver's pre-merge
+        copy and its senders' outbox values; slots without senders, and
+        non-receivers under restricted receiving, stay bitwise unchanged."""
+        n, k = data.draw(st.integers(2, 7)), data.draw(st.integers(1, 4))
+        adj = np.zeros((n, n), dtype=bool)
+        adj[np.triu_indices(n, 1)] = data.draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                                                        max_size=n * (n - 1) // 2))
+        t = Topology(n, adj | adj.T)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = 10.0 ** data.draw(st.integers(-3, 3))
+        states = RunState(SHAPE, scale * rng.standard_normal((n, k, 4)), [0] * n,
+                          [random_dataset(rng, n=2)] * n)
+        states.sent[:] = data.draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n))
+        plan = RoundPlan(
+            participants=tuple(sorted(data.draw(st.sets(st.integers(0, n - 1))))),
+            round_seed=data.draw(st.integers(0, 100)),
+            receive_restricted=data.draw(st.booleans()),
+        )
+        mixing = build_mixing_matrix(t, METROPOLIS) if data.draw(st.booleans()) else None
+        before = states.models.copy()
+        if data.draw(st.booleans()):
+            aggregate_sequential(states, t, plan, mixing=mixing)
+        else:
+            aggregate_batch(states, t, mixing=mixing, plan=plan)
+        receivers = plan.participants if plan.receive_restricted else range(n)
+        for i in range(n):
+            for j in range(k):
+                senders = [m for m in t.neighborhoods[i] if states.sent[m] == j]
+                got = states.models[i, j]
+                if i not in receivers or not senders:
+                    assert got.tobytes() == before[i, j].tobytes()
+                    continue
+                inputs = np.stack([before[i, j]] + [before[m, j] for m in senders])
+                lo, hi = inputs.min(axis=0), inputs.max(axis=0)
+                slack = 4 * np.spacing(np.abs(inputs).max(axis=0))
+                assert np.all(lo - slack <= got) and np.all(got <= hi + slack)
+
+
 def desk_config(**kw):
     base = dict(n_clients=8, k=2, T=2, data_samples_per_client=40, model_hidden=4,
                 topology_p=0.6, n_seeds=1)
@@ -305,6 +369,19 @@ def tiny_problem(rng, n, k, init="gi", p=0.7, seed=0):
 
 
 class TestRunRound:
+    @pytest.mark.parametrize("participants, message", [
+        ((5,), "participant 5 is not a client of this 3-client run"),
+        ((-1,), "participant -1 is not a client of this 3-client run"),
+        ((1, 1), "participant 1 is listed more than once"),
+    ], ids=["past-the-end", "negative", "duplicate"])
+    def test_participants_must_be_distinct_clients_of_the_run(self, participants, message):
+        rng = np.random.default_rng(26)
+        t, states, hp = tiny_problem(rng, 3, 2, p=1.0)
+        frozen = states.models.copy()
+        with pytest.raises(ValueError, match=message):
+            run_round(states, t, RoundPlan(participants=participants), hp)
+        assert np.array_equal(states.models, frozen)
+
     def test_unknown_aggregation_mode_rejected(self):
         with pytest.raises(ValueError, match="seqential"):
             RoundPlan(participants=(0,), aggregation_mode="seqential")
