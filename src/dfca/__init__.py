@@ -59,7 +59,6 @@ from .topology import (
     METROPOLIS,
     MixingMatrix,
     PAPER_UNIFORM,
-    PowerIterationError,
     Topology,
     build_mixing_matrix,
     from_edge_list_text,

@@ -303,6 +303,17 @@ def local_update(
     return states
 
 
+def _check_participants(participants: Sequence[int], n: int) -> None:
+    """Reject participants that are not distinct clients of an ``n``-client run."""
+    seen: set[int] = set()
+    for i in participants:
+        if not 0 <= i < n:
+            raise ValueError(f"participant {i} is not a client of this {n}-client run")
+        if i in seen:
+            raise ValueError(f"participant {i} is listed more than once")
+        seen.add(i)
+
+
 def _slots(
     states: RunState, t: Topology, plan: RoundPlan | None, mixing: MixingMatrix | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -315,6 +326,7 @@ def _slots(
         if size != n:
             raise ValueError(f"the {name} has {size} clients, the run has {n}")
     if plan is not None and plan.receive_restricted:
+        _check_participants(plan.participants, n)
         receivers = np.asarray(plan.participants, dtype=np.intp)
     else:
         receivers = np.arange(n)
@@ -474,13 +486,7 @@ def run_round(
     :class:`DivergenceError` naming the round and cluster.  Participants
     must be distinct clients of the run.
     """
-    seen: set[int] = set()
-    for i in plan.participants:
-        if not 0 <= i < len(states):
-            raise ValueError(f"participant {i} is not a client of this {len(states)}-client run")
-        if i in seen:
-            raise ValueError(f"participant {i} is listed more than once")
-        seen.add(i)
+    _check_participants(plan.participants, len(states))
     previous = states.assignment.copy()
     states.sent[:] = -1
     _assign_clusters(states, plan.participants)
@@ -521,15 +527,17 @@ def run_round(
     )
 
 
-def build_topology(config: ExperimentConfig) -> Topology:
-    """Sample the configured graph and apply the disconnection policy."""
+def build_topology(config: ExperimentConfig) -> tuple[Topology, bool]:
+    """Sample the configured graph, apply the disconnection policy and return
+    the graph with whether it is connected."""
     topo_seed = (
         config.topology_seed
         if config.topology_seed is not None
         else derive_seed(config.seed, "topology")
     )
     t = generate_erdos_renyi(config.n_clients, config.topology_p, topo_seed)
-    if not is_connected(t):
+    connected = is_connected(t)
+    if not connected:
         if config.on_disconnected == "abort":
             raise DisconnectedGraphError(
                 f"graph (n={config.n_clients}, p={config.topology_p}, seed={topo_seed}) "
@@ -541,7 +549,7 @@ def build_topology(config: ExperimentConfig) -> Topology:
             config.topology_p,
             topo_seed,
         )
-    return t
+    return t, connected
 
 
 def build_client_data(config: ExperimentConfig) -> tuple[list[Dataset], list[Dataset]]:
@@ -582,7 +590,7 @@ def run_experiment_states(
     """
     config.validate()
     centralized = config.algorithm == "ifca"
-    t = None if centralized else build_topology(config)
+    t, connected = (None, None) if centralized else build_topology(config)
     trains, tests = build_client_data(config)
     shape = ModelShape(dim=config.data_dim, hidden=config.model_hidden, n_classes=config.data_n_classes)
     states = initialize(
@@ -612,7 +620,7 @@ def run_experiment_states(
         )
         _, measured = run_round(states, t, plan, hp)
         trace.append(measured)
-    info = {"connected": None if t is None else is_connected(t), "test_sets": tests}
+    info = {"connected": connected, "test_sets": tests}
     return trace, states, info
 
 

@@ -11,7 +11,8 @@ The output root is the config's ``output_dir`` unless the ``DFCA_OUTPUT_ROOT``
 environment variable overrides it.  Each seed's trace is written as soon as
 that seed finishes, and every file is written to a sibling temporary file
 and then renamed into place, so a run that fails leaves the files of the
-seeds before it whole and no half-written file.
+seeds before it whole and no half-written file.  A run that diverges also
+writes a summary of the finished seeds that names the failed one.
 """
 
 from __future__ import annotations
@@ -154,10 +155,16 @@ def _write_summary(path: Path, summary: dict) -> None:
 
 def _run_into(config: ExperimentConfig, run_dir: Path) -> dict:
     """Run seeds 0..n_seeds-1, writing each seed's trace as it finishes, then
-    the summary."""
+    the summary.  A seed that diverges ends the run: the summary of the seeds
+    before it is written with a ``failed`` entry, and the error is raised."""
     outcomes = []
     for seed in range(config.n_seeds):
-        outcome = run_one_seed(config, seed)
+        try:
+            outcome = run_one_seed(config, seed)
+        except DivergenceError as exc:
+            failed = {"seed": seed, "what": exc.what, "where": exc.where}
+            _write_summary(run_dir / "summary.json", {**summarize(config, outcomes), "failed": failed})
+            raise
         write_trace(run_dir / f"seed_{seed}" / "trace.csv", outcome.trace, config.n_models)
         outcomes.append(outcome)
     summary = summarize(config, outcomes)

@@ -6,7 +6,6 @@ read-only) and safe to share across parallel workers.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +16,6 @@ __all__ = [
     "MIXING_KINDS",
     "Topology",
     "MixingMatrix",
-    "PowerIterationError",
     "generate_erdos_renyi",
     "is_connected",
     "build_mixing_matrix",
@@ -29,10 +27,6 @@ __all__ = [
 PAPER_UNIFORM = "paper-uniform"
 METROPOLIS = "metropolis"
 MIXING_KINDS = (PAPER_UNIFORM, METROPOLIS)
-
-
-class PowerIterationError(RuntimeError):
-    """Raised when eigenvalue estimation hits its iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -66,9 +60,6 @@ class Topology:
     @property
     def n_edges(self) -> int:
         return int(self.adjacency.sum()) // 2
-
-    def degree(self, i: int) -> int:
-        return len(self.neighborhoods[i])
 
 
 @dataclass(frozen=True)
@@ -119,19 +110,15 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Topology:
 
 
 def is_connected(t: Topology) -> bool:
-    """True iff breadth-first traversal from client 0 reaches every client."""
-    seen = [False] * t.n_clients
+    """True iff a breadth-first search from client 0 reaches every client.
+    Each adjacency row is read once, as part of one frontier: O(N^2) in all."""
+    seen = np.zeros(t.n_clients, dtype=bool)
     seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        i = queue.popleft()
-        for m in t.neighborhoods[i]:
-            if not seen[m]:
-                seen[m] = True
-                count += 1
-                queue.append(m)
-    return count == t.n_clients
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        frontier = np.flatnonzero(t.adjacency[frontier].any(axis=0) & ~seen)
+        seen[frontier] = True
+    return bool(seen.all())
 
 
 def build_mixing_matrix(t: Topology, kind: str) -> MixingMatrix:
@@ -139,57 +126,28 @@ def build_mixing_matrix(t: Topology, kind: str) -> MixingMatrix:
     build only ``metropolis``, see :class:`MixingMatrix`)."""
     if kind not in MIXING_KINDS:
         raise ValueError(f"unknown mixing kind {kind!r}")
-    n = t.n_clients
-    w = np.zeros((n, n), dtype=np.float64)
-    degrees = [t.degree(i) for i in range(n)]
+    adj = t.adjacency
+    deg = adj.sum(axis=1)
     if kind == PAPER_UNIFORM:
-        for i in range(n):
-            share = 1.0 / (degrees[i] + 1)
-            w[i, i] = share
-            for m in t.neighborhoods[i]:
-                w[i, m] = share
+        w = np.where(adj | np.eye(t.n_clients, dtype=bool), 1.0 / (deg + 1)[:, None], 0.0)
     else:
-        for i in range(n):
-            for m in t.neighborhoods[i]:
-                w[i, m] = 1.0 / (1 + max(degrees[i], degrees[m]))
-            w[i, i] = 1.0 - w[i].sum()
+        w = np.where(adj, 1.0 / (1 + np.maximum.outer(deg, deg)), 0.0)
+        np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return MixingMatrix(weights=w, kind=kind)
 
 
-def spectral_gap(w: MixingMatrix, tol: float = 1e-10, max_iter: int = 200_000) -> float:
-    """1 minus the second-largest eigenvalue magnitude of ``w``.
-
-    Uses deflated power iteration: the known top eigenpair (eigenvalue 1,
-    uniform eigenvector) is removed by subtracting the rank-one averaging
-    matrix, then the norm-growth ratio of the remainder is iterated until it
-    changes by less than ``tol``.  Requires the symmetric ``metropolis`` kind.
-
-    Raises ``PowerIterationError`` if the cap is hit before the tolerance.
-    """
+def spectral_gap(w: MixingMatrix) -> float:
+    """1 minus the second-largest eigenvalue magnitude of ``w``, clamped to
+    [0, 1].  Requires the symmetric ``metropolis`` kind, and weights that are
+    exactly symmetric: ``np.linalg.eigvalsh`` reads only one triangle."""
     if w.kind != METROPOLIS:
         raise ValueError("spectral_gap requires the symmetric metropolis kind")
-    n = w.n
-    if n == 1:
+    if not np.array_equal(w.weights, w.weights.T):
+        raise ValueError("spectral_gap requires exactly symmetric weights")
+    if w.n == 1:
         return 1.0
-    deflated = w.weights - 1.0 / n
-    v = np.random.default_rng(0).standard_normal(n)
-    v -= v.mean()
-    v /= np.linalg.norm(v)
-    prev_est = np.inf
-    for _ in range(max_iter):
-        u = deflated @ v
-        u -= u.mean()  # keep the iterate orthogonal to the removed eigenvector
-        norm = float(np.linalg.norm(u))
-        if norm < 1e-300:
-            return 1.0  # remainder is (numerically) zero: rank-one mixing
-        est = norm
-        v = u / norm
-        if abs(est - prev_est) <= tol:
-            return float(min(1.0, max(0.0, 1.0 - est)))
-        prev_est = est
-    raise PowerIterationError(
-        f"power iteration did not converge within {max_iter} iterations (tol={tol})"
-    )
+    second = np.sort(np.abs(np.linalg.eigvalsh(w.weights)))[-2]
+    return float(min(1.0, max(0.0, 1.0 - second)))
 
 
 def to_edge_list_text(t: Topology) -> str:

@@ -162,9 +162,23 @@ class TestCmdRun:
         assert cmd_run(str(quick), overrides=["gamma=1e4", "T=5"]) == 4  # at seed 1
         run_dir = output_root / "quick"
         written = sorted(p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*") if p.is_file())
-        assert written == ["seed_0/trace.csv"]  # no summary, no temporary file
+        assert written == ["seed_0/trace.csv", "summary.json"]  # no temporary file
         rows = (run_dir / "seed_0" / "trace.csv").read_text().splitlines()
         assert rows[0].startswith("round,") and [r.split(",")[0] for r in rows[1:]] == list("01234")
+
+    def test_divergence_summarizes_the_finished_seeds_and_names_the_failed_one(self, output_root):
+        quick = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
+        assert cmd_run(str(quick), overrides=["gamma=1e4", "T=5"]) == 4
+        summary = json.loads((output_root / "quick" / "summary.json").read_text())
+        assert summary["seeds"] == [0]
+        assert summary["config"]["gamma"] == 1e4
+        assert len(summary["per_seed"]["final_test_accuracy"]) == 1
+        assert summary["mean"]["final_test_accuracy"] == summary["per_seed"]["final_test_accuracy"][0]
+        assert summary["failed"] == {
+            "seed": 1,
+            "what": "local SGD left non-finite model parameters",
+            "where": {"seed": 1, "round": 3, "client": 5, "cluster": 1},
+        }
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_loss_overflow_exits_4_naming_seed_round_and_cluster(self, tiny_config, capsys, output_root):

@@ -58,6 +58,16 @@ def complete(n):
     return Topology(n, ~np.eye(n, dtype=bool))
 
 
+def draw_states(data):
+    """Random states of 1-6 clients, k = 1..3, training sets of 1-12 samples."""
+    n, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sizes = data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    datasets = [random_dataset(rng, n=size, dist=i % 2) for i, size in enumerate(sizes)]
+    return RunState(SHAPE, rng.standard_normal((n, k, SHAPE.param_count)),
+                    [int(a) for a in rng.integers(0, k, size=n)], datasets)
+
+
 def from_edges(n, edges):
     adj = np.zeros((n, n), dtype=bool)
     for i, m in edges:
@@ -202,6 +212,20 @@ class TestLocalUpdate:
         assert s.outbox[0] == 0
         assert np.shares_memory(s.outbox[1], s.models[0])
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unselected_clusters_stay_bitwise_frozen(self, data):
+        states = draw_states(data)
+        n = len(states)
+        rows = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        seeds = data.draw(st.lists(st.integers(0, 2**31), min_size=len(rows), max_size=len(rows)))
+        before = states.models.copy()
+        local_update(states, rows, gamma=0.05, tau=data.draw(st.integers(1, 2)),
+                     batch_size=data.draw(st.integers(1, 5)), seeds=seeds)
+        frozen = np.ones(states.models.shape[:2], dtype=bool)
+        frozen[rows, states.assignment[rows]] = False
+        assert states.models[frozen].tobytes() == before[frozen].tobytes()
+
     def test_gamma_zero_leaves_parameters_unchanged(self):
         rng = np.random.default_rng(10)
         s = make_states(rng, 1, 2)[0]
@@ -306,6 +330,22 @@ def test_merges_reject_a_topology_or_matrix_of_another_size(merge, what, size):
             aggregate_batch(states, t, mixing=mixing)
         else:
             aggregate_sequential(states, t, RoundPlan(participants=(0, 1, 2)), mixing=mixing)
+    assert np.array_equal(states.models, frozen)
+
+
+@pytest.mark.parametrize("merge", ["batch", "sequential"])
+@pytest.mark.parametrize("participant", [-1, 5])
+def test_restricted_merges_reject_a_participant_outside_the_run(merge, participant):
+    states = make_states(np.random.default_rng(27), 3, 2)
+    stage_outboxes(states)
+    frozen = states.models.copy()
+    plan = RoundPlan(participants=(participant,), receive_restricted=True)
+    with pytest.raises(ValueError, match=f"participant {participant} is not a client of this "
+                                         "3-client run"):
+        if merge == "batch":
+            aggregate_batch(states, complete(3), plan=plan)
+        else:
+            aggregate_sequential(states, complete(3), plan)
     assert np.array_equal(states.models, frozen)
 
 
@@ -476,6 +516,30 @@ class TestRunRound:
         before = states[sleeper].models[0].copy()
         run_round(states, t, plan, hp)
         assert np.array_equal(states[sleeper].models[0], before)
+
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_without_edges_non_participants_stay_bitwise_unchanged(self, data):
+        states = draw_states(data)
+        n = len(states)
+        t = Topology(n, np.zeros((n, n), dtype=bool))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        plan = RoundPlan(
+            participants=tuple(data.draw(st.lists(st.integers(0, n - 1), unique=True))),
+            aggregation_mode=data.draw(st.sampled_from(["batch", "sequential"])),
+            round_seed=data.draw(st.integers(0, 100)),
+            receive_restricted=data.draw(st.booleans()),
+        )
+        hp = Hyperparams(
+            gamma=0.05, tau=data.draw(st.integers(1, 2)), batch_size=data.draw(st.integers(1, 5)),
+            test_sets=[random_dataset(rng, n=3) for _ in range(n)],
+            mixing=build_mixing_matrix(t, METROPOLIS) if data.draw(st.booleans()) else None,
+        )
+        before = states.models.copy()
+        run_round(states, t, plan, hp)
+        for i in set(range(n)) - set(plan.participants):
+            assert states.models[i].tobytes() == before[i].tobytes()
 
 
 class TestRunExperiment:

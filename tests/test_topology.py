@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dfca.topology import (
     METROPOLIS,
     PAPER_UNIFORM,
+    MixingMatrix,
     Topology,
     build_mixing_matrix,
     from_edge_list_text,
@@ -25,6 +26,44 @@ def from_edges(n, edges):
     for i, m in edges:
         adj[i, m] = adj[m, i] = True
     return Topology(n, adj)
+
+
+def ring(n):
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path(n):
+    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def reference_mixing_matrix(t, kind):
+    """Per-node loop reference for the array form of ``build_mixing_matrix``."""
+    n = t.n_clients
+    w = np.zeros((n, n), dtype=np.float64)
+    degrees = [len(t.neighborhoods[i]) for i in range(n)]
+    if kind == PAPER_UNIFORM:
+        for i in range(n):
+            share = 1.0 / (degrees[i] + 1)
+            w[i, i] = share
+            for m in t.neighborhoods[i]:
+                w[i, m] = share
+    else:
+        for i in range(n):
+            for m in t.neighborhoods[i]:
+                w[i, m] = 1.0 / (1 + max(degrees[i], degrees[m]))
+            w[i, i] = 1.0 - w[i].sum()
+    return w
+
+
+def reference_is_connected(t):
+    """Queue-based breadth-first search from client 0."""
+    seen, queue = {0}, [0]
+    while queue:
+        for m in t.neighborhoods[queue.pop(0)]:
+            if m not in seen:
+                seen.add(m)
+                queue.append(m)
+    return len(seen) == t.n_clients
 
 
 class TestErdosRenyi:
@@ -75,6 +114,16 @@ class TestConnectivity:
     def test_single_client_connected(self):
         assert is_connected(from_edges(1, []))
 
+    @given(n=st.integers(1, 30), p=st.floats(0.0, 0.4), seed=st.integers(0, 1000))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_breadth_first_search(self, n, p, seed):
+        t = generate_erdos_renyi(n, p, seed)
+        assert is_connected(t) == reference_is_connected(t)
+
+    def test_long_path(self):
+        assert is_connected(path(1000))
+        assert not is_connected(Topology(1000, np.pad(path(999).adjacency, (0, 1))))  # last node cut off
+
 
 class TestMixingMatrix:
     def test_uniform_on_complete_three(self):
@@ -120,17 +169,26 @@ class TestMixingMatrix:
         with pytest.raises(ValueError):
             build_mixing_matrix(complete(3), "uniform")
 
+    @given(n=st.integers(1, 30), p=st.floats(0.0, 1.0), seed=st.integers(0, 1000))
+    @settings(max_examples=100, deadline=None)
+    def test_bitwise_equal_to_per_node_loop(self, n, p, seed):
+        t = generate_erdos_renyi(n, p, seed)
+        for kind in (PAPER_UNIFORM, METROPOLIS):
+            got = build_mixing_matrix(t, kind).weights
+            assert got.tobytes() == reference_mixing_matrix(t, kind).tobytes()
+
 
 class TestSpectralGap:
     def test_complete_three_is_rank_one(self):
         gap = spectral_gap(build_mixing_matrix(complete(3), METROPOLIS))
         assert gap == pytest.approx(1.0, abs=1e-9)
 
-    def test_four_cycle_gap_two_thirds(self):
-        # circulant eigenvalues (1 + 2cos(2*pi*k/4))/3 -> second magnitude 1/3
-        cycle = from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        gap = spectral_gap(build_mixing_matrix(cycle, METROPOLIS))
-        assert gap == pytest.approx(2.0 / 3.0, abs=1e-9)
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_ring_gap_matches_closed_form(self, n):
+        # circulant eigenvalues (1 + 2cos(2*pi*k/n))/3; for n = 4 the gap is 2/3
+        second = max(abs((1 + 2 * np.cos(2 * np.pi * k / n)) / 3) for k in range(1, n))
+        gap = spectral_gap(build_mixing_matrix(ring(n), METROPOLIS))
+        assert gap == pytest.approx(1 - second, abs=1e-12)
 
     def test_disconnected_two_plus_two_gap_zero(self):
         split = from_edges(4, [(0, 1), (2, 3)])
@@ -140,6 +198,13 @@ class TestSpectralGap:
     def test_requires_metropolis_kind(self):
         with pytest.raises(ValueError):
             spectral_gap(build_mixing_matrix(complete(3), PAPER_UNIFORM))
+
+    def test_rejects_asymmetric_weights(self):
+        w = build_mixing_matrix(path(3), METROPOLIS).weights.copy()
+        w[0, 1] += 1e-3
+        w[0, 0] -= 1e-3  # rows still sum to one
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            spectral_gap(MixingMatrix(w, METROPOLIS))
 
     @given(n=st.integers(2, 15), p=st.floats(0.1, 1.0), seed=st.integers(0, 30))
     @settings(max_examples=30, deadline=None)
