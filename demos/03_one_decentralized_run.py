@@ -36,8 +36,8 @@ for m in trace:
 tau = stabilization_round(trace)
 print(f"\nassignments stabilized after round {tau}")
 print("final assignment vs generating cluster per client:")
-for s in states:
-    marker = "" if s.assignment == s.data.distribution_id else "   <- relabeled"
+for s, d in zip(states, states.data):
+    marker = "" if s.assignment == d.distribution_id else "   <- relabeled"
     print(f"  client {s.client_id:2d}: assigned {s.assignment}, data from "
-          f"{s.data.distribution_id}{marker}")
+          f"{d.distribution_id}{marker}")
 print("(a global swap of cluster labels is fine; only the partition matters)")

@@ -41,8 +41,8 @@ def random_dataset(n=15):
 print("=== 1. Assignment is descent ===")
 datasets = [random_dataset() for _ in range(6)]
 states = initialize(k=3, n=6, mode="li", model_shape=SHAPE, seed=1, datasets=datasets)
-for s in states:
-    s.assignment = int(rng.integers(0, 3))  # scramble
+for i in range(len(states)):
+    states.assignment[i] = rng.integers(0, 3)  # scramble
 before = f_global(states)
 for s in states:
     assign_cluster(s)

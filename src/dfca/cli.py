@@ -20,29 +20,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dfca", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run n_seeds experiments from a config file")
-    run.add_argument("config", help="path to a key=value config file")
-    run.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a config key (repeatable)",
+    commands = (
+        ("run", "run n_seeds experiments from a config file", ()),
+        ("sweep", "repeat a run over values of one numeric key",
+         (("--key", "numeric config key to sweep"), ("--values", "comma-separated values"))),
     )
-
-    sweep = sub.add_parser("sweep", help="repeat a run over values of one numeric key")
-    sweep.add_argument("config", help="path to a key=value config file")
-    sweep.add_argument("--key", required=True, help="numeric config key to sweep")
-    sweep.add_argument("--values", required=True, help="comma-separated values")
-    sweep.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a config key (repeatable)",
-    )
+    for name, summary, options in commands:
+        command = sub.add_parser(name, help=summary)
+        command.add_argument("config", help="path to a key=value config file")
+        for flag, text in options:
+            command.add_argument(flag, required=True, help=text)
+        command.add_argument(
+            "--set",
+            dest="overrides",
+            action="append",
+            default=[],
+            metavar="KEY=VALUE",
+            help="override a config key (repeatable)",
+        )
 
     verify = sub.add_parser("verify", help="run the algorithmic property suite")
     verify.add_argument(

@@ -82,45 +82,29 @@ class DisconnectedGraphError(RuntimeError):
     """Sampled topology is disconnected and the config says abort."""
 
 
-class _Row:
-    """A :class:`ClientState` field: item ``client_id`` of the run's field of
-    the same name."""
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, c: "ClientState | None", owner: type | None = None):
-        return self if c is None else getattr(c.run, self.name)[c.client_id]
-
-    def __set__(self, c: "ClientState", value) -> None:
-        getattr(c.run, self.name)[c.client_id] = value
-
-
 class ClientState:
-    """Client ``client_id`` of a run, read and written through the run's
-    arrays.  ``outbox`` is the (cluster, parameters) pair the client sends
-    this round, None if it did not train; the merges read every outbox
-    before they write any model."""
+    """Read-only view of client ``client_id`` of a run; the run's arrays are
+    written directly.  ``outbox`` is the (cluster, parameters) pair the
+    client sends this round, None if it did not train."""
 
     __slots__ = ("run", "client_id")
-    models = _Row()
-    assignment = _Row()
-    data = _Row()
 
     def __init__(self, run: "RunState", client_id: int) -> None:
         self.run = run
         self.client_id = client_id
 
     @property
+    def models(self) -> np.ndarray:
+        return self.run.models[self.client_id]
+
+    @property
+    def assignment(self) -> int:
+        return int(self.run.assignment[self.client_id])
+
+    @property
     def outbox(self) -> tuple[int, np.ndarray] | None:
         j = int(self.run.sent[self.client_id])
         return None if j < 0 else (j, self.models[j])
-
-    @outbox.setter
-    def outbox(self, message: tuple[int, np.ndarray] | None) -> None:
-        if message is not None:
-            self.models[message[0]] = message[1]
-        self.run.sent[self.client_id] = -1 if message is None else message[0]
 
 
 class RunState(Sequence[ClientState]):
@@ -256,7 +240,7 @@ def assign_cluster(c: ClientState, losses: np.ndarray | None = None) -> int:
     and the event logged.
     """
     if losses is None:
-        losses = forward_loss(MlpModel(c.run.shape, c.models), c.data)
+        losses = forward_loss(MlpModel(c.run.shape, c.models), c.run.data[c.client_id])
     finite = np.isfinite(losses)
     if not finite.any():
         logger.warning(
@@ -265,8 +249,8 @@ def assign_cluster(c: ClientState, losses: np.ndarray | None = None) -> int:
             len(losses),
             c.assignment,
         )
-        return int(c.assignment)
-    c.assignment = j = int(np.argmin(np.where(finite, losses, np.inf)))
+        return c.assignment
+    c.run.assignment[c.client_id] = j = int(np.argmin(np.where(finite, losses, np.inf)))
     return j
 
 

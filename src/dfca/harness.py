@@ -222,6 +222,11 @@ def cmd_sweep(config_path: str, key: str, values: Sequence[str], overrides: Iter
     caster = _FIELD_BY_KEY[key][1]
     if caster not in (int, float):
         raise ConfigError(f"config key {key!r} is not numeric and cannot be swept")
+    if key == "seed":
+        raise ConfigError(
+            "config key 'seed' cannot be swept: dfca run uses seeds 0..n_seeds-1 whatever its "
+            "value; sweep n_seeds or topology.seed instead"
+        )
     if not values:
         raise ConfigError("sweep needs at least one value")
     parsed = []

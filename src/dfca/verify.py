@@ -469,9 +469,9 @@ def _per_client_metrics(states: RunState, test_sets: Sequence[Dataset]) -> tuple
     f = []
     for j in range(k):
         total = 0.0
-        for s in states:
+        for s, d in zip(states, states.data):
             if s.assignment == j:
-                total += forward_loss(unflatten_params(states.shape, s.models[j]), s.data)
+                total += forward_loss(unflatten_params(states.shape, s.models[j]), d)
         f.append(total)
     hits = [
         predict(unflatten_params(states.shape, s.models[s.assignment]), t.features) == t.labels
@@ -504,11 +504,12 @@ def check_batched_metrics() -> tuple[bool, str]:
     instances, bad = 0, []
     for hidden, k, lengths, empty_last in itertools.product((0, 3), range(1, 5), mixes, (False, True)):
         shape = ModelShape(dim=4, hidden=hidden, n_classes=3)
-        states = random_states(rng, len(lengths), k, shape)
-        for s, n in zip(states, lengths):
-            s.data = random_dataset(rng, n, shape.dim, shape.n_classes)
+        drawn, data = random_states(rng, len(lengths), k, shape), []
+        for i, n in enumerate(lengths):
+            data.append(random_dataset(rng, n, shape.dim, shape.n_classes))
             if empty_last and k > 1:
-                s.assignment = int(rng.integers(0, k - 1))
+                drawn.assignment[i] = int(rng.integers(0, k - 1))
+        states = RunState(shape, drawn.models, drawn.assignment, data)
         tests = [random_dataset(rng, n, shape.dim, shape.n_classes) for n in rng.permutation(lengths)]
         batched = (
             [f_cluster(states, j) for j in range(k)],

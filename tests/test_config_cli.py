@@ -247,6 +247,12 @@ class TestCmdSweep:
         assert cmd_sweep(str(tiny_config), "init_mode", ["gi"]) == 2
         assert "init_mode" in capsys.readouterr().err
 
+    def test_seed_rejected_as_every_value_runs_the_same_seeds(self, tiny_config, output_root, capsys):
+        assert cmd_sweep(str(tiny_config), "seed", ["1", "7"]) == 2
+        err = capsys.readouterr().err
+        assert "'seed'" in err and "0..n_seeds-1" in err and "topology.seed" in err
+        assert not (output_root / "tiny").exists()
+
     def test_three_gamma_values_emit_three_rows(self, tiny_config, output_root):
         assert cmd_sweep(str(tiny_config), "gamma", ["0.05", "0.1", "0.25"]) == 0
         lines = (output_root / "tiny" / "sweep_gamma.csv").read_text().splitlines()

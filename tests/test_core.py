@@ -95,8 +95,8 @@ class TestInitialize:
         rng = np.random.default_rng(3)
         datasets = [random_dataset(rng) for _ in range(4)]
         states = initialize(k=3, n=4, mode="li", model_shape=SHAPE, seed=5, datasets=datasets)
-        for s in states:
-            losses = [forward_loss(unflatten_params(SHAPE, v), s.data) for v in s.models]
+        for s, d in zip(states, datasets):
+            losses = [forward_loss(unflatten_params(SHAPE, v), d) for v in s.models]
             assert s.assignment == int(np.argmin(losses))
 
     def test_clients_are_views_of_one_array_that_every_step_writes(self):
@@ -112,6 +112,9 @@ class TestInitialize:
             for j in range(2):
                 assert np.array_equal(array[i, j], before[i, j]) == ((i, j) not in trained)
         assert all(np.shares_memory(states[i].outbox[1], array) for i in (1, 3))
+        for name in ("models", "assignment", "outbox", "data"):  # written only through the arrays
+            with pytest.raises(AttributeError):
+                setattr(states[1], name, None)
         hp.mixing = build_mixing_matrix(t, METROPOLIS)
         for r, mode in enumerate(("server", "batch", "sequential")):
             before = array.copy()
@@ -139,18 +142,20 @@ class TestInitialize:
 class TestAssignCluster:
     def test_picks_strict_argmin(self):
         rng = np.random.default_rng(4)
-        s = make_states(rng, 1, 2)[0]
-        losses = [forward_loss(unflatten_params(SHAPE, v), s.data) for v in s.models]
+        states = make_states(rng, 1, 2)
+        s = states[0]
+        losses = [forward_loss(unflatten_params(SHAPE, v), states.data[0]) for v in s.models]
         expected = int(np.argmin(losses))
         assert assign_cluster(s) == expected
         assert s.assignment == expected
 
     def test_tie_breaks_toward_lowest_index(self):
         rng = np.random.default_rng(5)
-        s = make_states(rng, 1, 3)[0]
+        states = make_states(rng, 1, 3)
+        s = states[0]
         s.models[2] = s.models[0].copy()  # exact tie between clusters 0 and 2
         chosen = assign_cluster(s)
-        losses = [forward_loss(unflatten_params(SHAPE, v), s.data) for v in s.models]
+        losses = [forward_loss(unflatten_params(SHAPE, v), states.data[0]) for v in s.models]
         assert losses[0] == losses[2]
         assert chosen != 2  # the later twin never wins a tie
         if losses[0] <= losses[1]:
@@ -164,30 +169,29 @@ class TestAssignCluster:
 
     def test_all_non_finite_keeps_previous(self, caplog):
         rng = np.random.default_rng(7)
-        s = make_states(rng, 1, 2)[0]
-        s.assignment = 1
-        s.models[0] = np.full(SHAPE.param_count, 1e300)
-        s.models[1] = np.full(SHAPE.param_count, 1e300)
+        states = make_states(rng, 1, 2)
+        states.assignment[0] = 1
+        states.models[0] = 1e300
         with caplog.at_level("WARNING"):
-            assert assign_cluster(s) == 1
+            assert assign_cluster(states[0]) == 1
         assert "non-finite" in caplog.text
 
     def test_all_nan_models_keep_previous(self, caplog):
         rng = np.random.default_rng(8)
-        s = make_states(rng, 1, 3)[0]
-        s.assignment = 2
-        s.models = np.full((3, SHAPE.param_count), np.nan)
+        states = make_states(rng, 1, 3)
+        states.assignment[0] = 2
+        states.models[0] = np.nan
         with caplog.at_level("WARNING"):
-            assert assign_cluster(s) == 2
+            assert assign_cluster(states[0]) == 2
         assert "non-finite" in caplog.text
 
     def test_batched_assignment_matches_per_client_loop(self, caplog):
         rng = np.random.default_rng(9)
         k, lengths = 3, [40, 25] * 30  # each length spans several chunks of _CHUNK_ROWS rows
         assert max(model._CHUNK_ROWS // (k * n) for n in lengths) < len(lengths) // 2
-        states = make_states(rng, len(lengths), k)
-        for s, n in zip(states, lengths):
-            s.data = random_dataset(rng, n)
+        drawn = make_states(rng, len(lengths), k)
+        data = [random_dataset(rng, n) for n in lengths]
+        states = RunState(SHAPE, drawn.models, drawn.assignment, data)
         states.models[7] = np.nan
         states.assignment[7] = 2
         looped = states.copy()
@@ -204,8 +208,9 @@ class TestAssignCluster:
 class TestLocalUpdate:
     def test_only_assigned_model_changes(self):
         rng = np.random.default_rng(9)
-        s = make_states(rng, 1, 2)[0]
-        s.assignment = 0
+        states = make_states(rng, 1, 2)
+        states.assignment[0] = 0
+        s = states[0]
         frozen = s.models[1].copy()
         local_update(s.run, [0], gamma=0.1, tau=1, batch_size=4, seeds=[0])
         assert np.array_equal(s.models[1], frozen)
@@ -238,10 +243,11 @@ class TestLocalUpdate:
         rng = np.random.default_rng(11)
         improved = 0
         for seed in range(20):
-            s = make_states(rng, 1, 2)[0]
-            before = forward_loss(unflatten_params(SHAPE, s.models[s.assignment]), s.data)
-            local_update(s.run, [0], gamma=0.1, tau=2, batch_size=5, seeds=[seed])
-            after = forward_loss(unflatten_params(SHAPE, s.models[s.assignment]), s.data)
+            states = make_states(rng, 1, 2)
+            s, d = states[0], states.data[0]
+            before = forward_loss(unflatten_params(SHAPE, s.models[s.assignment]), d)
+            local_update(states, [0], gamma=0.1, tau=2, batch_size=5, seeds=[seed])
+            after = forward_loss(unflatten_params(SHAPE, s.models[s.assignment]), d)
             improved += after <= before
         assert improved >= 18  # descent in expectation, tiny batches may jitter
 
@@ -447,21 +453,21 @@ class TestRunRound:
     @pytest.mark.parametrize("gamma", [0.3, 0.0])
     def test_participants_train_like_per_client_sgd(self, gamma):
         rng = np.random.default_rng(20)
-        states = make_states(rng, 9, 3)
-        for i, s in enumerate(states):  # two train lengths, so two stacked groups
-            s.data = random_dataset(rng, n=(10, 13)[i % 2], dist=i % 2)
+        drawn = make_states(rng, 9, 3)
+        # two train lengths, so two stacked groups
+        data = [random_dataset(rng, n=(10, 13)[i % 2], dist=i % 2) for i in range(9)]
+        states = RunState(SHAPE, drawn.models, drawn.assignment, data)
         tests = [random_dataset(rng, n=5) for _ in states]
         hp = Hyperparams(gamma=gamma, tau=2, batch_size=4, test_sets=tests)
         plan = RoundPlan(participants=(0, 2, 3, 6, 7), round_seed=21)
         expected = states.copy()
         for i in plan.participants:
-            c = expected[i]
-            assign_cluster(c)
+            j = assign_cluster(expected[i])
             if gamma:
-                trained = sgd_epochs(unflatten_params(SHAPE, c.models[c.assignment]), c.data,
+                trained = sgd_epochs(unflatten_params(SHAPE, expected.models[i, j]), data[i],
                                      gamma, hp.tau, hp.batch_size, derive_seed(21, "sgd", i))
-                c.models[c.assignment] = flatten_params(trained)
-            c.outbox = (c.assignment, c.models[c.assignment])
+                expected.models[i, j] = flatten_params(trained)
+            expected.sent[i] = j
         run_round(states, from_edges(9, []), plan, hp)  # no edges: nothing merges
         for s, e in zip(states, expected):
             assert s.assignment == e.assignment

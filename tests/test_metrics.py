@@ -43,31 +43,29 @@ class TestClusterLoss:
     def test_empty_cluster_sums_to_zero(self):
         rng = np.random.default_rng(0)
         states = random_states(rng, 3, 2)
-        for s in states:
-            s.assignment = 0
+        states.assignment[:] = 0
         assert f_cluster(states, 1) == 0.0
 
     def test_singleton_cluster_is_that_clients_loss(self):
         rng = np.random.default_rng(1)
         states = random_states(rng, 1, 2)
         s = states[0]
-        expected = forward_loss(unflatten_params(SHAPE, s.models[s.assignment]), s.data)
+        expected = forward_loss(unflatten_params(SHAPE, s.models[s.assignment]), states.data[0])
         assert f_cluster(states, s.assignment) == pytest.approx(expected, rel=1e-15)
 
     def test_additivity_over_clients(self):
         rng = np.random.default_rng(2)
         states = random_states(rng, 4, 2)
-        for s in states:
-            s.assignment = 1
+        states.assignment[:] = 1
         total = sum(
-            forward_loss(unflatten_params(SHAPE, s.models[1]), s.data) for s in states
+            forward_loss(unflatten_params(SHAPE, s.models[1]), d) for s, d in zip(states, states.data)
         )
         assert f_cluster(states, 1) == pytest.approx(total, rel=1e-12)
 
     def test_nan_parameters_give_nan_not_an_error(self):
         rng = np.random.default_rng(11)
         states = random_states(rng, 3, 2)
-        states[1].assignment = 1
+        states.assignment[1] = 1
         states[1].models[1] = np.full(SHAPE.param_count, np.nan)
         assert np.isnan(f_cluster(states, 1))
 
@@ -119,8 +117,7 @@ class TestClusteringAccuracy:
     def test_three_of_four_under_best_permutation(self):
         rng = np.random.default_rng(8)
         states = random_states(rng, 4, 2)
-        for s, a in zip(states, (0, 0, 1, 1)):
-            s.assignment = a
+        states.assignment[:] = (0, 0, 1, 1)
         assert clustering_accuracy(states, [0, 0, 1, 0]) == 0.75
 
     @given(seed=st.integers(0, 99))
@@ -131,15 +128,13 @@ class TestClusteringAccuracy:
         truth = list(rng.integers(0, 3, size=8))
         base = clustering_accuracy(states, truth)
         relabel = rng.permutation(3)
-        for s in states:
-            s.assignment = int(relabel[s.assignment])
+        states.assignment[:] = relabel[states.assignment]
         assert clustering_accuracy(states, truth) == base
 
     def test_single_model_against_two_way_truth_scores_majority(self):
         rng = np.random.default_rng(9)
         states = random_states(rng, 4, 1)
-        for s in states:
-            s.assignment = 0
+        states.assignment[:] = 0
         assert clustering_accuracy(states, [0, 0, 0, 1]) == 0.75
 
 
