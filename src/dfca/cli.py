@@ -3,6 +3,7 @@
     dfca run <config> [--set key=value ...]
     dfca sweep <config> --key K --values v1,v2,...
     dfca verify [--inject-fault]
+    dfca diff <run_a> <run_b>
 
 Set ``DFCA_OUTPUT_ROOT`` to redirect all outputs.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import cmd_run, cmd_sweep
+from .harness import cmd_diff, cmd_run, cmd_sweep
 from .verify import run_verification
 
 
@@ -45,6 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="deliberately corrupt the running-average weights (self-test of the checks)",
     )
+
+    diff = sub.add_parser("diff", help="compare the traces of two run directories seed by seed")
+    diff.add_argument("run_a", help="run directory holding seed_<s>/trace.csv")
+    diff.add_argument("run_b", help="run directory to compare it with")
     return parser
 
 
@@ -55,6 +60,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "sweep":
         values = [v.strip() for v in args.values.split(",") if v.strip()]
         return cmd_sweep(args.config, args.key, values, args.overrides)
+    if args.command == "diff":
+        return cmd_diff(args.run_a, args.run_b)
     return run_verification(inject_fault=args.inject_fault)
 
 

@@ -149,9 +149,11 @@ class RoundPlan:
 
     ``aggregation_mode`` is ``batch``, ``sequential`` or ``server`` (IFCA).
     ``arrival_order`` may pin an explicit sender order per (receiver,
-    cluster); any pair not listed gets a seeded permutation derived from
-    ``round_seed``.  An explicit order must permute exactly the reporting
-    neighbor set.
+    cluster); any pair not listed takes its order from one stream per merge,
+    ``spawn_rng(round_seed, "arrival")``, which draws one uniform key per
+    sender of every receiver slot: the senders arrive in ascending key
+    order, a uniform random permutation.  An explicit order must permute
+    exactly the reporting neighbor set.
     """
 
     participants: tuple[int, ...]
@@ -395,17 +397,15 @@ def aggregate_batch(
     return states
 
 
-def _arrival(plan: RoundPlan, i: int, j: int, senders: list[int]) -> list[int]:
-    """Positions in ``senders`` in the order their models arrive."""
-    if plan.arrival_order is not None and (i, j) in plan.arrival_order:
-        order = [int(m) for m in plan.arrival_order[(i, j)]]
-        if sorted(order) != senders:
-            raise ValueError(
-                f"arrival order {order} for receiver {i}, cluster {j} "
-                f"does not permute the reporting set {senders}"
-            )
-        return [senders.index(m) for m in order]
-    return spawn_rng(plan.round_seed, "arrival", i, j).permutation(len(senders)).tolist()
+def _arrival(pair: tuple[int, int], pinned: Sequence[int], senders: list[int]) -> list[int]:
+    """Positions in ``senders`` in the arrival order ``pinned`` for ``pair``."""
+    order = [int(m) for m in pinned]
+    if sorted(order) != senders:
+        raise ValueError(
+            f"arrival order {order} for receiver {pair[0]}, cluster {pair[1]} "
+            f"does not permute the reporting set {senders}"
+        )
+    return [senders.index(m) for m in order]
 
 
 def aggregate_sequential(
@@ -427,10 +427,16 @@ def aggregate_sequential(
     only so the verification suite can prove this check can fail.
     """
     rows, cols, senders, weights = _slots(states, t, plan, mixing)
-    counts = np.count_nonzero(senders >= 0, axis=1)
-    order = np.tile(np.arange(senders.shape[1]), (len(rows), 1))  # padding stays in place
-    for s, (i, j, r) in enumerate(zip(rows.tolist(), cols.tolist(), counts.tolist())):
-        order[s, :r] = _arrival(plan, i, j, senders[s, :r].tolist())
+    keys = spawn_rng(plan.round_seed, "arrival").random(senders.shape)
+    keys[senders < 0] = 2.0  # the padding sorts last and stays in place
+    order = np.argsort(keys, axis=1, kind="stable")
+    if plan.arrival_order:
+        slot_of = {pair: s for s, pair in enumerate(zip(rows.tolist(), cols.tolist()))}
+        for pair, pinned in plan.arrival_order.items():
+            s = slot_of.get(pair)
+            if s is not None:
+                held = senders[s][senders[s] >= 0].tolist()
+                order[s, : len(held)] = _arrival(pair, pinned, held)
     # np.cumsum adds left to right like the scalar recurrence; a pairwise sum would change bits.
     own = np.ones(len(rows))
     if mixing is not None:

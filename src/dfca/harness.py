@@ -13,12 +13,14 @@ that seed finishes, and every file is written to a sibling temporary file
 and then renamed into place, so a run that fails leaves the files of the
 seeds before it whole and no half-written file.  A run that diverges also
 writes a summary of the finished seeds that names the failed one.
+``cmd_diff`` compares the traces of two run directories seed by seed.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import os
 import sys
@@ -41,6 +43,7 @@ __all__ = [
     "run_one_seed",
     "cmd_run",
     "cmd_sweep",
+    "cmd_diff",
 ]
 
 OUTPUT_ROOT_ENV = "DFCA_OUTPUT_ROOT"
@@ -254,3 +257,74 @@ def cmd_sweep(config_path: str, key: str, values: Sequence[str], overrides: Iter
     ])
     print(f"sweep over {key}: {len(rows)} runs -> {combined}")
     return 0
+
+
+def _read_trace(path: Path) -> list[list[str]]:
+    """The header and rows of a trace file; a file that cannot be read, has
+    no header, or has a row of another width or a cell that is not a number
+    raises ``ValueError`` naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path} has no header")
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            if len(row) != len(rows[0]):
+                raise ValueError(f"{len(row)} cells under a {len(rows[0])}-column header")
+            [float(x) for x in row]
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line}: {exc}") from None
+    return rows
+
+
+def _diff_trace(a: list[list[str]], b: list[list[str]]) -> tuple[str | None, dict[str, float]]:
+    """Where two traces with one header first differ, None if they are
+    identical, and the max |a - b| of each column but ``round`` over the
+    rounds both have."""
+    header, first = a[0], None
+    delta = dict.fromkeys(header[1:], 0.0)
+    for ra, rb in itertools.zip_longest(a[1:], b[1:]):
+        if ra is None or rb is None:
+            first = first or f"round {(ra or rb)[0]}, which only one trace has"
+            continue
+        for column, x, y in zip(header, ra, rb):
+            if x != y:
+                first = first or f"round {ra[0]}, column {column}"
+                if column in delta:
+                    delta[column] = max(delta[column], abs(float(x) - float(y)))
+    return first, delta
+
+
+def cmd_diff(run_a: str, run_b: str) -> int:
+    """Compare ``seed_<s>/trace.csv`` of two run directories: per seed, print
+    ``identical`` or the first differing round and column with the max |delta|
+    per column.  Returns 0 if every trace is identical, 1 if any differs, and
+    2 if a seed is missing from one run, the headers differ or a trace cannot
+    be read."""
+    dirs = (Path(run_a), Path(run_b))
+    seeds = [{p.parent.name for p in d.glob("seed_*/trace.csv")} for d in dirs]
+    try:
+        for d, mine, theirs in zip(dirs, seeds, seeds[::-1]):
+            if not mine:
+                raise ValueError(f"{d} has no seed_*/trace.csv")
+            if theirs - mine:
+                raise ValueError(f"{d} has no trace of {', '.join(sorted(theirs - mine))}")
+        differs = False
+        for seed in sorted(seeds[0], key=lambda name: (len(name), name)):  # seed_2 before seed_10
+            a, b = (_read_trace(d / seed / "trace.csv") for d in dirs)
+            if a[0] != b[0]:
+                raise ValueError(f"{seed}: trace headers differ: {a[0]} against {b[0]}")
+            first, delta = _diff_trace(a, b)
+            if first is None:
+                print(f"{seed}: identical")
+                continue
+            differs = True
+            print(f"{seed}: first difference at {first}")
+            print("  max |delta|: " + ", ".join(f"{c} {v:.3g}" for c, v in delta.items()))
+    except ValueError as exc:
+        print(f"diff: {exc}", file=sys.stderr)
+        return 2
+    return 1 if differs else 0

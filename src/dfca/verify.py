@@ -20,7 +20,6 @@ from .core import (
     Hyperparams,
     RoundPlan,
     RunState,
-    _arrival,
     aggregate_batch,
     aggregate_sequential,
     assign_cluster,
@@ -53,6 +52,7 @@ from .model import (
     sgd_epochs,
     unflatten_params,
 )
+from .seeding import spawn_rng
 from .topology import (
     METROPOLIS,
     PAPER_UNIFORM,
@@ -298,7 +298,7 @@ def check_sequential_equals_batch(inject_fault: bool = False) -> tuple[bool, str
 
     Each ``aggregate_sequential`` call pins one arrival order for every
     (receiver, cluster) pair; one more call per instance leaves the orders to
-    the seeded permutation that ``run_round`` uses.
+    the seeded key table that ``run_round`` uses.
     """
     rng = np.random.default_rng(0)
     shape = ModelShape(dim=2, hidden=0, n_classes=2)
@@ -352,12 +352,23 @@ def _per_slot_sequential(
     states: RunState, t: Topology, plan: RoundPlan, mixing: MixingMatrix | None
 ) -> RunState:
     """Reference for the sequential merge: one receiver slot and one sender
-    at a time, in arrival order."""
+    at a time, in arrival order.  An unpinned slot sorts its senders by key:
+    the ``s``-th slot enumerated reads row ``s`` of one key table from
+    ``spawn_rng(round_seed, "arrival")``, a row per slot and a column per
+    sender position."""
     outbox = list(states.models[np.arange(len(states)), states.sent])  # read before any write
-    for i, j, senders in _reference_slots(states, t, plan):
+    slots = list(_reference_slots(states, t, plan))
+    longest = max((len(senders) for _, _, senders in slots), default=0)
+    keys = spawn_rng(plan.round_seed, "arrival").random((len(slots), longest))
+    pinned = plan.arrival_order or {}
+    for (i, j, senders), row in zip(slots, keys.tolist()):
         value = states.models[i, j]
         weights, weight_sum, _ = _reference_weights(mixing, i, senders)
-        for p in _arrival(plan, i, j, senders):
+        if (i, j) in pinned:
+            arrival = [senders.index(int(m)) for m in pinned[(i, j)]]
+        else:
+            arrival = sorted(range(len(senders)), key=lambda p: row[p])
+        for p in arrival:
             w = weights[p]
             frac = w / (weight_sum + w)
             value = value + frac * (outbox[senders[p]] - value)
@@ -373,8 +384,8 @@ def check_merges_match_per_slot() -> tuple[bool, str]:
     plus one with more receiver slots than one pass of the fold and unequal
     sender counts.  About a third of the clients do not send.  Each instance
     runs under uniform and Metropolis weights, with and without restricted
-    receiving, and the sequential merge with explicit and seeded arrival
-    orders.
+    receiving, and the sequential merge with every other pair's arrival
+    order pinned and with none pinned.
     """
     rng = np.random.default_rng(8)
     shape = ModelShape(dim=2, hidden=0, n_classes=2)
@@ -386,8 +397,9 @@ def check_merges_match_per_slot() -> tuple[bool, str]:
         sending = np.flatnonzero(rng.random(t.n_clients) < 0.7)
         states.sent[sending] = states.assignment[sending]
         participants = tuple(sending.tolist())
-        explicit = {(i, j): rng.permutation(m) for i, j, m in _reference_slots(states, t, None)}
-        most_slots = max(most_slots, len(explicit))
+        slots = list(_reference_slots(states, t, None))
+        explicit = {(i, j): rng.permutation(m) for i, j, m in slots[::2]}
+        most_slots = max(most_slots, len(slots))
         weights = (None, build_mixing_matrix(t, METROPOLIS))
         for mixing, restricted in itertools.product(weights, (False, True)):
             plans = [

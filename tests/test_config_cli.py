@@ -1,7 +1,9 @@
 import contextlib
+import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -12,7 +14,7 @@ import pytest
 
 from dfca.cli import main
 from dfca.config import ConfigError, ExperimentConfig, config_keys, load_config
-from dfca.harness import cmd_run, cmd_sweep
+from dfca.harness import cmd_diff, cmd_run, cmd_sweep
 from dfca.verify import CHECK_NAMES, CHECKS
 
 TINY = """
@@ -257,6 +259,87 @@ class TestCmdSweep:
         assert cmd_sweep(str(tiny_config), "gamma", ["0.05", "0.1", "0.25"]) == 0
         lines = (output_root / "tiny" / "sweep_gamma.csv").read_text().splitlines()
         assert len(lines) == 4
+
+
+QUICK = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
+
+
+def quick_run(monkeypatch, root, *overrides):
+    """Run ``configs/quick.cfg`` into ``root`` and return its run directory."""
+    monkeypatch.setenv("DFCA_OUTPUT_ROOT", str(root))
+    assert cmd_run(str(QUICK), overrides) == 0
+    return root / "quick"
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+class TestCmdDiff:
+    def test_runs_that_differ_in_gamma_name_the_first_round_and_column(self, output_root, monkeypatch, capsys):
+        a = quick_run(monkeypatch, output_root / "a", "gamma=0.05")
+        b = quick_run(monkeypatch, output_root / "b", "gamma=0.2")
+        capsys.readouterr()
+        assert main(["diff", str(a), str(b)]) == 1
+        out = capsys.readouterr().out
+        for seed in ("seed_0", "seed_1"):
+            rows_a, rows_b = (read_rows(d / seed / "trace.csv") for d in (a, b))
+            header = rows_a[0]
+            where = next(
+                (ra[0], column)
+                for ra, rb in zip(rows_a[1:], rows_b[1:])
+                for column, x, y in zip(header, ra, rb)
+                if x != y
+            )
+            assert f"{seed}: first difference at round {where[0]}, column {where[1]}\n" in out
+
+    def test_one_changed_cell_is_named_with_its_delta(self, output_root, monkeypatch, capsys):
+        a = quick_run(monkeypatch, output_root / "a", "T=10")
+        b = output_root / "b"
+        shutil.copytree(a, b)
+        rows = read_rows(b / "seed_1" / "trace.csv")
+        column = rows[0].index("disp_1")
+        rows[8][column] = repr(float(rows[8][column]) + 0.25)  # row 8 is round 7
+        with open(b / "seed_1" / "trace.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert cmd_diff(str(a), str(b)) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "seed_0: identical"
+        assert out[1] == "seed_1: first difference at round 7, column disp_1"
+        assert "disp_0 0, disp_1 0.25, clustering_acc 0," in out[2]
+
+    def test_a_run_against_itself_is_identical(self, output_root, monkeypatch, capsys):
+        a = quick_run(monkeypatch, output_root / "a", "T=3")
+        capsys.readouterr()
+        assert main(["diff", str(a), str(a)]) == 0
+        assert capsys.readouterr().out == "seed_0: identical\nseed_1: identical\n"
+
+    @pytest.mark.parametrize("fault, message", [
+        ("header", "trace headers differ"),
+        ("missing seed", "has no trace of seed_1"),
+        ("unreadable", "cannot read"),
+        ("not a number", "line 3: could not convert"),
+    ])
+    def test_a_header_mismatch_missing_seed_or_unreadable_trace_exits_2(
+        self, output_root, monkeypatch, capsys, fault, message
+    ):
+        a = quick_run(monkeypatch, output_root / "a", "T=3")
+        b = output_root / "b"
+        shutil.copytree(a, b)
+        trace = b / "seed_1" / "trace.csv"
+        if fault == "header":
+            trace.write_text(trace.read_text().replace("disp_1", "disp_one", 1))
+        elif fault == "missing seed":
+            shutil.rmtree(trace.parent)
+        elif fault == "unreadable":
+            trace.write_bytes(b"\xff\xfe round")
+        else:
+            trace.write_text(trace.read_text().replace("\n1,", "\n1x,", 1))
+        capsys.readouterr()
+        assert main(["diff", str(a), str(b)]) == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.fixture(scope="session")

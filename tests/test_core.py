@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from dfca.model import (
     sgd_epochs,
     unflatten_params,
 )
-from dfca.seeding import derive_seed
+from dfca.seeding import derive_seed, spawn_rng
 from dfca.topology import METROPOLIS, Topology, build_mixing_matrix, generate_erdos_renyi
 
 SHAPE = ModelShape(dim=3, hidden=2, n_classes=3)
@@ -317,6 +318,53 @@ class TestAggregateSequential:
         plan = RoundPlan(participants=(0, 1, 2), arrival_order={(0, 0): [1]})
         with pytest.raises(ValueError, match="does not permute"):
             aggregate_sequential(states, complete(3), plan)
+
+    def test_pinning_one_pair_leaves_every_other_slot_as_unpinned(self):
+        states = make_states(np.random.default_rng(31), 9, 2)
+        stage_outboxes(states)
+        t, everyone = complete(9), tuple(range(9))
+        j = int(states.assignment[0])
+        senders = [m for m in range(1, 9) if states.assignment[m] == j]
+        assert len(senders) >= 3
+        free = aggregate_sequential(states.copy(), t, RoundPlan(everyone, round_seed=5))
+        pinned = aggregate_sequential(
+            states.copy(), t, RoundPlan(everyone, round_seed=5, arrival_order={(0, j): senders[::-1]})
+        )
+        other = np.ones(states.models.shape[:2], dtype=bool)
+        other[0, j] = False
+        assert pinned.models[other].tobytes() == free.models[other].tobytes()
+
+    def test_each_order_of_three_senders_is_about_equally_likely(self, monkeypatch):
+        """Receiver 0 of a star hears leaves 1-3 under 3,000 fixed round
+        seeds; each of the 6 orders should arrive 500 times, and the bound
+        is 5 binomial standard deviations (20.4 each)."""
+        orders = []
+
+        def record(states, rows, cols, senders, factors, norms=None):
+            orders.append(tuple(senders[0].tolist()))
+
+        monkeypatch.setattr(core, "_fold", record)
+        states = scalar_states([[0.0], [1.0], [2.0], [3.0]])
+        states.sent[1:] = 0
+        star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        for seed in range(3000):
+            aggregate_sequential(states, star, RoundPlan((1, 2, 3), round_seed=seed))
+        counts = {order: orders.count(order) for order in set(orders)}
+        assert sorted(counts) == sorted(itertools.permutations((1, 2, 3)))
+        assert all(abs(c - 500) <= 102 for c in counts.values()), counts
+
+    def test_one_stream_per_merge_when_nothing_is_pinned(self, monkeypatch):
+        calls = []
+
+        def counted(*parts):
+            calls.append(parts)
+            return spawn_rng(*parts)
+
+        monkeypatch.setattr(core, "spawn_rng", counted)
+        states = make_states(np.random.default_rng(33), 12, 3)
+        stage_outboxes(states)
+        aggregate_sequential(states, complete(12), RoundPlan(tuple(range(12)), round_seed=9))
+        assert calls == [(9, "arrival")]
 
 
 @pytest.mark.parametrize("merge", ["batch", "sequential"])
