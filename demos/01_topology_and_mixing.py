@@ -1,15 +1,14 @@
-"""Communication graphs and their gossip mixing matrices.
+"""Communication graphs and their Metropolis mixing matrices.
 
-Builds a few sparse random graphs, derives the two mixing-weight schemes,
-and shows how the spectral gap of the symmetric scheme predicts how fast
-gossip averaging contracts disagreement.
+Builds a few sparse random graphs, derives their Metropolis mixing weights
+(the paper's own merge, 1/(r+1) over self and the r reporting neighbors,
+needs no matrix), and shows how the spectral gap of that symmetric matrix
+predicts how fast gossip averaging contracts disagreement.
 """
 
 import numpy as np
 
 from dfca import (
-    METROPOLIS,
-    PAPER_UNIFORM,
     build_mixing_matrix,
     from_edge_list_text,
     generate_erdos_renyi,
@@ -28,20 +27,18 @@ print("\n=== Mixing weights on a small graph ===")
 t = generate_erdos_renyi(6, 0.5, seed=3)
 print("edge list:")
 print(to_edge_list_text(t))
-for kind in (PAPER_UNIFORM, METROPOLIS):
-    w = build_mixing_matrix(t, kind)
-    print(f"{kind}: row sums {np.round(w.weights.sum(axis=1), 12)}")
-    if kind == METROPOLIS:
-        print(f"  symmetric: {np.abs(w.weights - w.weights.T).max():.1e} max asymmetry")
+w = build_mixing_matrix(t)
+print(f"metropolis: row sums {np.round(w.sum(axis=1), 12)}")
+print(f"  symmetric: {np.abs(w - w.T).max():.1e} max asymmetry")
 
 print("\n=== Spectral gap drives consensus speed ===")
 for p in (0.2, 0.4, 0.8):
     t = generate_erdos_renyi(20, p, seed=1)
-    gap = spectral_gap(build_mixing_matrix(t, METROPOLIS))
+    gap = spectral_gap(build_mixing_matrix(t))
     lam = 1 - gap
     note = "" if is_connected(t) else "   (disconnected: no contraction at all)"
     print(f"p={p}: gap={gap:.3f}; dispersion shrinks by lambda^2={lam**2:.3f} per round{note}")
 
 print("\nA disconnected graph has gap 0 (no global consensus):")
 split = from_edge_list_text("4\n0 1\n2 3\n")
-print(f"two 2-cliques: gap={spectral_gap(build_mixing_matrix(split, METROPOLIS)):.2e}")
+print(f"two 2-cliques: gap={spectral_gap(build_mixing_matrix(split)):.2e}")

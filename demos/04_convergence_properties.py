@@ -13,7 +13,6 @@ import itertools
 import numpy as np
 
 from dfca import (
-    METROPOLIS,
     Hyperparams,
     RoundPlan,
     aggregate_batch,
@@ -51,7 +50,7 @@ print(f"global loss after  re-assignment: {f_global(states):.4f} (never higher)\
 
 print("=== 2. Gossip preserves the average and contracts disagreement ===")
 t = generate_erdos_renyi(16, 0.3, seed=4)
-w = build_mixing_matrix(t, METROPOLIS)
+w = build_mixing_matrix(t)
 lam = 1 - spectral_gap(w)
 states = initialize(k=1, n=16, mode="li", model_shape=SHAPE, seed=2,
                     datasets=[random_dataset() for _ in range(16)])

@@ -56,9 +56,6 @@ from .model import (
     unflatten_params,
 )
 from .topology import (
-    METROPOLIS,
-    MixingMatrix,
-    PAPER_UNIFORM,
     Topology,
     build_mixing_matrix,
     from_edge_list_text,

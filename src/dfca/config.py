@@ -13,13 +13,14 @@ from pathlib import Path
 from typing import Iterable
 
 from .datagen import SyntheticSpec, _n_test
-from .topology import MIXING_KINDS
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_overrides", "config_keys"]
 
 ALGORITHMS = ("dfca", "ifca", "davg")
 INIT_MODES = ("gi", "li")
 AGGREGATION_MODES = ("batch", "sequential")
+# paper-uniform merges 1/(r+1) over self and the r reporting neighbors, with no matrix.
+MIXING_KINDS = ("paper-uniform", "metropolis")
 DISCONNECTED_POLICIES = ("abort", "proceed")
 
 

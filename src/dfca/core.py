@@ -9,8 +9,8 @@ propagate even through sparse graphs.
 ``run_round`` has three merges:
 
 * batch - synchronous per-cluster neighbor averaging with uniform weights
-  1/(r+1) over self plus the r reporting neighbors (or mixing-matrix
-  weights when a matrix is supplied);
+  1/(r+1) over self plus the r reporting neighbors (or Metropolis weights
+  when a mixing matrix is supplied);
 * sequential - a running average that folds neighbor models in one at a
   time in arrival order and telescopes to exactly the batch mean;
 * server - centralized IFCA: each cluster model becomes the mean of the
@@ -51,14 +51,7 @@ from .model import (
     unflatten_params,
 )
 from .seeding import derive_seed, spawn_rng
-from .topology import (
-    METROPOLIS,
-    MixingMatrix,
-    Topology,
-    build_mixing_matrix,
-    generate_erdos_renyi,
-    is_connected,
-)
+from .topology import Topology, build_mixing_matrix, generate_erdos_renyi, is_connected
 
 logger = logging.getLogger(__name__)
 
@@ -111,11 +104,17 @@ class RunState(Sequence[ClientState]):
     """Every model copy of a run in one ``(N, k, P)`` array, and each
     client's assignment and the cluster it sent this round (-1 for none) as
     ``(N,)`` int arrays.  Item ``i`` is client ``i``'s :class:`ClientState`.
-    A float64 ``models`` array is taken without a copy."""
+    A float64 ``models`` array is taken without a copy; one that is not
+    ``(N, k >= 1, shape.param_count)`` is rejected."""
 
     def __init__(self, shape: ModelShape, models, assignment, data: Sequence[Dataset]) -> None:
         self.shape = shape
         self.models = np.asarray(models, dtype=np.float64)
+        if self.models.ndim != 3 or self.models.shape[1] < 1 or self.models.shape[2] != shape.param_count:
+            raise ValueError(
+                f"models of shape {self.models.shape} do not fit {shape}: "
+                f"need (N, k >= 1, {shape.param_count})"
+            )
         n = len(self.models)
         self.assignment = np.array(assignment, dtype=np.intp)
         if self.assignment.shape != (n,) or len(data) != n:
@@ -152,8 +151,10 @@ class RoundPlan:
     cluster); any pair not listed takes its order from one stream per merge,
     ``spawn_rng(round_seed, "arrival")``, which draws one uniform key per
     sender of every receiver slot: the senders arrive in ascending key
-    order, a uniform random permutation.  An explicit order must permute
-    exactly the reporting neighbor set.
+    order, a uniform random permutation.  A pinned pair must be a client and
+    cluster of the run.  If that receiver has reporting senders of that
+    cluster, the explicit order must permute exactly them; otherwise the pin
+    is ignored (as when restricted receiving leaves the receiver out).
     """
 
     participants: tuple[int, ...]
@@ -175,14 +176,15 @@ class Hyperparams:
     """Per-run constants threaded through rounds.
 
     ``mixing`` selects the merge weights: None for uniform 1/(r+1) over self
-    plus the r reporting neighbors, or a mixing matrix.
+    plus the r reporting neighbors, or the ``(N, N)`` Metropolis matrix of
+    :func:`build_mixing_matrix`.
     """
 
     gamma: float
     tau: int
     batch_size: int
     test_sets: Sequence[Dataset]
-    mixing: MixingMatrix | None = None
+    mixing: np.ndarray | None = None
 
 
 def initialize(
@@ -301,16 +303,17 @@ def _check_participants(participants: Sequence[int], n: int) -> None:
 
 
 def _slots(
-    states: RunState, t: Topology, plan: RoundPlan | None, mixing: MixingMatrix | None
+    states: RunState, t: Topology, plan: RoundPlan | None, mixing: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every receiver slot that some neighbor sent a model of: receivers
     ``(S,)``, clusters ``(S,)``, an ``(S, L)`` table of senders ascending,
     padded with -1, and their weights, 0.0 in the padding: the matrix row
     weights, or 1.0 without a matrix."""
     n = len(states)
-    for name, size in (("topology", t.n_clients), ("mixing matrix", getattr(mixing, "n", n))):
-        if size != n:
-            raise ValueError(f"the {name} has {size} clients, the run has {n}")
+    if t.n_clients != n:
+        raise ValueError(f"the topology has {t.n_clients} clients, the run has {n}")
+    if mixing is not None and mixing.shape != (n, n):
+        raise ValueError(f"the mixing matrix has shape {mixing.shape}, the run has {n} clients")
     if plan is not None and plan.receive_restricted:
         _check_participants(plan.participants, n)
         receivers = np.asarray(plan.participants, dtype=np.intp)
@@ -329,7 +332,7 @@ def _slots(
     rows, cols, held = receivers[slot[firsts] // k], slot[firsts] % k, senders >= 0
     if mixing is None:
         return rows, cols, senders, held * 1.0
-    return rows, cols, senders, np.where(held, mixing.weights[rows[:, None], senders], 0.0)
+    return rows, cols, senders, np.where(held, mixing[rows[:, None], senders], 0.0)
 
 
 _FOLD_SLOTS = 64  # receiver slots per pass of the fold; bounds the gathered rows
@@ -380,16 +383,16 @@ def _fold(
 def aggregate_batch(
     states: RunState,
     t: Topology,
-    mixing: MixingMatrix | None = None,
+    mixing: np.ndarray | None = None,
     plan: RoundPlan | None = None,
 ) -> RunState:
     """Synchronous merge: every receiver replaces each cluster model with the
     weighted combination of its own copy and the reporting neighbors' outbox
     values, all computed from pre-round values.
 
-    Without ``mixing``, weights are uniform 1/(r+1); with a mixing matrix,
-    neighbor m contributes ``weights[i][m]`` and the receiver keeps the
-    remainder.  Empty reporting sets leave the model untouched.
+    Without ``mixing``, weights are uniform 1/(r+1); with the ``(N, N)``
+    mixing matrix, neighbor m contributes ``mixing[i, m]`` and the receiver
+    keeps the remainder.  Empty reporting sets leave the model untouched.
     """
     rows, cols, senders, weights = _slots(states, t, plan, mixing)
     norms = np.count_nonzero(senders >= 0, axis=1) + 1.0 if mixing is None else np.ones(len(rows))
@@ -412,7 +415,7 @@ def aggregate_sequential(
     states: RunState,
     t: Topology,
     plan: RoundPlan,
-    mixing: MixingMatrix | None = None,
+    mixing: np.ndarray | None = None,
     _fault_flip_weights: bool = False,
 ) -> RunState:
     """Running-average merge: incoming models are folded in one at a time.
@@ -426,6 +429,11 @@ def aggregate_sequential(
     ``_fault_flip_weights`` deliberately swaps the merge factors; it exists
     only so the verification suite can prove this check can fail.
     """
+    k = states.models.shape[1]
+    for i, j in plan.arrival_order or ():
+        if not (0 <= i < len(states) and 0 <= j < k):
+            raise ValueError(f"arrival order pinned for receiver {i}, cluster {j}, "
+                             f"outside this run of {len(states)} clients and {k} clusters")
     rows, cols, senders, weights = _slots(states, t, plan, mixing)
     keys = spawn_rng(plan.round_seed, "arrival").random(senders.shape)
     keys[senders < 0] = 2.0  # the padding sorts last and stays in place
@@ -596,8 +604,7 @@ def run_experiment_states(
         tau=config.tau,
         batch_size=config.batch_size,
         test_sets=tests,
-        mixing=build_mixing_matrix(t, METROPOLIS)
-        if t is not None and config.mixing_kind == METROPOLIS else None,
+        mixing=build_mixing_matrix(t) if t is not None and config.mixing_kind == "metropolis" else None,
     )
     trace: list[RoundMetrics] = []
     for round_index in range(config.T):

@@ -5,7 +5,7 @@ Output layout::
     <output_root>/<config_name>/seed_<s>/trace.csv
     <output_root>/<config_name>/summary.json
     <output_root>/<config_name>/<key>=<value>/...      (sweeps)
-    <output_root>/<config_name>/sweep_<key>.csv
+    <output_root>/<config_name>/sweep_<field>.csv      (topology.p -> topology_p)
 
 The output root is the config's ``output_dir`` unless the ``DFCA_OUTPUT_ROOT``
 environment variable overrides it.  Each seed's trace is written as soon as
@@ -213,16 +213,13 @@ def cmd_run(config_path: str, overrides: Iterable[str] = ()) -> int:
     return 0
 
 
-def _sanitize(key: str) -> str:
-    return key.replace(".", "_")
-
-
 @_exit_codes
 def cmd_sweep(config_path: str, key: str, values: Sequence[str], overrides: Iterable[str] = ()) -> int:
-    """One ``cmd_run`` per value of ``key``; emits a combined (value, mean, std) CSV."""
+    """One ``cmd_run`` per value of ``key``; emits a combined (value, mean, std)
+    CSV.  Every value's config is loaded and checked before the first run."""
     if key not in _FIELD_BY_KEY:
         raise ConfigError(f"unknown config key {key!r}")
-    caster = _FIELD_BY_KEY[key][1]
+    field_name, caster = _FIELD_BY_KEY[key]
     if caster not in (int, float):
         raise ConfigError(f"config key {key!r} is not numeric and cannot be swept")
     if key == "seed":
@@ -232,23 +229,17 @@ def cmd_sweep(config_path: str, key: str, values: Sequence[str], overrides: Iter
         )
     if not values:
         raise ConfigError("sweep needs at least one value")
-    parsed = []
-    for v in values:
-        try:
-            parsed.append(caster(v))
-        except ValueError as exc:
-            raise ConfigError(f"sweep value {v!r} for key {key!r}: {exc}") from exc
+    configs = [load_config(config_path, [*overrides, f"{key}={v}"]) for v in values]
 
-    base = load_config(config_path, overrides)
-    root = _output_root(base) / Path(config_path).stem
+    root = _output_root(configs[0]) / Path(config_path).stem
     rows = []
-    for value in parsed:
-        config = load_config(config_path, list(overrides) + [f"{key}={value}"])
+    for config in configs:
+        value = getattr(config, field_name)
         summary = _run_into(config, root / f"{key}={value}")
         rows.append((value, summary["mean"]["final_test_accuracy"],
                      summary["std"]["final_test_accuracy"]))
 
-    combined = root / f"sweep_{_sanitize(key)}.csv"
+    combined = root / f"sweep_{field_name}.csv"
     _write_rows(combined, [["value", "mean", "std"]] + [
         [repr(float(value)) if isinstance(value, float) else str(value),
          "" if mean is None else repr(float(mean)),

@@ -1,6 +1,6 @@
-"""Communication graphs and the mixing matrices that drive gossip averaging.
+"""Communication graphs and the Metropolis mixing matrix of gossip averaging.
 
-All types here are immutable after construction (arrays are marked
+Everything here is immutable after construction (arrays are marked
 read-only) and safe to share across parallel workers.
 """
 
@@ -11,11 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "PAPER_UNIFORM",
-    "METROPOLIS",
-    "MIXING_KINDS",
     "Topology",
-    "MixingMatrix",
     "generate_erdos_renyi",
     "is_connected",
     "build_mixing_matrix",
@@ -23,10 +19,6 @@ __all__ = [
     "to_edge_list_text",
     "from_edge_list_text",
 ]
-
-PAPER_UNIFORM = "paper-uniform"
-METROPOLIS = "metropolis"
-MIXING_KINDS = (PAPER_UNIFORM, METROPOLIS)
 
 
 @dataclass(frozen=True)
@@ -62,36 +54,6 @@ class Topology:
         return int(self.adjacency.sum()) // 2
 
 
-@dataclass(frozen=True)
-class MixingMatrix:
-    """Row-stochastic gossip weights respecting a topology.
-
-    ``paper-uniform`` puts weight 1/(deg(i)+1) on client i itself and on each
-    of its neighbors.  ``metropolis`` uses 1/(1+max(deg(i), deg(m))) on every
-    edge with the remainder on the diagonal; it is symmetric and therefore
-    doubly stochastic.
-
-    Runs never build ``paper-uniform``: they merge without a matrix, 1/(r+1)
-    over self plus the r neighbors that report that round.
-    """
-
-    weights: np.ndarray
-    kind: str
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        if self.kind not in MIXING_KINDS:
-            raise ValueError(f"unknown mixing kind {self.kind!r}")
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("weights must be a square matrix")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-
 def generate_erdos_renyi(n: int, p: float, seed: int) -> Topology:
     """Sample an Erdős–Rényi graph: each pair is an edge independently with
     probability ``p``.  Deterministic for fixed (n, p, seed)."""
@@ -121,32 +83,28 @@ def is_connected(t: Topology) -> bool:
     return bool(seen.all())
 
 
-def build_mixing_matrix(t: Topology, kind: str) -> MixingMatrix:
-    """Build the row-stochastic mixing matrix of the requested kind (runs
-    build only ``metropolis``, see :class:`MixingMatrix`)."""
-    if kind not in MIXING_KINDS:
-        raise ValueError(f"unknown mixing kind {kind!r}")
-    adj = t.adjacency
-    deg = adj.sum(axis=1)
-    if kind == PAPER_UNIFORM:
-        w = np.where(adj | np.eye(t.n_clients, dtype=bool), 1.0 / (deg + 1)[:, None], 0.0)
-    else:
-        w = np.where(adj, 1.0 / (1 + np.maximum.outer(deg, deg)), 0.0)
-        np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return MixingMatrix(weights=w, kind=kind)
+def build_mixing_matrix(t: Topology) -> np.ndarray:
+    """The read-only ``(N, N)`` Metropolis weights of ``t`` (Xiao & Boyd
+    2004): 1/(1+max(deg(i), deg(m))) on every edge, the remainder on the
+    diagonal.  Symmetric and therefore doubly stochastic."""
+    deg = t.adjacency.sum(axis=1)
+    w = np.where(t.adjacency, 1.0 / (1 + np.maximum.outer(deg, deg)), 0.0)
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    w.setflags(write=False)
+    return w
 
 
-def spectral_gap(w: MixingMatrix) -> float:
-    """1 minus the second-largest eigenvalue magnitude of ``w``, clamped to
-    [0, 1].  Requires the symmetric ``metropolis`` kind, and weights that are
-    exactly symmetric: ``np.linalg.eigvalsh`` reads only one triangle."""
-    if w.kind != METROPOLIS:
-        raise ValueError("spectral_gap requires the symmetric metropolis kind")
-    if not np.array_equal(w.weights, w.weights.T):
+def spectral_gap(w: np.ndarray) -> float:
+    """1 minus the second-largest eigenvalue magnitude of the mixing matrix
+    ``w``, clamped to [0, 1].  Requires a square matrix that is exactly
+    symmetric: ``np.linalg.eigvalsh`` reads only one triangle."""
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"spectral_gap requires a square matrix, got shape {w.shape}")
+    if not np.array_equal(w, w.T):
         raise ValueError("spectral_gap requires exactly symmetric weights")
-    if w.n == 1:
+    if len(w) == 1:
         return 1.0
-    second = np.sort(np.abs(np.linalg.eigvalsh(w.weights)))[-2]
+    second = np.sort(np.abs(np.linalg.eigvalsh(w)))[-2]
     return float(min(1.0, max(0.0, 1.0 - second)))
 
 

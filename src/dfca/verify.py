@@ -54,9 +54,6 @@ from .model import (
 )
 from .seeding import spawn_rng
 from .topology import (
-    METROPOLIS,
-    PAPER_UNIFORM,
-    MixingMatrix,
     Topology,
     build_mixing_matrix,
     from_edge_list_text,
@@ -103,22 +100,18 @@ def random_states(
 def check_mixing_stochasticity() -> tuple[bool, str]:
     worst = 0.0
     for seed in range(5):
-        t = generate_erdos_renyi(8, 0.4, seed)
-        for kind in (PAPER_UNIFORM, METROPOLIS):
-            w = build_mixing_matrix(t, kind).weights
-            worst = max(worst, float(np.abs(w.sum(axis=1) - 1.0).max()))
-            if kind == METROPOLIS:
-                worst = max(worst, float(np.abs(w - w.T).max()))
+        w = build_mixing_matrix(generate_erdos_renyi(8, 0.4, seed))
+        worst = max(worst, float(np.abs(w.sum(axis=1) - 1.0).max()), float(np.abs(w - w.T).max()))
     return worst <= 1e-12, f"max row-sum/symmetry deviation {worst:.2e}"
 
 
 def check_spectral_gap() -> tuple[bool, str]:
     complete3 = Topology(3, ~np.eye(3, dtype=bool))
-    gap_complete = spectral_gap(build_mixing_matrix(complete3, METROPOLIS))
+    gap_complete = spectral_gap(build_mixing_matrix(complete3))
     cycle = from_edge_list_text("4\n0 1\n1 2\n2 3\n0 3\n")
-    gap_cycle = spectral_gap(build_mixing_matrix(cycle, METROPOLIS))
+    gap_cycle = spectral_gap(build_mixing_matrix(cycle))
     two_plus_two = from_edge_list_text("4\n0 1\n2 3\n")
-    gap_split = spectral_gap(build_mixing_matrix(two_plus_two, METROPOLIS))
+    gap_split = spectral_gap(build_mixing_matrix(two_plus_two))
     ok = (
         abs(gap_complete - 1.0) <= 1e-8
         and abs(gap_cycle - 2.0 / 3.0) <= 1e-8
@@ -268,14 +261,14 @@ def _reference_slots(
 
 
 def _reference_weights(
-    mixing: MixingMatrix | None, i: int, senders: list[int]
+    mixing: np.ndarray | None, i: int, senders: list[int]
 ) -> tuple[list[float], float, float]:
     """The weight of each sender, the receiver's own weight and the batch
     normalizer: 1.0 each and r+1 when uniform; matrix row weights, the
     remainder and 1.0 with a matrix."""
     if mixing is None:
         return [1.0] * len(senders), 1.0, len(senders) + 1.0
-    weights = [float(mixing.weights[i, m]) for m in senders]
+    weights = [float(mixing[i, m]) for m in senders]
     return weights, 1.0 - sum(weights), 1.0
 
 
@@ -317,7 +310,7 @@ def check_sequential_equals_batch(inject_fault: bool = False) -> tuple[bool, str
                 )
                 for r in range(depth)
             ] + [RoundPlan(participants=participants, round_seed=k)]
-            for mixing in (None, build_mixing_matrix(t, METROPOLIS)):
+            for mixing in (None, build_mixing_matrix(t)):
                 batch = aggregate_batch(states.copy(), t, mixing=mixing)
                 for plan in plans:
                     seq = aggregate_sequential(
@@ -333,7 +326,7 @@ def check_sequential_equals_batch(inject_fault: bool = False) -> tuple[bool, str
 
 
 def _per_slot_batch(
-    states: RunState, t: Topology, mixing: MixingMatrix | None, plan: RoundPlan
+    states: RunState, t: Topology, mixing: np.ndarray | None, plan: RoundPlan
 ) -> RunState:
     """Reference for the batch merge: one receiver slot and one sender at a
     time, senders ascending."""
@@ -349,7 +342,7 @@ def _per_slot_batch(
 
 
 def _per_slot_sequential(
-    states: RunState, t: Topology, plan: RoundPlan, mixing: MixingMatrix | None
+    states: RunState, t: Topology, plan: RoundPlan, mixing: np.ndarray | None
 ) -> RunState:
     """Reference for the sequential merge: one receiver slot and one sender
     at a time, in arrival order.  An unpinned slot sorts its senders by key:
@@ -400,7 +393,7 @@ def check_merges_match_per_slot() -> tuple[bool, str]:
         slots = list(_reference_slots(states, t, None))
         explicit = {(i, j): rng.permutation(m) for i, j, m in slots[::2]}
         most_slots = max(most_slots, len(slots))
-        weights = (None, build_mixing_matrix(t, METROPOLIS))
+        weights = (None, build_mixing_matrix(t))
         for mixing, restricted in itertools.product(weights, (False, True)):
             plans = [
                 RoundPlan(
@@ -435,7 +428,7 @@ def check_gossip_consensus() -> tuple[bool, str]:
     connected = ((seed, t) for seed, t in graphs if is_connected(t))
     worst_avg, worst_slack = 0.0, -np.inf
     for seed, t in itertools.islice(connected, 10):
-        w = build_mixing_matrix(t, METROPOLIS)
+        w = build_mixing_matrix(t)
         lam = 1.0 - spectral_gap(w)
         datasets = [random_dataset(rng, 12, shape.dim, shape.n_classes) for _ in range(n)]
         states = initialize(k=1, n=n, mode="li", model_shape=shape, seed=seed, datasets=datasets)

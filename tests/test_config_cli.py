@@ -255,6 +255,12 @@ class TestCmdSweep:
         assert "'seed'" in err and "0..n_seeds-1" in err and "topology.seed" in err
         assert not (output_root / "tiny").exists()
 
+    @pytest.mark.parametrize("key, values", [("k", ["2", "3"]), ("gamma", ["0.1", "-1"])])
+    def test_a_bad_value_runs_no_value(self, tiny_config, output_root, capsys, key, values):
+        assert cmd_sweep(str(tiny_config), key, values, ["T=2", "n_seeds=1"]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not output_root.exists()
+
     def test_three_gamma_values_emit_three_rows(self, tiny_config, output_root):
         assert cmd_sweep(str(tiny_config), "gamma", ["0.05", "0.1", "0.25"]) == 0
         lines = (output_root / "tiny" / "sweep_gamma.csv").read_text().splitlines()

@@ -29,7 +29,7 @@ from dfca.model import (
     unflatten_params,
 )
 from dfca.seeding import derive_seed, spawn_rng
-from dfca.topology import METROPOLIS, Topology, build_mixing_matrix, generate_erdos_renyi
+from dfca.topology import Topology, build_mixing_matrix, generate_erdos_renyi
 
 SHAPE = ModelShape(dim=3, hidden=2, n_classes=3)
 
@@ -48,9 +48,9 @@ def stage_outboxes(states):
 
 
 def scalar_states(values_per_client, assignments=None):
-    """States whose 'models' are length-1 vectors, for aggregation algebra."""
+    """States whose models hold one value in every parameter, for aggregation algebra."""
     n = len(values_per_client)
-    models = np.array(values_per_client, dtype=float)[:, :, None]
+    models = np.repeat(np.array(values_per_client, dtype=float)[:, :, None], SHAPE.param_count, axis=2)
     data = [random_dataset(np.random.default_rng(0))] * n
     return RunState(SHAPE, models, [0] * n if assignments is None else assignments, data)
 
@@ -116,7 +116,7 @@ class TestInitialize:
         for name in ("models", "assignment", "outbox", "data"):  # written only through the arrays
             with pytest.raises(AttributeError):
                 setattr(states[1], name, None)
-        hp.mixing = build_mixing_matrix(t, METROPOLIS)
+        hp.mixing = build_mixing_matrix(t)
         for r, mode in enumerate(("server", "batch", "sequential")):
             before = array.copy()
             plan = RoundPlan(participants=(0, 2, 4), aggregation_mode=mode, round_seed=r)
@@ -287,7 +287,7 @@ class TestAggregateBatch:
         assert states[1].models[1][0] == 20.0
 
     def test_averaging_identical_vectors_is_bitwise_identity(self):
-        value = np.random.default_rng(14).standard_normal(7)
+        value = np.random.default_rng(14).standard_normal(SHAPE.param_count)
         data = random_dataset(np.random.default_rng(0))
         states = RunState(SHAPE, np.tile(value, (3, 1, 1)), [0] * 3, [data] * 3)
         stage_outboxes(states)
@@ -377,14 +377,50 @@ def test_merges_reject_a_topology_or_matrix_of_another_size(merge, what, size):
     t, mixing = complete(3), None
     if what == "topology":
         t = complete(size)
+        message = f"the topology has {size} clients, the run has 3"
     else:
-        mixing = build_mixing_matrix(complete(size), METROPOLIS)
-    with pytest.raises(ValueError, match=f"the {what} has {size} clients, the run has 3"):
+        mixing = build_mixing_matrix(complete(size))
+        message = rf"the mixing matrix has shape \({size}, {size}\), the run has 3 clients"
+    with pytest.raises(ValueError, match=message):
         if merge == "batch":
             aggregate_batch(states, t, mixing=mixing)
         else:
             aggregate_sequential(states, t, RoundPlan(participants=(0, 1, 2)), mixing=mixing)
     assert np.array_equal(states.models, frozen)
+
+
+@pytest.mark.parametrize("merge", ["batch", "sequential"])
+def test_merges_reject_a_mixing_matrix_that_is_not_square(merge):
+    states = make_states(np.random.default_rng(26), 3, 2)
+    stage_outboxes(states)
+    frozen = states.models.copy()
+    mixing = build_mixing_matrix(complete(4))[:3]
+    with pytest.raises(ValueError, match=r"the mixing matrix has shape \(3, 4\), the run has 3"):
+        if merge == "batch":
+            aggregate_batch(states, complete(3), mixing=mixing)
+        else:
+            aggregate_sequential(states, complete(3), RoundPlan(participants=(0, 1, 2)), mixing=mixing)
+    assert np.array_equal(states.models, frozen)
+
+
+@pytest.mark.parametrize("pair", [(7, 0), (-1, 0), (0, 5)])
+def test_sequential_merge_rejects_a_pinned_pair_outside_the_run(pair):
+    states = make_states(np.random.default_rng(29), 3, 2)
+    stage_outboxes(states)
+    frozen = states.models.copy()
+    plan = RoundPlan(participants=(1,), arrival_order={pair: [2, 1]})
+    with pytest.raises(ValueError, match=rf"receiver {pair[0]}, cluster {pair[1]}, outside this run"):
+        aggregate_sequential(states, complete(3), plan)
+    assert states.models.tobytes() == frozen.tobytes()
+
+
+@pytest.mark.parametrize("models_shape", [(3, 2, 7), (3, 7), (3, 2, 5)])
+def test_run_state_rejects_models_of_the_wrong_shape(models_shape):
+    shape = ModelShape(2, 0, 2)  # 6 parameters
+    data = [random_dataset(np.random.default_rng(0))] * 3
+    with pytest.raises(ValueError, match=rf"models of shape \({', '.join(map(str, models_shape))},?\) "
+                                         r"do not fit .*: need \(N, k >= 1, 6\)"):
+        RunState(shape, np.zeros(models_shape), [0, 0, 0], data)
 
 
 @pytest.mark.parametrize("merge", ["batch", "sequential"])
@@ -417,7 +453,7 @@ class TestMergeIsConvex:
         t = Topology(n, adj | adj.T)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         scale = 10.0 ** data.draw(st.integers(-3, 3))
-        states = RunState(SHAPE, scale * rng.standard_normal((n, k, 4)), [0] * n,
+        states = RunState(SHAPE, scale * rng.standard_normal((n, k, SHAPE.param_count)), [0] * n,
                           [random_dataset(rng, n=2)] * n)
         states.sent[:] = data.draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n))
         plan = RoundPlan(
@@ -425,7 +461,7 @@ class TestMergeIsConvex:
             round_seed=data.draw(st.integers(0, 100)),
             receive_restricted=data.draw(st.booleans()),
         )
-        mixing = build_mixing_matrix(t, METROPOLIS) if data.draw(st.booleans()) else None
+        mixing = build_mixing_matrix(t) if data.draw(st.booleans()) else None
         before = states.models.copy()
         if data.draw(st.booleans()):
             aggregate_sequential(states, t, plan, mixing=mixing)
@@ -588,7 +624,7 @@ class TestRunRound:
         hp = Hyperparams(
             gamma=0.05, tau=data.draw(st.integers(1, 2)), batch_size=data.draw(st.integers(1, 5)),
             test_sets=[random_dataset(rng, n=3) for _ in range(n)],
-            mixing=build_mixing_matrix(t, METROPOLIS) if data.draw(st.booleans()) else None,
+            mixing=build_mixing_matrix(t) if data.draw(st.booleans()) else None,
         )
         before = states.models.copy()
         run_round(states, t, plan, hp)

@@ -1,0 +1,17 @@
+"""Every name a dfca module exports exists."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import dfca
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(dfca.__path__) if m.name != "__main__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module(f"dfca.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing, f"dfca.{name}.__all__ lists {missing}, which the module does not define"

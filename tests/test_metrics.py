@@ -86,7 +86,9 @@ class TestDispersion:
 
     def test_two_scalar_copies(self):
         rng = np.random.default_rng(5)
-        states = one_model_states([[0.0], [2.0]], [simple_data(rng), simple_data(rng)])
+        models = np.zeros((2, SHAPE.param_count))
+        models[1, 0] = 2.0  # the copies differ in one parameter
+        states = one_model_states(models, [simple_data(rng), simple_data(rng)])
         assert dispersion(states, 0) == 1.0
         assert cluster_average(states, 0)[0] == 1.0
 

@@ -4,9 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfca.topology import (
-    METROPOLIS,
-    PAPER_UNIFORM,
-    MixingMatrix,
     Topology,
     build_mixing_matrix,
     from_edge_list_text,
@@ -36,22 +33,15 @@ def path(n):
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def reference_mixing_matrix(t, kind):
+def reference_mixing_matrix(t):
     """Per-node loop reference for the array form of ``build_mixing_matrix``."""
     n = t.n_clients
     w = np.zeros((n, n), dtype=np.float64)
     degrees = [len(t.neighborhoods[i]) for i in range(n)]
-    if kind == PAPER_UNIFORM:
-        for i in range(n):
-            share = 1.0 / (degrees[i] + 1)
-            w[i, i] = share
-            for m in t.neighborhoods[i]:
-                w[i, m] = share
-    else:
-        for i in range(n):
-            for m in t.neighborhoods[i]:
-                w[i, m] = 1.0 / (1 + max(degrees[i], degrees[m]))
-            w[i, i] = 1.0 - w[i].sum()
+    for i in range(n):
+        for m in t.neighborhoods[i]:
+            w[i, m] = 1.0 / (1 + max(degrees[i], degrees[m]))
+        w[i, i] = 1.0 - w[i].sum()
     return w
 
 
@@ -126,13 +116,9 @@ class TestConnectivity:
 
 
 class TestMixingMatrix:
-    def test_uniform_on_complete_three(self):
-        w = build_mixing_matrix(complete(3), PAPER_UNIFORM)
-        assert np.allclose(w.weights, 1.0 / 3.0)
-
     def test_metropolis_on_four_cycle(self):
         cycle = from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        w = build_mixing_matrix(cycle, METROPOLIS).weights
+        w = build_mixing_matrix(cycle)
         for i in range(4):
             assert w[i, i] == pytest.approx(1.0 / 3.0)
             for m in cycle.neighborhoods[i]:
@@ -140,7 +126,7 @@ class TestMixingMatrix:
 
     def test_metropolis_on_star(self):
         star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        w = build_mixing_matrix(star, METROPOLIS).weights
+        w = build_mixing_matrix(star)
         assert w[0, 0] == pytest.approx(0.25)
         for leaf in (1, 2, 3):
             assert w[0, leaf] == pytest.approx(0.25)
@@ -150,67 +136,62 @@ class TestMixingMatrix:
     @given(n=st.integers(2, 12), p=st.floats(0.0, 1.0), seed=st.integers(0, 50))
     @settings(max_examples=40, deadline=None)
     def test_rows_sum_to_one_and_metropolis_symmetric(self, n, p, seed):
-        t = generate_erdos_renyi(n, p, seed)
-        for kind in (PAPER_UNIFORM, METROPOLIS):
-            w = build_mixing_matrix(t, kind).weights
-            assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
-            assert (w >= 0).all()
-        wm = build_mixing_matrix(t, METROPOLIS).weights
-        assert np.abs(wm - wm.T).max() <= 1e-12
+        w = build_mixing_matrix(generate_erdos_renyi(n, p, seed))
+        assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
+        assert (w >= 0).all()
+        assert np.abs(w - w.T).max() <= 1e-12
 
     def test_weights_respect_graph(self):
         t = generate_erdos_renyi(10, 0.3, seed=2)
-        for kind in (PAPER_UNIFORM, METROPOLIS):
-            w = build_mixing_matrix(t, kind).weights
-            off_graph = ~t.adjacency & ~np.eye(10, dtype=bool)
-            assert np.all(w[off_graph] == 0.0)
+        w = build_mixing_matrix(t)
+        off_graph = ~t.adjacency & ~np.eye(10, dtype=bool)
+        assert np.all(w[off_graph] == 0.0)
 
-    def test_unknown_kind_rejected(self):
+    def test_is_read_only(self):
         with pytest.raises(ValueError):
-            build_mixing_matrix(complete(3), "uniform")
+            build_mixing_matrix(complete(3))[0, 1] = 0.0
 
     @given(n=st.integers(1, 30), p=st.floats(0.0, 1.0), seed=st.integers(0, 1000))
     @settings(max_examples=100, deadline=None)
     def test_bitwise_equal_to_per_node_loop(self, n, p, seed):
         t = generate_erdos_renyi(n, p, seed)
-        for kind in (PAPER_UNIFORM, METROPOLIS):
-            got = build_mixing_matrix(t, kind).weights
-            assert got.tobytes() == reference_mixing_matrix(t, kind).tobytes()
+        assert build_mixing_matrix(t).tobytes() == reference_mixing_matrix(t).tobytes()
 
 
 class TestSpectralGap:
     def test_complete_three_is_rank_one(self):
-        gap = spectral_gap(build_mixing_matrix(complete(3), METROPOLIS))
+        gap = spectral_gap(build_mixing_matrix(complete(3)))
         assert gap == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_ring_gap_matches_closed_form(self, n):
         # circulant eigenvalues (1 + 2cos(2*pi*k/n))/3; for n = 4 the gap is 2/3
         second = max(abs((1 + 2 * np.cos(2 * np.pi * k / n)) / 3) for k in range(1, n))
-        gap = spectral_gap(build_mixing_matrix(ring(n), METROPOLIS))
+        gap = spectral_gap(build_mixing_matrix(ring(n)))
         assert gap == pytest.approx(1 - second, abs=1e-12)
 
     def test_disconnected_two_plus_two_gap_zero(self):
         split = from_edges(4, [(0, 1), (2, 3)])
-        gap = spectral_gap(build_mixing_matrix(split, METROPOLIS))
+        gap = spectral_gap(build_mixing_matrix(split))
         assert abs(gap) <= 1e-8
 
-    def test_requires_metropolis_kind(self):
-        with pytest.raises(ValueError):
-            spectral_gap(build_mixing_matrix(complete(3), PAPER_UNIFORM))
-
     def test_rejects_asymmetric_weights(self):
-        w = build_mixing_matrix(path(3), METROPOLIS).weights.copy()
+        w = build_mixing_matrix(path(3)).copy()
         w[0, 1] += 1e-3
         w[0, 0] -= 1e-3  # rows still sum to one
         with pytest.raises(ValueError, match="exactly symmetric"):
-            spectral_gap(MixingMatrix(w, METROPOLIS))
+            spectral_gap(w)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (3,), (2, 2, 2)])
+    def test_rejects_a_matrix_that_is_not_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            spectral_gap(np.zeros(shape))
 
     @given(n=st.integers(2, 15), p=st.floats(0.1, 1.0), seed=st.integers(0, 30))
     @settings(max_examples=30, deadline=None)
     def test_connected_positive_disconnected_zero(self, n, p, seed):
         t = generate_erdos_renyi(n, p, seed)
-        gap = spectral_gap(build_mixing_matrix(t, METROPOLIS))
+        gap = spectral_gap(build_mixing_matrix(t))
         if is_connected(t):
             assert gap > 1e-8
         else:
