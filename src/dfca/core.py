@@ -147,21 +147,16 @@ class RoundPlan:
     ordered, and which aggregation rule applies.
 
     ``aggregation_mode`` is ``batch``, ``sequential`` or ``server`` (IFCA).
-    ``arrival_order`` may pin an explicit sender order per (receiver,
-    cluster); any pair not listed takes its order from one stream per merge,
-    ``spawn_rng(round_seed, "arrival")``, which draws one uniform key per
-    sender of every receiver slot: the senders arrive in ascending key
-    order, a uniform random permutation.  A pinned pair must be a client and
-    cluster of the run.  If that receiver has reporting senders of that
-    cluster, the explicit order must permute exactly them; otherwise the pin
-    is ignored (as when restricted receiving leaves the receiver out).
+    The sequential merge orders every receiver slot's senders from one
+    stream per merge, ``spawn_rng(round_seed, "arrival")``, which draws one
+    uniform key per sender of every slot: the senders arrive in ascending
+    key order, a uniform random permutation.
     """
 
     participants: tuple[int, ...]
     aggregation_mode: str = "batch"
     round_seed: int = 0
     round_index: int = 0
-    arrival_order: dict[tuple[int, int], Sequence[int]] | None = None
     receive_restricted: bool = False
 
     def __post_init__(self) -> None:
@@ -400,23 +395,26 @@ def aggregate_batch(
     return states
 
 
-def _arrival(pair: tuple[int, int], pinned: Sequence[int], senders: list[int]) -> list[int]:
-    """Positions in ``senders`` in the arrival order ``pinned`` for ``pair``."""
-    order = [int(m) for m in pinned]
-    if sorted(order) != senders:
-        raise ValueError(
-            f"arrival order {order} for receiver {pair[0]}, cluster {pair[1]} "
-            f"does not permute the reporting set {senders}"
-        )
-    return [senders.index(m) for m in order]
+def _running_fold(
+    states: RunState, rows: np.ndarray, cols: np.ndarray, senders: np.ndarray,
+    weights: np.ndarray, order: np.ndarray, mixing: np.ndarray | None, flip: bool = False,
+) -> None:
+    """Fold the slot table of :func:`_slots` with each slot's senders taken in
+    the positions ``order`` gives, padding last.  ``flip`` swaps the merge
+    factors; only the verification suite sets it, to prove that its check of
+    this merge can fail."""
+    # np.cumsum adds left to right like the scalar recurrence; a pairwise sum would change bits.
+    own = np.ones(len(rows))
+    if mixing is not None:
+        own -= np.cumsum(np.column_stack([np.zeros(len(rows)), weights]), axis=1)[:, -1]
+    arrived = np.take_along_axis(weights, order, axis=1)
+    merged = np.cumsum(np.column_stack([own, arrived]), axis=1)  # weight before, after each arrival
+    factors = (merged[:, :-1] if flip else arrived) / merged[:, 1:]
+    _fold(states, rows, cols, np.take_along_axis(senders, order, axis=1), factors)
 
 
 def aggregate_sequential(
-    states: RunState,
-    t: Topology,
-    plan: RoundPlan,
-    mixing: np.ndarray | None = None,
-    _fault_flip_weights: bool = False,
+    states: RunState, t: Topology, plan: RoundPlan, mixing: np.ndarray | None = None
 ) -> RunState:
     """Running-average merge: incoming models are folded in one at a time.
 
@@ -425,34 +423,12 @@ def aggregate_sequential(
     exactly the batch mean for every arrival order.  With a mixing matrix
     the same cumulative scheme runs on matrix weights instead of counts.
     Incoming values are pre-round outbox snapshots.
-
-    ``_fault_flip_weights`` deliberately swaps the merge factors; it exists
-    only so the verification suite can prove this check can fail.
     """
-    k = states.models.shape[1]
-    for i, j in plan.arrival_order or ():
-        if not (0 <= i < len(states) and 0 <= j < k):
-            raise ValueError(f"arrival order pinned for receiver {i}, cluster {j}, "
-                             f"outside this run of {len(states)} clients and {k} clusters")
     rows, cols, senders, weights = _slots(states, t, plan, mixing)
     keys = spawn_rng(plan.round_seed, "arrival").random(senders.shape)
     keys[senders < 0] = 2.0  # the padding sorts last and stays in place
     order = np.argsort(keys, axis=1, kind="stable")
-    if plan.arrival_order:
-        slot_of = {pair: s for s, pair in enumerate(zip(rows.tolist(), cols.tolist()))}
-        for pair, pinned in plan.arrival_order.items():
-            s = slot_of.get(pair)
-            if s is not None:
-                held = senders[s][senders[s] >= 0].tolist()
-                order[s, : len(held)] = _arrival(pair, pinned, held)
-    # np.cumsum adds left to right like the scalar recurrence; a pairwise sum would change bits.
-    own = np.ones(len(rows))
-    if mixing is not None:
-        own -= np.cumsum(np.column_stack([np.zeros(len(rows)), weights]), axis=1)[:, -1]
-    arrived = np.take_along_axis(weights, order, axis=1)
-    merged = np.cumsum(np.column_stack([own, arrived]), axis=1)  # weight before, after each arrival
-    factors = (merged[:, :-1] if _fault_flip_weights else arrived) / merged[:, 1:]
-    _fold(states, rows, cols, np.take_along_axis(senders, order, axis=1), factors)
+    _running_fold(states, rows, cols, senders, weights, order, mixing)
     return states
 
 

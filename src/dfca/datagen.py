@@ -60,6 +60,9 @@ class Dataset:
         labels = labels.astype(np.int64)
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-d, got shape {feats.shape}")
+        if not np.isfinite(feats).all():
+            i, c = np.argwhere(~np.isfinite(feats))[0]
+            raise ValueError(f"feature {feats[i, c]} at sample {i}, column {c} is not finite")
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
             raise ValueError("features and labels must have equal length")
         if feats.shape[0] < 1:

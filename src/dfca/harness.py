@@ -230,11 +230,15 @@ def cmd_sweep(config_path: str, key: str, values: Sequence[str], overrides: Iter
     if not values:
         raise ConfigError("sweep needs at least one value")
     configs = [load_config(config_path, [*overrides, f"{key}={v}"]) for v in values]
+    loaded = [getattr(config, field_name) for config in configs]
+    for n, (v, value) in enumerate(zip(values, loaded)):
+        if value in loaded[:n]:
+            first = values[loaded.index(value)]
+            raise ConfigError(f"sweep value {v!r} of {key!r} repeats {first!r}: both load as {value}")
 
     root = _output_root(configs[0]) / Path(config_path).stem
     rows = []
-    for config in configs:
-        value = getattr(config, field_name)
+    for config, value in zip(configs, loaded):
         summary = _run_into(config, root / f"{key}={value}")
         rows.append((value, summary["mean"]["final_test_accuracy"],
                      summary["std"]["final_test_accuracy"]))

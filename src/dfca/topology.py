@@ -35,6 +35,8 @@ class Topology:
     neighborhoods: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        if self.n_clients < 1:
+            raise ValueError(f"a topology needs at least one client, got n_clients={self.n_clients}")
         adj = np.asarray(self.adjacency, dtype=bool)
         if adj.shape != (self.n_clients, self.n_clients):
             raise ValueError(

@@ -20,6 +20,8 @@ from .core import (
     Hyperparams,
     RoundPlan,
     RunState,
+    _running_fold,
+    _slots,
     aggregate_batch,
     aggregate_sequential,
     assign_cluster,
@@ -272,26 +274,34 @@ def _reference_weights(
     return weights, 1.0 - sum(weights), 1.0
 
 
-def _arrival_orders(
-    rng: np.random.Generator, states: RunState, t: Topology
-) -> dict[tuple[int, int], list[Sequence[int]]]:
-    """Per (receiver, cluster) pair with senders: every order of up to five
-    senders, six seeded orders of more."""
-    orders = {}
-    for i, j, senders in _reference_slots(states, t, None):
-        if len(senders) <= 5:
-            orders[(i, j)] = list(itertools.permutations(senders))
-        else:
-            orders[(i, j)] = [rng.permutation(senders) for _ in range(6)]
-    return orders
+def _order_tables(
+    rng: np.random.Generator, senders: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Arrival orders for the slots of a ``core._slots`` sender table, as
+    sender positions: every order of up to five senders, six seeded orders
+    of more.  Table ``r`` holds the ``r``-th order of every slot that has
+    one: those slots and one order row each, the padding last."""
+    counts = np.count_nonzero(senders >= 0, axis=1).tolist()
+    orders = [
+        list(itertools.permutations(range(c))) if c <= 5 else [rng.permutation(c).tolist() for _ in range(6)]
+        for c in counts
+    ]
+    tables = []
+    for r in range(max(map(len, orders), default=0)):
+        live = [s for s, o in enumerate(orders) if r < len(o)]
+        rows = [[*orders[s][r], *range(counts[s], senders.shape[1])] for s in live]
+        tables.append((np.array(live, dtype=np.intp), np.array(rows, dtype=np.intp)))
+    return tables
 
 
 def check_sequential_equals_batch(inject_fault: bool = False) -> tuple[bool, str]:
     """Under both weight rules, uniform counts (no matrix) and Metropolis.
 
-    Each ``aggregate_sequential`` call pins one arrival order for every
-    (receiver, cluster) pair; one more call per instance leaves the orders to
-    the seeded key table that ``run_round`` uses.
+    Every enumerated order runs through the sequential merge's fold, the
+    slots that have an ``r``-th order in one call per ``r``; one more
+    ``aggregate_sequential`` call per instance takes the orders from the
+    seeded key table that ``run_round`` uses.  ``inject_fault`` swaps the
+    fold's merge factors.
     """
     rng = np.random.default_rng(0)
     shape = ModelShape(dim=2, hidden=0, n_classes=2)
@@ -301,24 +311,20 @@ def check_sequential_equals_batch(inject_fault: bool = False) -> tuple[bool, str
         for k in range(1, 5):
             states = random_states(rng, t.n_clients, k, shape)
             states.sent[:] = states.assignment  # every client sends as if it had trained
-            orders = _arrival_orders(rng, states, t)
-            depth = max(map(len, orders.values()), default=0)
-            plans = [
-                RoundPlan(
-                    participants=participants,
-                    arrival_order={p: o[r] for p, o in orders.items() if r < len(o)},
-                )
-                for r in range(depth)
-            ] + [RoundPlan(participants=participants, round_seed=k)]
+            rows, cols, senders, _ = _slots(states, t, None, None)
+            tables = _order_tables(rng, senders)
             for mixing in (None, build_mixing_matrix(t)):
                 batch = aggregate_batch(states.copy(), t, mixing=mixing)
-                for plan in plans:
-                    seq = aggregate_sequential(
-                        states.copy(), t, plan, mixing=mixing, _fault_flip_weights=inject_fault,
-                    )
-                    worst = max(worst, float(np.abs(batch.models - seq.models).max()))
-            n_pairs += len(orders)
-            n_orders += sum(map(len, orders.values()))
+                weights = _slots(states, t, None, mixing)[3]
+                for live, order in tables:
+                    seq, r, c = states.copy(), rows[live], cols[live]
+                    _running_fold(seq, r, c, senders[live], weights[live], order, mixing, inject_fault)
+                    worst = max(worst, float(np.abs(batch.models[r, c] - seq.models[r, c]).max()))
+                plan = RoundPlan(participants=participants, round_seed=k)
+                seq = aggregate_sequential(states.copy(), t, plan, mixing=mixing)
+                worst = max(worst, float(np.abs(batch.models - seq.models).max()))
+            n_pairs += len(rows)
+            n_orders += sum(len(live) for live, _ in tables)
     return worst <= 1e-9, (
         f"{n_pairs} receiver/cluster pairs, {n_orders} arrival orders plus the seeded one, "
         f"each under uniform and Metropolis weights: max |sequential - batch| {worst:.2e}"
@@ -345,23 +351,18 @@ def _per_slot_sequential(
     states: RunState, t: Topology, plan: RoundPlan, mixing: np.ndarray | None
 ) -> RunState:
     """Reference for the sequential merge: one receiver slot and one sender
-    at a time, in arrival order.  An unpinned slot sorts its senders by key:
-    the ``s``-th slot enumerated reads row ``s`` of one key table from
+    at a time, in arrival order.  Each slot sorts its senders by key: the
+    ``s``-th slot enumerated reads row ``s`` of one key table from
     ``spawn_rng(round_seed, "arrival")``, a row per slot and a column per
     sender position."""
     outbox = list(states.models[np.arange(len(states)), states.sent])  # read before any write
     slots = list(_reference_slots(states, t, plan))
     longest = max((len(senders) for _, _, senders in slots), default=0)
     keys = spawn_rng(plan.round_seed, "arrival").random((len(slots), longest))
-    pinned = plan.arrival_order or {}
     for (i, j, senders), row in zip(slots, keys.tolist()):
         value = states.models[i, j]
         weights, weight_sum, _ = _reference_weights(mixing, i, senders)
-        if (i, j) in pinned:
-            arrival = [senders.index(int(m)) for m in pinned[(i, j)]]
-        else:
-            arrival = sorted(range(len(senders)), key=lambda p: row[p])
-        for p in arrival:
+        for p in sorted(range(len(senders)), key=lambda p: row[p]):
             w = weights[p]
             frac = w / (weight_sum + w)
             value = value + frac * (outbox[senders[p]] - value)
@@ -377,8 +378,7 @@ def check_merges_match_per_slot() -> tuple[bool, str]:
     plus one with more receiver slots than one pass of the fold and unequal
     sender counts.  About a third of the clients do not send.  Each instance
     runs under uniform and Metropolis weights, with and without restricted
-    receiving, and the sequential merge with every other pair's arrival
-    order pinned and with none pinned.
+    receiving, and the sequential merge under two round seeds.
     """
     rng = np.random.default_rng(8)
     shape = ModelShape(dim=2, hidden=0, n_classes=2)
@@ -390,17 +390,10 @@ def check_merges_match_per_slot() -> tuple[bool, str]:
         sending = np.flatnonzero(rng.random(t.n_clients) < 0.7)
         states.sent[sending] = states.assignment[sending]
         participants = tuple(sending.tolist())
-        slots = list(_reference_slots(states, t, None))
-        explicit = {(i, j): rng.permutation(m) for i, j, m in slots[::2]}
-        most_slots = max(most_slots, len(slots))
+        most_slots = max(most_slots, len(list(_reference_slots(states, t, None))))
         weights = (None, build_mixing_matrix(t))
         for mixing, restricted in itertools.product(weights, (False, True)):
-            plans = [
-                RoundPlan(
-                    participants, round_seed=k, arrival_order=order, receive_restricted=restricted
-                )
-                for order in (explicit, None)
-            ]
+            plans = [RoundPlan(participants, round_seed=s, receive_restricted=restricted) for s in (k, k + 4)]
             runs = [(aggregate_batch, _per_slot_batch, (mixing, plans[0]))]
             runs += [(aggregate_sequential, _per_slot_sequential, (plan, mixing)) for plan in plans]
             for merge, reference, args in runs:

@@ -255,8 +255,10 @@ class TestCmdSweep:
         assert "'seed'" in err and "0..n_seeds-1" in err and "topology.seed" in err
         assert not (output_root / "tiny").exists()
 
-    @pytest.mark.parametrize("key, values", [("k", ["2", "3"]), ("gamma", ["0.1", "-1"])])
+    @pytest.mark.parametrize("key, values", [("k", ["2", "3"]), ("gamma", ["0.1", "-1"]),
+                                             ("gamma", ["0.1", "0.10"]), ("topology.p", ["0.5", "0.9", "0.50"])])
     def test_a_bad_value_runs_no_value(self, tiny_config, output_root, capsys, key, values):
+        """An invalid value, or one that loads the same as an earlier one."""
         assert cmd_sweep(str(tiny_config), key, values, ["T=2", "n_seeds=1"]) == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not output_root.exists()
@@ -379,6 +381,12 @@ class TestVerifyCommand:
     def test_check(self, verify_run, name):
         report = [line for line in verify_run[2].splitlines() if line.split(":")[0].endswith(f" {name}")]
         assert len(report) == 1 and report[0].startswith(f"PASS {name}:"), report
+
+    def test_sequential_equals_batch_enumerates_every_order(self, verify_run):
+        """Criterion 1's instances and exhaustive enumeration cannot shrink unnoticed."""
+        report = [line for line in verify_run[2].splitlines() if "sequential-equals-batch:" in line]
+        assert len(report) == 1
+        assert "1154 receiver/cluster pairs, 4753 arrival orders" in report[0], report
 
 
 class TestCliEntrypoint:

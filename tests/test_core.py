@@ -305,34 +305,12 @@ class TestAggregateSequential:
         assert states[0].models[0][0] == 1.0
 
     def test_running_average_telescopes_to_batch_mean(self):
-        states = scalar_states([[0.0], [3.0], [6.0]])
-        stage_outboxes(states)
-        plan = RoundPlan(participants=(0, 1, 2), arrival_order={(1, 0): [0, 2]})
-        aggregate_sequential(states, complete(3), plan)
-        # receiver 1 folds 3->(0) giving 1.5, then (6) giving 3.0
-        assert states[1].models[0][0] == 3.0
-
-    def test_explicit_order_must_permute_reporting_set(self):
-        states = scalar_states([[0.0], [1.0], [2.0]])
-        stage_outboxes(states)
-        plan = RoundPlan(participants=(0, 1, 2), arrival_order={(0, 0): [1]})
-        with pytest.raises(ValueError, match="does not permute"):
-            aggregate_sequential(states, complete(3), plan)
-
-    def test_pinning_one_pair_leaves_every_other_slot_as_unpinned(self):
-        states = make_states(np.random.default_rng(31), 9, 2)
-        stage_outboxes(states)
-        t, everyone = complete(9), tuple(range(9))
-        j = int(states.assignment[0])
-        senders = [m for m in range(1, 9) if states.assignment[m] == j]
-        assert len(senders) >= 3
-        free = aggregate_sequential(states.copy(), t, RoundPlan(everyone, round_seed=5))
-        pinned = aggregate_sequential(
-            states.copy(), t, RoundPlan(everyone, round_seed=5, arrival_order={(0, j): senders[::-1]})
-        )
-        other = np.ones(states.models.shape[:2], dtype=bool)
-        other[0, j] = False
-        assert pinned.models[other].tobytes() == free.models[other].tobytes()
+        # receiver 1 folds in 0 then 6 (3 -> 1.5 -> 3.0) or 6 then 0 (3 -> 4.5 -> 3.0)
+        for round_seed in range(10):
+            states = scalar_states([[0.0], [3.0], [6.0]])
+            stage_outboxes(states)
+            aggregate_sequential(states, complete(3), RoundPlan((0, 1, 2), round_seed=round_seed))
+            assert states[1].models[0][0] == 3.0
 
     def test_each_order_of_three_senders_is_about_equally_likely(self, monkeypatch):
         """Receiver 0 of a star hears leaves 1-3 under 3,000 fixed round
@@ -353,7 +331,7 @@ class TestAggregateSequential:
         assert sorted(counts) == sorted(itertools.permutations((1, 2, 3)))
         assert all(abs(c - 500) <= 102 for c in counts.values()), counts
 
-    def test_one_stream_per_merge_when_nothing_is_pinned(self, monkeypatch):
+    def test_one_stream_per_merge(self, monkeypatch):
         calls = []
 
         def counted(*parts):
@@ -401,17 +379,6 @@ def test_merges_reject_a_mixing_matrix_that_is_not_square(merge):
         else:
             aggregate_sequential(states, complete(3), RoundPlan(participants=(0, 1, 2)), mixing=mixing)
     assert np.array_equal(states.models, frozen)
-
-
-@pytest.mark.parametrize("pair", [(7, 0), (-1, 0), (0, 5)])
-def test_sequential_merge_rejects_a_pinned_pair_outside_the_run(pair):
-    states = make_states(np.random.default_rng(29), 3, 2)
-    stage_outboxes(states)
-    frozen = states.models.copy()
-    plan = RoundPlan(participants=(1,), arrival_order={pair: [2, 1]})
-    with pytest.raises(ValueError, match=rf"receiver {pair[0]}, cluster {pair[1]}, outside this run"):
-        aggregate_sequential(states, complete(3), plan)
-    assert states.models.tobytes() == frozen.tobytes()
 
 
 @pytest.mark.parametrize("models_shape", [(3, 2, 7), (3, 7), (3, 2, 5)])

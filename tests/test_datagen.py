@@ -220,6 +220,12 @@ class TestDatasetType:
         with pytest.raises(ValueError, match="0.7 is not a whole number"):
             Dataset(features=[[1.0, 2.0], [0.5, 0.1]], labels=[0.7, 1.9], distribution_id=0)
 
+    @pytest.mark.parametrize("bad, where", [(np.nan, "nan at sample 1, column 0"),
+                                            (np.inf, "inf at sample 1, column 0")])
+    def test_rejects_non_finite_feature(self, bad, where):
+        with pytest.raises(ValueError, match=f"feature {where} is not finite"):
+            Dataset(features=[[1.0, 2.0], [bad, -np.inf]], labels=[0, 1], distribution_id=0)
+
     def test_whole_float_labels_become_integers(self):
         d = Dataset(features=[[1.0, 2.0], [0.5, 0.1]], labels=[1.0, 0.0], distribution_id=0)
         assert d.labels.dtype == np.int64 and d.labels.tolist() == [1, 0]

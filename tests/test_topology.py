@@ -210,6 +210,11 @@ class TestTopologyType:
         with pytest.raises(ValueError):
             Topology(3, adj)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_fewer_than_one_client(self, n):
+        with pytest.raises(ValueError, match=f"at least one client, got n_clients={n}"):
+            Topology(n, np.zeros((0, 0), dtype=bool))
+
     def test_adjacency_is_read_only(self):
         t = complete(3)
         with pytest.raises(ValueError):
