@@ -9,12 +9,11 @@ predicts how fast gossip averaging contracts disagreement.
 import numpy as np
 
 from dfca import (
+    Topology,
     build_mixing_matrix,
-    from_edge_list_text,
     generate_erdos_renyi,
     is_connected,
     spectral_gap,
-    to_edge_list_text,
 )
 
 print("=== Erdos-Renyi graphs at different connectivities ===")
@@ -25,8 +24,7 @@ for p in (0.05, 0.15, 0.3):
 
 print("\n=== Mixing weights on a small graph ===")
 t = generate_erdos_renyi(6, 0.5, seed=3)
-print("edge list:")
-print(to_edge_list_text(t))
+print("edges:", [tuple(e) for e in np.argwhere(np.triu(t.adjacency)).tolist()])
 w = build_mixing_matrix(t)
 print(f"metropolis: row sums {np.round(w.sum(axis=1), 12)}")
 print(f"  symmetric: {np.abs(w - w.T).max():.1e} max asymmetry")
@@ -40,5 +38,5 @@ for p in (0.2, 0.4, 0.8):
     print(f"p={p}: gap={gap:.3f}; dispersion shrinks by lambda^2={lam**2:.3f} per round{note}")
 
 print("\nA disconnected graph has gap 0 (no global consensus):")
-split = from_edge_list_text("4\n0 1\n2 3\n")
+split = Topology(4, np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=bool))
 print(f"two 2-cliques: gap={spectral_gap(build_mixing_matrix(split)):.2e}")

@@ -42,7 +42,7 @@ with tempfile.TemporaryDirectory() as tmp:
     labels_path.write_bytes(struct.pack(">ii", 0x801, 10) + labels.tobytes())
 
     loaded = load_idx_pair(str(images_path), str(labels_path))
-    print(f"loaded {len(loaded)} images of dim {loaded.dim}, pixel range "
+    print(f"loaded {len(loaded)} images of dim {loaded.features.shape[1]}, pixel range "
           f"[{loaded.features.min():.2f}, {loaded.features.max():.2f}]")
 
 print("\n=== Exact pixel rotations (no interpolation) ===")

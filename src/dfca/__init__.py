@@ -25,7 +25,6 @@ from .core import (
 )
 from .datagen import (
     Dataset,
-    DEFAULT_SPEC,
     IdxFormatError,
     SyntheticSpec,
     generate_rotated_synthetic,
@@ -46,7 +45,6 @@ from .model import (
     DivergenceError,
     MlpModel,
     ModelShape,
-    flatten_params,
     forward_loss,
     gradient,
     init_model,
@@ -58,11 +56,9 @@ from .model import (
 from .topology import (
     Topology,
     build_mixing_matrix,
-    from_edge_list_text,
     generate_erdos_renyi,
     is_connected,
     spectral_gap,
-    to_edge_list_text,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .datagen import SyntheticSpec, _n_test
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_overrides", "config_keys"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
 ALGORITHMS = ("dfca", "ifca", "davg")
 INIT_MODES = ("gi", "li")
@@ -179,11 +179,6 @@ _CASTERS = {"str": str, "int": int, "int | None": int, "float": float, "bool": _
 _FIELD_BY_KEY = {_key(f.name): (f.name, _CASTERS[f.type]) for f in fields(ExperimentConfig)}
 
 
-def config_keys() -> list[str]:
-    """All recognized config-file keys."""
-    return sorted(_FIELD_BY_KEY)
-
-
 def _parse_pairs(lines: Iterable[str], source: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -209,7 +204,7 @@ def _apply(cfg_kwargs: dict, key: str, value: str, source: str) -> None:
         raise ConfigError(f"{source}: config key {key!r}: {exc}") from exc
 
 
-def parse_overrides(overrides: Iterable[str]) -> dict[str, str]:
+def _parse_overrides(overrides: Iterable[str]) -> dict[str, str]:
     """Parse ``key=value`` strings from the CLI into a pair dict."""
     pairs: dict[str, str] = {}
     for item in overrides:
@@ -230,7 +225,7 @@ def load_config(path: str | Path, overrides: Iterable[str] = ()) -> ExperimentCo
     kwargs: dict = {}
     for key, value in _parse_pairs(text.splitlines(), str(path)).items():
         _apply(kwargs, key, value, str(path))
-    for key, value in parse_overrides(overrides).items():
+    for key, value in _parse_overrides(overrides).items():
         _apply(kwargs, key, value, "--set")
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()

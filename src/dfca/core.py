@@ -44,6 +44,7 @@ from .model import (
     DivergenceError,
     MlpModel,
     ModelShape,
+    _LocatedError,
     _chunks,
     forward_loss,
     init_model,
@@ -71,8 +72,9 @@ __all__ = [
 ]
 
 
-class DisconnectedGraphError(RuntimeError):
-    """Sampled topology is disconnected and the config says abort."""
+class DisconnectedGraphError(_LocatedError, RuntimeError):
+    """Sampled topology is disconnected and the config says abort: ``what``
+    names the graph, and ``harness.run_one_seed`` adds the seed."""
 
 
 class ClientState:
@@ -514,8 +516,8 @@ def build_topology(config: ExperimentConfig) -> tuple[Topology, bool]:
     if not connected:
         if config.on_disconnected == "abort":
             raise DisconnectedGraphError(
-                f"graph (n={config.n_clients}, p={config.topology_p}, seed={topo_seed}) "
-                "is disconnected and on_disconnected=abort"
+                f"on_disconnected=abort and the graph (n={config.n_clients}, "
+                f"p={config.topology_p}, topology seed {topo_seed}) is disconnected"
             )
         logger.warning(
             "graph (n=%d, p=%g, seed=%d) is disconnected; proceeding per config",

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "Dataset",
     "SyntheticSpec",
-    "DEFAULT_SPEC",
     "IdxFormatError",
     "generate_rotated_synthetic",
     "rotate_image",
@@ -32,7 +31,8 @@ IDX_LABEL_MAGIC = 0x00000801
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX file: bad magic, truncated payload, or count mismatch."""
+    """Malformed IDX file: bad magic, an empty image file, truncated payload,
+    or count mismatch."""
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -104,8 +100,6 @@ class SyntheticSpec:
         if self.noise_std <= 0:
             raise ValueError("noise_std must be positive")
 
-
-DEFAULT_SPEC = SyntheticSpec()
 
 # Quarter-turn count per cluster index for each supported cluster count.
 _SUPPORTED_K = (1, 2, 4)
@@ -202,8 +196,9 @@ def _read_exact(buf: bytes, offset: int, count: int, path: str) -> bytes:
 def load_idx_pair(images_path: str, labels_path: str) -> Dataset:
     """Parse a big-endian IDX image/label file pair.
 
-    Pixel bytes are scaled linearly to [0, 1]; image and label counts must
-    match.  Bad magic numbers, truncated payloads, and count mismatches are
+    The header's counts are unsigned.  Pixel bytes are scaled linearly to
+    [0, 1]; image and label counts must match.  Bad magic numbers, a zero
+    image, row or column count, truncated payloads, and count mismatches are
     reported as distinct :class:`IdxFormatError` messages.
     """
     with open(images_path, "rb") as fh:
@@ -211,14 +206,16 @@ def load_idx_pair(images_path: str, labels_path: str) -> Dataset:
     with open(labels_path, "rb") as fh:
         lbl_buf = fh.read()
 
-    magic, count, rows, cols = struct.unpack(">iiii", _read_exact(img_buf, 0, 16, images_path))
+    magic, count, rows, cols = struct.unpack(">IIII", _read_exact(img_buf, 0, 16, images_path))
     if magic != IDX_IMAGE_MAGIC:
         raise IdxFormatError(
             f"bad magic in image file {images_path}: expected {IDX_IMAGE_MAGIC:#010x}, got {magic:#010x}"
         )
+    if 0 in (count, rows, cols):
+        raise IdxFormatError(f"empty image file {images_path}: {count} images of {rows}x{cols} pixels")
     pixels = _read_exact(img_buf, 16, count * rows * cols, images_path)
 
-    lbl_magic, lbl_count = struct.unpack(">ii", _read_exact(lbl_buf, 0, 8, labels_path))
+    lbl_magic, lbl_count = struct.unpack(">II", _read_exact(lbl_buf, 0, 8, labels_path))
     if lbl_magic != IDX_LABEL_MAGIC:
         raise IdxFormatError(
             f"bad magic in label file {labels_path}: expected {IDX_LABEL_MAGIC:#010x}, got {lbl_magic:#010x}"

@@ -11,8 +11,9 @@ The output root is the config's ``output_dir`` unless the ``DFCA_OUTPUT_ROOT``
 environment variable overrides it.  Each seed's trace is written as soon as
 that seed finishes, and every file is written to a sibling temporary file
 and then renamed into place, so a run that fails leaves the files of the
-seeds before it whole and no half-written file.  A run that diverges also
-writes a summary of the finished seeds that names the failed one.
+seeds before it whole and no half-written file.  A run that diverges, or
+whose graph is disconnected under ``on_disconnected = abort``, also writes
+a summary of the finished seeds that names the failed one.
 ``cmd_diff`` compares the traces of two run directories seed by seed.
 """
 
@@ -107,7 +108,7 @@ def run_one_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
     cfg = config.replace(seed=seed)
     try:
         trace, states, info = run_experiment_states(cfg)
-    except DivergenceError as exc:
+    except (DivergenceError, DisconnectedGraphError) as exc:
         raise exc.at(seed=seed) from None
     if trace:
         final = trace[-1]
@@ -158,13 +159,14 @@ def _write_summary(path: Path, summary: dict) -> None:
 
 def _run_into(config: ExperimentConfig, run_dir: Path) -> dict:
     """Run seeds 0..n_seeds-1, writing each seed's trace as it finishes, then
-    the summary.  A seed that diverges ends the run: the summary of the seeds
-    before it is written with a ``failed`` entry, and the error is raised."""
+    the summary.  A seed that diverges or aborts on a disconnected graph ends
+    the run: the summary of the seeds before it is written with a ``failed``
+    entry, and the error is raised."""
     outcomes = []
     for seed in range(config.n_seeds):
         try:
             outcome = run_one_seed(config, seed)
-        except DivergenceError as exc:
+        except (DivergenceError, DisconnectedGraphError) as exc:
             failed = {"seed": seed, "what": exc.what, "where": exc.where}
             _write_summary(run_dir / "summary.json", {**summarize(config, outcomes), "failed": failed})
             raise

@@ -26,7 +26,6 @@ __all__ = [
     "predict",
     "gradient",
     "sgd_epochs",
-    "flatten_params",
     "unflatten_params",
     "params_to_bytes",
     "params_from_bytes",
@@ -76,26 +75,31 @@ class MlpModel:
         self.w1, self.b1, self.w2, self.b2 = [None] * (4 - len(views)) + views
 
 
-class DivergenceError(ValueError):
-    """Training went non-finite: ``what`` says how, ``where`` locates it.
+class _LocatedError(Exception):
+    """A failure whose ``what`` says what went wrong and whose ``where``
+    locates it; each layer that knows more raises it again through
+    :meth:`at`."""
 
-    Each layer that knows more raises it again through :meth:`at`:
-    :func:`sgd_epochs` names the block row, ``core.local_update`` the client
-    and cluster, ``core.run_round`` the round and ``harness.run_one_seed``
-    the seed.
-    """
+    def __init__(self, what: str, **where: int) -> None:
+        self.what = what
+        self.where = where
+        place = ", ".join(f"{key} {value}" for key, value in where.items())
+        super().__init__(f"{what} at {place}" if where else what)
+
+    def at(self, **outer: int) -> "_LocatedError":
+        """The same error, also naming the places ``outer`` (listed first)."""
+        return type(self)(self.what, **outer, **self.where)
+
+
+class DivergenceError(_LocatedError, ValueError):
+    """Training went non-finite.  :func:`sgd_epochs` names the block row,
+    ``core.local_update`` the client and cluster, ``core.run_round`` the
+    round and ``harness.run_one_seed`` the seed."""
 
     def __init__(
         self, what: str = "local SGD left non-finite model parameters", **where: int
     ) -> None:
-        self.what = what
-        self.where = where
-        place = ", ".join(f"{key} {value}" for key, value in where.items())
-        super().__init__(f"{what} at {place}")
-
-    def at(self, **outer: int) -> "DivergenceError":
-        """The same error, also naming the places ``outer`` (listed first)."""
-        return DivergenceError(self.what, **outer, **self.where)
+        super().__init__(what, **where)
 
 
 # Floating-point error handling of every forward and backward pass: a model
@@ -298,16 +302,10 @@ def sgd_epochs(
     return MlpModel(shape, values[0] if single else values)
 
 
-def flatten_params(m: MlpModel) -> np.ndarray:
-    """Canonical flat float64 vector: w1, b1, w2, b2 (one row per model of a
-    stack).  A copy of ``m.values``."""
-    return m.values.copy()
-
-
 def unflatten_params(shape: ModelShape, values: np.ndarray) -> MlpModel:
-    """Checked copy of flat parameters in flatten order; the inverse of
-    :func:`flatten_params`, round-tripping bitwise.  An ``(m, P)`` block
-    gives a stack of ``m`` models."""
+    """Checked copy of flat parameters in flatten order, whose ``values``
+    equal the input bitwise.  An ``(m, P)`` block gives a stack of ``m``
+    models."""
     values = np.array(values, dtype=np.float64)
     if values.ndim not in (1, 2) or values.shape[-1] != shape.param_count:
         raise ValueError(f"expected {shape.param_count} values, got shape {values.shape}")

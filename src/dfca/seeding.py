@@ -13,7 +13,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["seed_sequence", "spawn_rng", "derive_seed"]
+__all__ = ["spawn_rng", "derive_seed"]
 
 
 def _encode(part: int | str) -> int:
@@ -25,7 +25,7 @@ def _encode(part: int | str) -> int:
     return value
 
 
-def seed_sequence(*parts: int | str) -> np.random.SeedSequence:
+def _seed_sequence(*parts: int | str) -> np.random.SeedSequence:
     """Build a SeedSequence from a label path of ints and strings."""
     if not parts:
         raise ValueError("at least one seed part is required")
@@ -34,9 +34,9 @@ def seed_sequence(*parts: int | str) -> np.random.SeedSequence:
 
 def spawn_rng(*parts: int | str) -> np.random.Generator:
     """Generator for the stream identified by the label path."""
-    return np.random.default_rng(seed_sequence(*parts))
+    return np.random.default_rng(_seed_sequence(*parts))
 
 
 def derive_seed(*parts: int | str) -> int:
     """Collapse a label path to a single integer seed."""
-    return int(seed_sequence(*parts).generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(*parts).generate_state(1, np.uint64)[0])

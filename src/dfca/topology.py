@@ -16,8 +16,6 @@ __all__ = [
     "is_connected",
     "build_mixing_matrix",
     "spectral_gap",
-    "to_edge_list_text",
-    "from_edge_list_text",
 ]
 
 
@@ -109,32 +107,3 @@ def spectral_gap(w: np.ndarray) -> float:
     second = np.sort(np.abs(np.linalg.eigvalsh(w)))[-2]
     return float(min(1.0, max(0.0, 1.0 - second)))
 
-
-def to_edge_list_text(t: Topology) -> str:
-    """Serialize as: first line ``n``, then one ``i m`` pair per line, i < m."""
-    lines = [str(t.n_clients)]
-    for i in range(t.n_clients):
-        for m in t.neighborhoods[i]:
-            if i < m:
-                lines.append(f"{i} {m}")
-    return "\n".join(lines) + "\n"
-
-
-def from_edge_list_text(text: str) -> Topology:
-    """Parse the edge-list format produced by :func:`to_edge_list_text`."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty edge-list text")
-    n = int(lines[0])
-    if n < 1:
-        raise ValueError(f"edge list declares n={n}, must be >= 1")
-    adj = np.zeros((n, n), dtype=bool)
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line: {ln!r}")
-        i, m = int(parts[0]), int(parts[1])
-        if not (0 <= i < m < n):
-            raise ValueError(f"edge ({i}, {m}) out of range for n={n}")
-        adj[i, m] = adj[m, i] = True
-    return Topology(n_clients=n, adjacency=adj)

@@ -10,7 +10,7 @@ defined here.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .model import (
     _CHUNK_ROWS,
     MlpModel,
     ModelShape,
-    flatten_params,
     forward_loss,
     gradient,
     init_model,
@@ -55,15 +54,7 @@ from .model import (
     unflatten_params,
 )
 from .seeding import spawn_rng
-from .topology import (
-    Topology,
-    build_mixing_matrix,
-    from_edge_list_text,
-    generate_erdos_renyi,
-    is_connected,
-    spectral_gap,
-    to_edge_list_text,
-)
+from .topology import Topology, build_mixing_matrix, generate_erdos_renyi, is_connected, spectral_gap
 
 __all__ = [
     "CHECKS",
@@ -71,6 +62,7 @@ __all__ = [
     "run_verification",
     "random_dataset",
     "random_states",
+    "graph_from_edges",
     "fd_gradient",
 ]
 
@@ -99,6 +91,14 @@ def random_states(
     return RunState(shape, models, assignment, data)
 
 
+def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Topology:
+    """The undirected graph on ``n`` clients with the given ``(i, m)`` edges."""
+    adj = np.zeros((n, n), dtype=bool)
+    for i, m in edges:
+        adj[i, m] = adj[m, i] = True
+    return Topology(n, adj)
+
+
 def check_mixing_stochasticity() -> tuple[bool, str]:
     worst = 0.0
     for seed in range(5):
@@ -110,9 +110,9 @@ def check_mixing_stochasticity() -> tuple[bool, str]:
 def check_spectral_gap() -> tuple[bool, str]:
     complete3 = Topology(3, ~np.eye(3, dtype=bool))
     gap_complete = spectral_gap(build_mixing_matrix(complete3))
-    cycle = from_edge_list_text("4\n0 1\n1 2\n2 3\n0 3\n")
+    cycle = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     gap_cycle = spectral_gap(build_mixing_matrix(cycle))
-    two_plus_two = from_edge_list_text("4\n0 1\n2 3\n")
+    two_plus_two = graph_from_edges(4, [(0, 1), (2, 3)])
     gap_split = spectral_gap(build_mixing_matrix(two_plus_two))
     ok = (
         abs(gap_complete - 1.0) <= 1e-8
@@ -125,11 +125,7 @@ def check_spectral_gap() -> tuple[bool, str]:
 def check_er_reproducibility() -> tuple[bool, str]:
     a = generate_erdos_renyi(30, 0.2, 7)
     b = generate_erdos_renyi(30, 0.2, 7)
-    round_trip = from_edge_list_text(to_edge_list_text(a))
-    ok = np.array_equal(a.adjacency, b.adjacency) and np.array_equal(
-        a.adjacency, round_trip.adjacency
-    )
-    return ok, f"{a.n_edges} edges, bitwise repeatable and round-trips through edge list"
+    return np.array_equal(a.adjacency, b.adjacency), f"{a.n_edges} edges, bitwise repeatable"
 
 
 def check_rotation_identities() -> tuple[bool, str]:
@@ -156,19 +152,18 @@ def check_flat_roundtrip() -> tuple[bool, str]:
     for hidden in (0, 5):
         shape = ModelShape(dim=4, hidden=hidden, n_classes=3)
         m = init_model(shape, seed=hidden)
-        vec = flatten_params(m)
-        again = flatten_params(unflatten_params(shape, vec))
-        if not np.array_equal(vec, again):
-            return False, f"flatten round-trip failed for hidden={hidden}"
+        vec = m.values
+        if not np.array_equal(vec, unflatten_params(shape, vec).values):
+            return False, f"unflatten round-trip failed for hidden={hidden}"
         if not np.array_equal(params_from_bytes(params_to_bytes(vec)), vec):
             return False, f"byte round-trip failed for hidden={hidden}"
-    return True, "flatten/unflatten and byte encoding round-trip bitwise"
+    return True, "unflatten and byte encoding round-trip bitwise"
 
 
 def fd_gradient(m: MlpModel, data: Dataset, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of the loss, one coordinate at a time."""
     shape = m.shape
-    base = flatten_params(m)
+    base = m.values
     out = np.zeros_like(base)
     for idx in range(base.size):
         plus, minus = base.copy(), base.copy()
@@ -233,17 +228,11 @@ def _small_graphs() -> Iterator[Topology]:
     """Complete, path, ring, star and two Erdos-Renyi graphs for n = 2..8."""
     for n in range(2, 9):
         yield Topology(n, ~np.eye(n, dtype=bool))
-        path = np.zeros((n, n), dtype=bool)
-        for i in range(n - 1):
-            path[i, i + 1] = path[i + 1, i] = True
-        yield Topology(n, path)
+        path = [(i, i + 1) for i in range(n - 1)]
+        yield graph_from_edges(n, path)
         if n >= 3:
-            ring = path.copy()
-            ring[0, n - 1] = ring[n - 1, 0] = True
-            yield Topology(n, ring)
-        star = np.zeros((n, n), dtype=bool)
-        star[0, 1:] = star[1:, 0] = True
-        yield Topology(n, star)
+            yield graph_from_edges(n, path + [(0, n - 1)])
+        yield graph_from_edges(n, [(0, m) for m in range(1, n)])
         for p, seed in ((0.3, 1), (0.6, 2)):
             yield generate_erdos_renyi(n, p, seed)
 
@@ -257,7 +246,7 @@ def _reference_slots(
     restricted = plan is not None and plan.receive_restricted
     for i in plan.participants if restricted else range(len(states)):
         for j in range(states.models.shape[1]):
-            senders = [m for m in t.neighborhoods[i] if states.sent[m] == j]
+            senders = [m for m in np.flatnonzero(t.adjacency[i]) if states.sent[m] == j]
             if senders:
                 yield i, j, senders
 
@@ -585,7 +574,7 @@ def check_stacked_sgd() -> tuple[bool, str]:
                 got = [s.models[0]]
                 if len(lengths) == 1:
                     alone = sgd_epochs(unflatten_params(shape, v), d, gamma, tau, batch_size, seed)
-                    got.append(flatten_params(alone))
+                    got.append(alone.values)
                 clients += 1
                 if any(g.tobytes() != want for g in got):
                     bad.append(f"hidden={hidden}, {len(lengths)} clients, batch {batch_size}, "

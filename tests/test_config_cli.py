@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dfca.cli import main
-from dfca.config import ConfigError, ExperimentConfig, config_keys, load_config
+from dfca.config import ConfigError, ExperimentConfig, load_config
 from dfca.harness import cmd_diff, cmd_run, cmd_sweep
 from dfca.verify import CHECK_NAMES, CHECKS
 
@@ -101,7 +101,7 @@ class TestConfigParsing:
         )
         pairs = cfg.to_dict()
         defaults = ExperimentConfig().to_dict()
-        assert sorted(pairs) == config_keys()
+        assert list(pairs) == list(defaults)
         assert [k for k in pairs if pairs[k] == defaults[k]] == (
             [] if restrict else ["restrict_receive_to_participants"]
         )
@@ -121,7 +121,7 @@ class TestConfigParsing:
             load_config(tiny_config, overrides=[f"{key}={value}"])
 
     def test_key_list_covers_documented_interface(self):
-        keys = config_keys()
+        keys = ExperimentConfig().to_dict()
         for expected in ("n_clients", "k", "topology.p", "topology.seed", "init_mode",
                          "aggregation_mode", "mixing_kind", "gamma", "tau", "batch_size",
                          "T", "participation_fraction", "algorithm", "n_seeds", "output_dir",
@@ -210,6 +210,22 @@ class TestCmdRun:
         code = cmd_run(str(tiny_config), overrides=["topology.p=0.0", "on_disconnected=abort"])
         assert code == 3
         assert "disconnected" in capsys.readouterr().err
+
+    def test_disconnected_later_seed_summarizes_the_finished_seeds(self, capsys, output_root):
+        quick = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
+        code = cmd_run(str(quick), overrides=["on_disconnected=abort", "topology.p=0.3", "n_seeds=8",
+                                              "T=2"])
+        assert code == 3
+        assert capsys.readouterr().err.rstrip().endswith("is disconnected at seed 2")
+        run_dir = output_root / "quick"
+        written = sorted(p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*") if p.is_file())
+        assert written == ["seed_0/trace.csv", "seed_1/trace.csv", "summary.json"]
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["seeds"] == [0, 1]
+        assert summary["per_seed"]["connected"] == [True, True]
+        failed = summary["failed"]
+        assert (failed["seed"], failed["where"]) == (2, {"seed": 2})
+        assert failed["what"].endswith("is disconnected")
 
     def test_ifca_builds_no_graph(self, tiny_config, output_root):
         # an empty graph under on_disconnected=abort would exit 3 if ifca sampled one

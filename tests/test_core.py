@@ -23,13 +23,13 @@ from dfca.core import (
 from dfca.model import (
     DivergenceError,
     ModelShape,
-    flatten_params,
     forward_loss,
     sgd_epochs,
     unflatten_params,
 )
 from dfca.seeding import derive_seed, spawn_rng
 from dfca.topology import Topology, build_mixing_matrix, generate_erdos_renyi
+from dfca.verify import graph_from_edges
 
 SHAPE = ModelShape(dim=3, hidden=2, n_classes=3)
 
@@ -67,13 +67,6 @@ def draw_states(data):
     datasets = [random_dataset(rng, n=size, dist=i % 2) for i, size in enumerate(sizes)]
     return RunState(SHAPE, rng.standard_normal((n, k, SHAPE.param_count)),
                     [int(a) for a in rng.integers(0, k, size=n)], datasets)
-
-
-def from_edges(n, edges):
-    adj = np.zeros((n, n), dtype=bool)
-    for i, m in edges:
-        adj[i, m] = adj[m, i] = True
-    return Topology(n, adj)
 
 
 class TestInitialize:
@@ -256,7 +249,7 @@ class TestLocalUpdate:
 class TestAggregateBatch:
     def test_no_reporting_neighbors_leaves_model_untouched(self):
         states = scalar_states([[1.0], [2.0]], assignments=[0, 0])
-        t = from_edges(2, [])  # no edges at all
+        t = graph_from_edges(2, [])  # no edges at all
         stage_outboxes(states)
         before = [s.models[0].copy() for s in states]
         aggregate_batch(states, t)
@@ -272,7 +265,7 @@ class TestAggregateBatch:
     def test_path_graph_neighbor_means(self):
         states = scalar_states([[0.0], [3.0], [6.0]])
         stage_outboxes(states)
-        aggregate_batch(states, from_edges(3, [(0, 1), (1, 2)]))
+        aggregate_batch(states, graph_from_edges(3, [(0, 1), (1, 2)]))
         assert [s.models[0][0] for s in states] == [1.5, 3.0, 4.5]
 
     def test_cluster_split_restricts_senders(self):
@@ -301,7 +294,7 @@ class TestAggregateSequential:
         states = scalar_states([[0.0], [2.0]])
         stage_outboxes(states)
         plan = RoundPlan(participants=(0, 1))
-        aggregate_sequential(states, from_edges(2, [(0, 1)]), plan)
+        aggregate_sequential(states, graph_from_edges(2, [(0, 1)]), plan)
         assert states[0].models[0][0] == 1.0
 
     def test_running_average_telescopes_to_batch_mean(self):
@@ -324,7 +317,7 @@ class TestAggregateSequential:
         monkeypatch.setattr(core, "_fold", record)
         states = scalar_states([[0.0], [1.0], [2.0], [3.0]])
         states.sent[1:] = 0
-        star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
         for seed in range(3000):
             aggregate_sequential(states, star, RoundPlan((1, 2, 3), round_seed=seed))
         counts = {order: orders.count(order) for order in set(orders)}
@@ -437,7 +430,7 @@ class TestMergeIsConvex:
         receivers = plan.participants if plan.receive_restricted else range(n)
         for i in range(n):
             for j in range(k):
-                senders = [m for m in t.neighborhoods[i] if states.sent[m] == j]
+                senders = [m for m in np.flatnonzero(t.adjacency[i]) if states.sent[m] == j]
                 got = states.models[i, j]
                 if i not in receivers or not senders:
                     assert got.tobytes() == before[i, j].tobytes()
@@ -517,9 +510,9 @@ class TestRunRound:
             if gamma:
                 trained = sgd_epochs(unflatten_params(SHAPE, expected.models[i, j]), data[i],
                                      gamma, hp.tau, hp.batch_size, derive_seed(21, "sgd", i))
-                expected.models[i, j] = flatten_params(trained)
+                expected.models[i, j] = trained.values
             expected.sent[i] = j
-        run_round(states, from_edges(9, []), plan, hp)  # no edges: nothing merges
+        run_round(states, graph_from_edges(9, []), plan, hp)  # no edges: nothing merges
         for s, e in zip(states, expected):
             assert s.assignment == e.assignment
             for got, want in zip(s.models, e.models):

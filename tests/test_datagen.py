@@ -147,6 +147,17 @@ class TestIdxLoader:
         with pytest.raises(IdxFormatError, match="truncated"):
             load_idx_pair(imgs, lbls)
 
+    def test_header_counts_are_unsigned(self, tmp_path):
+        # rows = cols = 0xFFFFFFFE: read as signed, 2 * (-2) * (-2) = 8 bytes would pass
+        imgs, lbls = write_idx_pair(tmp_path, [0] * 8, [0, 0], rows=-2, cols=-2, image_count=2)
+        with pytest.raises(IdxFormatError, match="truncated"):
+            load_idx_pair(imgs, lbls)
+
+    def test_empty_pair(self, tmp_path):
+        imgs, lbls = write_idx_pair(tmp_path, [], [])
+        with pytest.raises(IdxFormatError, match="empty image file"):
+            load_idx_pair(imgs, lbls)
+
     def test_count_mismatch(self, tmp_path):
         imgs, lbls = write_idx_pair(tmp_path, [0] * 12, [0, 1])  # 3 images, 2 labels
         with pytest.raises(IdxFormatError, match="count mismatch"):

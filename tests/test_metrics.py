@@ -17,7 +17,7 @@ from dfca.metrics import (
     trace_columns,
 )
 from dfca.metrics import test_accuracy as sample_weighted_accuracy
-from dfca.model import ModelShape, flatten_params, forward_loss, unflatten_params
+from dfca.model import ModelShape, forward_loss, unflatten_params
 
 SHAPE = ModelShape(dim=2, hidden=0, n_classes=2)
 
@@ -145,14 +145,14 @@ class TestTestAccuracy:
         # w2 row 1 fires on positive x-coordinate
         # w2 = [[-5, 0], [5, 0]], b2 = 0
         m = unflatten_params(SHAPE, np.array([-5.0, 0.0, 5.0, 0.0, 0.0, 0.0]))
-        vec = flatten_params(m)
+        vec = m.values
         data = dataset([[1.0, 0.0], [-1.0, 0.0]], [1, 0])
         states = one_model_states([vec], [data])
         assert sample_weighted_accuracy(states, [data]) == 1.0
 
     def test_sample_weighted_mean(self):
         # w2 = [[-5, 0], [5, 0]], b2 = 0
-        perfect = flatten_params(unflatten_params(SHAPE, np.array([-5.0, 0.0, 5.0, 0.0, 0.0, 0.0])))
+        perfect = unflatten_params(SHAPE, np.array([-5.0, 0.0, 5.0, 0.0, 0.0, 0.0])).values
         zero = np.zeros(SHAPE.param_count)
         test_a = dataset([[1.0, 0.0]] * 10, [1] * 10)  # perfect model: 10/10
         test_b = dataset([[1.0, 0.0]] * 15 + [[-1.0, 0.0]] * 15, [0] * 15 + [1] * 15)

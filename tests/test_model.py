@@ -10,7 +10,6 @@ from dfca.datagen import Dataset
 from dfca.model import (
     MlpModel,
     ModelShape,
-    flatten_params,
     forward_loss,
     gradient,
     init_model,
@@ -152,7 +151,7 @@ class TestSgd:
 
     def test_stacked_call_needs_datasets_of_one_length(self):
         shape = ModelShape(dim=2, hidden=0, n_classes=2)
-        block = np.stack([flatten_params(init_model(shape, seed=s)) for s in range(2)])
+        block = np.stack([init_model(shape, seed=s).values for s in range(2)])
         rng = np.random.default_rng(8)
         data = [random_dataset(rng, n, 2, 2) for n in (4, 5)]
         with pytest.raises(ValueError, match="one length"):
@@ -164,10 +163,10 @@ class TestSgd:
         m = init_model(shape, seed=1)
         data = random_dataset(rng, 6, 3, 2)
         out = sgd_epochs(m, data, gamma=0.2, tau=1, batch_size=len(data), seed=0)
-        expected = flatten_params(m) - 0.2 * gradient(m, data)
+        expected = m.values - 0.2 * gradient(m, data)
         # the epoch shuffle reorders the mean's summation, so equality is
         # up to float associativity only
-        np.testing.assert_allclose(flatten_params(out), expected, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(out.values, expected, rtol=1e-12, atol=1e-15)
 
     def test_oversized_batch_clamped_to_full_batch(self):
         rng = np.random.default_rng(6)
@@ -175,7 +174,7 @@ class TestSgd:
         data = random_dataset(rng, 5, 2, 2)
         a = sgd_epochs(m, data, gamma=0.1, tau=1, batch_size=999, seed=3)
         b = sgd_epochs(m, data, gamma=0.1, tau=1, batch_size=5, seed=3)
-        np.testing.assert_array_equal(flatten_params(a), flatten_params(b))
+        np.testing.assert_array_equal(a.values, b.values)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(7)
@@ -183,7 +182,7 @@ class TestSgd:
         data = random_dataset(rng, 20, 3, 3)
         a = sgd_epochs(m, data, gamma=0.1, tau=3, batch_size=4, seed=11)
         b = sgd_epochs(m, data, gamma=0.1, tau=3, batch_size=4, seed=11)
-        assert np.array_equal(flatten_params(a), flatten_params(b))
+        assert np.array_equal(a.values, b.values)
 
     def test_loss_descends_on_default_style_data_over_20_seeds(self):
         from dfca.datagen import SyntheticSpec, generate_rotated_synthetic
@@ -208,9 +207,9 @@ class TestFlatParams:
     def test_round_trip_bitwise(self, hidden, dim, n_classes, seed):
         shape = ModelShape(dim=dim, hidden=hidden, n_classes=n_classes)
         m = init_model(shape, seed=seed)
-        vec = flatten_params(m)
+        vec = m.values
         assert vec.shape == (shape.param_count,)
-        again = flatten_params(unflatten_params(shape, vec))
+        again = unflatten_params(shape, vec).values
         assert np.array_equal(vec, again)
 
     def test_byte_encoding_round_trip(self):
@@ -255,7 +254,7 @@ class TestFlatParams:
         ],
     )
     def test_init_model_golden_digest(self, shape, seed, digest):
-        blob = params_to_bytes(flatten_params(init_model(shape, seed)))
+        blob = params_to_bytes(init_model(shape, seed).values)
         assert hashlib.sha256(blob).hexdigest() == digest
 
 

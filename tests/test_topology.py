@@ -6,40 +6,33 @@ from hypothesis import strategies as st
 from dfca.topology import (
     Topology,
     build_mixing_matrix,
-    from_edge_list_text,
     generate_erdos_renyi,
     is_connected,
     spectral_gap,
-    to_edge_list_text,
 )
+from dfca.verify import graph_from_edges
 
 
 def complete(n):
     return Topology(n, ~np.eye(n, dtype=bool))
 
 
-def from_edges(n, edges):
-    adj = np.zeros((n, n), dtype=bool)
-    for i, m in edges:
-        adj[i, m] = adj[m, i] = True
-    return Topology(n, adj)
-
-
 def ring(n):
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n):
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def reference_mixing_matrix(t):
     """Per-node loop reference for the array form of ``build_mixing_matrix``."""
     n = t.n_clients
     w = np.zeros((n, n), dtype=np.float64)
-    degrees = [len(t.neighborhoods[i]) for i in range(n)]
+    neighbors = [np.flatnonzero(t.adjacency[i]) for i in range(n)]
+    degrees = [len(hood) for hood in neighbors]
     for i in range(n):
-        for m in t.neighborhoods[i]:
+        for m in neighbors[i]:
             w[i, m] = 1.0 / (1 + max(degrees[i], degrees[m]))
         w[i, i] = 1.0 - w[i].sum()
     return w
@@ -49,7 +42,7 @@ def reference_is_connected(t):
     """Queue-based breadth-first search from client 0."""
     seen, queue = {0}, [0]
     while queue:
-        for m in t.neighborhoods[queue.pop(0)]:
+        for m in np.flatnonzero(t.adjacency[queue.pop(0)]):
             if m not in seen:
                 seen.add(m)
                 queue.append(m)
@@ -96,13 +89,13 @@ class TestConnectivity:
         assert is_connected(complete(4))
 
     def test_empty_graph_disconnected(self):
-        assert not is_connected(from_edges(2, []))
+        assert not is_connected(graph_from_edges(2, []))
 
     def test_path_graph_connected(self):
-        assert is_connected(from_edges(3, [(0, 1), (1, 2)]))
+        assert is_connected(graph_from_edges(3, [(0, 1), (1, 2)]))
 
     def test_single_client_connected(self):
-        assert is_connected(from_edges(1, []))
+        assert is_connected(graph_from_edges(1, []))
 
     @given(n=st.integers(1, 30), p=st.floats(0.0, 0.4), seed=st.integers(0, 1000))
     @settings(max_examples=100, deadline=None)
@@ -117,15 +110,15 @@ class TestConnectivity:
 
 class TestMixingMatrix:
     def test_metropolis_on_four_cycle(self):
-        cycle = from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        cycle = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         w = build_mixing_matrix(cycle)
         for i in range(4):
             assert w[i, i] == pytest.approx(1.0 / 3.0)
-            for m in cycle.neighborhoods[i]:
+            for m in np.flatnonzero(cycle.adjacency[i]):
                 assert w[i, m] == pytest.approx(1.0 / 3.0)
 
     def test_metropolis_on_star(self):
-        star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
         w = build_mixing_matrix(star)
         assert w[0, 0] == pytest.approx(0.25)
         for leaf in (1, 2, 3):
@@ -171,7 +164,7 @@ class TestSpectralGap:
         assert gap == pytest.approx(1 - second, abs=1e-12)
 
     def test_disconnected_two_plus_two_gap_zero(self):
-        split = from_edges(4, [(0, 1), (2, 3)])
+        split = graph_from_edges(4, [(0, 1), (2, 3)])
         gap = spectral_gap(build_mixing_matrix(split))
         assert abs(gap) <= 1e-8
 
@@ -220,21 +213,3 @@ class TestTopologyType:
         with pytest.raises(ValueError):
             t.adjacency[0, 1] = False
 
-
-class TestEdgeListFormat:
-    def test_round_trip(self):
-        t = generate_erdos_renyi(9, 0.4, seed=11)
-        again = from_edge_list_text(to_edge_list_text(t))
-        assert np.array_equal(t.adjacency, again.adjacency)
-
-    def test_format_shape(self):
-        t = from_edges(3, [(0, 2), (1, 2)])
-        assert to_edge_list_text(t) == "3\n0 2\n1 2\n"
-
-    def test_rejects_out_of_range_edge(self):
-        with pytest.raises(ValueError):
-            from_edge_list_text("2\n0 5\n")
-
-    def test_rejects_unordered_pair(self):
-        with pytest.raises(ValueError):
-            from_edge_list_text("3\n2 1\n")
