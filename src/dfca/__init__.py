@@ -48,8 +48,6 @@ from .model import (
     forward_loss,
     gradient,
     init_model,
-    params_from_bytes,
-    params_to_bytes,
     sgd_epochs,
     unflatten_params,
 )

@@ -149,10 +149,11 @@ class RoundPlan:
     ordered, and which aggregation rule applies.
 
     ``aggregation_mode`` is ``batch``, ``sequential`` or ``server`` (IFCA).
-    The sequential merge orders every receiver slot's senders from one
-    stream per merge, ``spawn_rng(round_seed, "arrival")``, which draws one
-    uniform key per sender of every slot: the senders arrive in ascending
-    key order, a uniform random permutation.
+    Local SGD shuffles from one stream per round, ``spawn_rng(round_seed,
+    "sgd")`` (see :func:`local_update`).  The sequential merge orders every
+    receiver slot's senders from one stream per merge, ``spawn_rng(round_seed,
+    "arrival")``, which draws one uniform key per sender of every slot: the
+    senders arrive in ascending key order, a uniform random permutation.
     """
 
     participants: tuple[int, ...]
@@ -257,29 +258,33 @@ def assign_cluster(c: ClientState, losses: np.ndarray | None = None) -> int:
 
 def local_update(
     states: RunState, rows: Sequence[int], gamma: float, tau: int, batch_size: int,
-    seeds: Sequence[int],
+    rng: np.random.Generator,
 ) -> RunState:
     """Train the assigned model of clients ``rows`` and stage it in their
     outboxes.
 
-    Clients with equal training-set lengths train together, in stacked
-    :func:`sgd_epochs` calls of at most ``_CHUNK_ROWS`` minibatch rows;
-    client ``rows[r]`` shuffles with ``seeds[r]`` and ends bitwise where
-    training alone would leave it.  All other model copies are left bitwise
-    untouched.  ``gamma=0`` skips training but still stages the (unchanged)
-    assigned models for sending.  A model that diverges raises
-    :class:`DivergenceError` naming its client and cluster.
+    One key table ``rng.random((len(rows), tau, longest training set))``
+    shuffles every epoch: client ``rows[r]`` with ``n`` samples takes
+    ``keys[r, :, :n]`` (see :func:`sgd_epochs`).  Clients with equal
+    training-set lengths train together, in stacked calls of at most
+    ``_CHUNK_ROWS`` minibatch rows, each ending bitwise where training alone
+    on its keys would leave it.  Other model copies stay bitwise untouched.
+    ``gamma=0`` skips training but still stages the assigned models.
+    ``rows`` must be distinct clients of the run.  A model that diverges
+    raises :class:`DivergenceError` naming its client and cluster.
     """
+    _check_participants(rows, len(states))
     rows = np.asarray(rows, dtype=np.intp)
     cols = states.assignment[rows]
     if gamma != 0.0:
-        for chunk in _chunks([len(states.data[i]) for i in rows], batch_size):
+        lengths = [len(states.data[i]) for i in rows]
+        keys = rng.random((len(rows), tau, max(lengths, default=0)))
+        for chunk in _chunks(lengths, batch_size):
             r, c = rows[chunk], cols[chunk]
+            block = unflatten_params(states.shape, states.models[r, c])
             try:
-                updated = sgd_epochs(
-                    unflatten_params(states.shape, states.models[r, c]),
-                    [states.data[i] for i in r], gamma, tau, batch_size, [seeds[p] for p in chunk],
-                )
+                updated = sgd_epochs(block, [states.data[i] for i in r], gamma, tau, batch_size,
+                                     keys[chunk, :, : lengths[chunk[0]]])
             except DivergenceError as exc:
                 p = exc.where["row"]
                 raise DivergenceError(client=int(r[p]), cluster=int(c[p])) from None
@@ -454,7 +459,8 @@ def run_round(
 ) -> tuple[RunState, RoundMetrics]:
     """One full round: assign, train, merge, measure.
 
-    All participants train in one :func:`local_update` call.
+    All participants train in one :func:`local_update` call, shuffled by
+    one stream per round, ``spawn_rng(round_seed, "sgd")``.
     Non-participants neither train nor send but (unless the plan restricts
     receiving) still merge incoming models.  The ``server`` merge ignores
     ``t`` and expects every client to start the round with the same models.
@@ -467,9 +473,9 @@ def run_round(
     states.sent[:] = -1
     _assign_clusters(states, plan.participants)
     changed = int(np.count_nonzero(states.assignment != previous))
-    seeds = [derive_seed(plan.round_seed, "sgd", i) for i in plan.participants]
     try:
-        local_update(states, plan.participants, hp.gamma, hp.tau, hp.batch_size, seeds)
+        local_update(states, plan.participants, hp.gamma, hp.tau, hp.batch_size,
+                     spawn_rng(plan.round_seed, "sgd"))
     except DivergenceError as exc:
         raise exc.at(round=plan.round_index) from None
     k = states.models.shape[1]
@@ -520,10 +526,8 @@ def build_topology(config: ExperimentConfig) -> tuple[Topology, bool]:
                 f"p={config.topology_p}, topology seed {topo_seed}) is disconnected"
             )
         logger.warning(
-            "graph (n=%d, p=%g, seed=%d) is disconnected; proceeding per config",
-            config.n_clients,
-            config.topology_p,
-            topo_seed,
+            "graph (n=%d, p=%g, topology seed %d) is disconnected at seed %d; proceeding per config",
+            config.n_clients, config.topology_p, topo_seed, config.seed,
         )
     return t, connected
 

@@ -84,8 +84,14 @@ def _losses(m: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _mean_ce(m, x, y)
 
 
+def _check_cluster(states: "RunState", j: int) -> None:
+    if not 0 <= j < states.models.shape[1]:
+        raise ValueError(f"cluster {j} is not a cluster of this {states.models.shape[1]}-cluster run")
+
+
 def f_cluster(states: "RunState", j: int) -> float:
     """Sum of assigned-client losses for cluster ``j`` (0 if empty)."""
+    _check_cluster(states, j)
     rows = np.flatnonzero(states.assignment == j)
     datasets = [states.data[i] for i in rows]
     total = 0.0
@@ -115,12 +121,14 @@ def cluster_average(states: "RunState", j: int) -> np.ndarray:
     Computed as base + mean(deviations) so that identical copies average to
     themselves exactly.
     """
+    _check_cluster(states, j)
     copies = states.models[:, j]
     return _average(copies, np.empty_like(copies))
 
 
 def dispersion(states: "RunState", j: int) -> float:
     """Mean squared distance of all N copies of model ``j`` from their average."""
+    _check_cluster(states, j)
     copies = states.models[:, j]
     dev = np.empty_like(copies)
     np.subtract(copies, _average(copies, dev), out=dev)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -27,8 +26,6 @@ __all__ = [
     "gradient",
     "sgd_epochs",
     "unflatten_params",
-    "params_to_bytes",
-    "params_from_bytes",
 ]
 
 
@@ -249,22 +246,24 @@ def sgd_epochs(
     gamma: float,
     tau: int,
     batch_size: int,
-    seed: int | Sequence[int],
+    keys: np.ndarray,
 ) -> MlpModel:
     """Run ``tau`` epochs of minibatch SGD on ``d`` and return the new model.
 
-    Each epoch visits a seeded shuffle of the data in batches of
-    ``batch_size`` (clamped to the dataset size; the final short batch is
-    kept).  Deterministic per seed; the input model is not modified.
+    ``keys`` is the shuffle as data: a ``(tau, n)`` table for one dataset of
+    ``n`` samples.  Epoch ``e`` visits the samples in the stable ascending
+    order of ``keys[e]``, in batches of ``batch_size`` (clamped to the
+    dataset size; the final short batch is kept).  Deterministic per table;
+    the input model is not modified.
 
     Many clients train in one call when ``m`` is a stack of models (a
     leading model axis, as :func:`unflatten_params` gives for an ``(m, P)``
     block), ``d`` holds one dataset per model, all of one length, and
-    ``seed`` one seed per model.  The block runs one loop over epochs and
-    minibatches, each model drawing its own shuffle, and the result is the
-    stack of trained models, each bitwise the model a call for that client
-    alone returns.  A model whose parameters are no longer finite raises
-    :class:`DivergenceError` naming its row.
+    ``keys`` is a ``(c, tau, n)`` table, one ``(tau, n)`` table per model.
+    The block runs one loop over epochs and minibatches, and the result is
+    the stack of trained models, each bitwise the model a call for that
+    client and its table alone returns.  A model whose parameters are no
+    longer finite raises :class:`DivergenceError` naming its row.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -273,26 +272,25 @@ def sgd_epochs(
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     single = isinstance(d, Dataset)
-    datasets, seeds = ([d], [seed]) if single else (d, seed)
+    datasets = [d] if single else d
     shape = m.shape
     values = m.values.reshape(-1, shape.param_count).copy()
-    if not len(values) == len(datasets) == len(seeds):
-        raise ValueError(
-            f"{len(values)} models need as many datasets and seeds, "
-            f"got {len(datasets)} and {len(seeds)}"
-        )
+    if len(values) != len(datasets):
+        raise ValueError(f"{len(values)} models need as many datasets, got {len(datasets)}")
     x, y = _stack_data(datasets)
     _check_inputs(m, x, y)
     n = y.shape[1]
+    table = (tau, n) if single else (len(values), tau, n)
+    if np.shape(keys) != table:
+        raise ValueError(f"the shuffle keys need shape {table}, got {np.shape(keys)}")
+    order = np.argsort(keys, axis=-1, kind="stable").reshape(len(values), tau, n)
     batch_size = min(batch_size, n)
     rows = np.arange(len(values))[:, None]
     current = MlpModel(shape, values)  # views: each step updates them in place
-    rngs = [np.random.default_rng(s) for s in seeds]
     with np.errstate(**_NONFINITE_OK):
-        for _ in range(tau):
-            order = np.stack([rng.permutation(n) for rng in rngs])
+        for epoch in range(tau):
             for start in range(0, n, batch_size):
-                idx = order[:, start : start + batch_size]
+                idx = order[:, epoch, start : start + batch_size]
                 step = np.concatenate(_grad_xy(current, x[rows, idx], y[rows, idx]), axis=-1)
                 step *= gamma
                 values -= step
@@ -312,19 +310,3 @@ def unflatten_params(shape: ModelShape, values: np.ndarray) -> MlpModel:
     if not np.isfinite(values).all():
         raise ValueError("model parameters must be finite")
     return MlpModel(shape, values)
-
-
-def params_to_bytes(values: np.ndarray) -> bytes:
-    """Length-prefixed little-endian float64 encoding (for golden files)."""
-    values = np.asarray(values, dtype=np.float64)
-    return struct.pack("<Q", values.size) + values.astype("<f8").tobytes()
-
-
-def params_from_bytes(buf: bytes) -> np.ndarray:
-    if len(buf) < 8:
-        raise ValueError("buffer too short for a length prefix")
-    (count,) = struct.unpack_from("<Q", buf, 0)
-    expected = 8 + 8 * count
-    if len(buf) != expected:
-        raise ValueError(f"expected {expected} bytes for {count} values, got {len(buf)}")
-    return np.frombuffer(buf, dtype="<f8", count=count, offset=8).astype(np.float64)

@@ -1,8 +1,10 @@
 """Hierarchical seed derivation.
 
 Every random stream in a run is derived from one master seed plus a label
-path, e.g. ``derive_seed(master, "sgd", round_index, client_id)``.  Changing
-one knob (say, the topology seed) therefore never perturbs unrelated streams.
+path, e.g. ``derive_seed(master, "data", client_id)`` for one client's data,
+or ``spawn_rng(round_seed, "sgd")`` for the key table that shuffles a round's
+local SGD.  Changing one knob (say, the topology seed) therefore never
+perturbs unrelated streams.
 String labels are hashed with CRC-32, which is stable across platforms and
 Python versions.
 """

@@ -6,13 +6,12 @@ from dfca.core import (
     RoundPlan,
     aggregate_batch,
     assign_cluster,
-    local_update,
     run_experiment,
     run_round,
 )
 from dfca.metrics import cluster_average, trace_row
-from dfca.model import ModelShape
-from dfca.seeding import derive_seed
+from dfca.model import ModelShape, sgd_epochs, unflatten_params
+from dfca.seeding import spawn_rng
 from dfca.topology import Topology
 from dfca.verify import random_dataset, random_states
 
@@ -37,11 +36,17 @@ def ifca_clients(rng, n, scales):
 
 def server_round(states, hp, round_seed):
     """One server-merge round, plus the trained models it should average:
-    each client's assigned model after its own assign and local update."""
+    each client's assigned model after its own assign and SGD on its row of
+    the round's key table."""
     trained = states.copy()
+    longest = max(len(d) for d in trained.data)
+    keys = spawn_rng(round_seed, "sgd").random((len(trained), hp.tau, longest))
     for i, c in enumerate(trained):
-        assign_cluster(c)
-        local_update(trained, [i], hp.gamma, hp.tau, hp.batch_size, [derive_seed(round_seed, "sgd", i)])
+        j = assign_cluster(c)
+        m = unflatten_params(SHAPE, trained.models[i, j])
+        d = trained.data[i]
+        trained.models[i, j] = sgd_epochs(m, d, hp.gamma, hp.tau, hp.batch_size, keys[i, :, : len(d)]).values
+        trained.sent[i] = j
     plan = RoundPlan(participants=tuple(range(len(states))), aggregation_mode="server",
                      round_seed=round_seed)
     _, measured = run_round(states, None, plan, hp)

@@ -157,7 +157,7 @@ class TestCmdRun:
     def test_divergence_exits_4_naming_seed_round_and_client(self, capsys, output_root):
         quick = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
         assert cmd_run(str(quick), overrides=["gamma=1e4", "T=5"]) == 4
-        assert "seed 1, round 3, client 5, cluster 1" in capsys.readouterr().err
+        assert "seed 1, round 3, client 2, cluster 0" in capsys.readouterr().err
 
     def test_divergence_keeps_the_finished_seeds_whole(self, output_root):
         quick = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
@@ -179,7 +179,7 @@ class TestCmdRun:
         assert summary["failed"] == {
             "seed": 1,
             "what": "local SGD left non-finite model parameters",
-            "where": {"seed": 1, "round": 3, "client": 5, "cluster": 1},
+            "where": {"seed": 1, "round": 3, "client": 2, "cluster": 0},
         }
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -226,6 +226,17 @@ class TestCmdRun:
         failed = summary["failed"]
         assert (failed["seed"], failed["where"]) == (2, {"seed": 2})
         assert failed["what"].endswith("is disconnected")
+
+    def test_disconnected_proceed_warning_names_the_run_seed(self, caplog, output_root):
+        quick = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
+        with caplog.at_level("WARNING", logger="dfca.core"):
+            assert cmd_run(str(quick), overrides=["topology.p=0.3", "n_seeds=4", "T=2"]) == 0
+        assert [r.getMessage() for r in caplog.records if "disconnected" in r.getMessage()] == [
+            "graph (n=10, p=0.3, topology seed 15045563145090991830) is disconnected at seed 2; "
+            "proceeding per config"
+        ]
+        summary = json.loads((output_root / "quick" / "summary.json").read_text())
+        assert summary["per_seed"]["connected"] == [True, True, False, True]
 
     def test_ifca_builds_no_graph(self, tiny_config, output_root):
         # an empty graph under on_disconnected=abort would exit 3 if ifca sampled one

@@ -100,7 +100,7 @@ class TestInitialize:
         assert array.shape == (5, 2, SHAPE.param_count)
         assert all(np.shares_memory(s.models, array) for s in states)
         before = array.copy()
-        local_update(states, [1, 3], hp.gamma, hp.tau, hp.batch_size, seeds=[0, 1])
+        local_update(states, [1, 3], hp.gamma, hp.tau, hp.batch_size, rng=spawn_rng(0, "sgd"))
         trained = [(i, states[i].assignment) for i in (1, 3)]
         for i in range(5):
             for j in range(2):
@@ -206,7 +206,7 @@ class TestLocalUpdate:
         states.assignment[0] = 0
         s = states[0]
         frozen = s.models[1].copy()
-        local_update(s.run, [0], gamma=0.1, tau=1, batch_size=4, seeds=[0])
+        local_update(s.run, [0], gamma=0.1, tau=1, batch_size=4, rng=spawn_rng(0, "sgd"))
         assert np.array_equal(s.models[1], frozen)
         assert s.outbox[0] == 0
         assert np.shares_memory(s.outbox[1], s.models[0])
@@ -217,19 +217,45 @@ class TestLocalUpdate:
         states = draw_states(data)
         n = len(states)
         rows = data.draw(st.lists(st.integers(0, n - 1), unique=True))
-        seeds = data.draw(st.lists(st.integers(0, 2**31), min_size=len(rows), max_size=len(rows)))
+        seed = data.draw(st.integers(0, 2**31))
         before = states.models.copy()
         local_update(states, rows, gamma=0.05, tau=data.draw(st.integers(1, 2)),
-                     batch_size=data.draw(st.integers(1, 5)), seeds=seeds)
+                     batch_size=data.draw(st.integers(1, 5)), rng=spawn_rng(seed, "sgd"))
         frozen = np.ones(states.models.shape[:2], dtype=bool)
         frozen[rows, states.assignment[rows]] = False
         assert states.models[frozen].tobytes() == before[frozen].tobytes()
+
+    @pytest.mark.parametrize("rows, message", [
+        ([-1], "participant -1 is not a client of this 4-client run"),
+        ([4], "participant 4 is not a client of this 4-client run"),
+        ([0, 0], "participant 0 is listed more than once"),
+        ([2, 1, 2], "participant 2 is listed more than once"),
+    ], ids=["negative", "past-the-end", "duplicate", "duplicate-later"])
+    def test_rows_must_be_distinct_clients_of_the_run(self, rows, message):
+        states = make_states(np.random.default_rng(27), 4, 2)
+        frozen = states.models.copy()
+        with pytest.raises(ValueError, match=message):
+            local_update(states, rows, gamma=0.1, tau=1, batch_size=4, rng=spawn_rng(0, "sgd"))
+        assert np.array_equal(states.models, frozen)
+        assert (states.sent == -1).all()
+
+    def test_a_clients_shuffle_does_not_depend_on_its_chunk(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        drawn = make_states(rng, 6, 2)
+        data = [random_dataset(rng, n=(9, 12, 9, 9, 12, 5)[i]) for i in range(6)]
+        states = RunState(SHAPE, drawn.models, drawn.assignment, data)
+        rows = [4, 0, 5, 2, 1]
+        together = local_update(states.copy(), rows, 0.1, 2, 4, spawn_rng(3, "sgd"))
+        monkeypatch.setattr(model, "_CHUNK_ROWS", 1)  # one client per stacked call
+        alone = local_update(states.copy(), rows, 0.1, 2, 4, spawn_rng(3, "sgd"))
+        assert together.models.tobytes() == alone.models.tobytes()
+        assert not np.array_equal(together.models, states.models)
 
     def test_gamma_zero_leaves_parameters_unchanged(self):
         rng = np.random.default_rng(10)
         s = make_states(rng, 1, 2)[0]
         frozen = s.models[s.assignment].copy()
-        local_update(s.run, [0], gamma=0.0, tau=1, batch_size=4, seeds=[0])
+        local_update(s.run, [0], gamma=0.0, tau=1, batch_size=4, rng=spawn_rng(0, "sgd"))
         assert np.array_equal(s.models[s.assignment], frozen)
         assert s.outbox is not None
 
@@ -240,7 +266,7 @@ class TestLocalUpdate:
             states = make_states(rng, 1, 2)
             s, d = states[0], states.data[0]
             before = forward_loss(unflatten_params(SHAPE, s.models[s.assignment]), d)
-            local_update(states, [0], gamma=0.1, tau=2, batch_size=5, seeds=[seed])
+            local_update(states, [0], gamma=0.1, tau=2, batch_size=5, rng=spawn_rng(seed, "sgd"))
             after = forward_loss(unflatten_params(SHAPE, s.models[s.assignment]), d)
             improved += after <= before
         assert improved >= 18  # descent in expectation, tiny batches may jitter
@@ -505,11 +531,13 @@ class TestRunRound:
         hp = Hyperparams(gamma=gamma, tau=2, batch_size=4, test_sets=tests)
         plan = RoundPlan(participants=(0, 2, 3, 6, 7), round_seed=21)
         expected = states.copy()
-        for i in plan.participants:
+        # one key table from the round's stream, a row per participant in plan order
+        keys = spawn_rng(21, "sgd").random((len(plan.participants), hp.tau, 13))
+        for i, table in zip(plan.participants, keys):
             j = assign_cluster(expected[i])
             if gamma:
                 trained = sgd_epochs(unflatten_params(SHAPE, expected.models[i, j]), data[i],
-                                     gamma, hp.tau, hp.batch_size, derive_seed(21, "sgd", i))
+                                     gamma, hp.tau, hp.batch_size, table[:, : len(data[i])])
                 expected.models[i, j] = trained.values
             expected.sent[i] = j
         run_round(states, graph_from_edges(9, []), plan, hp)  # no edges: nothing merges
@@ -522,6 +550,28 @@ class TestRunRound:
             else:
                 assert s.outbox[0] == e.outbox[0]
                 assert s.outbox[1].tobytes() == e.outbox[1].tobytes()
+
+    @pytest.mark.parametrize("mode", ["batch", "sequential", "server"])
+    def test_one_sgd_stream_per_round(self, monkeypatch, mode):
+        streams, seeds = [], []
+
+        def counted_rng(*parts):
+            streams.append(parts)
+            return spawn_rng(*parts)
+
+        def counted_seed(*parts):
+            seeds.append(parts)
+            return derive_seed(*parts)
+
+        rng = np.random.default_rng(29)
+        t, states, hp = tiny_problem(rng, 6, 2, p=1.0)
+        monkeypatch.setattr(core, "spawn_rng", counted_rng)
+        monkeypatch.setattr(core, "derive_seed", counted_seed)
+        for r in range(3):
+            plan = RoundPlan(participants=(0, 1, 3, 5), aggregation_mode=mode, round_seed=40 + r)
+            run_round(states, t, plan, hp)
+        assert [p for p in streams if "sgd" in p] == [(40, "sgd"), (41, "sgd"), (42, "sgd")]
+        assert seeds == []
 
     def test_divergence_names_round_client_and_cluster(self):
         rng = np.random.default_rng(22)

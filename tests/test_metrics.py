@@ -77,6 +77,14 @@ class TestClusterLoss:
         )
 
 
+@pytest.mark.parametrize("metric", [f_cluster, cluster_average, dispersion])
+@pytest.mark.parametrize("j", [2, 7, -1])
+def test_cluster_index_outside_the_run_rejected(metric, j):
+    states = random_states(np.random.default_rng(12), 4, 2)
+    with pytest.raises(ValueError, match=f"cluster {j} is not a cluster of this 2-cluster run"):
+        metric(states, j)
+
+
 class TestDispersion:
     def test_identical_copies_give_exact_zero(self):
         rng = np.random.default_rng(4)

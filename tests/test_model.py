@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -13,8 +15,6 @@ from dfca.model import (
     forward_loss,
     gradient,
     init_model,
-    params_from_bytes,
-    params_to_bytes,
     predict,
     sgd_epochs,
     unflatten_params,
@@ -136,18 +136,23 @@ class TestGradient:
         np.testing.assert_allclose(gradient(m, data), gradient(m, doubled), rtol=1e-12)
 
 
+def keys_for(data, tau, seed):
+    """A seeded ``(tau, n)`` shuffle key table for one dataset."""
+    return np.random.default_rng(seed).random((tau, len(data)))
+
+
 class TestSgd:
     def test_tau_zero_rejected(self):
         m = init_model(ModelShape(dim=2, hidden=0, n_classes=2), seed=0)
         data = random_dataset(np.random.default_rng(0), 4, 2, 2)
         with pytest.raises(ValueError):
-            sgd_epochs(m, data, gamma=0.1, tau=0, batch_size=2, seed=0)
+            sgd_epochs(m, data, gamma=0.1, tau=0, batch_size=2, keys=keys_for(data, 0, 0))
 
     def test_divergence_raises(self):
         m = init_model(ModelShape(dim=3, hidden=2, n_classes=2), seed=0)
         data = random_dataset(np.random.default_rng(1), 8, 3, 2)
         with pytest.raises(ValueError, match="finite"):
-            sgd_epochs(m, data, gamma=1e300, tau=3, batch_size=4, seed=0)
+            sgd_epochs(m, data, gamma=1e300, tau=3, batch_size=4, keys=keys_for(data, 3, 0))
 
     def test_stacked_call_needs_datasets_of_one_length(self):
         shape = ModelShape(dim=2, hidden=0, n_classes=2)
@@ -155,14 +160,29 @@ class TestSgd:
         rng = np.random.default_rng(8)
         data = [random_dataset(rng, n, 2, 2) for n in (4, 5)]
         with pytest.raises(ValueError, match="one length"):
-            sgd_epochs(unflatten_params(shape, block), data, gamma=0.1, tau=1, batch_size=2, seed=[0, 1])
+            sgd_epochs(unflatten_params(shape, block), data, gamma=0.1, tau=1, batch_size=2,
+                       keys=rng.random((2, 1, 5)))
+
+    @pytest.mark.parametrize("stacked, table", [
+        (False, (3, 6)), (False, (2, 5)), (False, (6, 2)), (False, (1, 2, 6)), (False, (12,)),
+        (True, (2, 6)), (True, (3, 2, 6)), (True, (2, 2, 5)), (True, (2, 6, 2)), (True, (2, 2, 6, 1)),
+    ])
+    def test_key_table_of_another_shape_rejected(self, stacked, table):
+        shape = ModelShape(dim=2, hidden=0, n_classes=2)
+        rng = np.random.default_rng(12)
+        data = [random_dataset(rng, 6, 2, 2) for _ in range(2)]
+        block = rng.standard_normal((2, shape.param_count))
+        m, d, want = ((unflatten_params(shape, block), data, (2, 2, 6)) if stacked
+                      else (unflatten_params(shape, block[0]), data[0], (2, 6)))
+        with pytest.raises(ValueError, match=re.escape(f"shuffle keys need shape {want}, got {table}")):
+            sgd_epochs(m, d, gamma=0.1, tau=2, batch_size=2, keys=rng.random(table))
 
     def test_single_full_batch_epoch_is_one_gradient_step(self):
         rng = np.random.default_rng(5)
         shape = ModelShape(dim=3, hidden=2, n_classes=2)
         m = init_model(shape, seed=1)
         data = random_dataset(rng, 6, 3, 2)
-        out = sgd_epochs(m, data, gamma=0.2, tau=1, batch_size=len(data), seed=0)
+        out = sgd_epochs(m, data, gamma=0.2, tau=1, batch_size=len(data), keys=keys_for(data, 1, 0))
         expected = m.values - 0.2 * gradient(m, data)
         # the epoch shuffle reorders the mean's summation, so equality is
         # up to float associativity only
@@ -172,17 +192,50 @@ class TestSgd:
         rng = np.random.default_rng(6)
         m = init_model(ModelShape(dim=2, hidden=0, n_classes=2), seed=2)
         data = random_dataset(rng, 5, 2, 2)
-        a = sgd_epochs(m, data, gamma=0.1, tau=1, batch_size=999, seed=3)
-        b = sgd_epochs(m, data, gamma=0.1, tau=1, batch_size=5, seed=3)
+        keys = keys_for(data, 1, 3)
+        a = sgd_epochs(m, data, gamma=0.1, tau=1, batch_size=999, keys=keys)
+        b = sgd_epochs(m, data, gamma=0.1, tau=1, batch_size=5, keys=keys)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(7)
         m = init_model(ModelShape(dim=3, hidden=4, n_classes=3), seed=0)
         data = random_dataset(rng, 20, 3, 3)
-        a = sgd_epochs(m, data, gamma=0.1, tau=3, batch_size=4, seed=11)
-        b = sgd_epochs(m, data, gamma=0.1, tau=3, batch_size=4, seed=11)
+        a = sgd_epochs(m, data, gamma=0.1, tau=3, batch_size=4, keys=keys_for(data, 3, 11))
+        b = sgd_epochs(m, data, gamma=0.1, tau=3, batch_size=4, keys=keys_for(data, 3, 11))
         assert np.array_equal(a.values, b.values)
+
+    def test_epochs_visit_samples_in_stable_key_order(self):
+        """Each epoch's minibatches follow a stable sort of its keys: equal
+        keys keep sample order, and only the order, not the key values,
+        matters."""
+        rng = np.random.default_rng(9)
+        m = init_model(ModelShape(dim=3, hidden=2, n_classes=3), seed=4)
+        data = random_dataset(rng, 6, 3, 3)
+        keys = np.array([[0.5, 0.1, 0.5, 0.9, 0.1, 0.3], [3.0, 2.0, 1.0, 0.0, 1.0, 2.0]])
+        ranks = np.argsort(np.argsort(keys, axis=-1, kind="stable"), axis=-1)  # distinct, same order
+        got = sgd_epochs(m, data, gamma=0.1, tau=2, batch_size=4, keys=keys)
+        assert np.array_equal(got.values, sgd_epochs(m, data, 0.1, 2, 4, ranks).values)
+        want = m
+        for order in ([1, 4, 5, 0, 2, 3], [3, 2, 4, 1, 5, 0]):
+            for batch in (order[:4], order[4:]):
+                step = gradient(want, Dataset(data.features[batch], data.labels[batch], 0))
+                want = unflatten_params(want.shape, want.values - 0.1 * step)
+        assert np.array_equal(got.values, want.values)
+
+    def test_builds_no_generator(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        shape = ModelShape(dim=3, hidden=2, n_classes=3)
+        block = unflatten_params(shape, rng.standard_normal((3, shape.param_count)))
+        data = [random_dataset(rng, 8, 3, 3) for _ in range(3)]
+        keys = rng.random((3, 2, 8))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sgd_epochs built a Generator")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        sgd_epochs(block, data, gamma=0.1, tau=2, batch_size=3, keys=keys)
+        sgd_epochs(unflatten_params(shape, block.values[0]), data[0], 0.1, 2, 3, keys[0])
 
     def test_loss_descends_on_default_style_data_over_20_seeds(self):
         from dfca.datagen import SyntheticSpec, generate_rotated_synthetic
@@ -194,8 +247,8 @@ class TestSgd:
             data = generate_rotated_synthetic(spec, k=2, client_cluster=seed % 2, seed=seed)
             m = init_model(shape, seed=seed)
             before = forward_loss(m, data)
-            after = forward_loss(sgd_epochs(m, data, gamma=0.1, tau=1, batch_size=32, seed=seed), data)
-            if after > before:
+            trained = sgd_epochs(m, data, gamma=0.1, tau=1, batch_size=32, keys=keys_for(data, 1, seed))
+            if forward_loss(trained, data) > before:
                 worse += 1
         assert worse == 0
 
@@ -211,20 +264,6 @@ class TestFlatParams:
         assert vec.shape == (shape.param_count,)
         again = unflatten_params(shape, vec).values
         assert np.array_equal(vec, again)
-
-    def test_byte_encoding_round_trip(self):
-        vec = np.random.default_rng(0).standard_normal(17)
-        assert np.array_equal(params_from_bytes(params_to_bytes(vec)), vec)
-
-    def test_byte_encoding_is_length_prefixed_little_endian(self):
-        blob = params_to_bytes(np.array([1.0]))
-        assert blob[:8] == (1).to_bytes(8, "little")
-        assert len(blob) == 16
-
-    def test_truncated_buffer_rejected(self):
-        blob = params_to_bytes(np.arange(3.0))
-        with pytest.raises(ValueError):
-            params_from_bytes(blob[:-1])
 
     def test_wrong_length_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -254,7 +293,8 @@ class TestFlatParams:
         ],
     )
     def test_init_model_golden_digest(self, shape, seed, digest):
-        blob = params_to_bytes(init_model(shape, seed).values)
+        values = init_model(shape, seed).values
+        blob = struct.pack("<Q", values.size) + values.astype("<f8").tobytes()
         assert hashlib.sha256(blob).hexdigest() == digest
 
 
