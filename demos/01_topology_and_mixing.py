@@ -38,5 +38,5 @@ for p in (0.2, 0.4, 0.8):
     print(f"p={p}: gap={gap:.3f}; dispersion shrinks by lambda^2={lam**2:.3f} per round{note}")
 
 print("\nA disconnected graph has gap 0 (no global consensus):")
-split = Topology(4, np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=bool))
+split = Topology(np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=bool))
 print(f"two 2-cliques: gap={spectral_gap(build_mixing_matrix(split)):.2e}")

@@ -21,8 +21,7 @@ config = ExperimentConfig(
     data_samples_per_client=100,
     model_hidden=16,
     seed=0,
-)
-config.validate()
+)  # checked when built: an invalid value raises ConfigError here
 
 trace, states, info = run_experiment_states(config)
 

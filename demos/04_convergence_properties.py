@@ -37,7 +37,7 @@ def random_dataset(n=15):
 
 print("=== 1. Assignment is descent ===")
 datasets = [random_dataset() for _ in range(6)]
-states = initialize(k=3, n=6, mode="li", model_shape=SHAPE, seed=1, datasets=datasets)
+states = initialize(k=3, mode="li", model_shape=SHAPE, seed=1, datasets=datasets)
 for i in range(len(states)):
     states.assignment[i] = rng.integers(0, 3)  # scramble
 before = f_global(states)
@@ -50,7 +50,7 @@ print("=== 2. Gossip preserves the average and contracts disagreement ===")
 t = generate_erdos_renyi(16, 0.3, seed=4)
 w = build_mixing_matrix(t)
 lam = 1 - spectral_gap(w)
-states = initialize(k=1, n=16, mode="li", model_shape=SHAPE, seed=2,
+states = initialize(k=1, mode="li", model_shape=SHAPE, seed=2,
                     datasets=[random_dataset() for _ in range(16)])
 hp = Hyperparams(gamma=0.0, tau=1, batch_size=8,
                  test_sets=[random_dataset(5) for _ in range(16)], mixing=w)

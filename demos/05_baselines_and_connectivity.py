@@ -23,9 +23,7 @@ SEEDS = (0, 1, 2)
 def batch(**kw):
     finals_test, finals_clust = [], []
     for seed in SEEDS:
-        cfg = ExperimentConfig(seed=seed, **{**BASE, **kw})
-        cfg.validate()
-        trace = run_experiment(cfg)
+        trace = run_experiment(ExperimentConfig(seed=seed, **{**BASE, **kw}))
         finals_test.append(trace[-1].test_accuracy)
         finals_clust.append(trace[-1].clustering_accuracy)
     return np.mean(finals_test), np.mean(finals_clust)

@@ -1,12 +1,14 @@
 """Experiment configuration: a flat key=value text file.
 
 Lines are ``key = value``; blank lines and ``#`` comments are ignored.
-Unknown keys are rejected, and every value is range-checked at load time
-with an error message naming the offending key.
+Unknown keys are rejected.  A config checks every value when it is built
+(``load_config``, the constructor or ``replace``) with an error message
+naming the offending key, and cannot be changed afterwards.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -37,10 +39,11 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description.  Field names use ``_`` where the
-    config file uses ``.`` (``topology.p`` -> ``topology_p``)."""
+    """Experiment description, validated when built and immutable.  Field
+    names use ``_`` where the config file uses ``.`` (``topology.p`` ->
+    ``topology_p``)."""
 
     algorithm: str = "dfca"
     n_clients: int = 20
@@ -68,7 +71,7 @@ class ExperimentConfig:
     on_disconnected: str = "proceed"
     restrict_receive_to_participants: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         checks: list[tuple[str, bool, str]] = [
             ("algorithm", self.algorithm in ALGORITHMS, f"must be one of {ALGORITHMS}"),
             ("n_clients", self.n_clients >= 1, "must be >= 1"),
@@ -155,11 +158,7 @@ class ExperimentConfig:
         return 1 if self.algorithm == "davg" else self.k
 
     def replace(self, **updates) -> "ExperimentConfig":
-        merged = {f.name: getattr(self, f.name) for f in fields(self)}
-        merged.update(updates)
-        cfg = ExperimentConfig(**merged)
-        cfg.validate()
-        return cfg
+        return dataclasses.replace(self, **updates)
 
     def to_dict(self) -> dict:
         return {_key(f.name): getattr(self, f.name) for f in fields(self)}
@@ -216,7 +215,7 @@ def _parse_overrides(overrides: Iterable[str]) -> dict[str, str]:
 
 
 def load_config(path: str | Path, overrides: Iterable[str] = ()) -> ExperimentConfig:
-    """Load and validate a config file, then apply CLI overrides."""
+    """Load a config file, apply CLI overrides, and validate the result."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -227,6 +226,4 @@ def load_config(path: str | Path, overrides: Iterable[str] = ()) -> ExperimentCo
         _apply(kwargs, key, value, str(path))
     for key, value in _parse_overrides(overrides).items():
         _apply(kwargs, key, value, "--set")
-    cfg = ExperimentConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**kwargs)

@@ -107,7 +107,8 @@ class RunState(Sequence[ClientState]):
     client's assignment and the cluster it sent this round (-1 for none) as
     ``(N,)`` int arrays.  Item ``i`` is client ``i``'s :class:`ClientState`.
     A float64 ``models`` array is taken without a copy; one that is not
-    ``(N, k >= 1, shape.param_count)`` is rejected."""
+    ``(N, k >= 1, shape.param_count)``, and an assignment outside ``[0, k)``,
+    are rejected."""
 
     def __init__(self, shape: ModelShape, models, assignment, data: Sequence[Dataset]) -> None:
         self.shape = shape
@@ -117,10 +118,14 @@ class RunState(Sequence[ClientState]):
                 f"models of shape {self.models.shape} do not fit {shape}: "
                 f"need (N, k >= 1, {shape.param_count})"
             )
-        n = len(self.models)
+        n, k = self.models.shape[:2]
         self.assignment = np.array(assignment, dtype=np.intp)
         if self.assignment.shape != (n,) or len(data) != n:
             raise ValueError(f"need {n} assignments and {n} datasets")
+        outside = np.flatnonzero((self.assignment < 0) | (self.assignment >= k))
+        if outside.size:
+            i = outside[0]
+            raise ValueError(f"client {i} is assigned cluster {self.assignment[i]}, outside [0, {k})")
         self.data = list(data)
         self.sent = np.full(n, -1, dtype=np.intp)
 
@@ -187,21 +192,21 @@ class Hyperparams:
 
 def initialize(
     k: int,
-    n: int,
     mode: str,
     model_shape: ModelShape,
     seed: int,
     datasets: Sequence[Dataset],
 ) -> RunState:
-    """Create all client states with globally or locally initialized models.
+    """Create ``len(datasets)`` client states with globally or locally initialized models.
 
     ``gi`` draws one seeded model per cluster and gives every client an
     identical copy (zero initial dispersion); ``li`` draws every client's
     models from client-distinct seeds.  Initial assignments are computed by
     :func:`assign_cluster`, not fixed arbitrarily.
     """
+    n = len(datasets)
     if k < 1 or n < 1:
-        raise ValueError("k and n must be >= 1")
+        raise ValueError(f"need k >= 1 and at least one dataset, got k={k} and {n} datasets")
     mode = mode.lower()
     if mode not in ("gi", "li"):
         raise ValueError(f"init mode must be 'gi' or 'li', got {mode!r}")
@@ -404,19 +409,17 @@ def aggregate_batch(
 
 def _running_fold(
     states: RunState, rows: np.ndarray, cols: np.ndarray, senders: np.ndarray,
-    weights: np.ndarray, order: np.ndarray, mixing: np.ndarray | None, flip: bool = False,
+    weights: np.ndarray, order: np.ndarray, mixing: np.ndarray | None,
 ) -> None:
     """Fold the slot table of :func:`_slots` with each slot's senders taken in
-    the positions ``order`` gives, padding last.  ``flip`` swaps the merge
-    factors; only the verification suite sets it, to prove that its check of
-    this merge can fail."""
+    the positions ``order`` gives, padding last."""
     # np.cumsum adds left to right like the scalar recurrence; a pairwise sum would change bits.
     own = np.ones(len(rows))
     if mixing is not None:
         own -= np.cumsum(np.column_stack([np.zeros(len(rows)), weights]), axis=1)[:, -1]
     arrived = np.take_along_axis(weights, order, axis=1)
     merged = np.cumsum(np.column_stack([own, arrived]), axis=1)  # weight before, after each arrival
-    factors = (merged[:, :-1] if flip else arrived) / merged[:, 1:]
+    factors = arrived / merged[:, 1:]
     _fold(states, rows, cols, np.take_along_axis(senders, order, axis=1), factors)
 
 
@@ -499,7 +502,6 @@ def run_round(
     truth = [d.distribution_id for d in states.data]
     return states, RoundMetrics(
         round=plan.round_index,
-        f_global=sum(per_cluster),
         f_cluster=per_cluster,
         disp=tuple(dispersion(states, j) for j in range(k)),
         clustering_accuracy=clustering_accuracy(states, truth),
@@ -568,14 +570,12 @@ def run_experiment_states(
     ``algorithm = ifca`` runs the server merge and builds no graph, so its
     ``connected`` is None.
     """
-    config.validate()
     centralized = config.algorithm == "ifca"
     t, connected = (None, None) if centralized else build_topology(config)
     trains, tests = build_client_data(config)
     shape = ModelShape(dim=config.data_dim, hidden=config.model_hidden, n_classes=config.data_n_classes)
     states = initialize(
         k=config.n_models,
-        n=config.n_clients,
         mode=config.init_mode,
         model_shape=shape,
         seed=derive_seed(config.seed, "init"),

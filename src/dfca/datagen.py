@@ -121,20 +121,15 @@ def _class_centers(spec: SyntheticSpec, center_seed: int) -> np.ndarray:
 
 
 def _rotate_first_two(features: np.ndarray, quarter_turns: int) -> np.ndarray:
-    """Rotate the first two coordinates counterclockwise by 90° steps.
+    """Rotate the first two coordinates counterclockwise by 90° steps, each
+    step ``(x, y) -> (-y, x)``.
 
     Quarter-turn rotations only negate and swap coordinates, so they are
     exact in floating point and exactly invertible.
     """
-    q = quarter_turns % 4
     out = features.copy()
-    x, y = features[:, 0], features[:, 1]
-    if q == 1:
-        out[:, 0], out[:, 1] = -y, x
-    elif q == 2:
-        out[:, 0], out[:, 1] = -x, -y
-    elif q == 3:
-        out[:, 0], out[:, 1] = y, -x
+    for _ in range(quarter_turns % 4):
+        out[:, :2] = np.column_stack((-out[:, 1], out[:, 0]))
     return out
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -37,12 +37,20 @@ __all__ = [
 ]
 
 
+def _add(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0: builtin ``sum()`` compensates
+    rounding from Python 3.12 on and ``ndarray.sum()`` is pairwise."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class RoundMetrics:
-    """One row of the experiment trace."""
+    """One row of the experiment trace; ``f_global`` is derived."""
 
     round: int
-    f_global: float
     f_cluster: tuple[float, ...]
     disp: tuple[float, ...]
     clustering_accuracy: float
@@ -51,14 +59,17 @@ class RoundMetrics:
     assignments_changed: int
 
     def __post_init__(self) -> None:
-        if abs(self.f_global - sum(self.f_cluster)) > 1e-9:
-            raise ValueError("f_global must equal the sum of per-cluster losses")
         for name in ("clustering_accuracy", "test_accuracy"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
         if len(self.disp) != len(self.f_cluster) or len(self.avg_drift) != len(self.f_cluster):
             raise ValueError("per-cluster metric tuples must have equal length")
+
+    @property
+    def f_global(self) -> float:
+        """The per-cluster losses added left to right (see :func:`_add`)."""
+        return _add(self.f_cluster)
 
 
 def _per_client(
@@ -94,17 +105,12 @@ def f_cluster(states: "RunState", j: int) -> float:
     _check_cluster(states, j)
     rows = np.flatnonzero(states.assignment == j)
     datasets = [states.data[i] for i in rows]
-    total = 0.0
-    # Python floats added one at a time in client order: builtin sum()
-    # compensates rounding from Python 3.12 on, and ndarray.sum() is pairwise.
-    for loss in _per_client(states, rows, np.full(len(rows), j), datasets, _losses).tolist():
-        total += loss
-    return total
+    return _add(_per_client(states, rows, np.full(len(rows), j), datasets, _losses).tolist())
 
 
 def f_global(states: "RunState") -> float:
-    """Sum of every client's loss on its assigned model."""
-    return sum(f_cluster(states, j) for j in range(states.models.shape[1]))
+    """Sum of every client's loss on its assigned model, added as a trace row adds it."""
+    return _add(f_cluster(states, j) for j in range(states.models.shape[1]))
 
 
 def _average(copies: np.ndarray, dev: np.ndarray) -> np.ndarray:
@@ -136,20 +142,21 @@ def dispersion(states: "RunState", j: int) -> float:
 
 
 def clustering_accuracy(states: "RunState", ground_truth: Sequence[int]) -> float:
-    """Best label-permutation match rate between assignments and the truth.
-
-    Exhaustive over label permutations, which is exact (and cheap) for k <= 4.
-    """
-    predicted = states.assignment
+    """Match rate of assignments and truth under the best one-to-one label
+    map: both sides relabelled densely, every injective map of the smaller
+    label set into the larger scored on their confusion matrix."""
     truth = np.asarray(ground_truth)
-    if len(predicted) != len(truth):
+    if len(states.assignment) != len(truth):
         raise ValueError("one ground-truth cluster per client is required")
-    n_labels = int(max(states.models.shape[1], predicted.max() + 1, truth.max() + 1))
-    best = 0.0
-    for perm in itertools.permutations(range(n_labels)):
-        table = np.array(perm)
-        best = max(best, float(np.mean(table[predicted] == truth)))
-    return best
+    a_labels, a = np.unique(states.assignment, return_inverse=True)
+    b_labels, b = np.unique(truth, return_inverse=True)
+    confusion = np.bincount(a * len(b_labels) + b, minlength=len(a_labels) * len(b_labels))
+    confusion = confusion.reshape(len(a_labels), len(b_labels))
+    if len(a_labels) > len(b_labels):
+        confusion = confusion.T
+    table = confusion.tolist()
+    maps = itertools.permutations(range(len(table[0])), len(table))
+    return max(sum(row[c] for row, c in zip(table, m)) for m in maps) / len(truth)
 
 
 def _hits(m: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:

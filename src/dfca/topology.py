@@ -21,25 +21,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Topology:
-    """Undirected communication graph over ``n_clients`` clients.
+    """Undirected communication graph over ``n_clients = len(adjacency)`` clients.
 
-    ``adjacency`` is a symmetric boolean matrix with a zero diagonal;
-    ``neighborhoods[i]`` is the sorted tuple of clients adjacent to ``i``
-    (exactly the nonzero entries of row ``i``).
+    ``adjacency`` is a non-empty symmetric boolean square matrix with a zero
+    diagonal; ``neighborhoods[i]`` is the sorted tuple of clients adjacent
+    to ``i`` (exactly the nonzero entries of row ``i``).
     """
 
-    n_clients: int
     adjacency: np.ndarray
     neighborhoods: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n_clients < 1:
-            raise ValueError(f"a topology needs at least one client, got n_clients={self.n_clients}")
         adj = np.asarray(self.adjacency, dtype=bool)
-        if adj.shape != (self.n_clients, self.n_clients):
-            raise ValueError(
-                f"adjacency shape {adj.shape} does not match n_clients={self.n_clients}"
-            )
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.size == 0:
+            raise ValueError(f"adjacency must be a non-empty square matrix, got shape {adj.shape}")
         if np.any(np.diag(adj)):
             raise ValueError("adjacency must have a zero diagonal (no self-loops)")
         if not np.array_equal(adj, adj.T):
@@ -48,6 +43,10 @@ class Topology:
         object.__setattr__(self, "adjacency", adj)
         hoods = tuple(tuple(int(m) for m in np.flatnonzero(row)) for row in adj)
         object.__setattr__(self, "neighborhoods", hoods)
+
+    @property
+    def n_clients(self) -> int:
+        return len(self.adjacency)
 
     @property
     def n_edges(self) -> int:
@@ -68,7 +67,7 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Topology:
         draws = rng.random(iu[0].size) < p
         adj[iu] = draws
         adj |= adj.T
-    return Topology(n_clients=n, adjacency=adj)
+    return Topology(adj)
 
 
 def is_connected(t: Topology) -> bool:

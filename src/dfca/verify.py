@@ -32,6 +32,7 @@ from .core import (
 )
 from .datagen import Dataset, generate_rotated_synthetic, rotate_image, SyntheticSpec
 from .metrics import (
+    _add,
     client_mean_test_accuracy,
     cluster_average,
     dispersion,
@@ -94,7 +95,7 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Topology:
     adj = np.zeros((n, n), dtype=bool)
     for i, m in edges:
         adj[i, m] = adj[m, i] = True
-    return Topology(n, adj)
+    return Topology(adj)
 
 
 def check_mixing_stochasticity() -> tuple[bool, str]:
@@ -106,7 +107,7 @@ def check_mixing_stochasticity() -> tuple[bool, str]:
 
 
 def check_spectral_gap() -> tuple[bool, str]:
-    complete3 = Topology(3, ~np.eye(3, dtype=bool))
+    complete3 = Topology(~np.eye(3, dtype=bool))
     gap_complete = spectral_gap(build_mixing_matrix(complete3))
     cycle = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     gap_cycle = spectral_gap(build_mixing_matrix(cycle))
@@ -223,7 +224,7 @@ def check_local_update_isolation() -> tuple[bool, str]:
 def _small_graphs() -> Iterator[Topology]:
     """Complete, path, ring, star and two Erdos-Renyi graphs for n = 2..8."""
     for n in range(2, 9):
-        yield Topology(n, ~np.eye(n, dtype=bool))
+        yield Topology(~np.eye(n, dtype=bool))
         path = [(i, i + 1) for i in range(n - 1)]
         yield graph_from_edges(n, path)
         if n >= 3:
@@ -252,11 +253,11 @@ def _reference_weights(
 ) -> tuple[list[float], float, float]:
     """The weight of each sender, the receiver's own weight and the batch
     normalizer: 1.0 each and r+1 when uniform; matrix row weights, the
-    remainder and 1.0 with a matrix."""
+    remainder after adding them left to right, and 1.0 with a matrix."""
     if mixing is None:
         return [1.0] * len(senders), 1.0, len(senders) + 1.0
     weights = [float(mixing[i, m]) for m in senders]
-    return weights, 1.0 - sum(weights), 1.0
+    return weights, 1.0 - _add(weights), 1.0
 
 
 def _order_tables(
@@ -285,8 +286,8 @@ def check_sequential_equals_batch(inject_fault: bool = False) -> tuple[bool, str
     Every enumerated order runs through the sequential merge's fold, the
     slots that have an ``r``-th order in one call per ``r``; one more
     ``aggregate_sequential`` call per instance takes the orders from the
-    seeded key table that ``run_round`` uses.  ``inject_fault`` swaps the
-    fold's merge factors.
+    seeded key table that ``run_round`` uses.  ``inject_fault`` halves the
+    sender weights that the enumerated orders pass to the fold.
     """
     rng = np.random.default_rng(0)
     shape = ModelShape(dim=2, hidden=0, n_classes=2)
@@ -300,10 +301,10 @@ def check_sequential_equals_batch(inject_fault: bool = False) -> tuple[bool, str
             tables = _order_tables(rng, senders)
             for mixing in (None, build_mixing_matrix(t)):
                 batch = aggregate_batch(states.copy(), t, mixing=mixing)
-                weights = _slots(states, t, None, mixing)[3]
+                weights = _slots(states, t, None, mixing)[3] * (0.5 if inject_fault else 1.0)
                 for live, order in tables:
                     seq, r, c = states.copy(), rows[live], cols[live]
-                    _running_fold(seq, r, c, senders[live], weights[live], order, mixing, inject_fault)
+                    _running_fold(seq, r, c, senders[live], weights[live], order, mixing)
                     worst = max(worst, float(np.abs(batch.models[r, c] - seq.models[r, c]).max()))
                 plan = RoundPlan(participants=participants, round_seed=k)
                 seq = aggregate_sequential(states.copy(), t, plan, mixing=mixing)
@@ -409,7 +410,7 @@ def check_gossip_consensus() -> tuple[bool, str]:
         w = build_mixing_matrix(t)
         lam = 1.0 - spectral_gap(w)
         datasets = [random_dataset(rng, 12, shape.dim, shape.n_classes) for _ in range(n)]
-        states = initialize(k=1, n=n, mode="li", model_shape=shape, seed=seed, datasets=datasets)
+        states = initialize(k=1, mode="li", model_shape=shape, seed=seed, datasets=datasets)
         hp = Hyperparams(
             gamma=0.0,
             tau=1,
@@ -439,7 +440,7 @@ def check_gi_zero_dispersion() -> tuple[bool, str]:
     rng = np.random.default_rng(3)
     shape = ModelShape(dim=16, hidden=32, n_classes=4)
     datasets = [random_dataset(rng, 20, 16, 4) for _ in range(20)]
-    states = initialize(k=4, n=20, mode="gi", model_shape=shape, seed=0, datasets=datasets)
+    states = initialize(k=4, mode="gi", model_shape=shape, seed=0, datasets=datasets)
     disps = [dispersion(states, j) for j in range(4)]
     return all(d == 0.0 for d in disps), f"initial dispersions {disps} (exact zeros)"
 
@@ -591,7 +592,6 @@ def check_run_determinism() -> tuple[bool, str]:
         n_clients=8, k=2, T=3, data_samples_per_client=40, model_hidden=4, topology_p=0.6,
         n_seeds=1,
     )
-    config.validate()
     rows_a = [trace_row(m) for m in run_experiment(config)]
     rows_b = [trace_row(m) for m in run_experiment(config)]
     return rows_a == rows_b, "repeated tiny run produces identical trace rows"
@@ -621,7 +621,7 @@ CHECK_NAMES = [name for name, _ in CHECKS]
 def run_verification(inject_fault: bool = False, out=print) -> int:
     """Run every property check; returns 0 iff all pass.
 
-    ``inject_fault`` flips the running-average merge weights inside the
+    ``inject_fault`` halves the running-average sender weights inside the
     sequential-equals-batch check, proving that the check can detect a
     broken aggregation rule.
     """

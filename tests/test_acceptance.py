@@ -34,9 +34,7 @@ def report(criterion, detail):
 
 
 def _trace(config_kw):
-    cfg = ExperimentConfig(**config_kw)
-    cfg.validate()
-    return run_experiment(cfg)
+    return run_experiment(ExperimentConfig(**config_kw))
 
 
 def run_all(configs):

@@ -85,8 +85,8 @@ class TestConfigParsing:
 
     def test_ifca_rejects_partial_participation(self):
         with pytest.raises(ConfigError, match="participation_fraction"):
-            ExperimentConfig(algorithm="ifca", participation_fraction=0.5).validate()
-        ExperimentConfig(algorithm="dfca", participation_fraction=0.5).validate()
+            ExperimentConfig(algorithm="ifca", participation_fraction=0.5)
+        ExperimentConfig(algorithm="dfca", participation_fraction=0.5)
 
     @pytest.mark.parametrize("restrict", [True, False], ids=["true", "false"])
     def test_every_key_round_trips(self, tmp_path, restrict):

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfca import core, model, verify
+from dfca import core, metrics, model, verify
 from dfca.config import ConfigError, ExperimentConfig
 from dfca.core import (
     Hyperparams,
@@ -56,7 +58,7 @@ def scalar_states(values_per_client, assignments=None):
 
 
 def complete(n):
-    return Topology(n, ~np.eye(n, dtype=bool))
+    return Topology(~np.eye(n, dtype=bool))
 
 
 def draw_states(data):
@@ -73,7 +75,7 @@ class TestInitialize:
     def test_gi_gives_identical_model_sets(self):
         rng = np.random.default_rng(0)
         datasets = [random_dataset(rng) for _ in range(5)]
-        states = initialize(k=3, n=5, mode="gi", model_shape=SHAPE, seed=7, datasets=datasets)
+        states = initialize(k=3, mode="gi", model_shape=SHAPE, seed=7, datasets=datasets)
         for j in range(3):
             for s in states:
                 assert np.array_equal(s.models[j], states[0].models[j])
@@ -81,14 +83,14 @@ class TestInitialize:
     def test_li_gives_distinct_models(self):
         rng = np.random.default_rng(2)
         datasets = [random_dataset(rng) for _ in range(2)]
-        states = initialize(k=2, n=2, mode="li", model_shape=SHAPE, seed=3, datasets=datasets)
+        states = initialize(k=2, mode="li", model_shape=SHAPE, seed=3, datasets=datasets)
         for j in range(2):
             assert not np.array_equal(states[0].models[j], states[1].models[j])
 
     def test_initial_assignment_is_argmin_not_arbitrary(self):
         rng = np.random.default_rng(3)
         datasets = [random_dataset(rng) for _ in range(4)]
-        states = initialize(k=3, n=4, mode="li", model_shape=SHAPE, seed=5, datasets=datasets)
+        states = initialize(k=3, mode="li", model_shape=SHAPE, seed=5, datasets=datasets)
         for s, d in zip(states, datasets):
             losses = [forward_loss(unflatten_params(SHAPE, v), d) for v in s.models]
             assert s.assignment == int(np.argmin(losses))
@@ -129,7 +131,7 @@ class TestInitialize:
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
-            initialize(k=1, n=1, mode="xx", model_shape=SHAPE, seed=0,
+            initialize(k=1, mode="xx", model_shape=SHAPE, seed=0,
                        datasets=[random_dataset(np.random.default_rng(0))])
 
 
@@ -409,6 +411,13 @@ def test_run_state_rejects_models_of_the_wrong_shape(models_shape):
         RunState(shape, np.zeros(models_shape), [0, 0, 0], data)
 
 
+@pytest.mark.parametrize("cluster", [-1, 2])
+def test_run_state_rejects_an_assignment_outside_its_clusters(cluster):
+    data = [random_dataset(np.random.default_rng(0))] * 3
+    with pytest.raises(ValueError, match=rf"client 1 is assigned cluster {cluster}, outside \[0, 2\)"):
+        RunState(SHAPE, np.zeros((3, 2, SHAPE.param_count)), [0, cluster, 5], data)
+
+
 @pytest.mark.parametrize("merge", ["batch", "sequential"])
 @pytest.mark.parametrize("participant", [-1, 5])
 def test_restricted_merges_reject_a_participant_outside_the_run(merge, participant):
@@ -436,7 +445,7 @@ class TestMergeIsConvex:
         adj = np.zeros((n, n), dtype=bool)
         adj[np.triu_indices(n, 1)] = data.draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
                                                         max_size=n * (n - 1) // 2))
-        t = Topology(n, adj | adj.T)
+        t = Topology(adj | adj.T)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         scale = 10.0 ** data.draw(st.integers(-3, 3))
         states = RunState(SHAPE, scale * rng.standard_normal((n, k, SHAPE.param_count)), [0] * n,
@@ -471,15 +480,13 @@ def desk_config(**kw):
     base = dict(n_clients=8, k=2, T=2, data_samples_per_client=40, model_hidden=4,
                 topology_p=0.6, n_seeds=1)
     base.update(kw)
-    cfg = ExperimentConfig(**base)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**base)
 
 
 def tiny_problem(rng, n, k, init="gi", p=0.7, seed=0):
     t = complete(n) if p >= 1 else generate_erdos_renyi(n, p, seed)
     datasets = [random_dataset(rng, dist=i % 2) for i in range(n)]
-    states = initialize(k=k, n=n, mode=init, model_shape=SHAPE, seed=seed, datasets=datasets)
+    states = initialize(k=k, mode=init, model_shape=SHAPE, seed=seed, datasets=datasets)
     tests = [random_dataset(rng, n=5, dist=i % 2) for i in range(n)]
     return t, states, Hyperparams(gamma=0.05, tau=1, batch_size=5, test_sets=tests)
 
@@ -623,7 +630,7 @@ class TestRunRound:
     def test_without_edges_non_participants_stay_bitwise_unchanged(self, data):
         states = draw_states(data)
         n = len(states)
-        t = Topology(n, np.zeros((n, n), dtype=bool))
+        t = Topology(np.zeros((n, n), dtype=bool))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         plan = RoundPlan(
             participants=tuple(data.draw(st.lists(st.integers(0, n - 1), unique=True))),
@@ -653,10 +660,27 @@ class TestRunExperiment:
             assert ms.f_global == pytest.approx(mb.f_global, rel=1e-6)
 
     def test_invalid_config_names_field(self):
-        cfg = desk_config()
-        cfg.gamma = -1.0
         with pytest.raises(ConfigError, match="gamma"):
-            run_experiment(cfg)
+            desk_config(gamma=-1.0)
+
+    def test_a_config_cannot_be_changed_after_it_is_built(self):
+        cfg = desk_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.gamma = -1.0
+        with pytest.raises(ConfigError, match="gamma"):
+            cfg.replace(gamma=-1.0)
+        assert cfg.replace(gamma=0.5).gamma == 0.5 and cfg.gamma == 0.1
+
+    def test_no_result_depends_on_builtin_sum(self, monkeypatch):
+        """Builtin sum() compensates float rounding from Python 3.12 on; as
+        math.fsum, which always does, it changes neither a trace nor the
+        merge oracle's verdict."""
+        cfg = desk_config(k=4, tau=1, data_samples_per_client=20, T=20)
+        want = [metrics.trace_row(m) for m in run_experiment(cfg)]
+        for module in (core, metrics, verify):
+            monkeypatch.setattr(module, "sum", math.fsum, raising=False)
+        assert verify.check_merges_match_per_slot()[0]
+        assert [metrics.trace_row(m) for m in run_experiment(cfg)] == want
 
     def test_disconnected_abort_policy(self):
         from dfca.core import DisconnectedGraphError

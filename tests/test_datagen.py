@@ -41,6 +41,13 @@ class TestSyntheticGeneration:
         assert np.array_equal(rot.features[:, 1], base.features[:, 0])
         assert np.array_equal(rot.features[:, 2:], base.features[:, 2:])
 
+    def test_k4_clusters_two_and_three_are_half_and_three_quarter_turns(self):
+        x, y = generate_rotated_synthetic(SPEC, k=4, client_cluster=0, seed=9).features[:, :2].T
+        half = generate_rotated_synthetic(SPEC, k=4, client_cluster=2, seed=9).features
+        three = generate_rotated_synthetic(SPEC, k=4, client_cluster=3, seed=9).features
+        assert half[:, :2].tobytes() == np.column_stack((-x, -y)).tobytes()
+        assert three[:, :2].tobytes() == np.column_stack((y, -x)).tobytes()
+
     @given(k=st.sampled_from([2, 4]), seed=st.integers(0, 100))
     @settings(max_examples=25, deadline=None)
     def test_undoing_rotation_recovers_cluster_zero_stream(self, k, seed):

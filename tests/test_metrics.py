@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,31 @@ class TestClusteringAccuracy:
         states.assignment[:] = 0
         assert clustering_accuracy(states, [0, 0, 0, 1]) == 0.75
 
+    def test_truth_labels_need_not_start_at_zero(self):
+        states = random_states(np.random.default_rng(10), 4, 1)
+        states.assignment[:] = 0
+        assert clustering_accuracy(states, [-1] * 4) == 1.0
+        assert clustering_accuracy(states, [-1, -1, 7, -1]) == 0.75
+
+    def test_a_large_truth_label_costs_no_search(self):
+        states = random_states(np.random.default_rng(11), 6, 2)
+        states.assignment[:] = (0, 0, 1, 1, 1, 0)
+        for label in (8, 11, 10**9):
+            assert clustering_accuracy(states, [label, label, 3, 3, 3, 3]) == 5 / 6
+
+    @given(seed=st.integers(0, 99), n=st.integers(1, 9), k=st.integers(1, 4),
+           labels=st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_best_permutation_of_every_label(self, seed, n, k, labels):
+        """Against an exhaustive search over permutations of every label
+        below ``max(k, labels)``, the float of ``np.mean`` over hits."""
+        rng = np.random.default_rng(seed)
+        states = random_states(rng, n, k)
+        truth = rng.integers(0, labels, size=n)
+        best = max(float(np.mean(np.array(p)[states.assignment] == truth))
+                   for p in itertools.permutations(range(max(k, labels))))
+        assert clustering_accuracy(states, truth) == best
+
 
 class TestTestAccuracy:
     def test_perfect_classifier(self):
@@ -179,18 +206,22 @@ class TestTestAccuracy:
         assert acc <= 1.0 / spec.n_classes + 0.1
 
 
-class TestRoundMetricsType:
-    def test_rejects_broken_decomposition(self):
-        with pytest.raises(ValueError):
-            RoundMetrics(round=0, f_global=5.0, f_cluster=(1.0, 1.0), disp=(0.0, 0.0),
-                         clustering_accuracy=1.0, test_accuracy=1.0, avg_drift=(0.0, 0.0),
-                         assignments_changed=0)
+def round_metrics(f_cluster, clustering_accuracy=1.0):
+    zeros = (0.0,) * len(f_cluster)
+    return RoundMetrics(round=0, f_cluster=f_cluster, disp=zeros,
+                        clustering_accuracy=clustering_accuracy, test_accuracy=1.0,
+                        avg_drift=zeros, assignments_changed=0)
 
+
+class TestRoundMetricsType:
     def test_rejects_out_of_range_accuracy(self):
         with pytest.raises(ValueError):
-            RoundMetrics(round=0, f_global=2.0, f_cluster=(1.0, 1.0), disp=(0.0, 0.0),
-                         clustering_accuracy=1.5, test_accuracy=1.0, avg_drift=(0.0, 0.0),
-                         assignments_changed=0)
+            round_metrics((1.0, 1.0), clustering_accuracy=1.5)
+
+    def test_f_global_adds_the_cluster_losses_left_to_right(self):
+        # A compensated sum (builtin sum() from Python 3.12 on, math.fsum)
+        # gives 1.0000000000000002e16; each 1.0 added alone is lost to rounding.
+        assert round_metrics((1e16, 1.0, 1.0)).f_global == 1e16
 
     def test_trace_columns_exact_layout(self):
         assert trace_columns(2) == [

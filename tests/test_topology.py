@@ -14,7 +14,7 @@ from dfca.verify import graph_from_edges
 
 
 def complete(n):
-    return Topology(n, ~np.eye(n, dtype=bool))
+    return Topology(~np.eye(n, dtype=bool))
 
 
 def ring(n):
@@ -105,7 +105,7 @@ class TestConnectivity:
 
     def test_long_path(self):
         assert is_connected(path(1000))
-        assert not is_connected(Topology(1000, np.pad(path(999).adjacency, (0, 1))))  # last node cut off
+        assert not is_connected(Topology(np.pad(path(999).adjacency, (0, 1))))  # last node cut off
 
 
 class TestMixingMatrix:
@@ -195,18 +195,21 @@ class TestTopologyType:
     def test_rejects_self_loops(self):
         adj = np.eye(3, dtype=bool)
         with pytest.raises(ValueError):
-            Topology(3, adj)
+            Topology(adj)
 
     def test_rejects_asymmetric(self):
         adj = np.zeros((3, 3), dtype=bool)
         adj[0, 1] = True
         with pytest.raises(ValueError):
-            Topology(3, adj)
+            Topology(adj)
 
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_rejects_fewer_than_one_client(self, n):
-        with pytest.raises(ValueError, match=f"at least one client, got n_clients={n}"):
-            Topology(n, np.zeros((0, 0), dtype=bool))
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (4,)], ids=["empty", "non-square", "1-d"])
+    def test_rejects_an_empty_or_non_square_adjacency(self, shape):
+        with pytest.raises(ValueError, match=rf"non-empty square matrix, got shape \({shape[0]},"):
+            Topology(np.zeros(shape, dtype=bool))
+
+    def test_client_count_is_the_adjacency_size(self):
+        assert complete(5).n_clients == 5 and Topology(np.zeros((1, 1), dtype=bool)).n_clients == 1
 
     def test_adjacency_is_read_only(self):
         t = complete(3)

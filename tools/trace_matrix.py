@@ -1,0 +1,116 @@
+"""Certification matrix: one ``dfca run configs/desk.cfg`` per entry.
+
+It shows that a change keeps every trace and summary of the entries.
+
+Usage (from any directory)::
+
+    python3 tools/trace_matrix.py OUT [--set key=value ...]
+    python3 tools/trace_matrix.py --diff A B
+
+The first form writes each entry's run under ``OUT/<name>/`` (``desk/`` with
+``seed_<s>/trace.csv`` and ``summary.json``), at ``T=25`` and ``n_seeds=2``
+unless the entry or a ``--set``, applied last, says otherwise.  It runs the
+``src/`` of the checkout this script sits in, so run it in two checkouts,
+say a parent commit and a change, and diff the outputs.  The second form
+runs ``dfca diff`` on every entry of two such directories and compares
+their ``summary.json`` bytes; it exits 1 if any entry differs or is missing.
+The gossip and crowd entries take their overrides from the benchmark's
+``WORKLOADS`` in ``perfbench/run.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from dfca.cli import main as dfca  # noqa: E402
+
+DESK = ROOT / "configs" / "desk.cfg"
+BASE = ("T=25", "n_seeds=2")
+
+
+def _workloads() -> dict[str, tuple[str, ...]]:
+    """The ``WORKLOADS`` literal of ``perfbench/run.py``, read without
+    running that script."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["WORKLOADS"]:
+            return ast.literal_eval(node.value)
+    raise LookupError("perfbench/run.py assigns no WORKLOADS")
+
+
+def entries() -> dict[str, tuple[str, ...]]:
+    """Name -> the overrides of ``configs/desk.cfg`` that the entry runs."""
+    workloads = _workloads()
+    metropolis = ("aggregation_mode=batch", "mixing_kind=metropolis", "participation_fraction=0.5")
+    return {
+        "default": (),
+        "li": ("init_mode=li",),
+        "ifca": ("algorithm=ifca",),
+        "davg": ("algorithm=davg",),
+        "batch-metropolis": metropolis,
+        "batch-metropolis-restricted": (*metropolis, "restrict_receive_to_participants=true"),
+        "sequential-metropolis": ("mixing_kind=metropolis",),
+        "linear": ("model.hidden=0",),
+        "gossip": (*workloads["gossip"], "T=4"),
+        "crowd": (*workloads["crowd"], "T=8"),
+        "ifca-k4": ("algorithm=ifca", "k=4", "n_clients=12", "T=10"),
+        "odd-k4": ("k=4", "n_clients=13", "data.samples_per_client=37", "data.test_fraction=0.23"),
+        "batch7": ("batch_size=7",),
+    }
+
+
+def run_matrix(out: Path, overrides: list[str]) -> int:
+    """Run every entry into ``out/<name>/``; 1 if any run fails."""
+    failed = []
+    for name, entry in entries().items():
+        os.environ["DFCA_OUTPUT_ROOT"] = str(out / name)
+        sets = [arg for kv in (*BASE, *entry, *overrides) for arg in ("--set", kv)]
+        print(f"{name}: ", end="", flush=True)
+        if dfca(["run", str(DESK), *sets]) != 0:
+            failed.append(name)
+    if failed:
+        print(f"failed: {', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+def diff_matrix(a: Path, b: Path) -> int:
+    """``dfca diff`` and a byte comparison of ``summary.json`` per entry; 1
+    if any entry differs or is missing."""
+    differs = []
+    for name in entries():
+        run_a, run_b = a / name / DESK.stem, b / name / DESK.stem
+        print(f"== {name}", flush=True)
+        code = dfca(["diff", str(run_a), str(run_b)])
+        summaries = [p / "summary.json" for p in (run_a, run_b)]
+        same = all(p.is_file() for p in summaries) and summaries[0].read_bytes() == summaries[1].read_bytes()
+        print(f"dfca diff exit {code}, summary.json {'identical' if same else 'differs or is missing'}")
+        if code != 0 or not same:
+            differs.append(name)
+    print(f"{len(differs)} of {len(entries())} entries differ" + (f": {', '.join(differs)}" if differs else ""))
+    return 1 if differs else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("out", nargs="?", type=Path, help="directory to write the matrix into")
+    parser.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
+                        help="override a config key of every entry (repeatable)")
+    parser.add_argument("--diff", nargs=2, type=Path, metavar=("A", "B"),
+                        help="compare two matrix directories instead of running")
+    args = parser.parse_args(argv)
+    if (args.out is None) == (args.diff is None):
+        parser.error("give either OUT or --diff A B")
+    if args.diff:
+        return diff_matrix(*args.diff)
+    return run_matrix(args.out, args.overrides)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
