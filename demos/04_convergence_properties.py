@@ -16,7 +16,6 @@ from dfca import (
     aggregate_batch,
     aggregate_sequential,
     assign_cluster,
-    build_mixing_matrix,
     generate_erdos_renyi,
     initialize,
     spectral_gap,
@@ -48,16 +47,16 @@ print(f"global loss after  re-assignment: {f_global(states):.4f} (never higher)\
 
 print("=== 2. Gossip preserves the average and contracts disagreement ===")
 t = generate_erdos_renyi(16, 0.3, seed=4)
-w = build_mixing_matrix(t)
-lam = 1 - spectral_gap(w)
+lam = 1 - spectral_gap(t.metropolis)
 states = initialize(k=1, mode="li", model_shape=SHAPE, seed=2,
                     datasets=[random_dataset() for _ in range(16)])
 hp = Hyperparams(gamma=0.0, tau=1, batch_size=8,
-                 test_sets=[random_dataset(5) for _ in range(16)], mixing=w)
+                 test_sets=[random_dataset(5) for _ in range(16)])
 print(f"lambda = {lam:.3f}, so dispersion must shrink {lam**2:.3f}x per round")
 for r in range(6):
     avg_before = cluster_average(states, 0)
-    plan = RoundPlan(participants=tuple(range(16)), aggregation_mode="batch", round_seed=r)
+    plan = RoundPlan(participants=tuple(range(16)), aggregation_mode="batch", round_seed=r,
+                     metropolis=True)
     run_round(states, t, plan, hp)
     drift = np.abs(cluster_average(states, 0) - avg_before).max()
     print(f"round {r}: dispersion {dispersion(states, 0):9.5f}, average moved {drift:.1e}")
@@ -72,7 +71,7 @@ base = RunState(SHAPE, models, [0] * 5, datasets)
 base.sent[:] = 0  # every client sends its cluster-0 model
 
 batch = base.copy()
-aggregate_batch(batch, t)
+aggregate_batch(batch, t, RoundPlan(participants=tuple(range(5))))
 worst, outcomes = 0.0, set()
 for round_seed in range(50):  # each round seed draws its own arrival order per receiver
     trial = base.copy()

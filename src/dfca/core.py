@@ -9,8 +9,8 @@ propagate even through sparse graphs.
 ``run_round`` has three merges:
 
 * batch - synchronous per-cluster neighbor averaging with uniform weights
-  1/(r+1) over self plus the r reporting neighbors (or Metropolis weights
-  when a mixing matrix is supplied);
+  1/(r+1) over self plus the r reporting neighbors (or the graph's
+  Metropolis weights, ``t.metropolis``, when the plan says so);
 * sequential - a running average that folds neighbor models in one at a
   time in arrival order and telescopes to exactly the batch mean;
 * server - centralized IFCA: each cluster model becomes the mean of the
@@ -52,7 +52,7 @@ from .model import (
     unflatten_params,
 )
 from .seeding import derive_seed, spawn_rng
-from .topology import Topology, build_mixing_matrix, generate_erdos_renyi, is_connected
+from .topology import Topology, generate_erdos_renyi, is_connected
 
 logger = logging.getLogger(__name__)
 
@@ -150,10 +150,12 @@ _PLAN_MODES = (*AGGREGATION_MODES, "server")  # server is set for algorithm = if
 
 @dataclass
 class RoundPlan:
-    """Everything that varies per round: who participates, how merges are
-    ordered, and which aggregation rule applies.
+    """Everything that varies per round: who participates, who receives, and
+    the merge rule.
 
     ``aggregation_mode`` is ``batch``, ``sequential`` or ``server`` (IFCA).
+    ``metropolis`` weighs a gossip merge's senders by the graph's Metropolis
+    matrix, ``t.metropolis``, instead of uniform 1/(r+1).
     Local SGD shuffles from one stream per round, ``spawn_rng(round_seed,
     "sgd")`` (see :func:`local_update`).  The sequential merge orders every
     receiver slot's senders from one stream per merge, ``spawn_rng(round_seed,
@@ -166,6 +168,7 @@ class RoundPlan:
     round_seed: int = 0
     round_index: int = 0
     receive_restricted: bool = False
+    metropolis: bool = False
 
     def __post_init__(self) -> None:
         if self.aggregation_mode not in _PLAN_MODES:
@@ -176,18 +179,12 @@ class RoundPlan:
 
 @dataclass
 class Hyperparams:
-    """Per-run constants threaded through rounds.
-
-    ``mixing`` selects the merge weights: None for uniform 1/(r+1) over self
-    plus the r reporting neighbors, or the ``(N, N)`` Metropolis matrix of
-    :func:`build_mixing_matrix`.
-    """
+    """Per-run constants threaded through rounds."""
 
     gamma: float
     tau: int
     batch_size: int
     test_sets: Sequence[Dataset]
-    mixing: np.ndarray | None = None
 
 
 def initialize(
@@ -310,18 +307,16 @@ def _check_participants(participants: Sequence[int], n: int) -> None:
 
 
 def _slots(
-    states: RunState, t: Topology, plan: RoundPlan | None, mixing: np.ndarray | None
+    states: RunState, t: Topology, plan: RoundPlan
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every receiver slot that some neighbor sent a model of: receivers
     ``(S,)``, clusters ``(S,)``, an ``(S, L)`` table of senders ascending,
-    padded with -1, and their weights, 0.0 in the padding: the matrix row
-    weights, or 1.0 without a matrix."""
+    padded with -1, and their weights, 0.0 in the padding: the rows of
+    ``t.metropolis`` under a Metropolis plan, else 1.0."""
     n = len(states)
     if t.n_clients != n:
         raise ValueError(f"the topology has {t.n_clients} clients, the run has {n}")
-    if mixing is not None and mixing.shape != (n, n):
-        raise ValueError(f"the mixing matrix has shape {mixing.shape}, the run has {n} clients")
-    if plan is not None and plan.receive_restricted:
+    if plan.receive_restricted:
         _check_participants(plan.participants, n)
         receivers = np.asarray(plan.participants, dtype=np.intp)
     else:
@@ -337,9 +332,9 @@ def _slots(
     senders = np.full((len(firsts), counts.max(initial=0)), -1, dtype=np.intp)
     senders[np.repeat(np.arange(len(firsts)), counts), position] = m
     rows, cols, held = receivers[slot[firsts] // k], slot[firsts] % k, senders >= 0
-    if mixing is None:
+    if not plan.metropolis:
         return rows, cols, senders, held * 1.0
-    return rows, cols, senders, np.where(held, mixing[rows[:, None], senders], 0.0)
+    return rows, cols, senders, np.where(held, t.metropolis[rows[:, None], senders], 0.0)
 
 
 _FOLD_SLOTS = 64  # receiver slots per pass of the fold; bounds the gathered rows
@@ -387,35 +382,30 @@ def _fold(
         states.models[rows[s], cols[s]] = value
 
 
-def aggregate_batch(
-    states: RunState,
-    t: Topology,
-    mixing: np.ndarray | None = None,
-    plan: RoundPlan | None = None,
-) -> RunState:
+def aggregate_batch(states: RunState, t: Topology, plan: RoundPlan) -> RunState:
     """Synchronous merge: every receiver replaces each cluster model with the
     weighted combination of its own copy and the reporting neighbors' outbox
     values, all computed from pre-round values.
 
-    Without ``mixing``, weights are uniform 1/(r+1); with the ``(N, N)``
-    mixing matrix, neighbor m contributes ``mixing[i, m]`` and the receiver
-    keeps the remainder.  Empty reporting sets leave the model untouched.
+    Weights are uniform 1/(r+1); under a Metropolis plan, neighbor m
+    contributes ``t.metropolis[i, m]`` and the receiver keeps the remainder.
+    Empty reporting sets leave the model untouched.
     """
-    rows, cols, senders, weights = _slots(states, t, plan, mixing)
-    norms = np.count_nonzero(senders >= 0, axis=1) + 1.0 if mixing is None else np.ones(len(rows))
+    rows, cols, senders, weights = _slots(states, t, plan)
+    norms = np.ones(len(rows)) if plan.metropolis else np.count_nonzero(senders >= 0, axis=1) + 1.0
     _fold(states, rows, cols, senders, weights, norms)
     return states
 
 
 def _running_fold(
     states: RunState, rows: np.ndarray, cols: np.ndarray, senders: np.ndarray,
-    weights: np.ndarray, order: np.ndarray, mixing: np.ndarray | None,
+    weights: np.ndarray, order: np.ndarray, metropolis: bool,
 ) -> None:
     """Fold the slot table of :func:`_slots` with each slot's senders taken in
     the positions ``order`` gives, padding last."""
     # np.cumsum adds left to right like the scalar recurrence; a pairwise sum would change bits.
     own = np.ones(len(rows))
-    if mixing is not None:
+    if metropolis:
         own -= np.cumsum(np.column_stack([np.zeros(len(rows)), weights]), axis=1)[:, -1]
     arrived = np.take_along_axis(weights, order, axis=1)
     merged = np.cumsum(np.column_stack([own, arrived]), axis=1)  # weight before, after each arrival
@@ -423,22 +413,20 @@ def _running_fold(
     _fold(states, rows, cols, np.take_along_axis(senders, order, axis=1), factors)
 
 
-def aggregate_sequential(
-    states: RunState, t: Topology, plan: RoundPlan, mixing: np.ndarray | None = None
-) -> RunState:
+def aggregate_sequential(states: RunState, t: Topology, plan: RoundPlan) -> RunState:
     """Running-average merge: incoming models are folded in one at a time.
 
     With r values already merged (the receiver's own copy counts as the
     first), the next arrival enters with weight 1/(r+1), which telescopes to
-    exactly the batch mean for every arrival order.  With a mixing matrix
-    the same cumulative scheme runs on matrix weights instead of counts.
-    Incoming values are pre-round outbox snapshots.
+    exactly the batch mean for every arrival order.  Under a Metropolis plan
+    the same cumulative scheme runs on the weights of ``t.metropolis``
+    instead of counts.  Incoming values are pre-round outbox snapshots.
     """
-    rows, cols, senders, weights = _slots(states, t, plan, mixing)
+    rows, cols, senders, weights = _slots(states, t, plan)
     keys = spawn_rng(plan.round_seed, "arrival").random(senders.shape)
     keys[senders < 0] = 2.0  # the padding sorts last and stays in place
     order = np.argsort(keys, axis=1, kind="stable")
-    _running_fold(states, rows, cols, senders, weights, order, mixing)
+    _running_fold(states, rows, cols, senders, weights, order, plan.metropolis)
     return states
 
 
@@ -487,9 +475,9 @@ def run_round(
     if plan.aggregation_mode == "server":
         _server_mean(states)
     elif plan.aggregation_mode == "sequential":
-        aggregate_sequential(states, t, plan, mixing=hp.mixing)
+        aggregate_sequential(states, t, plan)
     else:
-        aggregate_batch(states, t, mixing=hp.mixing, plan=plan)
+        aggregate_batch(states, t, plan)
 
     per_cluster = tuple(f_cluster(states, j) for j in range(k))
     for j, loss in enumerate(per_cluster):
@@ -581,13 +569,7 @@ def run_experiment_states(
         seed=derive_seed(config.seed, "init"),
         datasets=trains,
     )
-    hp = Hyperparams(
-        gamma=config.gamma,
-        tau=config.tau,
-        batch_size=config.batch_size,
-        test_sets=tests,
-        mixing=build_mixing_matrix(t) if t is not None and config.mixing_kind == "metropolis" else None,
-    )
+    hp = Hyperparams(gamma=config.gamma, tau=config.tau, batch_size=config.batch_size, test_sets=tests)
     trace: list[RoundMetrics] = []
     for round_index in range(config.T):
         plan = RoundPlan(
@@ -596,6 +578,7 @@ def run_experiment_states(
             round_seed=derive_seed(config.seed, "round", round_index),
             round_index=round_index,
             receive_restricted=config.restrict_receive_to_participants,
+            metropolis=config.mixing_kind == "metropolis",
         )
         _, measured = run_round(states, t, plan, hp)
         trace.append(measured)

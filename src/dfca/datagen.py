@@ -101,7 +101,7 @@ class SyntheticSpec:
             raise ValueError("noise_std must be positive")
 
 
-# Quarter-turn count per cluster index for each supported cluster count.
+# Cluster counts that divide 4, so cluster j's rotation is j * (4 // k) exact quarter turns.
 _SUPPORTED_K = (1, 2, 4)
 
 

@@ -49,7 +49,7 @@ __all__ = [
 
 OUTPUT_ROOT_ENV = "DFCA_OUTPUT_ROOT"
 
-# SeedOutcome fields that summary.json reports per seed and as a mean and std.
+# SeedOutcome attributes that summary.json reports per seed and as a mean and std.
 _FINALS = (
     "final_test_accuracy",
     "final_clustering_accuracy",
@@ -61,16 +61,29 @@ _FINALS = (
 
 @dataclass
 class SeedOutcome:
-    """Final numbers for one seed of a run."""
+    """Final numbers for one seed of a run.  The trace's finals are read from
+    its last row; they and the client mean are None for an empty trace."""
 
     seed: int
     trace: list[RoundMetrics]
-    final_test_accuracy: float | None
-    final_clustering_accuracy: float | None
-    final_f_global: float | None
-    stabilization_round: int | None
     client_mean_test_accuracy: float | None
     connected: bool | None
+
+    @property
+    def final_test_accuracy(self) -> float | None:
+        return self.trace[-1].test_accuracy if self.trace else None
+
+    @property
+    def final_clustering_accuracy(self) -> float | None:
+        return self.trace[-1].clustering_accuracy if self.trace else None
+
+    @property
+    def final_f_global(self) -> float | None:
+        return self.trace[-1].f_global if self.trace else None
+
+    @property
+    def stabilization_round(self) -> int | None:
+        return stabilization_round(self.trace) if self.trace else None
 
 
 def stabilization_round(trace: Sequence[RoundMetrics]) -> int:
@@ -110,18 +123,9 @@ def run_one_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
         trace, states, info = run_experiment_states(cfg)
     except (DivergenceError, DisconnectedGraphError) as exc:
         raise exc.at(seed=seed) from None
-    if trace:
-        final = trace[-1]
-        outcome = dict(
-            final_test_accuracy=final.test_accuracy,
-            final_clustering_accuracy=final.clustering_accuracy,
-            final_f_global=final.f_global,
-            stabilization_round=stabilization_round(trace),
-            client_mean_test_accuracy=client_mean_test_accuracy(states, info["test_sets"]),
-        )
-    else:
-        outcome = dict.fromkeys(_FINALS)
-    return SeedOutcome(seed=seed, trace=trace, connected=info["connected"], **outcome)
+    client_mean = client_mean_test_accuracy(states, info["test_sets"]) if trace else None
+    return SeedOutcome(seed=seed, trace=trace, client_mean_test_accuracy=client_mean,
+                       connected=info["connected"])
 
 
 def _mean_std(values: list[float | None]) -> tuple[float | None, float | None]:

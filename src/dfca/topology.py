@@ -1,12 +1,14 @@
 """Communication graphs and the Metropolis mixing matrix of gossip averaging.
 
 Everything here is immutable after construction (arrays are marked
-read-only) and safe to share across parallel workers.
+read-only, and a graph's derived values are built once, on first read) and
+safe to share across parallel workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,17 +21,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
     """Undirected communication graph over ``n_clients = len(adjacency)`` clients.
 
     ``adjacency`` is a non-empty symmetric boolean square matrix with a zero
-    diagonal; ``neighborhoods[i]`` is the sorted tuple of clients adjacent
-    to ``i`` (exactly the nonzero entries of row ``i``).
+    diagonal.  Two graphs are equal only if they are the same object, which
+    also makes a graph hashable.
     """
 
     adjacency: np.ndarray
-    neighborhoods: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         adj = np.asarray(self.adjacency, dtype=bool)
@@ -41,8 +42,6 @@ class Topology:
             raise ValueError("adjacency must be symmetric")
         adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
-        hoods = tuple(tuple(int(m) for m in np.flatnonzero(row)) for row in adj)
-        object.__setattr__(self, "neighborhoods", hoods)
 
     @property
     def n_clients(self) -> int:
@@ -51,6 +50,16 @@ class Topology:
     @property
     def n_edges(self) -> int:
         return int(self.adjacency.sum()) // 2
+
+    @cached_property
+    def neighborhoods(self) -> tuple[tuple[int, ...], ...]:
+        """``neighborhoods[i]``: the clients adjacent to ``i``, ascending."""
+        return tuple(tuple(int(m) for m in np.flatnonzero(row)) for row in self.adjacency)
+
+    @cached_property
+    def metropolis(self) -> np.ndarray:
+        """:func:`build_mixing_matrix` of this graph, built on first read."""
+        return build_mixing_matrix(self)
 
 
 def generate_erdos_renyi(n: int, p: float, seed: int) -> Topology:

@@ -235,13 +235,12 @@ def _small_graphs() -> Iterator[Topology]:
 
 
 def _reference_slots(
-    states: RunState, t: Topology, plan: RoundPlan | None
+    states: RunState, t: Topology, plan: RoundPlan
 ) -> Iterator[tuple[int, int, list[int]]]:
     """``(receiver, cluster, senders)`` for every receiver and cluster that
     some neighbor sent a model of, one receiver and one cluster at a time,
     the senders ascending."""
-    restricted = plan is not None and plan.receive_restricted
-    for i in plan.participants if restricted else range(len(states)):
+    for i in plan.participants if plan.receive_restricted else range(len(states)):
         for j in range(states.models.shape[1]):
             senders = [m for m in np.flatnonzero(t.adjacency[i]) if states.sent[m] == j]
             if senders:
@@ -297,17 +296,17 @@ def check_sequential_equals_batch(inject_fault: bool = False) -> tuple[bool, str
         for k in range(1, 5):
             states = random_states(rng, t.n_clients, k, shape)
             states.sent[:] = states.assignment  # every client sends as if it had trained
-            rows, cols, senders, _ = _slots(states, t, None, None)
+            rows, cols, senders, _ = _slots(states, t, RoundPlan(participants))
             tables = _order_tables(rng, senders)
-            for mixing in (None, build_mixing_matrix(t)):
-                batch = aggregate_batch(states.copy(), t, mixing=mixing)
-                weights = _slots(states, t, None, mixing)[3] * (0.5 if inject_fault else 1.0)
+            for metropolis in (False, True):
+                plan = RoundPlan(participants=participants, round_seed=k, metropolis=metropolis)
+                batch = aggregate_batch(states.copy(), t, plan)
+                weights = _slots(states, t, plan)[3] * (0.5 if inject_fault else 1.0)
                 for live, order in tables:
                     seq, r, c = states.copy(), rows[live], cols[live]
-                    _running_fold(seq, r, c, senders[live], weights[live], order, mixing)
+                    _running_fold(seq, r, c, senders[live], weights[live], order, metropolis)
                     worst = max(worst, float(np.abs(batch.models[r, c] - seq.models[r, c]).max()))
-                plan = RoundPlan(participants=participants, round_seed=k)
-                seq = aggregate_sequential(states.copy(), t, plan, mixing=mixing)
+                seq = aggregate_sequential(states.copy(), t, plan)
                 worst = max(worst, float(np.abs(batch.models - seq.models).max()))
             n_pairs += len(rows)
             n_orders += sum(len(live) for live, _ in tables)
@@ -317,12 +316,11 @@ def check_sequential_equals_batch(inject_fault: bool = False) -> tuple[bool, str
     )
 
 
-def _per_slot_batch(
-    states: RunState, t: Topology, mixing: np.ndarray | None, plan: RoundPlan
-) -> RunState:
+def _per_slot_batch(states: RunState, t: Topology, plan: RoundPlan) -> RunState:
     """Reference for the batch merge: one receiver slot and one sender at a
     time, senders ascending."""
     outbox = list(states.models[np.arange(len(states)), states.sent])  # read before any write
+    mixing = build_mixing_matrix(t) if plan.metropolis else None
     for i, j, senders in _reference_slots(states, t, plan):
         own = states.models[i, j]
         weights, _, norm = _reference_weights(mixing, i, senders)
@@ -333,9 +331,7 @@ def _per_slot_batch(
     return states
 
 
-def _per_slot_sequential(
-    states: RunState, t: Topology, plan: RoundPlan, mixing: np.ndarray | None
-) -> RunState:
+def _per_slot_sequential(states: RunState, t: Topology, plan: RoundPlan) -> RunState:
     """Reference for the sequential merge: one receiver slot and one sender
     at a time, in arrival order.  Each slot sorts its senders by key: the
     ``s``-th slot enumerated reads row ``s`` of one key table from
@@ -345,6 +341,7 @@ def _per_slot_sequential(
     slots = list(_reference_slots(states, t, plan))
     longest = max((len(senders) for _, _, senders in slots), default=0)
     keys = spawn_rng(plan.round_seed, "arrival").random((len(slots), longest))
+    mixing = build_mixing_matrix(t) if plan.metropolis else None
     for (i, j, senders), row in zip(slots, keys.tolist()):
         value = states.models[i, j]
         weights, weight_sum, _ = _reference_weights(mixing, i, senders)
@@ -376,19 +373,21 @@ def check_merges_match_per_slot() -> tuple[bool, str]:
         sending = np.flatnonzero(rng.random(t.n_clients) < 0.7)
         states.sent[sending] = states.assignment[sending]
         participants = tuple(sending.tolist())
-        most_slots = max(most_slots, len(list(_reference_slots(states, t, None))))
-        weights = (None, build_mixing_matrix(t))
-        for mixing, restricted in itertools.product(weights, (False, True)):
-            plans = [RoundPlan(participants, round_seed=s, receive_restricted=restricted) for s in (k, k + 4)]
-            runs = [(aggregate_batch, _per_slot_batch, (mixing, plans[0]))]
-            runs += [(aggregate_sequential, _per_slot_sequential, (plan, mixing)) for plan in plans]
-            for merge, reference, args in runs:
+        most_slots = max(most_slots, len(list(_reference_slots(states, t, RoundPlan(participants)))))
+        for metropolis, restricted in itertools.product((False, True), (False, True)):
+            plans = [
+                RoundPlan(participants, round_seed=s, receive_restricted=restricted, metropolis=metropolis)
+                for s in (k, k + 4)
+            ]
+            runs = [(aggregate_batch, _per_slot_batch, plans[0])]
+            runs += [(aggregate_sequential, _per_slot_sequential, plan) for plan in plans]
+            for merge, reference, plan in runs:
                 merges += 1
-                got, want = merge(states.copy(), t, *args), reference(states.copy(), t, *args)
+                got, want = merge(states.copy(), t, plan), reference(states.copy(), t, plan)
                 if got.models.tobytes() != want.models.tobytes():
                     bad.append(
                         f"{merge.__name__}, {t.n_clients} clients, k={k}, "
-                        f"Metropolis={mixing is not None}, restricted={restricted}"
+                        f"Metropolis={metropolis}, restricted={restricted}"
                     )
     if bad:
         return False, f"{len(bad)} of {merges} merges differ, first: {bad[0]}"
@@ -407,8 +406,7 @@ def check_gossip_consensus() -> tuple[bool, str]:
     connected = ((seed, t) for seed, t in graphs if is_connected(t))
     worst_avg, worst_slack = 0.0, -np.inf
     for seed, t in itertools.islice(connected, 10):
-        w = build_mixing_matrix(t)
-        lam = 1.0 - spectral_gap(w)
+        lam = 1.0 - spectral_gap(t.metropolis)
         datasets = [random_dataset(rng, 12, shape.dim, shape.n_classes) for _ in range(n)]
         states = initialize(k=1, mode="li", model_shape=shape, seed=seed, datasets=datasets)
         hp = Hyperparams(
@@ -416,13 +414,13 @@ def check_gossip_consensus() -> tuple[bool, str]:
             tau=1,
             batch_size=8,
             test_sets=[random_dataset(rng, 4, shape.dim, shape.n_classes) for _ in range(n)],
-            mixing=w,
         )
         for r in range(rounds):
             avg_before = cluster_average(states, 0)
             disp_before = dispersion(states, 0)
             plan = RoundPlan(
-                participants=tuple(range(n)), aggregation_mode="batch", round_seed=r, round_index=r
+                participants=tuple(range(n)), aggregation_mode="batch", round_seed=r, round_index=r,
+                metropolis=True,
             )
             run_round(states, t, plan, hp)
             worst_avg = max(

@@ -97,7 +97,7 @@ class TestEquivalenceWithGossipOnCompleteGraph:
         states = random_states(rng, n, 1, SHAPE)
         trained = [s.models[0].copy() for s in states]
         states.sent[:] = states.assignment  # everyone sends its trained model
-        aggregate_batch(states, Topology(~np.eye(n, dtype=bool)))
+        aggregate_batch(states, Topology(~np.eye(n, dtype=bool)), RoundPlan(tuple(range(n))))
         gossip_mean = cluster_average(states, 0)
 
         # centralized side: server averages the same returned models

@@ -14,7 +14,7 @@ import pytest
 
 from dfca.cli import main
 from dfca.config import ConfigError, ExperimentConfig, load_config
-from dfca.harness import cmd_diff, cmd_run, cmd_sweep
+from dfca.harness import _FINALS, cmd_diff, cmd_run, cmd_sweep, run_one_seed, stabilization_round
 from dfca.verify import CHECK_NAMES, CHECKS
 
 TINY = """
@@ -141,6 +141,17 @@ class TestCmdRun:
         assert summary["mean"]["final_test_accuracy"] == pytest.approx(
             float(np.mean(per_seed)), abs=1e-12
         )
+
+    def test_seed_finals_are_read_from_the_trace(self, tiny_config):
+        config = load_config(tiny_config)
+        outcome = run_one_seed(config, 1)
+        last = outcome.trace[-1]
+        assert (outcome.final_test_accuracy, outcome.final_clustering_accuracy, outcome.final_f_global) == (
+            last.test_accuracy, last.clustering_accuracy, last.f_global)
+        assert outcome.stabilization_round == stabilization_round(outcome.trace)
+        empty = run_one_seed(config.replace(T=0), 1)
+        assert empty.trace == [] and empty.connected is not None
+        assert [getattr(empty, name) for name in _FINALS] == [None] * len(_FINALS)
 
     def test_repeated_runs_byte_identical(self, tiny_config, output_root):
         assert cmd_run(str(tiny_config)) == 0

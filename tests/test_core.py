@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfca import core, metrics, model, verify
+from dfca import core, metrics, model, topology, verify
 from dfca.config import ConfigError, ExperimentConfig
 from dfca.core import (
     Hyperparams,
@@ -111,10 +111,9 @@ class TestInitialize:
         for name in ("models", "assignment", "outbox", "data"):  # written only through the arrays
             with pytest.raises(AttributeError):
                 setattr(states[1], name, None)
-        hp.mixing = build_mixing_matrix(t)
         for r, mode in enumerate(("server", "batch", "sequential")):
             before = array.copy()
-            plan = RoundPlan(participants=(0, 2, 4), aggregation_mode=mode, round_seed=r)
+            plan = RoundPlan(participants=(0, 2, 4), aggregation_mode=mode, round_seed=r, metropolis=True)
             run_round(states, t, plan, hp)
             assert states.models is array and not np.array_equal(array, before)
             assert all(np.shares_memory(s.models, array) for s in states)
@@ -280,26 +279,26 @@ class TestAggregateBatch:
         t = graph_from_edges(2, [])  # no edges at all
         stage_outboxes(states)
         before = [s.models[0].copy() for s in states]
-        aggregate_batch(states, t)
+        aggregate_batch(states, t, RoundPlan((0, 1)))
         for s, b in zip(states, before):
             assert np.array_equal(s.models[0], b)
 
     def test_complete_graph_single_cluster_uniform_mean(self):
         states = scalar_states([[0.0], [3.0], [6.0]])
         stage_outboxes(states)
-        aggregate_batch(states, complete(3))
+        aggregate_batch(states, complete(3), RoundPlan((0, 1, 2)))
         assert [s.models[0][0] for s in states] == [3.0, 3.0, 3.0]
 
     def test_path_graph_neighbor_means(self):
         states = scalar_states([[0.0], [3.0], [6.0]])
         stage_outboxes(states)
-        aggregate_batch(states, graph_from_edges(3, [(0, 1), (1, 2)]))
+        aggregate_batch(states, graph_from_edges(3, [(0, 1), (1, 2)]), RoundPlan((0, 1, 2)))
         assert [s.models[0][0] for s in states] == [1.5, 3.0, 4.5]
 
     def test_cluster_split_restricts_senders(self):
         states = scalar_states([[0.0, 10.0], [4.0, 20.0], [8.0, 30.0]], assignments=[0, 1, 0])
         stage_outboxes(states)
-        aggregate_batch(states, complete(3))
+        aggregate_batch(states, complete(3), RoundPlan((0, 1, 2)))
         # client 0: cluster-0 senders {2}: (0+8)/2; cluster-1 senders {1}: (10+20)/2
         assert states[0].models[0][0] == 4.0
         assert states[0].models[1][0] == 15.0
@@ -312,7 +311,7 @@ class TestAggregateBatch:
         data = random_dataset(np.random.default_rng(0))
         states = RunState(SHAPE, np.tile(value, (3, 1, 1)), [0] * 3, [data] * 3)
         stage_outboxes(states)
-        aggregate_batch(states, complete(3))
+        aggregate_batch(states, complete(3), RoundPlan((0, 1, 2)))
         for s in states:
             assert np.array_equal(s.models[0], value)
 
@@ -366,39 +365,16 @@ class TestAggregateSequential:
         assert calls == [(9, "arrival")]
 
 
-@pytest.mark.parametrize("merge", ["batch", "sequential"])
-@pytest.mark.parametrize("what, size", [("topology", 4), ("topology", 2), ("mixing matrix", 4),
-                                        ("mixing matrix", 2)])
-def test_merges_reject_a_topology_or_matrix_of_another_size(merge, what, size):
+@pytest.mark.parametrize("merge", [aggregate_batch, aggregate_sequential], ids=["batch", "sequential"])
+@pytest.mark.parametrize("size", [4, 2], ids=["topology-4", "topology-2"])
+def test_merges_reject_a_topology_or_matrix_of_another_size(merge, size):
+    """The merges read their Metropolis weights from the topology too, so
+    its size is the only one to check."""
     states = make_states(np.random.default_rng(25), 3, 2)
     stage_outboxes(states)
     frozen = states.models.copy()
-    t, mixing = complete(3), None
-    if what == "topology":
-        t = complete(size)
-        message = f"the topology has {size} clients, the run has 3"
-    else:
-        mixing = build_mixing_matrix(complete(size))
-        message = rf"the mixing matrix has shape \({size}, {size}\), the run has 3 clients"
-    with pytest.raises(ValueError, match=message):
-        if merge == "batch":
-            aggregate_batch(states, t, mixing=mixing)
-        else:
-            aggregate_sequential(states, t, RoundPlan(participants=(0, 1, 2)), mixing=mixing)
-    assert np.array_equal(states.models, frozen)
-
-
-@pytest.mark.parametrize("merge", ["batch", "sequential"])
-def test_merges_reject_a_mixing_matrix_that_is_not_square(merge):
-    states = make_states(np.random.default_rng(26), 3, 2)
-    stage_outboxes(states)
-    frozen = states.models.copy()
-    mixing = build_mixing_matrix(complete(4))[:3]
-    with pytest.raises(ValueError, match=r"the mixing matrix has shape \(3, 4\), the run has 3"):
-        if merge == "batch":
-            aggregate_batch(states, complete(3), mixing=mixing)
-        else:
-            aggregate_sequential(states, complete(3), RoundPlan(participants=(0, 1, 2)), mixing=mixing)
+    with pytest.raises(ValueError, match=f"the topology has {size} clients, the run has 3"):
+        merge(states, complete(size), RoundPlan(participants=(0, 1, 2), metropolis=True))
     assert np.array_equal(states.models, frozen)
 
 
@@ -428,7 +404,7 @@ def test_restricted_merges_reject_a_participant_outside_the_run(merge, participa
     with pytest.raises(ValueError, match=f"participant {participant} is not a client of this "
                                          "3-client run"):
         if merge == "batch":
-            aggregate_batch(states, complete(3), plan=plan)
+            aggregate_batch(states, complete(3), plan)
         else:
             aggregate_sequential(states, complete(3), plan)
     assert np.array_equal(states.models, frozen)
@@ -455,13 +431,11 @@ class TestMergeIsConvex:
             participants=tuple(sorted(data.draw(st.sets(st.integers(0, n - 1))))),
             round_seed=data.draw(st.integers(0, 100)),
             receive_restricted=data.draw(st.booleans()),
+            metropolis=data.draw(st.booleans()),
         )
-        mixing = build_mixing_matrix(t) if data.draw(st.booleans()) else None
         before = states.models.copy()
-        if data.draw(st.booleans()):
-            aggregate_sequential(states, t, plan, mixing=mixing)
-        else:
-            aggregate_batch(states, t, mixing=mixing, plan=plan)
+        merge = aggregate_sequential if data.draw(st.booleans()) else aggregate_batch
+        merge(states, t, plan)
         receivers = plan.participants if plan.receive_restricted else range(n)
         for i in range(n):
             for j in range(k):
@@ -637,11 +611,11 @@ class TestRunRound:
             aggregation_mode=data.draw(st.sampled_from(["batch", "sequential"])),
             round_seed=data.draw(st.integers(0, 100)),
             receive_restricted=data.draw(st.booleans()),
+            metropolis=data.draw(st.booleans()),
         )
         hp = Hyperparams(
             gamma=0.05, tau=data.draw(st.integers(1, 2)), batch_size=data.draw(st.integers(1, 5)),
             test_sets=[random_dataset(rng, n=3) for _ in range(n)],
-            mixing=build_mixing_matrix(t) if data.draw(st.booleans()) else None,
         )
         before = states.models.copy()
         run_round(states, t, plan, hp)
@@ -681,6 +655,23 @@ class TestRunExperiment:
             monkeypatch.setattr(module, "sum", math.fsum, raising=False)
         assert verify.check_merges_match_per_slot()[0]
         assert [metrics.trace_row(m) for m in run_experiment(cfg)] == want
+
+    def test_metropolis_runs_merge_with_their_graphs_matrix(self, monkeypatch):
+        """``mixing_kind`` reaches the merges through the plan: a Metropolis
+        run builds its graph's matrix once, a uniform run none, and the
+        traces differ."""
+        built = []
+
+        def counted(t):
+            built.append(t)
+            return build_mixing_matrix(t)
+
+        monkeypatch.setattr(topology, "build_mixing_matrix", counted)
+        uniform = run_experiment(desk_config(mixing_kind="paper-uniform"))
+        assert built == []
+        metropolis = run_experiment(desk_config(mixing_kind="metropolis"))
+        assert len(built) == 1 and "metropolis" in vars(built[0])
+        assert [metrics.trace_row(m) for m in metropolis] != [metrics.trace_row(m) for m in uniform]
 
     def test_disconnected_abort_policy(self):
         from dfca.core import DisconnectedGraphError

@@ -175,6 +175,38 @@ class TestClusteringAccuracy:
         assert clustering_accuracy(states, truth) == best
 
 
+    def test_narrowed_search_equals_the_exhaustive_one(self):
+        """3,000 seeded cases, the label sets often of different sizes."""
+        rng = np.random.default_rng(12)
+        data = [simple_data(rng)]
+        for _ in range(3000):
+            n, k, labels = int(rng.integers(1, 13)), int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            assignment, truth = rng.integers(0, k, size=n), rng.integers(0, labels, size=n)
+            states = RunState(SHAPE, np.zeros((n, k, SHAPE.param_count)), assignment, data * n)
+            assert clustering_accuracy(states, truth) == exhaustive_clustering_accuracy(assignment, truth)
+
+    def test_a_truth_label_per_client_searches_few_columns(self):
+        """200 truth labels against 4 clusters: an exhaustive search would
+        score about 1.6e9 maps."""
+        data = [simple_data(np.random.default_rng(13))]
+        states = RunState(SHAPE, np.zeros((200, 4, SHAPE.param_count)), np.arange(200) % 4, data * 200)
+        assert clustering_accuracy(states, list(range(200))) == 0.02
+
+
+def exhaustive_clustering_accuracy(assignment, truth):
+    """Every injective map of the smaller label set into the larger, each
+    scored by the clients whose mapped label matches."""
+    pairs = list(zip(assignment.tolist(), truth.tolist()))
+    if len(set(assignment.tolist())) > len(set(truth.tolist())):
+        pairs = [(b, a) for a, b in pairs]
+    small, large = sorted({a for a, _ in pairs}), sorted({b for _, b in pairs})
+    best = 0
+    for image in itertools.permutations(large, len(small)):
+        label = dict(zip(small, image))
+        best = max(best, sum(label[a] == b for a, b in pairs))
+    return best / len(pairs)
+
+
 class TestTestAccuracy:
     def test_perfect_classifier(self):
         # w2 row 1 fires on positive x-coordinate

@@ -83,6 +83,19 @@ class TestErdosRenyi:
             assert list(t.neighborhoods[i]) == list(np.flatnonzero(t.adjacency[i]))
             assert list(t.neighborhoods[i]) == sorted(t.neighborhoods[i])
 
+    def test_metropolis_is_one_read_only_matrix_built_on_first_read(self):
+        t = generate_erdos_renyi(9, 0.4, seed=3)
+        assert "metropolis" not in vars(t)
+        w = t.metropolis
+        assert t.metropolis is w and not w.flags.writeable
+        assert w.tobytes() == build_mixing_matrix(t).tobytes()
+
+    def test_topologies_are_equal_and_hash_by_identity(self):
+        t, twin = complete(3), complete(3)
+        assert np.array_equal(t.adjacency, twin.adjacency)
+        assert t == t and t != twin
+        assert {t, t} == {t} and len({t, twin}) == 2
+
 
 class TestConnectivity:
     def test_complete_graph_connected(self):
