@@ -23,9 +23,9 @@ config = ExperimentConfig(
     seed=0,
 )  # checked when built: an invalid value raises ConfigError here
 
-trace, states, info = run_experiment_states(config)
+trace, states, connected = run_experiment_states(config)
 
-print(f"graph connected: {info['connected']}")
+print(f"graph connected: {connected}")
 print(f"{'round':>5} {'f_global':>9} {'clust':>6} {'test':>6} {'disp_0':>8} {'changed':>7}")
 for m in trace:
     if m.round % 3 == 0 or m.assignments_changed:

@@ -36,7 +36,8 @@ def random_dataset(n=15):
 
 print("=== 1. Assignment is descent ===")
 datasets = [random_dataset() for _ in range(6)]
-states = initialize(k=3, mode="li", model_shape=SHAPE, seed=1, datasets=datasets)
+states = initialize(k=3, mode="li", model_shape=SHAPE, seed=1, datasets=datasets,
+                    test_sets=datasets)
 for i in range(len(states)):
     states.assignment[i] = rng.integers(0, 3)  # scramble
 before = f_global(states)
@@ -48,10 +49,10 @@ print(f"global loss after  re-assignment: {f_global(states):.4f} (never higher)\
 print("=== 2. Gossip preserves the average and contracts disagreement ===")
 t = generate_erdos_renyi(16, 0.3, seed=4)
 lam = 1 - spectral_gap(t.metropolis)
-states = initialize(k=1, mode="li", model_shape=SHAPE, seed=2,
-                    datasets=[random_dataset() for _ in range(16)])
-hp = Hyperparams(gamma=0.0, tau=1, batch_size=8,
-                 test_sets=[random_dataset(5) for _ in range(16)])
+datasets = [random_dataset() for _ in range(16)]
+tests = [random_dataset(5) for _ in range(16)]
+states = initialize(k=1, mode="li", model_shape=SHAPE, seed=2, datasets=datasets, test_sets=tests)
+hp = Hyperparams(gamma=0.0, tau=1, batch_size=8)
 print(f"lambda = {lam:.3f}, so dispersion must shrink {lam**2:.3f}x per round")
 for r in range(6):
     avg_before = cluster_average(states, 0)
@@ -67,7 +68,7 @@ models, datasets = [], []
 for i in range(5):
     models.append([rng.standard_normal(SHAPE.param_count)])
     datasets.append(random_dataset())
-base = RunState(SHAPE, models, [0] * 5, datasets)
+base = RunState(SHAPE, models, [0] * 5, datasets, datasets)
 base.sent[:] = 0  # every client sends its cluster-0 model
 
 batch = base.copy()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
-from .datagen import SyntheticSpec, _n_test
+from .datagen import _SUPPORTED_K, SyntheticSpec, _n_test
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
@@ -75,7 +75,7 @@ class ExperimentConfig:
         checks: list[tuple[str, bool, str]] = [
             ("algorithm", self.algorithm in ALGORITHMS, f"must be one of {ALGORITHMS}"),
             ("n_clients", self.n_clients >= 1, "must be >= 1"),
-            ("k", self.k in (1, 2, 4), "must be 1, 2, or 4 (rotation-based clusters)"),
+            ("k", self.k in _SUPPORTED_K, "must be 1, 2, or 4 (rotation-based clusters)"),
             ("topology.p", 0.0 <= self.topology_p <= 1.0, "must be in [0, 1]"),
             (
                 "topology.seed",

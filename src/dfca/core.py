@@ -103,14 +103,17 @@ class ClientState:
 
 
 class RunState(Sequence[ClientState]):
-    """Every model copy of a run in one ``(N, k, P)`` array, and each
-    client's assignment and the cluster it sent this round (-1 for none) as
-    ``(N,)`` int arrays.  Item ``i`` is client ``i``'s :class:`ClientState`.
-    A float64 ``models`` array is taken without a copy; one that is not
-    ``(N, k >= 1, shape.param_count)``, and an assignment outside ``[0, k)``,
-    are rejected."""
+    """Every model copy of a run in one ``(N, k, P)`` array; each client's
+    assignment and the cluster it sent this round (-1 for none) as ``(N,)``
+    int arrays; and each client's train and test split, ``data[i]`` and
+    ``test_sets[i]``, whose ``distribution_id`` is its true cluster.  Item
+    ``i`` is client ``i``'s :class:`ClientState`.  A float64 ``models``
+    array is taken without a copy; one that is not ``(N, k >= 1,
+    shape.param_count)``, an assignment outside ``[0, k)`` and split lists
+    of another length are rejected."""
 
-    def __init__(self, shape: ModelShape, models, assignment, data: Sequence[Dataset]) -> None:
+    def __init__(self, shape: ModelShape, models, assignment, data: Sequence[Dataset],
+                 test_sets: Sequence[Dataset]) -> None:
         self.shape = shape
         self.models = np.asarray(models, dtype=np.float64)
         if self.models.ndim != 3 or self.models.shape[1] < 1 or self.models.shape[2] != shape.param_count:
@@ -120,13 +123,14 @@ class RunState(Sequence[ClientState]):
             )
         n, k = self.models.shape[:2]
         self.assignment = np.array(assignment, dtype=np.intp)
-        if self.assignment.shape != (n,) or len(data) != n:
-            raise ValueError(f"need {n} assignments and {n} datasets")
+        if self.assignment.shape != (n,) or len(data) != n or len(test_sets) != n:
+            raise ValueError(f"need {n} assignments, {n} datasets and {n} test splits")
         outside = np.flatnonzero((self.assignment < 0) | (self.assignment >= k))
         if outside.size:
             i = outside[0]
             raise ValueError(f"client {i} is assigned cluster {self.assignment[i]}, outside [0, {k})")
         self.data = list(data)
+        self.test_sets = list(test_sets)
         self.sent = np.full(n, -1, dtype=np.intp)
 
     def __len__(self) -> int:
@@ -140,7 +144,7 @@ class RunState(Sequence[ClientState]):
 
     def copy(self) -> "RunState":
         """Copy of the models, assignments and outboxes; datasets are shared."""
-        twin = RunState(self.shape, self.models.copy(), self.assignment, self.data)
+        twin = RunState(self.shape, self.models.copy(), self.assignment, self.data, self.test_sets)
         twin.sent[:] = self.sent
         return twin
 
@@ -179,12 +183,11 @@ class RoundPlan:
 
 @dataclass
 class Hyperparams:
-    """Per-run constants threaded through rounds."""
+    """Per-run local SGD constants: step size, epochs and minibatch size."""
 
     gamma: float
     tau: int
     batch_size: int
-    test_sets: Sequence[Dataset]
 
 
 def initialize(
@@ -193,8 +196,10 @@ def initialize(
     model_shape: ModelShape,
     seed: int,
     datasets: Sequence[Dataset],
+    test_sets: Sequence[Dataset],
 ) -> RunState:
-    """Create ``len(datasets)`` client states with globally or locally initialized models.
+    """Create ``len(datasets)`` client states, client ``i`` holding
+    ``datasets[i]`` and ``test_sets[i]``, with globally or locally initialized models.
 
     ``gi`` draws one seeded model per cluster and gives every client an
     identical copy (zero initial dispersion); ``li`` draws every client's
@@ -214,7 +219,7 @@ def initialize(
             models[i, j] = init_model(model_shape, derive_seed(seed, *key)).values
     if mode == "gi":
         models[1:] = models[0]
-    states = RunState(model_shape, models, np.zeros(n, dtype=np.intp), datasets)
+    states = RunState(model_shape, models, np.zeros(n, dtype=np.intp), datasets, test_sets)
     _assign_clusters(states, range(n))
     return states
 
@@ -258,38 +263,37 @@ def assign_cluster(c: ClientState, losses: np.ndarray | None = None) -> int:
     return j
 
 
-def local_update(
-    states: RunState, rows: Sequence[int], gamma: float, tau: int, batch_size: int,
-    rng: np.random.Generator,
-) -> RunState:
-    """Train the assigned model of clients ``rows`` and stage it in their
-    outboxes.
+def local_update(states: RunState, plan: RoundPlan, hp: Hyperparams) -> RunState:
+    """Train the assigned model of the plan's participants and stage it in
+    their outboxes.
 
-    One key table ``rng.random((len(rows), tau, longest training set))``
-    shuffles every epoch: client ``rows[r]`` with ``n`` samples takes
-    ``keys[r, :, :n]`` (see :func:`sgd_epochs`).  Clients with equal
-    training-set lengths train together, in stacked calls of at most
-    ``_CHUNK_ROWS`` minibatch rows, each ending bitwise where training alone
-    on its keys would leave it.  Other model copies stay bitwise untouched.
-    ``gamma=0`` skips training but still stages the assigned models.
-    ``rows`` must be distinct clients of the run.  A model that diverges
-    raises :class:`DivergenceError` naming its client and cluster.
+    One key table ``spawn_rng(plan.round_seed, "sgd").random((P, tau,
+    longest training set))`` shuffles every epoch: participant ``r`` of P
+    with ``n`` samples takes ``keys[r, :, :n]`` (see :func:`sgd_epochs`).
+    Clients with equal training-set lengths train together, in stacked calls
+    of at most ``_CHUNK_ROWS`` minibatch rows, each ending bitwise where
+    training alone on its keys would leave it.  Other model copies stay
+    bitwise untouched.  ``hp.gamma=0`` skips training but still stages the
+    assigned models.  Participants must be distinct clients of the run.  A
+    model that diverges raises :class:`DivergenceError` naming the round,
+    client and cluster.
     """
-    _check_participants(rows, len(states))
-    rows = np.asarray(rows, dtype=np.intp)
+    _check_participants(plan.participants, len(states))
+    rows = np.asarray(plan.participants, dtype=np.intp)
     cols = states.assignment[rows]
-    if gamma != 0.0:
+    if hp.gamma != 0.0:
         lengths = [len(states.data[i]) for i in rows]
-        keys = rng.random((len(rows), tau, max(lengths, default=0)))
-        for chunk in _chunks(lengths, batch_size):
+        keys = spawn_rng(plan.round_seed, "sgd").random((len(rows), hp.tau, max(lengths, default=0)))
+        for chunk in _chunks(lengths, hp.batch_size):
             r, c = rows[chunk], cols[chunk]
             block = unflatten_params(states.shape, states.models[r, c])
             try:
-                updated = sgd_epochs(block, [states.data[i] for i in r], gamma, tau, batch_size,
-                                     keys[chunk, :, : lengths[chunk[0]]])
+                updated = sgd_epochs(block, [states.data[i] for i in r], hp.gamma, hp.tau,
+                                     hp.batch_size, keys[chunk, :, : lengths[chunk[0]]])
             except DivergenceError as exc:
                 p = exc.where["row"]
-                raise DivergenceError(client=int(r[p]), cluster=int(c[p])) from None
+                raise DivergenceError(round=plan.round_index, client=int(r[p]),
+                                      cluster=int(c[p])) from None
             states.models[r, c] = updated.values
     states.sent[rows] = cols
     return states
@@ -451,24 +455,22 @@ def run_round(
     """One full round: assign, train, merge, measure.
 
     All participants train in one :func:`local_update` call, shuffled by
-    one stream per round, ``spawn_rng(round_seed, "sgd")``.
-    Non-participants neither train nor send but (unless the plan restricts
-    receiving) still merge incoming models.  The ``server`` merge ignores
-    ``t`` and expects every client to start the round with the same models.
-    A cluster loss that is not finite after the merge raises
-    :class:`DivergenceError` naming the round and cluster.  Participants
-    must be distinct clients of the run.
+    one stream per round, ``spawn_rng(round_seed, "sgd")``; a model that
+    diverges there names the round, client and cluster.  Non-participants
+    neither train nor send but (unless the plan restricts receiving) still
+    merge incoming models.  The ``server`` merge ignores ``t`` and expects
+    every client to start the round with the same models.  A cluster loss
+    that is not finite after the merge raises :class:`DivergenceError`
+    naming the round and cluster.  The metrics read the clients' test splits
+    and true clusters from ``states``.  Participants must be distinct
+    clients of the run.
     """
     _check_participants(plan.participants, len(states))
     previous = states.assignment.copy()
     states.sent[:] = -1
     _assign_clusters(states, plan.participants)
     changed = int(np.count_nonzero(states.assignment != previous))
-    try:
-        local_update(states, plan.participants, hp.gamma, hp.tau, hp.batch_size,
-                     spawn_rng(plan.round_seed, "sgd"))
-    except DivergenceError as exc:
-        raise exc.at(round=plan.round_index) from None
+    local_update(states, plan, hp)
     k = states.models.shape[1]
     pre_avg = [cluster_average(states, j) for j in range(k)]
 
@@ -487,13 +489,12 @@ def run_round(
                 round=plan.round_index, cluster=j,
             )
     drift = tuple(float(np.linalg.norm(cluster_average(states, j) - pre_avg[j])) for j in range(k))
-    truth = [d.distribution_id for d in states.data]
     return states, RoundMetrics(
         round=plan.round_index,
         f_cluster=per_cluster,
         disp=tuple(dispersion(states, j) for j in range(k)),
-        clustering_accuracy=clustering_accuracy(states, truth),
-        test_accuracy=test_accuracy(states, hp.test_sets),
+        clustering_accuracy=clustering_accuracy(states),
+        test_accuracy=test_accuracy(states),
         avg_drift=drift,
         assignments_changed=changed,
     )
@@ -552,8 +553,9 @@ def _sample_participants(config: ExperimentConfig, round_index: int) -> tuple[in
 
 def run_experiment_states(
     config: ExperimentConfig,
-) -> tuple[list[RoundMetrics], RunState, dict]:
-    """Run a full experiment and also return final states and run info.
+) -> tuple[list[RoundMetrics], RunState, bool | None]:
+    """Run a full experiment and also return the final states and whether
+    the graph is connected.
 
     ``algorithm = ifca`` runs the server merge and builds no graph, so its
     ``connected`` is None.
@@ -568,8 +570,9 @@ def run_experiment_states(
         model_shape=shape,
         seed=derive_seed(config.seed, "init"),
         datasets=trains,
+        test_sets=tests,
     )
-    hp = Hyperparams(gamma=config.gamma, tau=config.tau, batch_size=config.batch_size, test_sets=tests)
+    hp = Hyperparams(gamma=config.gamma, tau=config.tau, batch_size=config.batch_size)
     trace: list[RoundMetrics] = []
     for round_index in range(config.T):
         plan = RoundPlan(
@@ -582,8 +585,7 @@ def run_experiment_states(
         )
         _, measured = run_round(states, t, plan, hp)
         trace.append(measured)
-    info = {"connected": connected, "test_sets": tests}
-    return trace, states, info
+    return trace, states, connected
 
 
 def run_experiment(config: ExperimentConfig) -> list[RoundMetrics]:

@@ -80,7 +80,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Knobs for the synthetic generator."""
+    """Knobs for the synthetic generator; ``dim`` is at least 2."""
 
     n_classes: int = 4
     dim: int = 16
@@ -91,8 +91,8 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.n_classes < 1:
             raise ValueError("n_classes must be positive")
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
+        if self.dim < 2:
+            raise ValueError("class centers live in the rotated plane; dim must be >= 2")
         if self.samples_per_client < 1:
             raise ValueError("samples_per_client must be positive")
         if self.class_separation <= 0:
@@ -152,8 +152,6 @@ def generate_rotated_synthetic(
         raise ValueError(f"cluster count k must be one of {_SUPPORTED_K}, got {k}")
     if not 0 <= client_cluster < k:
         raise ValueError(f"client_cluster {client_cluster} out of range for k={k}")
-    if spec.dim < 2:
-        raise ValueError("class centers live in the rotated plane; dim must be >= 2")
     centers = _class_centers(spec, center_seed)
     rng = np.random.default_rng(seed)
     n = spec.samples_per_client
@@ -236,9 +234,9 @@ def rotated_idx_datasets(
     seed: int,
 ) -> list[Dataset]:
     """Split an IDX pair across clients, rotating each client's images by its
-    cluster's angle (cluster = client index mod k)."""
-    if k not in (2, 4):
-        raise ValueError(f"k must be 2 or 4 for rotated image data, got {k}")
+    cluster's angle (cluster = client index mod k; k=1 leaves them as read)."""
+    if k not in _SUPPORTED_K:
+        raise ValueError(f"cluster count k must be one of {_SUPPORTED_K}, got {k}")
     pool = load_idx_pair(images_path, labels_path)
     needed = n_clients * samples_per_client
     if needed > len(pool):

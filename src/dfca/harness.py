@@ -120,12 +120,12 @@ def run_one_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
     """Run ``config`` under master seed ``seed`` and collect its finals."""
     cfg = config.replace(seed=seed)
     try:
-        trace, states, info = run_experiment_states(cfg)
+        trace, states, connected = run_experiment_states(cfg)
     except (DivergenceError, DisconnectedGraphError) as exc:
         raise exc.at(seed=seed) from None
-    client_mean = client_mean_test_accuracy(states, info["test_sets"]) if trace else None
+    client_mean = client_mean_test_accuracy(states) if trace else None
     return SeedOutcome(seed=seed, trace=trace, client_mean_test_accuracy=client_mean,
-                       connected=info["connected"])
+                       connected=connected)
 
 
 def _mean_std(values: list[float | None]) -> tuple[float | None, float | None]:

@@ -1,12 +1,13 @@
 """Measured quantities: loss hierarchy, dispersion, clustering and test accuracy.
 
-All functions are read-only over a run's client states and read its
-``(N, k, P)`` model array directly.  Losses and predictions are evaluated
-for many clients per forward pass: clients whose datasets have equal length
-are stacked, in chunks of about ``_CHUNK_ROWS`` sample rows, and their
-models are gathered from the array into one block read through per-layer
-views.  Each client's value is bitwise the one a forward pass over that
-client alone gives.
+All functions are read-only over a run's client states and take nothing
+else: they read its ``(N, k, P)`` model array, its assignments and its
+clients' train and test splits directly.  Losses and predictions are
+evaluated for many clients per forward pass: clients whose datasets have
+equal length are stacked, in chunks of about ``_CHUNK_ROWS`` sample rows,
+and their models are gathered from the array into one block read through
+per-layer views.  Each client's value is bitwise the one a forward pass
+over that client alone gives.
 """
 
 from __future__ import annotations
@@ -141,15 +142,14 @@ def dispersion(states: "RunState", j: int) -> float:
     return float(np.mean(np.sum(np.square(dev, out=dev), axis=1)))
 
 
-def clustering_accuracy(states: "RunState", ground_truth: Sequence[int]) -> float:
-    """Match rate of assignments and truth under the best one-to-one label
-    map: both sides relabelled densely, and injective maps of the smaller
-    label set (size a) into the larger scored on their confusion matrix,
-    over only the columns among some row's a largest counts: a row mapped
-    elsewhere can move, at no loss, to one of those that no other row takes."""
-    truth = np.asarray(ground_truth)
-    if len(states.assignment) != len(truth):
-        raise ValueError("one ground-truth cluster per client is required")
+def clustering_accuracy(states: "RunState") -> float:
+    """Match rate of the assignments and each client's true cluster, the
+    ``distribution_id`` of its data, under the best one-to-one label map:
+    both sides relabelled densely, and injective maps of the smaller label
+    set (size a) into the larger scored on their confusion matrix, over only
+    the columns among some row's a largest counts: a row mapped elsewhere
+    can move, at no loss, to one of those that no other row takes."""
+    truth = np.array([d.distribution_id for d in states.data])
     a_labels, a = np.unique(states.assignment, return_inverse=True)
     b_labels, b = np.unique(truth, return_inverse=True)
     confusion = np.bincount(a * len(b_labels) + b, minlength=len(a_labels) * len(b_labels))
@@ -168,26 +168,24 @@ def _hits(m: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sum(predict(m, x) == y, axis=-1)
 
 
-def _client_hits(states: "RunState", test_sets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
+def _client_hits(states: "RunState") -> tuple[np.ndarray, np.ndarray]:
     """Per client, how many of its test samples its assigned model predicts
     right, and how many test samples it has."""
-    if len(test_sets) != len(states):
-        raise ValueError("one test split per client is required")
-    hits = _per_client(states, np.arange(len(states)), states.assignment, test_sets, _hits)
-    return hits, np.array([len(t) for t in test_sets], dtype=float)
+    hits = _per_client(states, np.arange(len(states)), states.assignment, states.test_sets, _hits)
+    return hits, np.array([len(t) for t in states.test_sets], dtype=float)
 
 
-def test_accuracy(states: "RunState", test_sets: Sequence[Dataset]) -> float:
+def test_accuracy(states: "RunState") -> float:
     """Sample-weighted top-1 accuracy of each client's assigned model on its
     own test split."""
-    hits, sizes = _client_hits(states, test_sets)
+    hits, sizes = _client_hits(states)
     return int(hits.sum()) / int(sizes.sum())
 
 
-def client_mean_test_accuracy(states: "RunState", test_sets: Sequence[Dataset]) -> float:
+def client_mean_test_accuracy(states: "RunState") -> float:
     """Unweighted mean of per-client test accuracies (reported alongside the
     sample-weighted figure)."""
-    hits, sizes = _client_hits(states, test_sets)
+    hits, sizes = _client_hits(states)
     return float(np.mean(hits / sizes))
 
 

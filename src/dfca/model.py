@@ -90,8 +90,8 @@ class _LocatedError(Exception):
 
 class DivergenceError(_LocatedError, ValueError):
     """Training went non-finite.  :func:`sgd_epochs` names the block row,
-    ``core.local_update`` the client and cluster, ``core.run_round`` the
-    round and ``harness.run_one_seed`` the seed."""
+    ``core.local_update`` the round, client and cluster, and
+    ``harness.run_one_seed`` the seed."""
 
     def __init__(
         self, what: str = "local SGD left non-finite model parameters", **where: int

@@ -10,7 +10,7 @@ defined here.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -81,13 +81,14 @@ def random_states(
     rng: np.random.Generator, n: int, k: int, shape: ModelShape, n_samples: int = 12
 ) -> RunState:
     """``n`` clients with random models, a random assignment and a random
-    dataset; client ``i`` is labelled distribution ``i % 2``."""
+    dataset, which is also their test split; client ``i`` is labelled
+    distribution ``i % 2``."""
     models, assignment, data = [], [], []
     for i in range(n):
         models.append([rng.standard_normal(shape.param_count) for _ in range(k)])
         assignment.append(int(rng.integers(0, k)))
         data.append(random_dataset(rng, n_samples, shape.dim, shape.n_classes, i % 2))
-    return RunState(shape, models, assignment, data)
+    return RunState(shape, models, assignment, data, data)
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Topology:
@@ -213,7 +214,8 @@ def check_local_update_isolation() -> tuple[bool, str]:
     shape = ModelShape(dim=4, hidden=3, n_classes=3)
     states = random_states(rng, 3, 3, shape)
     frozen = states.models.copy()
-    local_update(states, range(3), gamma=0.05, tau=2, batch_size=4, rng=spawn_rng(13, "sgd"))
+    plan = RoundPlan((0, 1, 2), round_seed=13)
+    local_update(states, plan, Hyperparams(gamma=0.05, tau=2, batch_size=4))
     for s, models in zip(states, frozen):
         for j, v in enumerate(models):
             if j != s.assignment and not np.array_equal(v, s.models[j]):
@@ -408,13 +410,10 @@ def check_gossip_consensus() -> tuple[bool, str]:
     for seed, t in itertools.islice(connected, 10):
         lam = 1.0 - spectral_gap(t.metropolis)
         datasets = [random_dataset(rng, 12, shape.dim, shape.n_classes) for _ in range(n)]
-        states = initialize(k=1, mode="li", model_shape=shape, seed=seed, datasets=datasets)
-        hp = Hyperparams(
-            gamma=0.0,
-            tau=1,
-            batch_size=8,
-            test_sets=[random_dataset(rng, 4, shape.dim, shape.n_classes) for _ in range(n)],
-        )
+        tests = [random_dataset(rng, 4, shape.dim, shape.n_classes) for _ in range(n)]
+        states = initialize(k=1, mode="li", model_shape=shape, seed=seed, datasets=datasets,
+                            test_sets=tests)
+        hp = Hyperparams(gamma=0.0, tau=1, batch_size=8)
         for r in range(rounds):
             avg_before = cluster_average(states, 0)
             disp_before = dispersion(states, 0)
@@ -438,12 +437,13 @@ def check_gi_zero_dispersion() -> tuple[bool, str]:
     rng = np.random.default_rng(3)
     shape = ModelShape(dim=16, hidden=32, n_classes=4)
     datasets = [random_dataset(rng, 20, 16, 4) for _ in range(20)]
-    states = initialize(k=4, mode="gi", model_shape=shape, seed=0, datasets=datasets)
+    states = initialize(k=4, mode="gi", model_shape=shape, seed=0, datasets=datasets,
+                        test_sets=datasets)
     disps = [dispersion(states, j) for j in range(4)]
     return all(d == 0.0 for d in disps), f"initial dispersions {disps} (exact zeros)"
 
 
-def _per_client_metrics(states: RunState, test_sets: Sequence[Dataset]) -> tuple:
+def _per_client_metrics(states: RunState) -> tuple:
     """Reference for the batched metrics: one unstacked forward pass per
     client, losses added in client order, and the cluster averages and
     dispersions computed with fresh temporaries."""
@@ -457,7 +457,7 @@ def _per_client_metrics(states: RunState, test_sets: Sequence[Dataset]) -> tuple
         f.append(total)
     hits = [
         predict(unflatten_params(states.shape, s.models[s.assignment]), t.features) == t.labels
-        for s, t in zip(states, test_sets)
+        for s, t in zip(states, states.test_sets)
     ]
     acc = sum(int(np.sum(h)) for h in hits) / sum(len(h) for h in hits)
     mean_acc = float(np.mean([float(np.mean(h)) for h in hits]))
@@ -491,17 +491,17 @@ def check_batched_metrics() -> tuple[bool, str]:
             data.append(random_dataset(rng, n, shape.dim, shape.n_classes))
             if empty_last and k > 1:
                 drawn.assignment[i] = int(rng.integers(0, k - 1))
-        states = RunState(shape, drawn.models, drawn.assignment, data)
         tests = [random_dataset(rng, n, shape.dim, shape.n_classes) for n in rng.permutation(lengths)]
+        states = RunState(shape, drawn.models, drawn.assignment, data, tests)
         batched = (
             [f_cluster(states, j) for j in range(k)],
-            test_accuracy(states, tests),
-            client_mean_test_accuracy(states, tests),
+            test_accuracy(states),
+            client_mean_test_accuracy(states),
             [cluster_average(states, j) for j in range(k)],
             [dispersion(states, j) for j in range(k)],
         )
         instances += 1
-        for name, got, want in zip(names, batched, _per_client_metrics(states, tests)):
+        for name, got, want in zip(names, batched, _per_client_metrics(states)):
             if np.asarray(got).tobytes() != np.asarray(want).tobytes():
                 bad.append(f"{name} (hidden={hidden}, k={k}, {len(lengths)} clients): {got} != {want}")
     if bad:
@@ -566,8 +566,9 @@ def check_stacked_sgd() -> tuple[bool, str]:
             block = 0.5 * rng.standard_normal((len(lengths), shape.param_count))
             data = [random_dataset(rng, n, shape.dim, shape.n_classes) for n in lengths]
             seed = int(rng.integers(2**32))
-            states = RunState(shape, block[:, None].copy(), [0] * len(lengths), data)
-            local_update(states, range(len(lengths)), gamma, tau, batch_size, spawn_rng(seed, "sgd"))
+            states = RunState(shape, block[:, None].copy(), [0] * len(lengths), data, data)
+            plan = RoundPlan(tuple(range(len(lengths))), round_seed=seed)
+            local_update(states, plan, Hyperparams(gamma, tau, batch_size))
             keys = spawn_rng(seed, "sgd").random((len(lengths), tau, max(lengths)))
             for s, v, d, row in zip(states, block, data, keys):
                 table = row[:, : len(d)]

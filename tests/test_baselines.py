@@ -13,15 +13,12 @@ from dfca.metrics import cluster_average, trace_row
 from dfca.model import ModelShape, sgd_epochs, unflatten_params
 from dfca.seeding import spawn_rng
 from dfca.topology import Topology
-from dfca.verify import random_dataset, random_states
+from dfca.verify import random_states
 
 SHAPE = ModelShape(dim=3, hidden=2, n_classes=3)
 
 
-def hyper(rng, n):
-    return Hyperparams(gamma=0.05, tau=1, batch_size=6,
-                       test_sets=[random_dataset(rng, 5, SHAPE.dim, SHAPE.n_classes)
-                                  for _ in range(n)])
+HP = Hyperparams(gamma=0.05, tau=1, batch_size=6)
 
 
 def ifca_clients(rng, n, scales):
@@ -57,7 +54,7 @@ class TestIfcaRound:
     def test_single_client_per_cluster_copies_trained_model(self):
         rng = np.random.default_rng(0)
         states, _ = ifca_clients(rng, 3, (1.0, 1.0, 1.0))
-        trained, _ = server_round(states, hyper(rng, 3), round_seed=1)
+        trained, _ = server_round(states, HP, round_seed=1)
         members = {}
         for c in trained:
             members.setdefault(c.assignment, []).append(c)
@@ -70,7 +67,7 @@ class TestIfcaRound:
     def test_unselected_cluster_model_unchanged(self):
         rng = np.random.default_rng(1)
         states, globals_ = ifca_clients(rng, 3, (1.0, 100.0))
-        trained, _ = server_round(states, hyper(rng, 3), round_seed=2)
+        trained, _ = server_round(states, HP, round_seed=2)
         assert {c.assignment for c in trained} == {0}
         for s in states:
             np.testing.assert_array_equal(s.models[1], globals_[1])
@@ -78,7 +75,7 @@ class TestIfcaRound:
     def test_round_ends_with_clients_holding_globals(self):
         rng = np.random.default_rng(2)
         states, _ = ifca_clients(rng, 5, (1.0, 1.0))
-        trained, measured = server_round(states, hyper(rng, 5), round_seed=3)
+        trained, measured = server_round(states, HP, round_seed=3)
         for j in {c.assignment for c in trained}:
             mean = np.mean([c.models[j] for c in trained if c.assignment == j], axis=0)
             np.testing.assert_array_equal(states[0].models[j], mean)

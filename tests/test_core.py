@@ -54,7 +54,7 @@ def scalar_states(values_per_client, assignments=None):
     n = len(values_per_client)
     models = np.repeat(np.array(values_per_client, dtype=float)[:, :, None], SHAPE.param_count, axis=2)
     data = [random_dataset(np.random.default_rng(0))] * n
-    return RunState(SHAPE, models, [0] * n if assignments is None else assignments, data)
+    return RunState(SHAPE, models, [0] * n if assignments is None else assignments, data, data)
 
 
 def complete(n):
@@ -68,14 +68,21 @@ def draw_states(data):
     sizes = data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
     datasets = [random_dataset(rng, n=size, dist=i % 2) for i, size in enumerate(sizes)]
     return RunState(SHAPE, rng.standard_normal((n, k, SHAPE.param_count)),
-                    [int(a) for a in rng.integers(0, k, size=n)], datasets)
+                    [int(a) for a in rng.integers(0, k, size=n)], datasets, datasets)
+
+
+def train(states, rows, gamma, tau, batch_size, seed=0):
+    """Local SGD of clients ``rows`` in a round with seed ``seed``."""
+    plan = RoundPlan(participants=tuple(rows), round_seed=seed)
+    return local_update(states, plan, Hyperparams(gamma=gamma, tau=tau, batch_size=batch_size))
 
 
 class TestInitialize:
     def test_gi_gives_identical_model_sets(self):
         rng = np.random.default_rng(0)
         datasets = [random_dataset(rng) for _ in range(5)]
-        states = initialize(k=3, mode="gi", model_shape=SHAPE, seed=7, datasets=datasets)
+        states = initialize(k=3, mode="gi", model_shape=SHAPE, seed=7, datasets=datasets,
+                            test_sets=datasets)
         for j in range(3):
             for s in states:
                 assert np.array_equal(s.models[j], states[0].models[j])
@@ -83,14 +90,16 @@ class TestInitialize:
     def test_li_gives_distinct_models(self):
         rng = np.random.default_rng(2)
         datasets = [random_dataset(rng) for _ in range(2)]
-        states = initialize(k=2, mode="li", model_shape=SHAPE, seed=3, datasets=datasets)
+        states = initialize(k=2, mode="li", model_shape=SHAPE, seed=3, datasets=datasets,
+                            test_sets=datasets)
         for j in range(2):
             assert not np.array_equal(states[0].models[j], states[1].models[j])
 
     def test_initial_assignment_is_argmin_not_arbitrary(self):
         rng = np.random.default_rng(3)
         datasets = [random_dataset(rng) for _ in range(4)]
-        states = initialize(k=3, mode="li", model_shape=SHAPE, seed=5, datasets=datasets)
+        states = initialize(k=3, mode="li", model_shape=SHAPE, seed=5, datasets=datasets,
+                            test_sets=datasets)
         for s, d in zip(states, datasets):
             losses = [forward_loss(unflatten_params(SHAPE, v), d) for v in s.models]
             assert s.assignment == int(np.argmin(losses))
@@ -102,7 +111,7 @@ class TestInitialize:
         assert array.shape == (5, 2, SHAPE.param_count)
         assert all(np.shares_memory(s.models, array) for s in states)
         before = array.copy()
-        local_update(states, [1, 3], hp.gamma, hp.tau, hp.batch_size, rng=spawn_rng(0, "sgd"))
+        local_update(states, RoundPlan(participants=(1, 3)), hp)
         trained = [(i, states[i].assignment) for i in (1, 3)]
         for i in range(5):
             for j in range(2):
@@ -129,9 +138,10 @@ class TestInitialize:
                 states[key]
 
     def test_rejects_unknown_mode(self):
+        datasets = [random_dataset(np.random.default_rng(0))]
         with pytest.raises(ValueError):
-            initialize(k=1, mode="xx", model_shape=SHAPE, seed=0,
-                       datasets=[random_dataset(np.random.default_rng(0))])
+            initialize(k=1, mode="xx", model_shape=SHAPE, seed=0, datasets=datasets,
+                       test_sets=datasets)
 
 
 class TestAssignCluster:
@@ -186,7 +196,7 @@ class TestAssignCluster:
         assert max(model._CHUNK_ROWS // (k * n) for n in lengths) < len(lengths) // 2
         drawn = make_states(rng, len(lengths), k)
         data = [random_dataset(rng, n) for n in lengths]
-        states = RunState(SHAPE, drawn.models, drawn.assignment, data)
+        states = RunState(SHAPE, drawn.models, drawn.assignment, data, data)
         states.models[7] = np.nan
         states.assignment[7] = 2
         looped = states.copy()
@@ -207,7 +217,7 @@ class TestLocalUpdate:
         states.assignment[0] = 0
         s = states[0]
         frozen = s.models[1].copy()
-        local_update(s.run, [0], gamma=0.1, tau=1, batch_size=4, rng=spawn_rng(0, "sgd"))
+        train(s.run, [0], gamma=0.1, tau=1, batch_size=4)
         assert np.array_equal(s.models[1], frozen)
         assert s.outbox[0] == 0
         assert np.shares_memory(s.outbox[1], s.models[0])
@@ -220,8 +230,8 @@ class TestLocalUpdate:
         rows = data.draw(st.lists(st.integers(0, n - 1), unique=True))
         seed = data.draw(st.integers(0, 2**31))
         before = states.models.copy()
-        local_update(states, rows, gamma=0.05, tau=data.draw(st.integers(1, 2)),
-                     batch_size=data.draw(st.integers(1, 5)), rng=spawn_rng(seed, "sgd"))
+        train(states, rows, gamma=0.05, tau=data.draw(st.integers(1, 2)),
+              batch_size=data.draw(st.integers(1, 5)), seed=seed)
         frozen = np.ones(states.models.shape[:2], dtype=bool)
         frozen[rows, states.assignment[rows]] = False
         assert states.models[frozen].tobytes() == before[frozen].tobytes()
@@ -236,7 +246,7 @@ class TestLocalUpdate:
         states = make_states(np.random.default_rng(27), 4, 2)
         frozen = states.models.copy()
         with pytest.raises(ValueError, match=message):
-            local_update(states, rows, gamma=0.1, tau=1, batch_size=4, rng=spawn_rng(0, "sgd"))
+            train(states, rows, gamma=0.1, tau=1, batch_size=4)
         assert np.array_equal(states.models, frozen)
         assert (states.sent == -1).all()
 
@@ -244,11 +254,11 @@ class TestLocalUpdate:
         rng = np.random.default_rng(28)
         drawn = make_states(rng, 6, 2)
         data = [random_dataset(rng, n=(9, 12, 9, 9, 12, 5)[i]) for i in range(6)]
-        states = RunState(SHAPE, drawn.models, drawn.assignment, data)
+        states = RunState(SHAPE, drawn.models, drawn.assignment, data, data)
         rows = [4, 0, 5, 2, 1]
-        together = local_update(states.copy(), rows, 0.1, 2, 4, spawn_rng(3, "sgd"))
+        together = train(states.copy(), rows, 0.1, 2, 4, seed=3)
         monkeypatch.setattr(model, "_CHUNK_ROWS", 1)  # one client per stacked call
-        alone = local_update(states.copy(), rows, 0.1, 2, 4, spawn_rng(3, "sgd"))
+        alone = train(states.copy(), rows, 0.1, 2, 4, seed=3)
         assert together.models.tobytes() == alone.models.tobytes()
         assert not np.array_equal(together.models, states.models)
 
@@ -256,7 +266,7 @@ class TestLocalUpdate:
         rng = np.random.default_rng(10)
         s = make_states(rng, 1, 2)[0]
         frozen = s.models[s.assignment].copy()
-        local_update(s.run, [0], gamma=0.0, tau=1, batch_size=4, rng=spawn_rng(0, "sgd"))
+        train(s.run, [0], gamma=0.0, tau=1, batch_size=4)
         assert np.array_equal(s.models[s.assignment], frozen)
         assert s.outbox is not None
 
@@ -267,10 +277,20 @@ class TestLocalUpdate:
             states = make_states(rng, 1, 2)
             s, d = states[0], states.data[0]
             before = forward_loss(unflatten_params(SHAPE, s.models[s.assignment]), d)
-            local_update(states, [0], gamma=0.1, tau=2, batch_size=5, rng=spawn_rng(seed, "sgd"))
+            train(states, [0], gamma=0.1, tau=2, batch_size=5, seed=seed)
             after = forward_loss(unflatten_params(SHAPE, s.models[s.assignment]), d)
             improved += after <= before
         assert improved >= 18  # descent in expectation, tiny batches may jitter
+
+    def test_divergence_names_round_client_and_cluster(self):
+        states = make_states(np.random.default_rng(30), 4, 2)
+        plan = RoundPlan(participants=(2, 0), round_index=7)
+        hp = Hyperparams(gamma=1e300, tau=1, batch_size=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning leaks from the trainer
+            with pytest.raises(DivergenceError, match="round 7, client 2") as raised:
+                local_update(states, plan, hp)
+        assert raised.value.where == {"round": 7, "client": 2, "cluster": states[2].assignment}
 
 
 class TestAggregateBatch:
@@ -309,7 +329,7 @@ class TestAggregateBatch:
     def test_averaging_identical_vectors_is_bitwise_identity(self):
         value = np.random.default_rng(14).standard_normal(SHAPE.param_count)
         data = random_dataset(np.random.default_rng(0))
-        states = RunState(SHAPE, np.tile(value, (3, 1, 1)), [0] * 3, [data] * 3)
+        states = RunState(SHAPE, np.tile(value, (3, 1, 1)), [0] * 3, [data] * 3, [data] * 3)
         stage_outboxes(states)
         aggregate_batch(states, complete(3), RoundPlan((0, 1, 2)))
         for s in states:
@@ -384,14 +404,21 @@ def test_run_state_rejects_models_of_the_wrong_shape(models_shape):
     data = [random_dataset(np.random.default_rng(0))] * 3
     with pytest.raises(ValueError, match=rf"models of shape \({', '.join(map(str, models_shape))},?\) "
                                          r"do not fit .*: need \(N, k >= 1, 6\)"):
-        RunState(shape, np.zeros(models_shape), [0, 0, 0], data)
+        RunState(shape, np.zeros(models_shape), [0, 0, 0], data, data)
 
 
 @pytest.mark.parametrize("cluster", [-1, 2])
 def test_run_state_rejects_an_assignment_outside_its_clusters(cluster):
     data = [random_dataset(np.random.default_rng(0))] * 3
     with pytest.raises(ValueError, match=rf"client 1 is assigned cluster {cluster}, outside \[0, 2\)"):
-        RunState(SHAPE, np.zeros((3, 2, SHAPE.param_count)), [0, cluster, 5], data)
+        RunState(SHAPE, np.zeros((3, 2, SHAPE.param_count)), [0, cluster, 5], data, data)
+
+
+@pytest.mark.parametrize("n_tests", [2, 4])
+def test_run_state_needs_one_test_split_per_client(n_tests):
+    data = [random_dataset(np.random.default_rng(0))] * 3
+    with pytest.raises(ValueError, match="need 3 assignments, 3 datasets and 3 test splits"):
+        RunState(SHAPE, np.zeros((3, 2, SHAPE.param_count)), [0, 1, 0], data, data[:1] * n_tests)
 
 
 @pytest.mark.parametrize("merge", ["batch", "sequential"])
@@ -424,8 +451,9 @@ class TestMergeIsConvex:
         t = Topology(adj | adj.T)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         scale = 10.0 ** data.draw(st.integers(-3, 3))
+        datasets = [random_dataset(rng, n=2)] * n
         states = RunState(SHAPE, scale * rng.standard_normal((n, k, SHAPE.param_count)), [0] * n,
-                          [random_dataset(rng, n=2)] * n)
+                          datasets, datasets)
         states.sent[:] = data.draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n))
         plan = RoundPlan(
             participants=tuple(sorted(data.draw(st.sets(st.integers(0, n - 1))))),
@@ -460,9 +488,10 @@ def desk_config(**kw):
 def tiny_problem(rng, n, k, init="gi", p=0.7, seed=0):
     t = complete(n) if p >= 1 else generate_erdos_renyi(n, p, seed)
     datasets = [random_dataset(rng, dist=i % 2) for i in range(n)]
-    states = initialize(k=k, mode=init, model_shape=SHAPE, seed=seed, datasets=datasets)
     tests = [random_dataset(rng, n=5, dist=i % 2) for i in range(n)]
-    return t, states, Hyperparams(gamma=0.05, tau=1, batch_size=5, test_sets=tests)
+    states = initialize(k=k, mode=init, model_shape=SHAPE, seed=seed, datasets=datasets,
+                        test_sets=tests)
+    return t, states, Hyperparams(gamma=0.05, tau=1, batch_size=5)
 
 
 class TestRunRound:
@@ -507,9 +536,9 @@ class TestRunRound:
         drawn = make_states(rng, 9, 3)
         # two train lengths, so two stacked groups
         data = [random_dataset(rng, n=(10, 13)[i % 2], dist=i % 2) for i in range(9)]
-        states = RunState(SHAPE, drawn.models, drawn.assignment, data)
-        tests = [random_dataset(rng, n=5) for _ in states]
-        hp = Hyperparams(gamma=gamma, tau=2, batch_size=4, test_sets=tests)
+        tests = [random_dataset(rng, n=5) for _ in data]
+        states = RunState(SHAPE, drawn.models, drawn.assignment, data, tests)
+        hp = Hyperparams(gamma=gamma, tau=2, batch_size=4)
         plan = RoundPlan(participants=(0, 2, 3, 6, 7), round_seed=21)
         expected = states.copy()
         # one key table from the round's stream, a row per participant in plan order
@@ -605,7 +634,6 @@ class TestRunRound:
         states = draw_states(data)
         n = len(states)
         t = Topology(np.zeros((n, n), dtype=bool))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         plan = RoundPlan(
             participants=tuple(data.draw(st.lists(st.integers(0, n - 1), unique=True))),
             aggregation_mode=data.draw(st.sampled_from(["batch", "sequential"])),
@@ -613,10 +641,8 @@ class TestRunRound:
             receive_restricted=data.draw(st.booleans()),
             metropolis=data.draw(st.booleans()),
         )
-        hp = Hyperparams(
-            gamma=0.05, tau=data.draw(st.integers(1, 2)), batch_size=data.draw(st.integers(1, 5)),
-            test_sets=[random_dataset(rng, n=3) for _ in range(n)],
-        )
+        hp = Hyperparams(gamma=0.05, tau=data.draw(st.integers(1, 2)),
+                         batch_size=data.draw(st.integers(1, 5)))
         before = states.models.copy()
         run_round(states, t, plan, hp)
         for i in set(range(n)) - set(plan.participants):

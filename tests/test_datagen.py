@@ -86,6 +86,8 @@ class TestSyntheticGeneration:
             SyntheticSpec(n_classes=0)
         with pytest.raises(ValueError):
             SyntheticSpec(noise_std=0.0)
+        with pytest.raises(ValueError, match="dim must be >= 2"):
+            SyntheticSpec(dim=1)
 
 
 class TestRotateImage:
@@ -178,6 +180,12 @@ class TestIdxLoader:
         parts = rotated_idx_datasets(imgs, lbls, n_clients=4, k=2, samples_per_client=4, seed=1)
         assert [p.distribution_id for p in parts] == [0, 1, 0, 1]
         assert all(len(p) == 4 for p in parts)
+        unrotated = rotated_idx_datasets(imgs, lbls, n_clients=4, k=1, samples_per_client=4, seed=1)
+        assert [p.distribution_id for p in unrotated] == [0, 0, 0, 0]
+        for rotated, plain, degrees in zip(parts, unrotated, (0, 180, 0, 180)):
+            assert np.array_equal(plain.labels, rotated.labels)
+            assert all(np.array_equal(rotate_image(x, degrees), y)
+                       for x, y in zip(plain.features, rotated.features))
 
 
 class TestTrainTestSplit:

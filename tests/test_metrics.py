@@ -29,8 +29,19 @@ def dataset(features, labels, dist=0):
 
 
 def one_model_states(models, datasets, shape=SHAPE):
-    """Clients holding one model each, all assigned to it."""
-    return RunState(shape, np.array(models, dtype=float)[:, None], [0] * len(models), datasets)
+    """Clients holding one model each, all assigned to it, with ``datasets``
+    as both their train and their test splits."""
+    models = np.array(models, dtype=float)[:, None]
+    return RunState(shape, models, [0] * len(models), datasets, datasets)
+
+
+def labelled_states(assignment, truth):
+    """Clients assigned ``assignment`` whose data comes from distribution
+    ``truth[i]``, the true cluster that ``clustering_accuracy`` reads."""
+    assignment = np.asarray(assignment)
+    data = [dataset([[0.0, 0.0]], [0], int(label)) for label in truth]
+    models = np.zeros((len(data), int(assignment.max()) + 1, SHAPE.param_count))
+    return RunState(SHAPE, models, assignment, data, data)
 
 
 def simple_data(rng, n=6, dist=0):
@@ -117,20 +128,15 @@ class TestClusteringAccuracy:
     def test_exact_match_scores_one(self):
         rng = np.random.default_rng(6)
         states = random_states(rng, 6, 2)
-        truth = [s.assignment for s in states]
-        assert clustering_accuracy(states, truth) == 1.0
+        assert clustering_accuracy(labelled_states(states.assignment, states.assignment)) == 1.0
 
     def test_relabeling_is_free(self):
         rng = np.random.default_rng(7)
         states = random_states(rng, 6, 2)
-        truth = [1 - s.assignment for s in states]
-        assert clustering_accuracy(states, truth) == 1.0
+        assert clustering_accuracy(labelled_states(states.assignment, 1 - states.assignment)) == 1.0
 
     def test_three_of_four_under_best_permutation(self):
-        rng = np.random.default_rng(8)
-        states = random_states(rng, 4, 2)
-        states.assignment[:] = (0, 0, 1, 1)
-        assert clustering_accuracy(states, [0, 0, 1, 0]) == 0.75
+        assert clustering_accuracy(labelled_states((0, 0, 1, 1), [0, 0, 1, 0])) == 0.75
 
     @given(seed=st.integers(0, 99))
     @settings(max_examples=20, deadline=None)
@@ -138,28 +144,28 @@ class TestClusteringAccuracy:
         rng = np.random.default_rng(seed)
         states = random_states(rng, 8, 3)
         truth = list(rng.integers(0, 3, size=8))
-        base = clustering_accuracy(states, truth)
+        base = clustering_accuracy(labelled_states(states.assignment, truth))
         relabel = rng.permutation(3)
-        states.assignment[:] = relabel[states.assignment]
-        assert clustering_accuracy(states, truth) == base
+        assert clustering_accuracy(labelled_states(relabel[states.assignment], truth)) == base
 
     def test_single_model_against_two_way_truth_scores_majority(self):
-        rng = np.random.default_rng(9)
-        states = random_states(rng, 4, 1)
-        states.assignment[:] = 0
-        assert clustering_accuracy(states, [0, 0, 0, 1]) == 0.75
+        assert clustering_accuracy(labelled_states([0] * 4, [0, 0, 0, 1])) == 0.75
 
     def test_truth_labels_need_not_start_at_zero(self):
-        states = random_states(np.random.default_rng(10), 4, 1)
-        states.assignment[:] = 0
-        assert clustering_accuracy(states, [-1] * 4) == 1.0
-        assert clustering_accuracy(states, [-1, -1, 7, -1]) == 0.75
+        assert clustering_accuracy(labelled_states([0] * 4, [-1] * 4)) == 1.0
+        assert clustering_accuracy(labelled_states([0] * 4, [-1, -1, 7, -1])) == 0.75
 
     def test_a_large_truth_label_costs_no_search(self):
-        states = random_states(np.random.default_rng(11), 6, 2)
-        states.assignment[:] = (0, 0, 1, 1, 1, 0)
         for label in (8, 11, 10**9):
-            assert clustering_accuracy(states, [label, label, 3, 3, 3, 3]) == 5 / 6
+            states = labelled_states((0, 0, 1, 1, 1, 0), [label, label, 3, 3, 3, 3])
+            assert clustering_accuracy(states) == 5 / 6
+
+    def test_the_truth_is_each_clients_distribution_id(self):
+        states = random_states(np.random.default_rng(14), 6, 2)  # client i: distribution i % 2
+        states.assignment[:] = (1, 0, 1, 0, 1, 0)
+        assert clustering_accuracy(states) == 1.0
+        states.assignment[:] = (1, 1, 1, 0, 0, 0)
+        assert clustering_accuracy(states) == 4 / 6
 
     @given(seed=st.integers(0, 99), n=st.integers(1, 9), k=st.integers(1, 4),
            labels=st.integers(1, 5))
@@ -172,25 +178,22 @@ class TestClusteringAccuracy:
         truth = rng.integers(0, labels, size=n)
         best = max(float(np.mean(np.array(p)[states.assignment] == truth))
                    for p in itertools.permutations(range(max(k, labels))))
-        assert clustering_accuracy(states, truth) == best
+        assert clustering_accuracy(labelled_states(states.assignment, truth)) == best
 
 
     def test_narrowed_search_equals_the_exhaustive_one(self):
         """3,000 seeded cases, the label sets often of different sizes."""
         rng = np.random.default_rng(12)
-        data = [simple_data(rng)]
         for _ in range(3000):
             n, k, labels = int(rng.integers(1, 13)), int(rng.integers(1, 5)), int(rng.integers(1, 9))
             assignment, truth = rng.integers(0, k, size=n), rng.integers(0, labels, size=n)
-            states = RunState(SHAPE, np.zeros((n, k, SHAPE.param_count)), assignment, data * n)
-            assert clustering_accuracy(states, truth) == exhaustive_clustering_accuracy(assignment, truth)
+            states = labelled_states(assignment, truth)
+            assert clustering_accuracy(states) == exhaustive_clustering_accuracy(assignment, truth)
 
     def test_a_truth_label_per_client_searches_few_columns(self):
         """200 truth labels against 4 clusters: an exhaustive search would
         score about 1.6e9 maps."""
-        data = [simple_data(np.random.default_rng(13))]
-        states = RunState(SHAPE, np.zeros((200, 4, SHAPE.param_count)), np.arange(200) % 4, data * 200)
-        assert clustering_accuracy(states, list(range(200))) == 0.02
+        assert clustering_accuracy(labelled_states(np.arange(200) % 4, range(200))) == 0.02
 
 
 def exhaustive_clustering_accuracy(assignment, truth):
@@ -215,7 +218,7 @@ class TestTestAccuracy:
         vec = m.values
         data = dataset([[1.0, 0.0], [-1.0, 0.0]], [1, 0])
         states = one_model_states([vec], [data])
-        assert sample_weighted_accuracy(states, [data]) == 1.0
+        assert sample_weighted_accuracy(states) == 1.0
 
     def test_sample_weighted_mean(self):
         # w2 = [[-5, 0], [5, 0]], b2 = 0
@@ -225,8 +228,8 @@ class TestTestAccuracy:
         test_b = dataset([[1.0, 0.0]] * 15 + [[-1.0, 0.0]] * 15, [0] * 15 + [1] * 15)
         # zero model predicts class 0 everywhere: 15/30
         states = one_model_states([perfect, zero], [test_a, test_b])
-        assert sample_weighted_accuracy(states, [test_a, test_b]) == pytest.approx(0.625)
-        assert client_mean_test_accuracy(states, [test_a, test_b]) == pytest.approx(0.75)
+        assert sample_weighted_accuracy(states) == pytest.approx(0.625)
+        assert client_mean_test_accuracy(states) == pytest.approx(0.75)
 
     def test_zero_model_near_chance_on_default_spec(self):
         spec = SyntheticSpec()
@@ -234,7 +237,7 @@ class TestTestAccuracy:
         shape = ModelShape(dim=spec.dim, hidden=0, n_classes=spec.n_classes)
         tests = [generate_rotated_synthetic(spec, k=2, client_cluster=i % 2, seed=i) for i in range(5)]
         states = one_model_states(np.zeros((5, shape.param_count)), tests, shape)
-        acc = sample_weighted_accuracy(states, tests)
+        acc = sample_weighted_accuracy(states)
         assert acc <= 1.0 / spec.n_classes + 0.1
 
 

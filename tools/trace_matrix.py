@@ -63,6 +63,7 @@ def entries() -> dict[str, tuple[str, ...]]:
         "ifca-k4": ("algorithm=ifca", "k=4", "n_clients=12", "T=10"),
         "odd-k4": ("k=4", "n_clients=13", "data.samples_per_client=37", "data.test_fraction=0.23"),
         "batch7": ("batch_size=7",),
+        "partial": ("participation_fraction=0.3", "data.test_fraction=0.5"),
     }
 
 
