@@ -5,27 +5,55 @@ one of two rotated distributions.  Every round they (1) pick the model
 that fits their data best, (2) train only that model locally, and
 (3) fold neighbor models in with a running average.  Watch the cluster
 assignments lock in and dispersion shrink.
+
+The loop below is the one ``dfca.harness.run_one_seed`` runs for the same
+settings (``dfca run`` with n_clients=12, topology.p=0.4, T=30,
+init_mode=li, data.samples_per_client=100, model.hidden=16), with every
+random stream derived from one master seed.
 """
 
-from dfca import ExperimentConfig
-from dfca.core import run_experiment_states
+from dfca import (
+    Hyperparams,
+    ModelShape,
+    RoundPlan,
+    SyntheticSpec,
+    generate_erdos_renyi,
+    generate_rotated_synthetic,
+    initialize,
+    is_connected,
+    run_round,
+    train_test_split,
+)
 from dfca.harness import stabilization_round
+from dfca.seeding import derive_seed
 
-config = ExperimentConfig(
-    n_clients=12,
-    k=2,
-    topology_p=0.4,
-    T=30,
-    init_mode="li",           # every client starts from its own random models
-    aggregation_mode="sequential",
-    data_samples_per_client=100,
-    model_hidden=16,
-    seed=0,
-)  # checked when built: an invalid value raises ConfigError here
+N, K, T, SEED = 12, 2, 30, 0
 
-trace, states, connected = run_experiment_states(config)
+graph = generate_erdos_renyi(N, 0.4, derive_seed(SEED, "topology"))
 
-print(f"graph connected: {connected}")
+# client i draws from distribution i mod K; a fifth of its samples are held out
+spec = SyntheticSpec(samples_per_client=100)
+trains, tests = [], []
+for i in range(N):
+    full = generate_rotated_synthetic(spec, k=K, client_cluster=i % K, seed=derive_seed(SEED, "data", i),
+                                      center_seed=derive_seed(SEED, "centers"))
+    train, test = train_test_split(full, 0.2, derive_seed(SEED, "split", i))
+    trains.append(train)
+    tests.append(test)
+
+# li: every client starts from its own random models
+shape = ModelShape(dim=spec.dim, hidden=16, n_classes=spec.n_classes)
+states = initialize(k=K, mode="li", model_shape=shape, seed=derive_seed(SEED, "init"), datasets=trains,
+                    test_sets=tests)
+hp = Hyperparams(gamma=0.1, tau=5, batch_size=32)
+trace = []
+for r in range(T):
+    plan = RoundPlan(participants=tuple(range(N)), aggregation_mode="sequential",
+                     round_seed=derive_seed(SEED, "round", r), round_index=r)
+    _, measured = run_round(states, graph, plan, hp)  # assign, train, merge, measure
+    trace.append(measured)
+
+print(f"graph connected: {is_connected(graph)}")
 print(f"{'round':>5} {'f_global':>9} {'clust':>6} {'test':>6} {'disp_0':>8} {'changed':>7}")
 for m in trace:
     if m.round % 3 == 0 or m.assignments_changed:

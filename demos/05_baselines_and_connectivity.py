@@ -13,7 +13,7 @@ tests/test_acceptance.py (criteria 5-8).
 
 import numpy as np
 
-from dfca import ExperimentConfig, run_experiment
+from dfca import ExperimentConfig, run_one_seed
 
 BASE = dict(n_clients=12, k=2, T=40, data_samples_per_client=120,
             model_hidden=16, topology_p=0.4)
@@ -23,7 +23,7 @@ SEEDS = (0, 1, 2)
 def batch(**kw):
     finals_test, finals_clust = [], []
     for seed in SEEDS:
-        trace = run_experiment(ExperimentConfig(seed=seed, **{**BASE, **kw}))
+        trace = run_one_seed(ExperimentConfig(**{**BASE, **kw}), seed).trace
         finals_test.append(trace[-1].test_accuracy)
         finals_clust.append(trace[-1].clustering_accuracy)
     return np.mean(finals_test), np.mean(finals_clust)

@@ -12,7 +12,6 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .core import (
     ClientState,
     RunState,
-    DisconnectedGraphError,
     Hyperparams,
     RoundPlan,
     aggregate_batch,
@@ -20,7 +19,6 @@ from .core import (
     assign_cluster,
     initialize,
     local_update,
-    run_experiment,
     run_round,
 )
 from .datagen import (
@@ -33,6 +31,7 @@ from .datagen import (
     rotated_idx_datasets,
     train_test_split,
 )
+from .harness import DisconnectedGraphError, run_one_seed
 from .metrics import (
     RoundMetrics,
     clustering_accuracy,

@@ -19,6 +19,9 @@ propagate even through sparse graphs.
 
 The gossip merges are computed in delta form (own + weighted sum of
 differences), so averaging identical vectors is exactly the identity.
+
+This module holds only the round and its state; ``harness.run_one_seed``
+turns a config and a seed into a graph, client data, states and a trace.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import AGGREGATION_MODES, ExperimentConfig
-from .datagen import Dataset, generate_rotated_synthetic, train_test_split
+from .datagen import Dataset
 from .metrics import (
     RoundMetrics,
     cluster_average,
@@ -44,7 +46,6 @@ from .model import (
     DivergenceError,
     MlpModel,
     ModelShape,
-    _LocatedError,
     _chunks,
     forward_loss,
     init_model,
@@ -52,7 +53,7 @@ from .model import (
     unflatten_params,
 )
 from .seeding import derive_seed, spawn_rng
-from .topology import Topology, generate_erdos_renyi, is_connected
+from .topology import Topology
 
 logger = logging.getLogger(__name__)
 
@@ -61,20 +62,13 @@ __all__ = [
     "RunState",
     "RoundPlan",
     "Hyperparams",
-    "DisconnectedGraphError",
     "initialize",
     "assign_cluster",
     "local_update",
     "aggregate_batch",
     "aggregate_sequential",
     "run_round",
-    "run_experiment",
 ]
-
-
-class DisconnectedGraphError(_LocatedError, RuntimeError):
-    """Sampled topology is disconnected and the config says abort: ``what``
-    names the graph, and ``harness.run_one_seed`` adds the seed."""
 
 
 class ClientState:
@@ -149,13 +143,13 @@ class RunState(Sequence[ClientState]):
         return twin
 
 
-_PLAN_MODES = (*AGGREGATION_MODES, "server")  # server is set for algorithm = ifca, not configured
+_PLAN_MODES = ("batch", "sequential", "server")  # server is set for algorithm = ifca, not configured
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoundPlan:
     """Everything that varies per round: who participates, who receives, and
-    the merge rule.
+    the merge rule.  A plan is checked when built and cannot be changed.
 
     ``aggregation_mode`` is ``batch``, ``sequential`` or ``server`` (IFCA).
     ``metropolis`` weighs a gossip merge's senders by the graph's Metropolis
@@ -181,9 +175,10 @@ class RoundPlan:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparams:
-    """Per-run local SGD constants: step size, epochs and minibatch size."""
+    """Per-run local SGD constants, fixed once built: step size, epochs and
+    minibatch size."""
 
     gamma: float
     tau: int
@@ -243,13 +238,15 @@ def assign_cluster(c: ClientState, losses: np.ndarray | None = None) -> int:
     """Reassign ``c`` to the cluster whose model has the lowest local loss.
 
     ``losses`` are the client's k cluster losses, computed here when not
-    given.  Ties break toward the lowest cluster index.  Clusters with
-    non-finite loss (including models with non-finite parameters) are
-    excluded; if every loss is non-finite the previous assignment is kept
-    and the event logged.
+    given; any other number of them is rejected.  Ties break toward the
+    lowest cluster index.  Clusters with non-finite loss (including models
+    with non-finite parameters) are excluded; if every loss is non-finite
+    the previous assignment is kept and the event logged.
     """
     if losses is None:
         losses = forward_loss(MlpModel(c.run.shape, c.models), c.run.data[c.client_id])
+    elif len(losses) != len(c.models):
+        raise ValueError(f"client {c.client_id}: {len(losses)} losses for {len(c.models)} clusters")
     finite = np.isfinite(losses)
     if not finite.any():
         logger.warning(
@@ -498,100 +495,3 @@ def run_round(
         avg_drift=drift,
         assignments_changed=changed,
     )
-
-
-def build_topology(config: ExperimentConfig) -> tuple[Topology, bool]:
-    """Sample the configured graph, apply the disconnection policy and return
-    the graph with whether it is connected."""
-    topo_seed = (
-        config.topology_seed
-        if config.topology_seed is not None
-        else derive_seed(config.seed, "topology")
-    )
-    t = generate_erdos_renyi(config.n_clients, config.topology_p, topo_seed)
-    connected = is_connected(t)
-    if not connected:
-        if config.on_disconnected == "abort":
-            raise DisconnectedGraphError(
-                f"on_disconnected=abort and the graph (n={config.n_clients}, "
-                f"p={config.topology_p}, topology seed {topo_seed}) is disconnected"
-            )
-        logger.warning(
-            "graph (n=%d, p=%g, topology seed %d) is disconnected at seed %d; proceeding per config",
-            config.n_clients, config.topology_p, topo_seed, config.seed,
-        )
-    return t, connected
-
-
-def build_client_data(config: ExperimentConfig) -> tuple[list[Dataset], list[Dataset]]:
-    """Per-client (train, test) splits; client i draws from cluster i mod k."""
-    spec = config.synthetic_spec
-    center_seed = derive_seed(config.seed, "centers")
-    trains, tests = [], []
-    for i in range(config.n_clients):
-        full = generate_rotated_synthetic(
-            spec,
-            k=config.k,
-            client_cluster=i % config.k,
-            seed=derive_seed(config.seed, "data", i),
-            center_seed=center_seed,
-        )
-        train, test = train_test_split(full, config.data_test_fraction, derive_seed(config.seed, "split", i))
-        trains.append(train)
-        tests.append(test)
-    return trains, tests
-
-
-def _sample_participants(config: ExperimentConfig, round_index: int) -> tuple[int, ...]:
-    n = config.n_clients
-    if config.participation_fraction >= 1.0:
-        return tuple(range(n))
-    count = min(n, max(1, int(round(config.participation_fraction * n))))
-    rng = spawn_rng(config.seed, "participation", round_index)
-    return tuple(sorted(int(i) for i in rng.choice(n, size=count, replace=False)))
-
-
-def run_experiment_states(
-    config: ExperimentConfig,
-) -> tuple[list[RoundMetrics], RunState, bool | None]:
-    """Run a full experiment and also return the final states and whether
-    the graph is connected.
-
-    ``algorithm = ifca`` runs the server merge and builds no graph, so its
-    ``connected`` is None.
-    """
-    centralized = config.algorithm == "ifca"
-    t, connected = (None, None) if centralized else build_topology(config)
-    trains, tests = build_client_data(config)
-    shape = ModelShape(dim=config.data_dim, hidden=config.model_hidden, n_classes=config.data_n_classes)
-    states = initialize(
-        k=config.n_models,
-        mode=config.init_mode,
-        model_shape=shape,
-        seed=derive_seed(config.seed, "init"),
-        datasets=trains,
-        test_sets=tests,
-    )
-    hp = Hyperparams(gamma=config.gamma, tau=config.tau, batch_size=config.batch_size)
-    trace: list[RoundMetrics] = []
-    for round_index in range(config.T):
-        plan = RoundPlan(
-            participants=_sample_participants(config, round_index),
-            aggregation_mode="server" if centralized else config.aggregation_mode,
-            round_seed=derive_seed(config.seed, "round", round_index),
-            round_index=round_index,
-            receive_restricted=config.restrict_receive_to_participants,
-            metropolis=config.mixing_kind == "metropolis",
-        )
-        _, measured = run_round(states, t, plan, hp)
-        trace.append(measured)
-    return trace, states, connected
-
-
-def run_experiment(config: ExperimentConfig) -> list[RoundMetrics]:
-    """Build topology, data, and states from ``config`` and run T rounds.
-
-    Fully deterministic per config: identical configs produce bitwise
-    identical metric traces.
-    """
-    return run_experiment_states(config)[0]

@@ -14,6 +14,9 @@ and then renamed into place, so a run that fails leaves the files of the
 seeds before it whole and no half-written file.  A run that diverges, or
 whose graph is disconnected under ``on_disconnected = abort``, also writes
 a summary of the finished seeds that names the failed one.
+``run_one_seed`` is the one path from a config to a trace: it samples the
+graph, draws the client data, initializes the states and runs the rounds of
+``dfca.core``, every stream derived from its ``seed`` argument.
 ``cmd_diff`` compares the traces of two run directories seed by seed.
 """
 
@@ -23,6 +26,7 @@ import csv
 import functools
 import itertools
 import json
+import logging
 import os
 import sys
 from dataclasses import dataclass
@@ -32,12 +36,18 @@ from typing import Callable, Iterable, Sequence, TextIO
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, _FIELD_BY_KEY, load_config
-from .core import DisconnectedGraphError, run_experiment_states
+from .core import Hyperparams, RoundPlan, initialize, run_round
+from .datagen import Dataset, generate_rotated_synthetic, train_test_split
 from .metrics import RoundMetrics, client_mean_test_accuracy, trace_columns, trace_row
-from .model import DivergenceError
+from .model import DivergenceError, ModelShape, _LocatedError
+from .seeding import derive_seed, spawn_rng
+from .topology import Topology, generate_erdos_renyi, is_connected
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "OUTPUT_ROOT_ENV",
+    "DisconnectedGraphError",
     "SeedOutcome",
     "stabilization_round",
     "write_trace",
@@ -48,6 +58,12 @@ __all__ = [
 ]
 
 OUTPUT_ROOT_ENV = "DFCA_OUTPUT_ROOT"
+
+
+class DisconnectedGraphError(_LocatedError, RuntimeError):
+    """Sampled topology is disconnected and the config says abort: ``what``
+    names the graph, and :func:`run_one_seed` adds the seed."""
+
 
 # SeedOutcome attributes that summary.json reports per seed and as a mean and std.
 _FINALS = (
@@ -113,14 +129,78 @@ def _write_rows(path: Path, rows: Iterable[Sequence[str]]) -> None:
 
 
 def write_trace(path: Path, trace: Sequence[RoundMetrics], k: int) -> None:
+    """Write a ``k``-cluster trace; a row of another cluster count raises
+    ``ValueError`` naming its round, and nothing is written."""
+    for m in trace:
+        if len(m.f_cluster) != k:
+            raise ValueError(f"round {m.round} has {len(m.f_cluster)} clusters, the trace {k}")
     _write_rows(path, [trace_columns(k), *map(trace_row, trace)])
 
 
+def _graph(config: ExperimentConfig, seed: int) -> tuple[Topology, bool]:
+    """Sample the configured graph, apply the disconnection policy and return
+    the graph with whether it is connected."""
+    topo_seed = config.topology_seed if config.topology_seed is not None else derive_seed(seed, "topology")
+    t = generate_erdos_renyi(config.n_clients, config.topology_p, topo_seed)
+    connected = is_connected(t)
+    if not connected:
+        if config.on_disconnected == "abort":
+            raise DisconnectedGraphError(
+                f"on_disconnected=abort and the graph (n={config.n_clients}, "
+                f"p={config.topology_p}, topology seed {topo_seed}) is disconnected"
+            )
+        logger.warning(
+            "graph (n=%d, p=%g, topology seed %d) is disconnected at seed %d; proceeding per config",
+            config.n_clients, config.topology_p, topo_seed, seed,
+        )
+    return t, connected
+
+
+def _client_data(config: ExperimentConfig, seed: int) -> tuple[list[Dataset], list[Dataset]]:
+    """Per-client (train, test) splits; client i draws from cluster i mod k."""
+    spec, center_seed = config.synthetic_spec, derive_seed(seed, "centers")
+    trains, tests = [], []
+    for i in range(config.n_clients):
+        full = generate_rotated_synthetic(spec, k=config.k, client_cluster=i % config.k,
+                                          seed=derive_seed(seed, "data", i), center_seed=center_seed)
+        train, test = train_test_split(full, config.data_test_fraction, derive_seed(seed, "split", i))
+        trains.append(train)
+        tests.append(test)
+    return trains, tests
+
+
+def _plan(config: ExperimentConfig, seed: int, round_index: int) -> RoundPlan:
+    """Round ``round_index``'s plan: every client, or a fresh sorted sample
+    of ``participation_fraction`` of them, and the configured merge."""
+    n = config.n_clients
+    participants = tuple(range(n))
+    if config.participation_fraction < 1.0:
+        count = min(n, max(1, int(round(config.participation_fraction * n))))
+        rng = spawn_rng(seed, "participation", round_index)
+        participants = tuple(sorted(int(i) for i in rng.choice(n, size=count, replace=False)))
+    return RoundPlan(
+        participants=participants,
+        aggregation_mode="server" if config.algorithm == "ifca" else config.aggregation_mode,
+        round_seed=derive_seed(seed, "round", round_index),
+        round_index=round_index,
+        receive_restricted=config.restrict_receive_to_participants,
+        metropolis=config.mixing_kind == "metropolis",
+    )
+
+
 def run_one_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
-    """Run ``config`` under master seed ``seed`` and collect its finals."""
-    cfg = config.replace(seed=seed)
+    """Run ``config``'s T rounds under master seed ``seed`` and collect its
+    finals.  Every stream derives from ``seed``, never ``config.seed``, so
+    equal arguments give bitwise equal traces.  ``algorithm = ifca`` runs
+    the server merge and builds no graph, so its ``connected`` is None."""
     try:
-        trace, states, connected = run_experiment_states(cfg)
+        t, connected = (None, None) if config.algorithm == "ifca" else _graph(config, seed)
+        trains, tests = _client_data(config, seed)
+        shape = ModelShape(dim=config.data_dim, hidden=config.model_hidden, n_classes=config.data_n_classes)
+        states = initialize(k=config.n_models, mode=config.init_mode, model_shape=shape,
+                            seed=derive_seed(seed, "init"), datasets=trains, test_sets=tests)
+        hp = Hyperparams(gamma=config.gamma, tau=config.tau, batch_size=config.batch_size)
+        trace = [run_round(states, t, _plan(config, seed, r), hp)[1] for r in range(config.T)]
     except (DivergenceError, DisconnectedGraphError) as exc:
         raise exc.at(seed=seed) from None
     client_mean = client_mean_test_accuracy(states) if trace else None

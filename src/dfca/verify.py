@@ -27,10 +27,10 @@ from .core import (
     assign_cluster,
     initialize,
     local_update,
-    run_experiment,
     run_round,
 )
 from .datagen import Dataset, generate_rotated_synthetic, rotate_image, SyntheticSpec
+from .harness import run_one_seed
 from .metrics import (
     _add,
     client_mean_test_accuracy,
@@ -591,8 +591,8 @@ def check_run_determinism() -> tuple[bool, str]:
         n_clients=8, k=2, T=3, data_samples_per_client=40, model_hidden=4, topology_p=0.6,
         n_seeds=1,
     )
-    rows_a = [trace_row(m) for m in run_experiment(config)]
-    rows_b = [trace_row(m) for m in run_experiment(config)]
+    rows_a = [trace_row(m) for m in run_one_seed(config, 0).trace]
+    rows_b = [trace_row(m) for m in run_one_seed(config, 0).trace]
     return rows_a == rows_b, "repeated tiny run produces identical trace rows"
 
 

@@ -15,8 +15,7 @@ import pytest
 
 from dfca import verify
 from dfca.config import ExperimentConfig
-from dfca.core import run_experiment
-from dfca.harness import cmd_run, stabilization_round
+from dfca.harness import cmd_run, run_one_seed, stabilization_round
 
 CHECKS = dict(verify.CHECKS)
 
@@ -34,7 +33,8 @@ def report(criterion, detail):
 
 
 def _trace(config_kw):
-    return run_experiment(ExperimentConfig(**config_kw))
+    config = ExperimentConfig(**config_kw)
+    return run_one_seed(config, config.seed).trace
 
 
 def run_all(configs):

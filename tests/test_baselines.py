@@ -6,9 +6,9 @@ from dfca.core import (
     RoundPlan,
     aggregate_batch,
     assign_cluster,
-    run_experiment,
     run_round,
 )
+from dfca.harness import run_one_seed
 from dfca.metrics import cluster_average, trace_row
 from dfca.model import ModelShape, sgd_epochs, unflatten_params
 from dfca.seeding import spawn_rng
@@ -111,6 +111,6 @@ class TestDecentralizedAveraging:
         davg_cfg = ExperimentConfig(algorithm="davg", **base)
         dfca_cfg = ExperimentConfig(algorithm="dfca", **base)
 
-        rows_davg = [trace_row(m) for m in run_experiment(davg_cfg)]
-        rows_dfca = [trace_row(m) for m in run_experiment(dfca_cfg)]
+        rows_davg = [trace_row(m) for m in run_one_seed(davg_cfg, 0).trace]
+        rows_dfca = [trace_row(m) for m in run_one_seed(dfca_cfg, 0).trace]
         assert rows_davg == rows_dfca

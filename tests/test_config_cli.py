@@ -14,7 +14,9 @@ import pytest
 
 from dfca.cli import main
 from dfca.config import ConfigError, ExperimentConfig, load_config
-from dfca.harness import _FINALS, cmd_diff, cmd_run, cmd_sweep, run_one_seed, stabilization_round
+from dfca.harness import (
+    _FINALS, cmd_diff, cmd_run, cmd_sweep, run_one_seed, stabilization_round, write_trace,
+)
 from dfca.verify import CHECK_NAMES, CHECKS
 
 TINY = """
@@ -240,7 +242,7 @@ class TestCmdRun:
 
     def test_disconnected_proceed_warning_names_the_run_seed(self, caplog, output_root):
         quick = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
-        with caplog.at_level("WARNING", logger="dfca.core"):
+        with caplog.at_level("WARNING", logger="dfca.harness"):
             assert cmd_run(str(quick), overrides=["topology.p=0.3", "n_seeds=4", "T=2"]) == 0
         assert [r.getMessage() for r in caplog.records if "disconnected" in r.getMessage()] == [
             "graph (n=10, p=0.3, topology seed 15045563145090991830) is disconnected at seed 2; "
@@ -262,6 +264,16 @@ class TestCmdRun:
         header = (output_root / "tiny" / "seed_0" / "trace.csv").read_text().splitlines()[0]
         assert header == ("round,f_global,f_cluster_0,f_cluster_1,disp_0,disp_1,"
                           "clustering_acc,test_acc,avg_drift_0,avg_drift_1,assignments_changed")
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_write_trace_rejects_rows_of_another_cluster_count(self, tiny_config, tmp_path, k):
+        trace = run_one_seed(load_config(tiny_config), 0).trace
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match=f"round 0 has 2 clusters, the trace {k}"):
+            write_trace(path, trace, k)
+        assert not path.exists()
+        write_trace(path, trace, 2)
+        assert len(path.read_text().splitlines()) == 3
 
 
 class TestCmdSweep:

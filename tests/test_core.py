@@ -19,9 +19,9 @@ from dfca.core import (
     assign_cluster,
     initialize,
     local_update,
-    run_experiment,
     run_round,
 )
+from dfca.harness import DisconnectedGraphError, run_one_seed
 from dfca.model import (
     DivergenceError,
     ModelShape,
@@ -208,6 +208,15 @@ class TestAssignCluster:
         np.testing.assert_array_equal(states.assignment, looped.assignment)
         assert states.assignment[7] == 2
         assert [r.getMessage().split(":")[0] for r in caplog.records] == ["client 7"]
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_losses_must_be_one_per_cluster(self, count):
+        rng = np.random.default_rng(10)
+        states = make_states(rng, 2, 2)
+        before = states.assignment.copy()
+        with pytest.raises(ValueError, match=f"client 1: {count} losses for 2 clusters"):
+            assign_cluster(states[1], np.arange(count, 0, -1.0))
+        np.testing.assert_array_equal(states.assignment, before)
 
 
 class TestLocalUpdate:
@@ -512,6 +521,16 @@ class TestRunRound:
         with pytest.raises(ValueError, match="seqential"):
             RoundPlan(participants=(0,), aggregation_mode="seqential")
 
+    def test_plans_and_hyperparams_cannot_be_changed_once_built(self):
+        plan, hp = RoundPlan(participants=(0,)), Hyperparams(gamma=0.1, tau=1, batch_size=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.aggregation_mode = "bogus"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hp.tau = 0
+        with pytest.raises(ValueError, match="bogus"):
+            dataclasses.replace(plan, aggregation_mode="bogus")
+        assert (plan.aggregation_mode, hp.tau) == ("batch", 1)
+
     def test_empty_participants_leaves_states_unchanged(self):
         rng = np.random.default_rng(16)
         t, states, hp = tiny_problem(rng, 4, 2)
@@ -524,7 +543,7 @@ class TestRunRound:
     def test_gi_round_with_zero_gamma_keeps_parameters_bitwise(self):
         rng = np.random.default_rng(17)
         t, states, hp = tiny_problem(rng, 5, 2)
-        hp.gamma = 0.0
+        hp = dataclasses.replace(hp, gamma=0.0)
         frozen = states.models.copy()
         plan = RoundPlan(participants=tuple(range(5)), aggregation_mode="batch")
         run_round(states, t, plan, hp)
@@ -586,7 +605,7 @@ class TestRunRound:
     def test_divergence_names_round_client_and_cluster(self):
         rng = np.random.default_rng(22)
         t, states, hp = tiny_problem(rng, 5, 2)
-        hp.gamma = 1e300
+        hp = dataclasses.replace(hp, gamma=1e300)
         plan = RoundPlan(participants=(1, 3), round_index=4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning leaks from the trainer
@@ -597,7 +616,7 @@ class TestRunRound:
     def test_non_finite_loss_names_round_and_cluster(self):
         rng = np.random.default_rng(24)
         t, states, hp = tiny_problem(rng, 4, 2)
-        hp.gamma = 0.0  # the parameters stay finite, only the losses overflow
+        hp = dataclasses.replace(hp, gamma=0.0)  # the parameters stay finite, only the losses overflow
         states.models[:] = 1e300
         first = int(states.assignment.min())
         plan = RoundPlan(participants=(0, 1, 2, 3), round_index=2)
@@ -651,11 +670,11 @@ class TestRunRound:
 
 class TestRunExperiment:
     def test_zero_rounds_gives_empty_trace(self):
-        assert run_experiment(desk_config(T=0)) == []
+        assert run_one_seed(desk_config(T=0), 0).trace == []
 
     def test_sequential_and_batch_agree_at_round_level(self):
-        seq = run_experiment(desk_config(aggregation_mode="sequential"))
-        bat = run_experiment(desk_config(aggregation_mode="batch"))
+        seq = run_one_seed(desk_config(aggregation_mode="sequential"), 0).trace
+        bat = run_one_seed(desk_config(aggregation_mode="batch"), 0).trace
         for ms, mb in zip(seq, bat):
             assert ms.f_global == pytest.approx(mb.f_global, rel=1e-6)
 
@@ -676,11 +695,11 @@ class TestRunExperiment:
         math.fsum, which always does, it changes neither a trace nor the
         merge oracle's verdict."""
         cfg = desk_config(k=4, tau=1, data_samples_per_client=20, T=20)
-        want = [metrics.trace_row(m) for m in run_experiment(cfg)]
+        want = [metrics.trace_row(m) for m in run_one_seed(cfg, 0).trace]
         for module in (core, metrics, verify):
             monkeypatch.setattr(module, "sum", math.fsum, raising=False)
         assert verify.check_merges_match_per_slot()[0]
-        assert [metrics.trace_row(m) for m in run_experiment(cfg)] == want
+        assert [metrics.trace_row(m) for m in run_one_seed(cfg, 0).trace] == want
 
     def test_metropolis_runs_merge_with_their_graphs_matrix(self, monkeypatch):
         """``mixing_kind`` reaches the merges through the plan: a Metropolis
@@ -693,19 +712,26 @@ class TestRunExperiment:
             return build_mixing_matrix(t)
 
         monkeypatch.setattr(topology, "build_mixing_matrix", counted)
-        uniform = run_experiment(desk_config(mixing_kind="paper-uniform"))
+        uniform = run_one_seed(desk_config(mixing_kind="paper-uniform"), 0).trace
         assert built == []
-        metropolis = run_experiment(desk_config(mixing_kind="metropolis"))
+        metropolis = run_one_seed(desk_config(mixing_kind="metropolis"), 0).trace
         assert len(built) == 1 and "metropolis" in vars(built[0])
         assert [metrics.trace_row(m) for m in metropolis] != [metrics.trace_row(m) for m in uniform]
 
     def test_disconnected_abort_policy(self):
-        from dfca.core import DisconnectedGraphError
-
         cfg = desk_config(topology_p=0.0, on_disconnected="abort")
         with pytest.raises(DisconnectedGraphError):
-            run_experiment(cfg)
+            run_one_seed(cfg, 0)
 
     def test_partial_participation_runs(self):
-        trace = run_experiment(desk_config(participation_fraction=0.5, T=3))
+        trace = run_one_seed(desk_config(participation_fraction=0.5, T=3), 0).trace
         assert len(trace) == 3
+
+    def test_only_the_seed_argument_picks_the_streams(self):
+        """The config's ``seed`` key is recorded, not read: the graph, data,
+        initial models, participants and rounds all derive from the
+        argument."""
+        cfg = desk_config(participation_fraction=0.5, init_mode="li", T=3)
+        want = [metrics.trace_row(m) for m in run_one_seed(cfg, 3).trace]
+        assert [metrics.trace_row(m) for m in run_one_seed(cfg.replace(seed=7), 3).trace] == want
+        assert [metrics.trace_row(m) for m in run_one_seed(cfg, 7).trace] != want

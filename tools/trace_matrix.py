@@ -64,6 +64,7 @@ def entries() -> dict[str, tuple[str, ...]]:
         "odd-k4": ("k=4", "n_clients=13", "data.samples_per_client=37", "data.test_fraction=0.23"),
         "batch7": ("batch_size=7",),
         "partial": ("participation_fraction=0.3", "data.test_fraction=0.5"),
+        "sparse": ("topology.p=0.08",),  # disconnected at seed 0, connected at seed 1
     }
 
 
