@@ -178,11 +178,20 @@ class RoundPlan:
 @dataclass(frozen=True)
 class Hyperparams:
     """Per-run local SGD constants, fixed once built: step size, epochs and
-    minibatch size."""
+    minibatch size, checked when built."""
 
     gamma: float
     tau: int
     batch_size: int
+
+    def __post_init__(self) -> None:
+        for name, ok, rule in (
+            ("gamma", 0.0 <= self.gamma < np.inf, "must be finite and >= 0"),
+            ("tau", self.tau >= 1, "must be >= 1"),
+            ("batch_size", self.batch_size >= 1, "must be >= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
 
 
 def initialize(

@@ -143,17 +143,41 @@ def _check_inputs(m: MlpModel, x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError(f"label {int(y.max())} out of range for {m.shape.n_classes} classes")
 
 
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """Max over the class (last) axis, one ``np.maximum`` per column: numpy's
+    per-row reduction calls its inner loop once per short row."""
+    out = np.maximum(z[..., 0], z[..., 1])
+    for j in range(2, z.shape[-1]):
+        np.maximum(out, z[..., j], out=out)
+    return out
+
+
+def _row_sum(e: np.ndarray) -> np.ndarray:
+    """Sum over the class (last) axis, bitwise ``e.sum(axis=-1)``: numpy adds
+    fewer than 8 terms left to right, so the columns are added in that order;
+    from 8 terms on it adds pairwise, and its own sum is returned."""
+    if e.shape[-1] >= 8:
+        return e.sum(axis=-1)
+    out = e[..., 0] + e[..., 1]
+    for j in range(2, e.shape[-1]):
+        out += e[..., j]
+    return out
+
+
 @np.errstate(**_NONFINITE_OK)
 def _mean_ce(m: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean cross-entropy over the sample axis: one value per stacked model
     (a scalar for an unstacked one), each a row mean along the contiguous
     axis so that it equals the unstacked value bitwise.  ``x`` and ``y`` may
-    lack the model axis, and then every model sees the same samples."""
+    lack the model axis, and then every model sees the same samples.  The
+    class-axis max and sum run by columns (:func:`_row_sum` keeps numpy's own
+    sum from 8 classes on), and the true-class logit is one flat index."""
     z, _ = _forward(m, x)
-    zmax = z.max(axis=-1)
-    lse = zmax + np.log(np.exp(z - zmax[..., None]).sum(axis=-1))
-    picked = np.take_along_axis(z, np.broadcast_to(y[..., None], z.shape[:-1] + (1,)), axis=-1)
-    return (lse - picked[..., 0]).mean(axis=-1)
+    zmax = _row_max(z)
+    lse = zmax + np.log(_row_sum(np.exp(z - zmax[..., None])))
+    labels = np.broadcast_to(y, lse.shape).ravel()
+    picked = z.reshape(-1)[np.arange(0, z.size, z.shape[-1]) + labels]
+    return (lse - picked.reshape(lse.shape)).mean(axis=-1)
 
 
 def _stack_data(datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
@@ -198,13 +222,13 @@ def _grad_xy(m: MlpModel, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
     """Backpropagated gradient of the mean cross-entropy, in flatten order.
 
     Layers, ``x`` and ``y`` may carry one leading model axis; every slice is
-    computed exactly as the unstacked call computes it.
+    computed exactly as the unstacked call computes it, the softmax's
+    class-axis max and sum by columns as in :func:`_mean_ce`.
     """
     lead = y.shape[:-1]
     z, act = _forward(m, x)
-    zmax = z.max(axis=-1, keepdims=True)
-    ez = np.exp(z - zmax)
-    probs = ez / ez.sum(axis=-1, keepdims=True)
+    ez = np.exp(z - _row_max(z)[..., None])
+    probs = ez / _row_sum(ez)[..., None]
     probs -= y[..., None] == np.arange(probs.shape[-1])  # one-hot; p - 0.0 is exactly p
     g = probs / y.shape[-1]
     out = [(np.swapaxes(g, -1, -2) @ act).reshape(lead + (-1,)), g.sum(axis=-2)]
@@ -265,8 +289,8 @@ def sgd_epochs(
     client and its table alone returns.  A model whose parameters are no
     longer finite raises :class:`DivergenceError` naming its row.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
     if batch_size < 1:

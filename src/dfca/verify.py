@@ -443,17 +443,29 @@ def check_gi_zero_dispersion() -> tuple[bool, str]:
     return all(d == 0.0 for d in disps), f"initial dispersions {disps} (exact zeros)"
 
 
+def _per_client_loss(shape: ModelShape, values: np.ndarray, d: Dataset) -> float:
+    """Reference for the loss kernel: one model's unstacked forward pass on
+    ``d`` and numpy's own per-row reductions over the class axis."""
+    m = MlpModel(shape, values)
+    act = d.features if m.w1 is None else np.maximum(d.features @ m.w1.T + m.b1, 0.0)
+    z = act @ m.w2.T + m.b2
+    zmax = z.max(axis=1)
+    lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
+    return float((lse - z[np.arange(len(d)), d.labels]).mean())
+
+
 def _per_client_metrics(states: RunState) -> tuple:
     """Reference for the batched metrics: one unstacked forward pass per
-    client, losses added in client order, and the cluster averages and
-    dispersions computed with fresh temporaries."""
+    client (:func:`_per_client_loss`, not the kernel under test), losses
+    added in client order, and the cluster averages and dispersions computed
+    with fresh temporaries."""
     k = len(states[0].models)
     f = []
     for j in range(k):
         total = 0.0
         for s, d in zip(states, states.data):
             if s.assignment == j:
-                total += forward_loss(unflatten_params(states.shape, s.models[j]), d)
+                total += _per_client_loss(states.shape, s.models[j], d)
         f.append(total)
     hits = [
         predict(unflatten_params(states.shape, s.models[s.assignment]), t.features) == t.labels

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfca.core import Hyperparams
 from dfca.datagen import Dataset
 from dfca.model import (
     MlpModel,
@@ -19,7 +20,7 @@ from dfca.model import (
     sgd_epochs,
     unflatten_params,
 )
-from dfca.verify import fd_gradient, random_dataset
+from dfca.verify import _per_client_loss, _per_client_sgd, fd_gradient, random_dataset
 
 
 def dataset(features, labels, dist=0):
@@ -108,6 +109,63 @@ class TestForwardLoss:
             forward_loss(m, dataset([[1.0, 2.0]], [5]))
 
 
+def reference_bytes(shape, values, d):
+    return np.float64(_per_client_loss(shape, values, d)).tobytes()
+
+
+class TestClassAxis:
+    """The column-wise softmax reductions against numpy's per-row ones, on
+    both sides of the 8-class boundary where numpy's sum turns pairwise."""
+
+    @pytest.mark.parametrize("n_classes", range(2, 13))
+    @pytest.mark.parametrize("hidden", [0, 3])
+    def test_stacked_losses_equal_the_numpy_reference(self, n_classes, hidden):
+        shape = ModelShape(dim=4, hidden=hidden, n_classes=n_classes)
+        rng = np.random.default_rng(100 * n_classes + hidden)
+        block = rng.standard_normal((5, 3, shape.param_count))
+        data = [random_dataset(rng, 19, 4, n_classes) for _ in range(5)]
+        rows = forward_loss(MlpModel(shape, block[:, 0].copy()), data)
+        blocks = forward_loss(MlpModel(shape, block), data)
+        for r, d in enumerate(data):
+            assert rows[r].tobytes() == reference_bytes(shape, block[r, 0], d)
+            for j in range(3):
+                assert blocks[r, j].tobytes() == reference_bytes(shape, block[r, j], d)
+
+    @pytest.mark.parametrize("n_classes", range(2, 13))
+    @pytest.mark.parametrize("hidden", [0, 3])
+    def test_stacked_sgd_step_equals_the_numpy_reference(self, n_classes, hidden):
+        shape = ModelShape(dim=4, hidden=hidden, n_classes=n_classes)
+        rng = np.random.default_rng(200 * n_classes + hidden)
+        block = rng.standard_normal((4, shape.param_count))
+        data = [random_dataset(rng, 11, 4, n_classes) for _ in range(4)]
+        keys = rng.random((4, 1, 11))
+        got = sgd_epochs(MlpModel(shape, block), data, 0.3, 1, 11, keys).values
+        for r, d in enumerate(data):
+            assert got[r].tobytes() == _per_client_sgd(shape, block[r], d, 0.3, 1, 11, keys[r]).tobytes()
+
+    @pytest.mark.parametrize("n_classes", [4, 10])
+    def test_tied_maximum_logits(self, n_classes):
+        shape = ModelShape(dim=2, hidden=0, n_classes=n_classes)
+        values = np.zeros(shape.param_count)
+        m = MlpModel(shape, values)
+        d = dataset(np.random.default_rng(0).standard_normal((9, 2)), np.arange(9) % n_classes)
+        m.b2[1:4] = 2.5  # three classes share the largest logit
+        assert np.float64(forward_loss(m, d)).tobytes() == reference_bytes(shape, values, d)
+        m.b2[:] = 0.0  # every logit ties
+        assert np.float64(forward_loss(m, d)).tobytes() == reference_bytes(shape, values, d)
+
+    @pytest.mark.parametrize("n_classes", [4, 10])
+    def test_overflowing_logits_give_nan_on_both_sides(self, n_classes):
+        shape = ModelShape(dim=2, hidden=0, n_classes=n_classes)
+        values = np.full(shape.param_count, 1e308)
+        d = dataset([[3.0, 4.0], [-2.0, 1.0]], [0, 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _per_client_loss(shape, values, d)
+        got = forward_loss(MlpModel(shape, values), d)
+        stacked = forward_loss(MlpModel(shape, np.stack([values, values])), [d, d])
+        assert np.isnan(want) and np.isnan(got) and np.isnan(stacked).all()
+
+
 class TestGradient:
     def test_zero_model_symmetric_batch_has_zero_bias_gradient(self):
         # two classes, features mirrored about the origin, balanced labels
@@ -147,6 +205,13 @@ class TestSgd:
         data = random_dataset(np.random.default_rng(0), 4, 2, 2)
         with pytest.raises(ValueError):
             sgd_epochs(m, data, gamma=0.1, tau=0, batch_size=2, keys=keys_for(data, 0, 0))
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -0.1])
+    def test_gamma_not_positive_and_finite_rejected(self, gamma):
+        m = init_model(ModelShape(dim=2, hidden=0, n_classes=2), seed=0)
+        data = random_dataset(np.random.default_rng(0), 4, 2, 2)
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            sgd_epochs(m, data, gamma=gamma, tau=1, batch_size=2, keys=keys_for(data, 1, 0))
 
     def test_divergence_raises(self):
         m = init_model(ModelShape(dim=3, hidden=2, n_classes=2), seed=0)
@@ -251,6 +316,18 @@ class TestSgd:
             if forward_loss(trained, data) > before:
                 worse += 1
         assert worse == 0
+
+
+class TestHyperparams:
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -0.1])
+    def test_gamma_not_finite_or_negative_rejected_when_built(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+            Hyperparams(gamma=gamma, tau=1, batch_size=8)
+
+    @pytest.mark.parametrize("tau, batch_size, field", [(0, 0, "tau"), (1, 0, "batch_size")])
+    def test_tau_and_batch_size_below_one_rejected_when_built(self, tau, batch_size, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+            Hyperparams(0.0, tau, batch_size)
 
 
 class TestFlatParams:

@@ -18,20 +18,20 @@ def test_one_round_matrix_equals_itself_and_a_changed_entry_differs(tmp_path):
     ran = matrix(out, "--set", "T=1", "--set", "n_seeds=1")
     assert ran.returncode == 0, ran.stderr
     names = sorted(p.name for p in out.iterdir())
-    assert len(names) == 15
+    assert len(names) == 16
     for name in names:
         assert len((out / name / "desk" / "seed_0" / "trace.csv").read_text().splitlines()) == 2
     same = matrix("--diff", out, out)
     assert same.returncode == 0, same.stdout + same.stderr
-    assert "0 of 15 entries differ" in same.stdout
+    assert "0 of 16 entries differ" in same.stdout
 
     copy = tmp_path / "b"
     shutil.copytree(out, copy)
     summary = copy / "crowd" / "desk" / "summary.json"
     summary.write_text(summary.read_text().replace('"seeds": [\n    0', '"seeds": [\n    1', 1))
     differ = matrix("--diff", out, copy)
-    assert differ.returncode == 1 and "1 of 15 entries differ: crowd" in differ.stdout
+    assert differ.returncode == 1 and "1 of 16 entries differ: crowd" in differ.stdout
     trace = copy / "gossip" / "desk" / "seed_0" / "trace.csv"
     trace.write_text(trace.read_text().replace("\n0,", "\n7,", 1))
     differ = matrix("--diff", out, copy)
-    assert differ.returncode == 1 and "2 of 15 entries differ: gossip, crowd" in differ.stdout
+    assert differ.returncode == 1 and "2 of 16 entries differ: gossip, crowd" in differ.stdout

@@ -65,6 +65,7 @@ def entries() -> dict[str, tuple[str, ...]]:
         "batch7": ("batch_size=7",),
         "partial": ("participation_fraction=0.3", "data.test_fraction=0.5"),
         "sparse": ("topology.p=0.08",),  # disconnected at seed 0, connected at seed 1
+        "classes10": ("data.n_classes=10",),  # 8 or more classes: numpy's pairwise class sums
     }
 
 
