@@ -63,8 +63,7 @@ for m in trace:
 tau = stabilization_round(trace)
 print(f"\nassignments stabilized after round {tau}")
 print("final assignment vs generating cluster per client:")
-for s, d in zip(states, states.data):
-    marker = "" if s.assignment == d.distribution_id else "   <- relabeled"
-    print(f"  client {s.client_id:2d}: assigned {s.assignment}, data from "
-          f"{d.distribution_id}{marker}")
+for i, (assigned, d) in enumerate(zip(states.assignment.tolist(), states.data)):
+    marker = "" if assigned == d.distribution_id else "   <- relabeled"
+    print(f"  client {i:2d}: assigned {assigned}, data from {d.distribution_id}{marker}")
 print("(a global swap of cluster labels is fine; only the partition matters)")

@@ -41,8 +41,8 @@ states = initialize(k=3, mode="li", model_shape=SHAPE, seed=1, datasets=datasets
 for i in range(len(states)):
     states.assignment[i] = rng.integers(0, 3)  # scramble
 before = f_global(states)
-for s in states:
-    assign_cluster(s)
+for i in range(len(states)):
+    assign_cluster(states[i])
 print(f"global loss before re-assignment: {before:.4f}")
 print(f"global loss after  re-assignment: {f_global(states):.4f} (never higher)\n")
 
@@ -55,12 +55,12 @@ states = initialize(k=1, mode="li", model_shape=SHAPE, seed=2, datasets=datasets
 hp = Hyperparams(gamma=0.0, tau=1, batch_size=8)
 print(f"lambda = {lam:.3f}, so dispersion must shrink {lam**2:.3f}x per round")
 for r in range(6):
-    avg_before = cluster_average(states, 0)
+    avg_before = cluster_average(states)[0]
     plan = RoundPlan(participants=tuple(range(16)), aggregation_mode="batch", round_seed=r,
                      metropolis=True)
     run_round(states, t, plan, hp)
-    drift = np.abs(cluster_average(states, 0) - avg_before).max()
-    print(f"round {r}: dispersion {dispersion(states, 0):9.5f}, average moved {drift:.1e}")
+    drift = np.abs(cluster_average(states)[0] - avg_before).max()
+    print(f"round {r}: dispersion {dispersion(states)[0]:9.5f}, average moved {drift:.1e}")
 
 print("\n=== 3. Sequential merging equals the batch mean in any order ===")
 t = generate_erdos_renyi(5, 0.9, seed=5)

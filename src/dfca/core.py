@@ -149,7 +149,8 @@ _PLAN_MODES = ("batch", "sequential", "server")  # server is set for algorithm =
 @dataclass(frozen=True)
 class RoundPlan:
     """Everything that varies per round: who participates, who receives, and
-    the merge rule.  A plan is checked when built and cannot be changed.
+    the merge rule.  A plan is checked when built and cannot be changed:
+    ``participants`` is stored as a tuple of ints, whatever sequence it came in.
 
     ``aggregation_mode`` is ``batch``, ``sequential`` or ``server`` (IFCA).
     ``metropolis`` weighs a gossip merge's senders by the graph's Metropolis
@@ -169,6 +170,7 @@ class RoundPlan:
     metropolis: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "participants", tuple(map(operator.index, self.participants)))
         if self.aggregation_mode not in _PLAN_MODES:
             raise ValueError(
                 f"unknown aggregation mode {self.aggregation_mode!r}; expected one of {_PLAN_MODES}"
@@ -464,21 +466,23 @@ def run_round(
     one stream per round, ``spawn_rng(round_seed, "sgd")``; a model that
     diverges there names the round, client and cluster.  Non-participants
     neither train nor send but (unless the plan restricts receiving) still
-    merge incoming models.  The ``server`` merge ignores ``t`` and expects
-    every client to start the round with the same models.  A cluster loss
-    that is not finite after the merge raises :class:`DivergenceError`
-    naming the round and cluster.  The metrics read the clients' test splits
-    and true clusters from ``states``.  Participants must be distinct
-    clients of the run.
+    merge incoming models.  ``t`` is None exactly for the ``server`` merge,
+    which expects every client to start the round with the same models.  A
+    cluster loss that is not finite after the merge raises
+    :class:`DivergenceError` naming the round and cluster.  The metrics read
+    the clients' test splits and true clusters from ``states``.
+    Participants must be distinct clients of the run.
     """
+    if (t is None) != (plan.aggregation_mode == "server"):
+        need = "takes no topology" if t is not None else "needs a topology"
+        raise ValueError(f"a {plan.aggregation_mode} round {need}")
     _check_participants(plan.participants, len(states))
     previous = states.assignment.copy()
     states.sent[:] = -1
     _assign_clusters(states, plan.participants)
     changed = int(np.count_nonzero(states.assignment != previous))
     local_update(states, plan, hp)
-    k = states.models.shape[1]
-    pre_avg = [cluster_average(states, j) for j in range(k)]
+    pre_avg = cluster_average(states)
 
     if plan.aggregation_mode == "server":
         _server_mean(states)
@@ -487,18 +491,18 @@ def run_round(
     else:
         aggregate_batch(states, t, plan)
 
-    per_cluster = tuple(f_cluster(states, j) for j in range(k))
+    per_cluster = f_cluster(states)
     for j, loss in enumerate(per_cluster):
         if not np.isfinite(loss):
             raise DivergenceError(
                 "loss went non-finite although local SGD left finite parameters",
                 round=plan.round_index, cluster=j,
             )
-    drift = tuple(float(np.linalg.norm(cluster_average(states, j) - pre_avg[j])) for j in range(k))
+    drift = tuple(float(np.linalg.norm(post - pre)) for post, pre in zip(cluster_average(states), pre_avg))
     return states, RoundMetrics(
         round=plan.round_index,
         f_cluster=per_cluster,
-        disp=tuple(dispersion(states, j) for j in range(k)),
+        disp=dispersion(states),
         clustering_accuracy=clustering_accuracy(states),
         test_accuracy=test_accuracy(states),
         avg_drift=drift,

@@ -2,12 +2,13 @@
 
 All functions are read-only over a run's client states and take nothing
 else: they read its ``(N, k, P)`` model array, its assignments and its
-clients' train and test splits directly.  Losses and predictions are
-evaluated for many clients per forward pass: clients whose datasets have
-equal length are stacked, in chunks of about ``_CHUNK_ROWS`` sample rows,
-and their models are gathered from the array into one block read through
-per-layer views.  Each client's value is bitwise the one a forward pass
-over that client alone gives.
+clients' train and test splits directly.  The per-cluster ones answer for
+all k clusters at once.  Losses and predictions are evaluated for many
+clients per forward pass: clients whose datasets have equal length are
+stacked, in chunks of about ``_CHUNK_ROWS`` sample rows, and their models
+are gathered from the array into one block read through per-layer views.
+Each client's value is bitwise the one a forward pass over that client
+alone gives.
 """
 
 from __future__ import annotations
@@ -74,18 +75,13 @@ class RoundMetrics:
 
 
 def _per_client(
-    states: "RunState",
-    rows: np.ndarray,
-    cols: np.ndarray,
-    datasets: Sequence[Dataset],
-    score: Callable[..., np.ndarray],
+    states: "RunState", datasets: Sequence[Dataset], score: Callable[..., np.ndarray]
 ) -> np.ndarray:
-    """``score(m, x, y)`` of model ``cols[p]`` of client ``rows[p]`` on
-    ``datasets[p]`` for every position ``p``, one stacked forward pass per
-    chunk."""
-    out = np.empty(len(rows))
+    """``score(m, x, y)`` of every client's assigned model on its entry of
+    ``datasets``, one stacked forward pass per chunk."""
+    out = np.empty(len(datasets))
     for chunk in _chunks([len(d) for d in datasets]):
-        m = MlpModel(states.shape, states.models[rows[chunk], cols[chunk]])
+        m = MlpModel(states.shape, states.models[chunk, states.assignment[chunk]])
         x, y = _stack_data([datasets[p] for p in chunk])
         out[chunk] = score(m, x, y)
     return out
@@ -96,22 +92,16 @@ def _losses(m: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _mean_ce(m, x, y)
 
 
-def _check_cluster(states: "RunState", j: int) -> None:
-    if not 0 <= j < states.models.shape[1]:
-        raise ValueError(f"cluster {j} is not a cluster of this {states.models.shape[1]}-cluster run")
-
-
-def f_cluster(states: "RunState", j: int) -> float:
-    """Sum of assigned-client losses for cluster ``j`` (0 if empty)."""
-    _check_cluster(states, j)
-    rows = np.flatnonzero(states.assignment == j)
-    datasets = [states.data[i] for i in rows]
-    return _add(_per_client(states, rows, np.full(len(rows), j), datasets, _losses).tolist())
+def f_cluster(states: "RunState") -> tuple[float, ...]:
+    """Per cluster, the sum of its assigned clients' losses, added in client
+    order (0 if it has none)."""
+    losses = _per_client(states, states.data, _losses)
+    return tuple(_add(losses[states.assignment == j].tolist()) for j in range(states.models.shape[1]))
 
 
 def f_global(states: "RunState") -> float:
     """Sum of every client's loss on its assigned model, added as a trace row adds it."""
-    return _add(f_cluster(states, j) for j in range(states.models.shape[1]))
+    return _add(f_cluster(states))
 
 
 def _average(copies: np.ndarray, dev: np.ndarray) -> np.ndarray:
@@ -122,24 +112,26 @@ def _average(copies: np.ndarray, dev: np.ndarray) -> np.ndarray:
     return base + dev.mean(axis=0)
 
 
-def cluster_average(states: "RunState", j: int) -> np.ndarray:
-    """Network average of all clients' copies of model ``j``.
+def cluster_average(states: "RunState") -> np.ndarray:
+    """``(k, P)``: row ``j`` is the network average of all clients' copies
+    of model ``j``.
 
     Computed as base + mean(deviations) so that identical copies average to
     themselves exactly.
     """
-    _check_cluster(states, j)
-    copies = states.models[:, j]
-    return _average(copies, np.empty_like(copies))
+    dev = np.empty_like(states.models[:, 0])
+    return np.array([_average(states.models[:, j], dev) for j in range(states.models.shape[1])])
 
 
-def dispersion(states: "RunState", j: int) -> float:
-    """Mean squared distance of all N copies of model ``j`` from their average."""
-    _check_cluster(states, j)
-    copies = states.models[:, j]
-    dev = np.empty_like(copies)
-    np.subtract(copies, _average(copies, dev), out=dev)
-    return float(np.mean(np.sum(np.square(dev, out=dev), axis=1)))
+def dispersion(states: "RunState") -> tuple[float, ...]:
+    """Per cluster, the mean squared distance of all N copies of its model
+    from their average."""
+    dev, disp = np.empty_like(states.models[:, 0]), []
+    for j in range(states.models.shape[1]):
+        copies = states.models[:, j]
+        np.subtract(copies, _average(copies, dev), out=dev)
+        disp.append(float(np.mean(np.sum(np.square(dev, out=dev), axis=1))))
+    return tuple(disp)
 
 
 def clustering_accuracy(states: "RunState") -> float:
@@ -171,7 +163,7 @@ def _hits(m: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _client_hits(states: "RunState") -> tuple[np.ndarray, np.ndarray]:
     """Per client, how many of its test samples its assigned model predicts
     right, and how many test samples it has."""
-    hits = _per_client(states, np.arange(len(states)), states.assignment, states.test_sets, _hits)
+    hits = _per_client(states, states.test_sets, _hits)
     return hits, np.array([len(t) for t in states.test_sets], dtype=float)
 
 

@@ -201,8 +201,8 @@ def check_assignment_descent() -> tuple[bool, str]:
         k = int(rng.integers(2, 5))
         states = random_states(rng, int(rng.integers(2, 9)), k, shape)
         before = f_global(states)
-        for s in states:
-            assign_cluster(s)
+        for i in range(len(states)):
+            assign_cluster(states[i])
         worst = max(worst, f_global(states) - before)
     return worst <= 1e-12, (
         f"max post-assignment global-loss change {worst:.2e} over {trials} random states"
@@ -216,10 +216,9 @@ def check_local_update_isolation() -> tuple[bool, str]:
     frozen = states.models.copy()
     plan = RoundPlan((0, 1, 2), round_seed=13)
     local_update(states, plan, Hyperparams(gamma=0.05, tau=2, batch_size=4))
-    for s, models in zip(states, frozen):
-        for j, v in enumerate(models):
-            if j != s.assignment and not np.array_equal(v, s.models[j]):
-                return False, f"client {s.client_id}: non-assigned model {j} changed"
+    for i, j in itertools.product(range(len(states)), range(states.models.shape[1])):
+        if j != states.assignment[i] and not np.array_equal(frozen[i, j], states.models[i, j]):
+            return False, f"client {i}: non-assigned model {j} changed"
     return True, "non-assigned models are bitwise untouched by training"
 
 
@@ -415,17 +414,17 @@ def check_gossip_consensus() -> tuple[bool, str]:
                             test_sets=tests)
         hp = Hyperparams(gamma=0.0, tau=1, batch_size=8)
         for r in range(rounds):
-            avg_before = cluster_average(states, 0)
-            disp_before = dispersion(states, 0)
+            avg_before = cluster_average(states)
+            disp_before = dispersion(states)[0]
             plan = RoundPlan(
                 participants=tuple(range(n)), aggregation_mode="batch", round_seed=r, round_index=r,
                 metropolis=True,
             )
             run_round(states, t, plan, hp)
             worst_avg = max(
-                worst_avg, float(np.abs(cluster_average(states, 0) - avg_before).max())
+                worst_avg, float(np.abs(cluster_average(states) - avg_before).max())
             )
-            worst_slack = max(worst_slack, dispersion(states, 0) - lam**2 * disp_before)
+            worst_slack = max(worst_slack, dispersion(states)[0] - lam**2 * disp_before)
     ok = worst_avg <= 1e-9 and worst_slack <= 1e-9
     return ok, (
         f"10 connected graphs x {rounds} rounds: average drift {worst_avg:.2e}, "
@@ -439,7 +438,7 @@ def check_gi_zero_dispersion() -> tuple[bool, str]:
     datasets = [random_dataset(rng, 20, 16, 4) for _ in range(20)]
     states = initialize(k=4, mode="gi", model_shape=shape, seed=0, datasets=datasets,
                         test_sets=datasets)
-    disps = [dispersion(states, j) for j in range(4)]
+    disps = list(dispersion(states))
     return all(d == 0.0 for d in disps), f"initial dispersions {disps} (exact zeros)"
 
 
@@ -459,25 +458,25 @@ def _per_client_metrics(states: RunState) -> tuple:
     client (:func:`_per_client_loss`, not the kernel under test), losses
     added in client order, and the cluster averages and dispersions computed
     with fresh temporaries."""
-    k = len(states[0].models)
+    k = states.models.shape[1]
     f = []
     for j in range(k):
         total = 0.0
-        for s, d in zip(states, states.data):
-            if s.assignment == j:
-                total += _per_client_loss(states.shape, s.models[j], d)
+        for values, a, d in zip(states.models, states.assignment, states.data):
+            if a == j:
+                total += _per_client_loss(states.shape, values[j], d)
         f.append(total)
     hits = [
-        predict(unflatten_params(states.shape, s.models[s.assignment]), t.features) == t.labels
-        for s, t in zip(states, states.test_sets)
+        predict(unflatten_params(states.shape, values[a]), t.features) == t.labels
+        for values, a, t in zip(states.models, states.assignment, states.test_sets)
     ]
     acc = sum(int(np.sum(h)) for h in hits) / sum(len(h) for h in hits)
     mean_acc = float(np.mean([float(np.mean(h)) for h in hits]))
     avg, disp = [], []
     for j in range(k):
-        stacked = np.stack([s.models[j] for s in states])
-        avg.append(stacked[0] + (stacked - stacked[0]).mean(axis=0))
-        disp.append(float(np.mean(np.sum((stacked - avg[j]) ** 2, axis=1))))
+        copies = states.models[:, j]
+        avg.append(copies[0] + (copies - copies[0]).mean(axis=0))
+        disp.append(float(np.mean(np.sum((copies - avg[j]) ** 2, axis=1))))
     return f, acc, mean_acc, avg, disp
 
 
@@ -506,11 +505,11 @@ def check_batched_metrics() -> tuple[bool, str]:
         tests = [random_dataset(rng, n, shape.dim, shape.n_classes) for n in rng.permutation(lengths)]
         states = RunState(shape, drawn.models, drawn.assignment, data, tests)
         batched = (
-            [f_cluster(states, j) for j in range(k)],
+            f_cluster(states),
             test_accuracy(states),
             client_mean_test_accuracy(states),
-            [cluster_average(states, j) for j in range(k)],
-            [dispersion(states, j) for j in range(k)],
+            cluster_average(states),
+            dispersion(states),
         )
         instances += 1
         for name, got, want in zip(names, batched, _per_client_metrics(states)):
@@ -582,17 +581,17 @@ def check_stacked_sgd() -> tuple[bool, str]:
             plan = RoundPlan(tuple(range(len(lengths))), round_seed=seed)
             local_update(states, plan, Hyperparams(gamma, tau, batch_size))
             keys = spawn_rng(seed, "sgd").random((len(lengths), tau, max(lengths)))
-            for s, v, d, row in zip(states, block, data, keys):
+            for i, (v, d, row) in enumerate(zip(block, data, keys)):
                 table = row[:, : len(d)]
                 want = _per_client_sgd(shape, v, d, gamma, tau, batch_size, table).tobytes()
-                got = [s.models[0]]
+                got = [states.models[i, 0]]
                 if len(lengths) == 1:
                     alone = sgd_epochs(unflatten_params(shape, v), d, gamma, tau, batch_size, table)
                     got.append(alone.values)
                 clients += 1
                 if any(g.tobytes() != want for g in got):
                     bad.append(f"hidden={hidden}, {len(lengths)} clients, batch {batch_size}, "
-                               f"client {s.client_id}")
+                               f"client {i}")
     if bad:
         return False, f"{len(bad)} of {clients} clients differ, first: {bad[0]}"
     return True, f"{clients} clients trained in stacked groups, bitwise equal to per-client SGD"

@@ -38,8 +38,8 @@ def server_round(states, hp, round_seed):
     trained = states.copy()
     longest = max(len(d) for d in trained.data)
     keys = spawn_rng(round_seed, "sgd").random((len(trained), hp.tau, longest))
-    for i, c in enumerate(trained):
-        j = assign_cluster(c)
+    for i in range(len(trained)):
+        j = assign_cluster(trained[i])
         m = unflatten_params(SHAPE, trained.models[i, j])
         d = trained.data[i]
         trained.models[i, j] = sgd_epochs(m, d, hp.gamma, hp.tau, hp.batch_size, keys[i, :, : len(d)]).values
@@ -56,32 +56,31 @@ class TestIfcaRound:
         states, _ = ifca_clients(rng, 3, (1.0, 1.0, 1.0))
         trained, _ = server_round(states, HP, round_seed=1)
         members = {}
-        for c in trained:
-            members.setdefault(c.assignment, []).append(c)
+        for i, j in enumerate(trained.assignment.tolist()):
+            members.setdefault(j, []).append(i)
         lone = {j: m[0] for j, m in members.items() if len(m) == 1}
         assert lone  # the instance must exercise the property
         for j, c in lone.items():
-            for s in states:
-                np.testing.assert_array_equal(s.models[j], c.models[j])
+            for i in range(len(states)):
+                np.testing.assert_array_equal(states.models[i, j], trained.models[c, j])
 
     def test_unselected_cluster_model_unchanged(self):
         rng = np.random.default_rng(1)
         states, globals_ = ifca_clients(rng, 3, (1.0, 100.0))
         trained, _ = server_round(states, HP, round_seed=2)
-        assert {c.assignment for c in trained} == {0}
-        for s in states:
-            np.testing.assert_array_equal(s.models[1], globals_[1])
+        assert set(trained.assignment.tolist()) == {0}
+        for i in range(len(states)):
+            np.testing.assert_array_equal(states.models[i, 1], globals_[1])
 
     def test_round_ends_with_clients_holding_globals(self):
         rng = np.random.default_rng(2)
         states, _ = ifca_clients(rng, 5, (1.0, 1.0))
         trained, measured = server_round(states, HP, round_seed=3)
-        for j in {c.assignment for c in trained}:
-            mean = np.mean([c.models[j] for c in trained if c.assignment == j], axis=0)
-            np.testing.assert_array_equal(states[0].models[j], mean)
-        for s in states:
-            for j in range(2):
-                np.testing.assert_array_equal(s.models[j], states[0].models[j])
+        for j in set(trained.assignment.tolist()):
+            mean = np.mean(trained.models[trained.assignment == j, j], axis=0)
+            np.testing.assert_array_equal(states.models[0, j], mean)
+        for i in range(len(states)):
+            np.testing.assert_array_equal(states.models[i], states.models[0])
         assert states.models.shape == (len(states), 2, SHAPE.param_count)  # own copies
         assert all(d == 0.0 for d in measured.disp)  # broadcast copies agree exactly
 
@@ -92,16 +91,16 @@ class TestEquivalenceWithGossipOnCompleteGraph:
         n = 4
         # decentralized side: everyone already trained, complete graph, one cluster
         states = random_states(rng, n, 1, SHAPE)
-        trained = [s.models[0].copy() for s in states]
+        trained = states.models[:, 0].copy()
         states.sent[:] = states.assignment  # everyone sends its trained model
         aggregate_batch(states, Topology(~np.eye(n, dtype=bool)), RoundPlan(tuple(range(n))))
-        gossip_mean = cluster_average(states, 0)
+        gossip_mean = cluster_average(states)[0]
 
         # centralized side: server averages the same returned models
-        server_mean = np.mean(np.stack(trained), axis=0)
+        server_mean = np.mean(trained, axis=0)
         np.testing.assert_allclose(gossip_mean, server_mean, atol=1e-12)
-        for s in states:  # complete-graph gossip also equalizes every copy
-            np.testing.assert_allclose(s.models[0], server_mean, atol=1e-12)
+        for i in range(n):  # complete-graph gossip also equalizes every copy
+            np.testing.assert_allclose(states.models[i, 0], server_mean, atol=1e-12)
 
 
 class TestDecentralizedAveraging:

@@ -83,9 +83,8 @@ class TestInitialize:
         datasets = [random_dataset(rng) for _ in range(5)]
         states = initialize(k=3, mode="gi", model_shape=SHAPE, seed=7, datasets=datasets,
                             test_sets=datasets)
-        for j in range(3):
-            for s in states:
-                assert np.array_equal(s.models[j], states[0].models[j])
+        for i in range(len(states)):
+            assert np.array_equal(states.models[i], states.models[0])
 
     def test_li_gives_distinct_models(self):
         rng = np.random.default_rng(2)
@@ -93,16 +92,16 @@ class TestInitialize:
         states = initialize(k=2, mode="li", model_shape=SHAPE, seed=3, datasets=datasets,
                             test_sets=datasets)
         for j in range(2):
-            assert not np.array_equal(states[0].models[j], states[1].models[j])
+            assert not np.array_equal(states.models[0, j], states.models[1, j])
 
     def test_initial_assignment_is_argmin_not_arbitrary(self):
         rng = np.random.default_rng(3)
         datasets = [random_dataset(rng) for _ in range(4)]
         states = initialize(k=3, mode="li", model_shape=SHAPE, seed=5, datasets=datasets,
                             test_sets=datasets)
-        for s, d in zip(states, datasets):
-            losses = [forward_loss(unflatten_params(SHAPE, v), d) for v in s.models]
-            assert s.assignment == int(np.argmin(losses))
+        for values, a, d in zip(states.models, states.assignment, datasets):
+            losses = [forward_loss(unflatten_params(SHAPE, v), d) for v in values]
+            assert a == int(np.argmin(losses))
 
     def test_clients_are_views_of_one_array_that_every_step_writes(self):
         rng = np.random.default_rng(23)
@@ -123,7 +122,7 @@ class TestInitialize:
         for r, mode in enumerate(("server", "batch", "sequential")):
             before = array.copy()
             plan = RoundPlan(participants=(0, 2, 4), aggregation_mode=mode, round_seed=r, metropolis=True)
-            run_round(states, t, plan, hp)
+            run_round(states, None if mode == "server" else t, plan, hp)
             assert states.models is array and not np.array_equal(array, before)
             assert all(np.shares_memory(s.models, array) for s in states)
 
@@ -148,19 +147,17 @@ class TestAssignCluster:
     def test_picks_strict_argmin(self):
         rng = np.random.default_rng(4)
         states = make_states(rng, 1, 2)
-        s = states[0]
-        losses = [forward_loss(unflatten_params(SHAPE, v), states.data[0]) for v in s.models]
+        losses = [forward_loss(unflatten_params(SHAPE, v), states.data[0]) for v in states.models[0]]
         expected = int(np.argmin(losses))
-        assert assign_cluster(s) == expected
-        assert s.assignment == expected
+        assert assign_cluster(states[0]) == expected
+        assert states.assignment[0] == expected
 
     def test_tie_breaks_toward_lowest_index(self):
         rng = np.random.default_rng(5)
         states = make_states(rng, 1, 3)
-        s = states[0]
-        s.models[2] = s.models[0].copy()  # exact tie between clusters 0 and 2
-        chosen = assign_cluster(s)
-        losses = [forward_loss(unflatten_params(SHAPE, v), states.data[0]) for v in s.models]
+        states.models[0, 2] = states.models[0, 0]  # exact tie between clusters 0 and 2
+        chosen = assign_cluster(states[0])
+        losses = [forward_loss(unflatten_params(SHAPE, v), states.data[0]) for v in states.models[0]]
         assert losses[0] == losses[2]
         assert chosen != 2  # the later twin never wins a tie
         if losses[0] <= losses[1]:
@@ -168,9 +165,9 @@ class TestAssignCluster:
 
     def test_non_finite_loss_excluded(self):
         rng = np.random.default_rng(6)
-        s = make_states(rng, 1, 2)[0]
-        s.models[0] = np.full(SHAPE.param_count, 1e300)  # overflows to non-finite loss
-        assert assign_cluster(s) == 1
+        states = make_states(rng, 1, 2)
+        states.models[0, 0] = 1e300  # overflows to non-finite loss
+        assert assign_cluster(states[0]) == 1
 
     def test_all_non_finite_keeps_previous(self, caplog):
         rng = np.random.default_rng(7)
@@ -200,8 +197,8 @@ class TestAssignCluster:
         states.models[7] = np.nan
         states.assignment[7] = 2
         looped = states.copy()
-        for s in looped:
-            assign_cluster(s)
+        for i in range(len(looped)):
+            assign_cluster(looped[i])
         caplog.clear()
         with caplog.at_level("WARNING"):
             core._assign_clusters(states, range(len(states)))
@@ -224,12 +221,10 @@ class TestLocalUpdate:
         rng = np.random.default_rng(9)
         states = make_states(rng, 1, 2)
         states.assignment[0] = 0
-        s = states[0]
-        frozen = s.models[1].copy()
-        train(s.run, [0], gamma=0.1, tau=1, batch_size=4)
-        assert np.array_equal(s.models[1], frozen)
-        assert s.outbox[0] == 0
-        assert np.shares_memory(s.outbox[1], s.models[0])
+        frozen = states.models[0, 1].copy()
+        train(states, [0], gamma=0.1, tau=1, batch_size=4)
+        assert np.array_equal(states.models[0, 1], frozen)
+        assert states.sent[0] == 0
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -273,21 +268,22 @@ class TestLocalUpdate:
 
     def test_gamma_zero_leaves_parameters_unchanged(self):
         rng = np.random.default_rng(10)
-        s = make_states(rng, 1, 2)[0]
-        frozen = s.models[s.assignment].copy()
-        train(s.run, [0], gamma=0.0, tau=1, batch_size=4)
-        assert np.array_equal(s.models[s.assignment], frozen)
-        assert s.outbox is not None
+        states = make_states(rng, 1, 2)
+        j = states.assignment[0]
+        frozen = states.models[0, j].copy()
+        train(states, [0], gamma=0.0, tau=1, batch_size=4)
+        assert np.array_equal(states.models[0, j], frozen)
+        assert states.sent[0] == j
 
     def test_training_reduces_loss_in_most_seeds(self):
         rng = np.random.default_rng(11)
         improved = 0
         for seed in range(20):
             states = make_states(rng, 1, 2)
-            s, d = states[0], states.data[0]
-            before = forward_loss(unflatten_params(SHAPE, s.models[s.assignment]), d)
+            j, d = states.assignment[0], states.data[0]
+            before = forward_loss(unflatten_params(SHAPE, states.models[0, j]), d)
             train(states, [0], gamma=0.1, tau=2, batch_size=5, seed=seed)
-            after = forward_loss(unflatten_params(SHAPE, s.models[s.assignment]), d)
+            after = forward_loss(unflatten_params(SHAPE, states.models[0, j]), d)
             improved += after <= before
         assert improved >= 18  # descent in expectation, tiny batches may jitter
 
@@ -299,7 +295,7 @@ class TestLocalUpdate:
             warnings.simplefilter("error")  # no RuntimeWarning leaks from the trainer
             with pytest.raises(DivergenceError, match="round 7, client 2") as raised:
                 local_update(states, plan, hp)
-        assert raised.value.where == {"round": 7, "client": 2, "cluster": states[2].assignment}
+        assert raised.value.where == {"round": 7, "client": 2, "cluster": states.assignment[2]}
 
 
 class TestAggregateBatch:
@@ -307,33 +303,32 @@ class TestAggregateBatch:
         states = scalar_states([[1.0], [2.0]], assignments=[0, 0])
         t = graph_from_edges(2, [])  # no edges at all
         stage_outboxes(states)
-        before = [s.models[0].copy() for s in states]
+        before = states.models[:, 0].copy()
         aggregate_batch(states, t, RoundPlan((0, 1)))
-        for s, b in zip(states, before):
-            assert np.array_equal(s.models[0], b)
+        assert np.array_equal(states.models[:, 0], before)
 
     def test_complete_graph_single_cluster_uniform_mean(self):
         states = scalar_states([[0.0], [3.0], [6.0]])
         stage_outboxes(states)
         aggregate_batch(states, complete(3), RoundPlan((0, 1, 2)))
-        assert [s.models[0][0] for s in states] == [3.0, 3.0, 3.0]
+        assert states.models[:, 0, 0].tolist() == [3.0, 3.0, 3.0]
 
     def test_path_graph_neighbor_means(self):
         states = scalar_states([[0.0], [3.0], [6.0]])
         stage_outboxes(states)
         aggregate_batch(states, graph_from_edges(3, [(0, 1), (1, 2)]), RoundPlan((0, 1, 2)))
-        assert [s.models[0][0] for s in states] == [1.5, 3.0, 4.5]
+        assert states.models[:, 0, 0].tolist() == [1.5, 3.0, 4.5]
 
     def test_cluster_split_restricts_senders(self):
         states = scalar_states([[0.0, 10.0], [4.0, 20.0], [8.0, 30.0]], assignments=[0, 1, 0])
         stage_outboxes(states)
         aggregate_batch(states, complete(3), RoundPlan((0, 1, 2)))
         # client 0: cluster-0 senders {2}: (0+8)/2; cluster-1 senders {1}: (10+20)/2
-        assert states[0].models[0][0] == 4.0
-        assert states[0].models[1][0] == 15.0
+        assert states.models[0, 0, 0] == 4.0
+        assert states.models[0, 1, 0] == 15.0
         # client 1: cluster-0 senders {0, 2}: (4+0+8)/3; cluster 1: no senders
-        assert states[1].models[0][0] == 4.0
-        assert states[1].models[1][0] == 20.0
+        assert states.models[1, 0, 0] == 4.0
+        assert states.models[1, 1, 0] == 20.0
 
     def test_averaging_identical_vectors_is_bitwise_identity(self):
         value = np.random.default_rng(14).standard_normal(SHAPE.param_count)
@@ -341,8 +336,8 @@ class TestAggregateBatch:
         states = RunState(SHAPE, np.tile(value, (3, 1, 1)), [0] * 3, [data] * 3, [data] * 3)
         stage_outboxes(states)
         aggregate_batch(states, complete(3), RoundPlan((0, 1, 2)))
-        for s in states:
-            assert np.array_equal(s.models[0], value)
+        for i in range(len(states)):
+            assert np.array_equal(states.models[i, 0], value)
 
 
 class TestAggregateSequential:
@@ -351,7 +346,7 @@ class TestAggregateSequential:
         stage_outboxes(states)
         plan = RoundPlan(participants=(0, 1))
         aggregate_sequential(states, graph_from_edges(2, [(0, 1)]), plan)
-        assert states[0].models[0][0] == 1.0
+        assert states.models[0, 0, 0] == 1.0
 
     def test_running_average_telescopes_to_batch_mean(self):
         # receiver 1 folds in 0 then 6 (3 -> 1.5 -> 3.0) or 6 then 0 (3 -> 4.5 -> 3.0)
@@ -359,7 +354,7 @@ class TestAggregateSequential:
             states = scalar_states([[0.0], [3.0], [6.0]])
             stage_outboxes(states)
             aggregate_sequential(states, complete(3), RoundPlan((0, 1, 2), round_seed=round_seed))
-            assert states[1].models[0][0] == 3.0
+            assert states.models[1, 0, 0] == 3.0
 
     def test_each_order_of_three_senders_is_about_equally_likely(self, monkeypatch):
         """Receiver 0 of a star hears leaves 1-3 under 3,000 fixed round
@@ -521,6 +516,28 @@ class TestRunRound:
         with pytest.raises(ValueError, match="seqential"):
             RoundPlan(participants=(0,), aggregation_mode="seqential")
 
+    def test_a_plan_keeps_its_participants_as_a_tuple_of_ints(self):
+        """Equal plans compare and hash equal whatever sequence their
+        participants came in, and a list changed later does not reach them."""
+        given = [3, 0, 2]
+        from_list, from_array = RoundPlan(participants=given), RoundPlan(participants=np.array(given))
+        given.append(1)
+        assert from_list.participants == from_array.participants == (3, 0, 2)
+        assert all(type(i) is int for i in from_array.participants)
+        assert from_list == from_array and hash(from_list) == hash(from_array)
+        with pytest.raises(TypeError):
+            RoundPlan(participants=(0, 1.5))
+
+    @pytest.mark.parametrize("mode", ["batch", "sequential", "server"])
+    def test_only_a_server_round_runs_without_a_topology(self, mode):
+        rng = np.random.default_rng(31)
+        t, states, hp = tiny_problem(rng, 4, 2, p=1.0)
+        frozen, assigned = states.models.copy(), states.assignment.copy()
+        wrong, need = (t, "takes no topology") if mode == "server" else (None, "needs a topology")
+        with pytest.raises(ValueError, match=f"a {mode} round {need}"):
+            run_round(states, wrong, RoundPlan(participants=(0, 1, 2, 3), aggregation_mode=mode), hp)
+        assert np.array_equal(states.models, frozen) and np.array_equal(states.assignment, assigned)
+
     def test_plans_and_hyperparams_cannot_be_changed_once_built(self):
         plan, hp = RoundPlan(participants=(0,)), Hyperparams(gamma=0.1, tau=1, batch_size=2)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -570,15 +587,9 @@ class TestRunRound:
                 expected.models[i, j] = trained.values
             expected.sent[i] = j
         run_round(states, graph_from_edges(9, []), plan, hp)  # no edges: nothing merges
-        for s, e in zip(states, expected):
-            assert s.assignment == e.assignment
-            for got, want in zip(s.models, e.models):
-                assert got.tobytes() == want.tobytes()
-            if e.outbox is None:
-                assert s.outbox is None
-            else:
-                assert s.outbox[0] == e.outbox[0]
-                assert s.outbox[1].tobytes() == e.outbox[1].tobytes()
+        np.testing.assert_array_equal(states.assignment, expected.assignment)
+        assert states.models.tobytes() == expected.models.tobytes()
+        np.testing.assert_array_equal(states.sent, expected.sent)
 
     @pytest.mark.parametrize("mode", ["batch", "sequential", "server"])
     def test_one_sgd_stream_per_round(self, monkeypatch, mode):
@@ -598,7 +609,7 @@ class TestRunRound:
         monkeypatch.setattr(core, "derive_seed", counted_seed)
         for r in range(3):
             plan = RoundPlan(participants=(0, 1, 3, 5), aggregation_mode=mode, round_seed=40 + r)
-            run_round(states, t, plan, hp)
+            run_round(states, None if mode == "server" else t, plan, hp)
         assert [p for p in streams if "sgd" in p] == [(40, "sgd"), (41, "sgd"), (42, "sgd")]
         assert seeds == []
 
@@ -611,7 +622,7 @@ class TestRunRound:
             warnings.simplefilter("error")  # no RuntimeWarning leaks from the trainer
             with pytest.raises(DivergenceError, match="round 4, client 1") as raised:
                 run_round(states, t, plan, hp)
-        assert raised.value.where == {"round": 4, "client": 1, "cluster": states[1].assignment}
+        assert raised.value.where == {"round": 4, "client": 1, "cluster": states.assignment[1]}
 
     def test_non_finite_loss_names_round_and_cluster(self):
         rng = np.random.default_rng(24)
@@ -631,10 +642,10 @@ class TestRunRound:
         t, states, hp = tiny_problem(rng, 4, 1, p=1.0)
         sleeper = 3
         plan = RoundPlan(participants=(0, 1, 2), aggregation_mode="batch")
-        before_sleeper = states[sleeper].models[0].copy()
+        before_sleeper = states.models[sleeper, 0].copy()
         run_round(states, t, plan, hp)
-        assert not np.array_equal(states[sleeper].models[0], before_sleeper)  # received
-        assert states[sleeper].outbox is None  # never sent
+        assert not np.array_equal(states.models[sleeper, 0], before_sleeper)  # received
+        assert states.sent[sleeper] == -1  # never sent
 
     def test_restricted_receiving_leaves_non_participants_untouched(self):
         rng = np.random.default_rng(19)
@@ -642,9 +653,9 @@ class TestRunRound:
         sleeper = 3
         plan = RoundPlan(participants=(0, 1, 2), aggregation_mode="batch",
                          receive_restricted=True)
-        before = states[sleeper].models[0].copy()
+        before = states.models[sleeper, 0].copy()
         run_round(states, t, plan, hp)
-        assert np.array_equal(states[sleeper].models[0], before)
+        assert np.array_equal(states.models[sleeper, 0], before)
 
 
     @given(data=st.data())
@@ -666,6 +677,73 @@ class TestRunRound:
         run_round(states, t, plan, hp)
         for i in set(range(n)) - set(plan.participants):
             assert states.models[i].tobytes() == before[i].tobytes()
+
+
+def reference_round(states, t, plan, hp):
+    """One round composed of the per-unit references in ``verify``, none of
+    which calls the kernel it checks: each participant takes the lowest
+    finite ``_per_client_loss`` (the lowest index on ties, its assignment
+    kept if none is finite) and trains with ``_per_client_sgd`` on its row
+    of the round's key table; the per-slot merge follows, then
+    ``_per_client_metrics``, with the drift taken from its averages before
+    and after the merge."""
+    previous = states.assignment.copy()
+    states.sent[:] = -1
+    for i in plan.participants:
+        losses = [verify._per_client_loss(states.shape, v, states.data[i]) for v in states.models[i]]
+        finite = [(loss, j) for j, loss in enumerate(losses) if math.isfinite(loss)]
+        if finite:
+            states.assignment[i] = min(finite)[1]
+    longest = max((len(states.data[i]) for i in plan.participants), default=0)
+    keys = spawn_rng(plan.round_seed, "sgd").random((len(plan.participants), hp.tau, longest))
+    for i, table in zip(plan.participants, keys):
+        j, d = states.assignment[i], states.data[i]
+        states.models[i, j] = verify._per_client_sgd(states.shape, states.models[i, j], d, hp.gamma,
+                                                     hp.tau, hp.batch_size, table[:, : len(d)])
+        states.sent[i] = j
+    before = verify._per_client_metrics(states)[3]
+    merge = verify._per_slot_sequential if plan.aggregation_mode == "sequential" else verify._per_slot_batch
+    merge(states, t, plan)
+    f, acc, _, after, disp = verify._per_client_metrics(states)
+    return metrics.RoundMetrics(
+        round=plan.round_index, f_cluster=tuple(f), disp=tuple(disp),
+        clustering_accuracy=metrics.clustering_accuracy(states), test_accuracy=acc,
+        avg_drift=tuple(float(np.linalg.norm(a - b)) for a, b in zip(after, before)),
+        assignments_changed=int(np.count_nonzero(states.assignment != previous)),
+    )
+
+
+@pytest.mark.parametrize("metropolis", [False, True], ids=["uniform", "metropolis"])
+@pytest.mark.parametrize("mode", ["batch", "sequential"])
+@pytest.mark.parametrize("participants, restricted, nan", [
+    (tuple(range(10)), False, False), (tuple(range(10)), False, True),
+    ((0, 1, 4, 5, 7), False, False), ((0, 1, 4, 5, 7), True, False),
+], ids=["full", "full-nan-model", "partial", "partial-restricted"])
+def test_round_equals_its_per_unit_references(participants, restricted, nan, mode, metropolis):
+    """Three rounds of ``run_round`` against :func:`reference_round`,
+    bitwise: models, assignments and trace rows.  Clients hold two train
+    and two test lengths and start from scrambled assignments; with ``nan``,
+    client 1 starts on a cluster whose model it holds as NaN."""
+    rng = np.random.default_rng(32)
+    n, k = 10, 3
+    t = generate_erdos_renyi(n, 0.5, 3)
+    data = [random_dataset(rng, n=(8, 11)[i % 2], dist=i % 2) for i in range(n)]
+    tests = [random_dataset(rng, n=(5, 4)[i % 2], dist=i % 2) for i in range(n)]
+    states = initialize(k=k, mode="li", model_shape=SHAPE, seed=4, datasets=data, test_sets=tests)
+    states.assignment[:] = rng.integers(0, k, size=n)
+    if nan:
+        states.models[1, states.assignment[1]] = np.nan
+    expected = states.copy()
+    hp = Hyperparams(gamma=0.1, tau=2, batch_size=4)
+    for r in range(3):
+        plan = RoundPlan(participants, aggregation_mode=mode, round_seed=50 + r, round_index=r,
+                         receive_restricted=restricted, metropolis=metropolis)
+        want = reference_round(expected, t, plan, hp)
+        _, got = run_round(states, t, plan, hp)
+        assert states.models.tobytes() == expected.models.tobytes()
+        np.testing.assert_array_equal(states.assignment, expected.assignment)
+        assert metrics.trace_row(got) == metrics.trace_row(want)
+        assert r > 0 or got.assignments_changed > 0
 
 
 class TestRunExperiment:

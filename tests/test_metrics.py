@@ -57,45 +57,53 @@ class TestClusterLoss:
         rng = np.random.default_rng(0)
         states = random_states(rng, 3, 2)
         states.assignment[:] = 0
-        assert f_cluster(states, 1) == 0.0
+        assert f_cluster(states)[1] == 0.0
 
     def test_singleton_cluster_is_that_clients_loss(self):
         rng = np.random.default_rng(1)
         states = random_states(rng, 1, 2)
-        s = states[0]
-        expected = forward_loss(unflatten_params(SHAPE, s.models[s.assignment]), states.data[0])
-        assert f_cluster(states, s.assignment) == pytest.approx(expected, rel=1e-15)
+        j = states.assignment[0]
+        expected = forward_loss(unflatten_params(SHAPE, states.models[0, j]), states.data[0])
+        assert f_cluster(states)[j] == pytest.approx(expected, rel=1e-15)
 
     def test_additivity_over_clients(self):
         rng = np.random.default_rng(2)
         states = random_states(rng, 4, 2)
         states.assignment[:] = 1
         total = sum(
-            forward_loss(unflatten_params(SHAPE, s.models[1]), d) for s, d in zip(states, states.data)
+            forward_loss(unflatten_params(SHAPE, v), d) for v, d in zip(states.models[:, 1], states.data)
         )
-        assert f_cluster(states, 1) == pytest.approx(total, rel=1e-12)
+        assert f_cluster(states)[1] == pytest.approx(total, rel=1e-12)
 
     def test_nan_parameters_give_nan_not_an_error(self):
         rng = np.random.default_rng(11)
         states = random_states(rng, 3, 2)
         states.assignment[1] = 1
-        states[1].models[1] = np.full(SHAPE.param_count, np.nan)
-        assert np.isnan(f_cluster(states, 1))
+        states.models[1, 1] = np.nan
+        assert np.isnan(f_cluster(states)[1])
 
     def test_global_loss_decomposes_over_clusters(self):
         rng = np.random.default_rng(3)
         states = random_states(rng, 6, 3)
-        assert f_global(states) == pytest.approx(
-            sum(f_cluster(states, j) for j in range(3)), abs=1e-9
-        )
+        assert f_global(states) == pytest.approx(sum(f_cluster(states)), abs=1e-9)
 
 
-@pytest.mark.parametrize("metric", [f_cluster, cluster_average, dispersion])
-@pytest.mark.parametrize("j", [2, 7, -1])
-def test_cluster_index_outside_the_run_rejected(metric, j):
-    states = random_states(np.random.default_rng(12), 4, 2)
-    with pytest.raises(ValueError, match=f"cluster {j} is not a cluster of this 2-cluster run"):
-        metric(states, j)
+@pytest.mark.parametrize("k", [1, 3])
+def test_cluster_metrics_answer_for_every_cluster(k):
+    """One call gives all k values: a cluster's loss is its clients' losses
+    added in client order, its average and dispersion those of its copies
+    alone."""
+    states = random_states(np.random.default_rng(12), 7, k)
+    losses, averages, disps = f_cluster(states), cluster_average(states), dispersion(states)
+    assert len(losses) == len(disps) == k and averages.shape == (k, SHAPE.param_count)
+    for j in range(k):
+        total = 0.0
+        for i in np.flatnonzero(states.assignment == j):
+            total += forward_loss(unflatten_params(SHAPE, states.models[i, j]), states.data[i])
+        assert losses[j] == total
+        alone = one_model_states(states.models[:, j], states.data)
+        assert averages[j].tobytes() == cluster_average(alone)[0].tobytes()
+        assert disps[j] == dispersion(alone)[0]
 
 
 class TestDispersion:
@@ -103,25 +111,24 @@ class TestDispersion:
         rng = np.random.default_rng(4)
         value = rng.standard_normal(SHAPE.param_count)
         states = one_model_states([value] * 5, [simple_data(rng) for _ in range(5)])
-        assert dispersion(states, 0) == 0.0
+        assert dispersion(states) == (0.0,)
 
     def test_two_scalar_copies(self):
         rng = np.random.default_rng(5)
         models = np.zeros((2, SHAPE.param_count))
         models[1, 0] = 2.0  # the copies differ in one parameter
         states = one_model_states(models, [simple_data(rng), simple_data(rng)])
-        assert dispersion(states, 0) == 1.0
-        assert cluster_average(states, 0)[0] == 1.0
+        assert dispersion(states) == (1.0,)
+        assert cluster_average(states)[0, 0] == 1.0
 
     @given(seed=st.integers(0, 99), shift=st.floats(-50, 50, allow_nan=False))
     @settings(max_examples=30, deadline=None)
     def test_translation_invariant(self, seed, shift):
         rng = np.random.default_rng(seed)
         states = random_states(rng, 4, 1)
-        before = dispersion(states, 0)
-        for s in states:
-            s.models[0] = s.models[0] + shift
-        assert dispersion(states, 0) == pytest.approx(before, rel=1e-9, abs=1e-9)
+        before = dispersion(states)[0]
+        states.models[:, 0] += shift
+        assert dispersion(states)[0] == pytest.approx(before, rel=1e-9, abs=1e-9)
 
 
 class TestClusteringAccuracy:

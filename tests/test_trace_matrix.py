@@ -1,4 +1,5 @@
-"""The certification matrix runs every entry and its diff can fail."""
+"""The certification matrix runs every entry and both verify commands, and
+its diff can fail on either."""
 
 import shutil
 import subprocess
@@ -17,13 +18,18 @@ def test_one_round_matrix_equals_itself_and_a_changed_entry_differs(tmp_path):
     out = tmp_path / "a"
     ran = matrix(out, "--set", "T=1", "--set", "n_seeds=1")
     assert ran.returncode == 0, ran.stderr
-    names = sorted(p.name for p in out.iterdir())
+    names = sorted(p.name for p in out.iterdir() if p.is_dir())
     assert len(names) == 16
     for name in names:
         assert len((out / name / "desk" / "seed_0" / "trace.csv").read_text().splitlines()) == 2
+    verify = (out / "verify.txt").read_text().splitlines()
+    assert verify[-1] == "exit 0" and all(line.startswith("PASS ") for line in verify[:-1])
+    fault = (out / "verify-inject-fault.txt").read_text().splitlines()
+    assert fault[-1] == "exit 1" and any(line.startswith("FAIL ") for line in fault)
     same = matrix("--diff", out, out)
     assert same.returncode == 0, same.stdout + same.stderr
     assert "0 of 16 entries differ" in same.stdout
+    assert "verify.txt identical" in same.stdout and "verify-inject-fault.txt identical" in same.stdout
 
     copy = tmp_path / "b"
     shutil.copytree(out, copy)
@@ -35,3 +41,12 @@ def test_one_round_matrix_equals_itself_and_a_changed_entry_differs(tmp_path):
     trace.write_text(trace.read_text().replace("\n0,", "\n7,", 1))
     differ = matrix("--diff", out, copy)
     assert differ.returncode == 1 and "2 of 16 entries differ: gossip, crowd" in differ.stdout
+
+    shutil.rmtree(copy)
+    shutil.copytree(out, copy)
+    verify = copy / "verify.txt"
+    verify.write_text(verify.read_text().replace("PASS", "FAIL", 1))
+    differ = matrix("--diff", out, copy)
+    assert differ.returncode == 1 and "0 of 16 entries differ" in differ.stdout
+    assert "verify.txt differs or is missing" in differ.stdout
+    assert "verify-inject-fault.txt identical" in differ.stdout

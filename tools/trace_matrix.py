@@ -1,6 +1,7 @@
 """Certification matrix: one ``dfca run configs/desk.cfg`` per entry.
 
-It shows that a change keeps every trace and summary of the entries.
+It shows that a change keeps every trace and summary of the entries, and
+the output of ``dfca verify`` with and without ``--inject-fault``.
 
 Usage (from any directory)::
 
@@ -9,12 +10,14 @@ Usage (from any directory)::
 
 The first form writes each entry's run under ``OUT/<name>/`` (``desk/`` with
 ``seed_<s>/trace.csv`` and ``summary.json``), at ``T=25`` and ``n_seeds=2``
-unless the entry or a ``--set``, applied last, says otherwise.  It runs the
-``src/`` of the checkout this script sits in, so run it in two checkouts,
-say a parent commit and a change, and diff the outputs.  The second form
-runs ``dfca diff`` on every entry of two such directories and compares
-their ``summary.json`` bytes; it exits 1 if any entry differs or is missing.
-The gossip and crowd entries take their overrides from the benchmark's
+unless the entry or a ``--set``, applied last, says otherwise, and the
+output of each ``dfca verify`` command of ``VERIFY`` into its file under
+``OUT/``, the exit status last.  It runs the ``src/`` of the checkout this
+script sits in, so run it in two checkouts, say a parent commit and a
+change, and diff the outputs.  The second form runs ``dfca diff`` on every
+entry of two such directories and compares their ``summary.json`` bytes
+and their verify files; it exits 1 if any entry or file differs or is
+missing.  The gossip and crowd entries take their overrides from the benchmark's
 ``WORKLOADS`` in ``perfbench/run.py``.
 """
 
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
+import io
 import os
 import sys
 from pathlib import Path
@@ -33,6 +38,7 @@ from dfca.cli import main as dfca  # noqa: E402
 
 DESK = ROOT / "configs" / "desk.cfg"
 BASE = ("T=25", "n_seeds=2")
+VERIFY = {"verify.txt": ("verify",), "verify-inject-fault.txt": ("verify", "--inject-fault")}
 
 
 def _workloads() -> dict[str, tuple[str, ...]]:
@@ -70,7 +76,8 @@ def entries() -> dict[str, tuple[str, ...]]:
 
 
 def run_matrix(out: Path, overrides: list[str]) -> int:
-    """Run every entry into ``out/<name>/``; 1 if any run fails."""
+    """Run every entry into ``out/<name>/`` and every verify command into
+    its file; 1 if any run fails."""
     failed = []
     for name, entry in entries().items():
         os.environ["DFCA_OUTPUT_ROOT"] = str(out / name)
@@ -78,14 +85,20 @@ def run_matrix(out: Path, overrides: list[str]) -> int:
         print(f"{name}: ", end="", flush=True)
         if dfca(["run", str(DESK), *sets]) != 0:
             failed.append(name)
+    for name, argv in VERIFY.items():
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = dfca(list(argv))
+        (out / name).write_text(f"{text.getvalue()}exit {code}\n", encoding="utf-8")
+        print(f"{name}: dfca {' '.join(argv)} exit {code}")
     if failed:
         print(f"failed: {', '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0
 
 
 def diff_matrix(a: Path, b: Path) -> int:
-    """``dfca diff`` and a byte comparison of ``summary.json`` per entry; 1
-    if any entry differs or is missing."""
+    """``dfca diff`` and a byte comparison of ``summary.json`` per entry,
+    and of each verify file; 1 if any differs or is missing."""
     differs = []
     for name in entries():
         run_a, run_b = a / name / DESK.stem, b / name / DESK.stem
@@ -97,6 +110,12 @@ def diff_matrix(a: Path, b: Path) -> int:
         if code != 0 or not same:
             differs.append(name)
     print(f"{len(differs)} of {len(entries())} entries differ" + (f": {', '.join(differs)}" if differs else ""))
+    for name in VERIFY:
+        files = [a / name, b / name]
+        same = all(p.is_file() for p in files) and files[0].read_bytes() == files[1].read_bytes()
+        print(f"{name} {'identical' if same else 'differs or is missing'}")
+        if not same:
+            differs.append(name)
     return 1 if differs else 0
 
 
