@@ -27,13 +27,14 @@ turns a config and a seed into a graph, client data, states and a trace.
 from __future__ import annotations
 
 import logging
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .datagen import Dataset
+from .datagen import Dataset, stack_datasets
 from .metrics import (
     RoundMetrics,
     cluster_average,
@@ -46,6 +47,7 @@ from .model import (
     DivergenceError,
     MlpModel,
     ModelShape,
+    _check_inputs,
     _chunks,
     forward_loss,
     init_model,
@@ -99,15 +101,17 @@ class ClientState:
 class RunState(Sequence[ClientState]):
     """Every model copy of a run in one ``(N, k, P)`` array; each client's
     assignment and the cluster it sent this round (-1 for none) as ``(N,)``
-    int arrays; and each client's train and test split, ``data[i]`` and
-    ``test_sets[i]``, whose ``distribution_id`` is its true cluster.  Item
-    ``i`` is client ``i``'s :class:`ClientState`.  A float64 ``models``
-    array is taken without a copy; one that is not ``(N, k >= 1,
-    shape.param_count)``, an assignment outside ``[0, k)`` and split lists
-    of another length are rejected."""
+    int arrays; and the train and test splits, ``data`` and ``test_sets``,
+    as stacked :class:`Dataset` objects whose ``distribution_id`` holds each
+    client's true cluster.  Item ``i`` is client ``i``'s :class:`ClientState`.
+    A float64 ``models`` array is taken without a copy; one that is not
+    ``(N, k >= 1, shape.param_count)``, assignments that are not integers in
+    ``[0, k)`` and splits that are not stacks of N clients or do not fit
+    ``shape`` are rejected.  Lists of per-client splits are stacked with
+    :func:`stack_datasets`, which rejects unequal lengths."""
 
-    def __init__(self, shape: ModelShape, models, assignment, data: Sequence[Dataset],
-                 test_sets: Sequence[Dataset]) -> None:
+    def __init__(self, shape: ModelShape, models, assignment, data: Dataset | list[Dataset],
+                 test_sets: Dataset | list[Dataset]) -> None:
         self.shape = shape
         self.models = np.asarray(models, dtype=np.float64)
         if self.models.ndim != 3 or self.models.shape[1] < 1 or self.models.shape[2] != shape.param_count:
@@ -116,15 +120,18 @@ class RunState(Sequence[ClientState]):
                 f"need (N, k >= 1, {shape.param_count})"
             )
         n, k = self.models.shape[:2]
-        self.assignment = np.array(assignment, dtype=np.intp)
-        if self.assignment.shape != (n,) or len(data) != n or len(test_sets) != n:
+        splits = [d if isinstance(d, Dataset) else stack_datasets(d) for d in (data, test_sets)]
+        raw = np.asarray(assignment)
+        if raw.shape != (n,) or any(d.labels.shape[:-1] != (n,) for d in splits):
             raise ValueError(f"need {n} assignments, {n} datasets and {n} test splits")
-        outside = np.flatnonzero((self.assignment < 0) | (self.assignment >= k))
-        if outside.size:
-            i = outside[0]
-            raise ValueError(f"client {i} is assigned cluster {self.assignment[i]}, outside [0, {k})")
-        self.data = list(data)
-        self.test_sets = list(test_sets)
+        for d in splits:
+            _check_inputs(shape, d.features, d.labels)
+        with np.errstate(invalid="ignore"):  # NaN and inf, reported below
+            self.assignment = raw.astype(np.intp)
+        bad = (self.assignment != raw) | (self.assignment < 0) | (self.assignment >= k)
+        for i in np.flatnonzero(bad)[:1]:
+            raise ValueError(f"client {i} is assigned cluster {raw[i]}, not an integer in [0, {k})")
+        self.data, self.test_sets = splits
         self.sent = np.full(n, -1, dtype=np.intp)
 
     def __len__(self) -> int:
@@ -189,8 +196,9 @@ class Hyperparams:
     def __post_init__(self) -> None:
         for name, ok, rule in (
             ("gamma", 0.0 <= self.gamma < np.inf, "must be finite and >= 0"),
-            ("tau", self.tau >= 1, "must be >= 1"),
-            ("batch_size", self.batch_size >= 1, "must be >= 1"),
+            ("tau", isinstance(self.tau, numbers.Integral) and self.tau >= 1, "must be an integer >= 1"),
+            ("batch_size", isinstance(self.batch_size, numbers.Integral) and self.batch_size >= 1,
+             "must be an integer >= 1"),
         ):
             if not ok:
                 raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
@@ -201,11 +209,11 @@ def initialize(
     mode: str,
     model_shape: ModelShape,
     seed: int,
-    datasets: Sequence[Dataset],
-    test_sets: Sequence[Dataset],
+    datasets: Dataset | list[Dataset],
+    test_sets: Dataset | list[Dataset],
 ) -> RunState:
-    """Create ``len(datasets)`` client states, client ``i`` holding
-    ``datasets[i]`` and ``test_sets[i]``, with globally or locally initialized models.
+    """Create ``len(datasets)`` client states, client ``i`` holding row ``i``
+    of the splits ``datasets`` and ``test_sets``, with globally or locally initialized models.
 
     ``gi`` draws one seeded model per cluster and gives every client an
     identical copy (zero initial dispersion); ``li`` draws every client's
@@ -237,10 +245,9 @@ def _assign_clusters(states: RunState, rows: Sequence[int]) -> None:
     rows = np.asarray(rows, dtype=np.intp)
     k = states.models.shape[1]
     losses = np.empty((len(rows), k))
-    for chunk in _chunks([k * len(states.data[i]) for i in rows]):
+    for chunk in _chunks(len(rows), k * states.data.labels.shape[-1]):
         r = rows[chunk]
-        block = MlpModel(states.shape, states.models[r])
-        losses[chunk] = forward_loss(block, [states.data[i] for i in r])
+        losses[chunk] = forward_loss(MlpModel(states.shape, states.models[r]), states.data[r])
     for i, row in zip(rows.tolist(), losses):
         assign_cluster(states[i], row)
 
@@ -275,29 +282,27 @@ def local_update(states: RunState, plan: RoundPlan, hp: Hyperparams) -> RunState
     """Train the assigned model of the plan's participants and stage it in
     their outboxes.
 
-    One key table ``spawn_rng(plan.round_seed, "sgd").random((P, tau,
-    longest training set))`` shuffles every epoch: participant ``r`` of P
-    with ``n`` samples takes ``keys[r, :, :n]`` (see :func:`sgd_epochs`).
-    Clients with equal training-set lengths train together, in stacked calls
-    of at most ``_CHUNK_ROWS`` minibatch rows, each ending bitwise where
-    training alone on its keys would leave it.  Other model copies stay
-    bitwise untouched.  ``hp.gamma=0`` skips training but still stages the
-    assigned models.  Participants must be distinct clients of the run.  A
-    model that diverges raises :class:`DivergenceError` naming the round,
-    client and cluster.
+    One key table ``spawn_rng(plan.round_seed, "sgd").random((P, tau, n))``
+    for training sets of ``n`` samples shuffles every epoch: participant
+    ``r`` of P takes ``keys[r]`` (see :func:`sgd_epochs`).  Participants
+    train in stacked calls of at most ``_CHUNK_ROWS`` minibatch rows, each
+    ending bitwise where training alone on its keys would leave it.  Other
+    model copies stay bitwise untouched.  ``hp.gamma=0`` skips training but
+    still stages the assigned models.  Participants must be distinct clients
+    of the run.  A model that diverges raises :class:`DivergenceError`
+    naming the round, client and cluster.
     """
     _check_participants(plan.participants, len(states))
     rows = np.asarray(plan.participants, dtype=np.intp)
     cols = states.assignment[rows]
     if hp.gamma != 0.0:
-        lengths = [len(states.data[i]) for i in rows]
-        keys = spawn_rng(plan.round_seed, "sgd").random((len(rows), hp.tau, max(lengths, default=0)))
-        for chunk in _chunks(lengths, hp.batch_size):
+        n = states.data.labels.shape[-1]
+        keys = spawn_rng(plan.round_seed, "sgd").random((len(rows), hp.tau, n))
+        for chunk in _chunks(len(rows), min(n, hp.batch_size)):
             r, c = rows[chunk], cols[chunk]
             block = unflatten_params(states.shape, states.models[r, c])
             try:
-                updated = sgd_epochs(block, [states.data[i] for i in r], hp.gamma, hp.tau,
-                                     hp.batch_size, keys[chunk, :, : lengths[chunk[0]]])
+                updated = sgd_epochs(block, states.data[r], hp.gamma, hp.tau, hp.batch_size, keys[chunk])
             except DivergenceError as exc:
                 p = exc.where["row"]
                 raise DivergenceError(round=plan.round_index, client=int(r[p]),

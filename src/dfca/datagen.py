@@ -23,6 +23,7 @@ __all__ = [
     "rotate_image",
     "load_idx_pair",
     "rotated_idx_datasets",
+    "stack_datasets",
     "train_test_split",
 ]
 
@@ -37,20 +38,25 @@ class IdxFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled samples held by one client.
+    """Labeled samples of one client, or a stack of clients of one length.
 
-    ``features`` is (n, d) float64, ``labels`` is (n,) int64 with classes in
-    [0, C), and ``distribution_id`` names the cluster whose distribution
-    generated this data (the clustering ground truth).
+    One client's ``features`` is (n, d) float64, ``labels`` is (n,) int64
+    with classes in [0, C), and ``distribution_id`` is the int naming the
+    cluster whose distribution generated the data (the clustering ground
+    truth).  A stack of c clients (see :func:`stack_datasets`) has (c, n, d)
+    features, (c, n) labels and a (c,) integer array of distribution ids,
+    and indexing it takes clients.  ``len()`` counts one client's samples,
+    or a stack's clients.
     """
 
     features: np.ndarray
     labels: np.ndarray
-    distribution_id: int
+    distribution_id: int | np.ndarray
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
         labels = np.asarray(self.labels)
+        ids = np.asarray(self.distribution_id)
         if labels.dtype.kind == "f":
             fractional = ~np.isfinite(labels) | (labels != np.round(labels))
             if fractional.any():
@@ -58,17 +64,23 @@ class Dataset:
                     f"label {labels[fractional][0]} is not a whole number; classes are in [0, C)"
                 )
         labels = labels.astype(np.int64)
-        if feats.ndim != 2:
-            raise ValueError(f"features must be 2-d, got shape {feats.shape}")
+        if feats.ndim not in (2, 3):
+            raise ValueError(f"features must be 2-d, or 3-d for a stack, got shape {feats.shape}")
         if not np.isfinite(feats).all():
-            i, c = np.argwhere(~np.isfinite(feats))[0]
-            raise ValueError(f"feature {feats[i, c]} at sample {i}, column {c} is not finite")
-        if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
+            bad = tuple(np.argwhere(~np.isfinite(feats))[0])
+            place = ", ".join(f"{a} {i}" for a, i in zip(("client", "sample", "column")[-len(bad):], bad))
+            raise ValueError(f"feature {feats[bad]} at {place} is not finite")
+        if labels.shape != feats.shape[:-1]:
             raise ValueError("features and labels must have equal length")
-        if feats.shape[0] < 1:
+        if labels.size < 1:
             raise ValueError("a dataset must contain at least one sample")
         if labels.min() < 0:
             raise ValueError(f"label {int(labels.min())} is negative; classes are in [0, C)")
+        if feats.ndim == 3:
+            if ids.shape != labels.shape[:1] or ids.dtype.kind not in "iu":
+                raise ValueError(f"a stack of {len(feats)} clients needs as many integer distribution ids")
+            ids.setflags(write=False)
+            object.__setattr__(self, "distribution_id", ids)
         feats.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -76,6 +88,21 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
+
+    def __getitem__(self, rows) -> "Dataset":
+        if self.features.ndim != 3:
+            raise TypeError("only a stack of clients can be indexed")
+        ids = self.distribution_id[rows]
+        return Dataset(self.features[rows], self.labels[rows], ids if ids.ndim else int(ids))
+
+
+def stack_datasets(datasets: list[Dataset]) -> Dataset:
+    """Per-client datasets of one length as one stack, client ``i`` in row ``i``."""
+    for i, d in enumerate(datasets):
+        if len(d) != len(datasets[0]):
+            raise ValueError(f"client {i} has {len(d)} samples and client 0 has {len(datasets[0])}")
+    return Dataset(np.stack([d.features for d in datasets]), np.stack([d.labels for d in datasets]),
+                   np.array([d.distribution_id for d in datasets]))
 
 
 @dataclass(frozen=True)

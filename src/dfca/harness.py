@@ -156,17 +156,20 @@ def _graph(config: ExperimentConfig, seed: int) -> tuple[Topology, bool]:
     return t, connected
 
 
-def _client_data(config: ExperimentConfig, seed: int) -> tuple[list[Dataset], list[Dataset]]:
-    """Per-client (train, test) splits; client i draws from cluster i mod k."""
-    spec, center_seed = config.synthetic_spec, derive_seed(seed, "centers")
-    trains, tests = [], []
-    for i in range(config.n_clients):
+def _client_data(config: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
+    """The stacked (train, test) splits, each client's written in as it is
+    drawn; client i draws from cluster i mod k."""
+    spec, center_seed, n = config.synthetic_spec, derive_seed(seed, "centers"), config.n_clients
+    stacks = []
+    for i in range(n):
         full = generate_rotated_synthetic(spec, k=config.k, client_cluster=i % config.k,
                                           seed=derive_seed(seed, "data", i), center_seed=center_seed)
-        train, test = train_test_split(full, config.data_test_fraction, derive_seed(seed, "split", i))
-        trains.append(train)
-        tests.append(test)
-    return trains, tests
+        splits = train_test_split(full, config.data_test_fraction, derive_seed(seed, "split", i))
+        if not stacks:  # shaped after the first client's splits
+            stacks = [(np.empty((n, *d.features.shape)), np.empty((n, len(d)), np.int64)) for d in splits]
+        for (x, y), d in zip(stacks, splits):
+            x[i], y[i] = d.features, d.labels
+    return tuple(Dataset(x, y, np.arange(n) % config.k) for x, y in stacks)
 
 
 def _plan(config: ExperimentConfig, seed: int, round_index: int) -> RoundPlan:

@@ -2,25 +2,24 @@
 
 All functions are read-only over a run's client states and take nothing
 else: they read its ``(N, k, P)`` model array, its assignments and its
-clients' train and test splits directly.  The per-cluster ones answer for
-all k clusters at once.  Losses and predictions are evaluated for many
-clients per forward pass: clients whose datasets have equal length are
-stacked, in chunks of about ``_CHUNK_ROWS`` sample rows, and their models
-are gathered from the array into one block read through per-layer views.
-Each client's value is bitwise the one a forward pass over that client
-alone gives.
+clients' stacked train and test splits directly.  The per-cluster ones
+answer for all k clusters at once.  Losses and predictions are evaluated
+for many clients per forward pass, in slices of the stacks of about
+``_CHUNK_ROWS`` sample rows, and their models are gathered from the array
+into one block read through per-layer views.  Each client's value is
+bitwise the one a forward pass over that client alone gives.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
 from .datagen import Dataset
-from .model import MlpModel, _check_inputs, _chunks, _mean_ce, _stack_data, predict
+from .model import MlpModel, _chunks, _mean_ce, predict
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import RunState
@@ -74,28 +73,21 @@ class RoundMetrics:
         return _add(self.f_cluster)
 
 
-def _per_client(
-    states: "RunState", datasets: Sequence[Dataset], score: Callable[..., np.ndarray]
-) -> np.ndarray:
-    """``score(m, x, y)`` of every client's assigned model on its entry of
-    ``datasets``, one stacked forward pass per chunk."""
-    out = np.empty(len(datasets))
-    for chunk in _chunks([len(d) for d in datasets]):
-        m = MlpModel(states.shape, states.models[chunk, states.assignment[chunk]])
-        x, y = _stack_data([datasets[p] for p in chunk])
-        out[chunk] = score(m, x, y)
+def _per_client(states: "RunState", data: Dataset, score: Callable[..., np.ndarray]) -> np.ndarray:
+    """``score(m, x, y)`` of every client's assigned model on its row of the
+    stack ``data``, one stacked forward pass per chunk.  The run checked the
+    stacks against its model shape."""
+    out, clients = np.empty(len(data)), np.arange(len(data))
+    for chunk in _chunks(len(data), data.labels.shape[-1]):
+        m = MlpModel(states.shape, states.models[clients[chunk], states.assignment[chunk]])
+        out[chunk] = score(m, data.features[chunk], data.labels[chunk])
     return out
-
-
-def _losses(m: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    _check_inputs(m, x, y)
-    return _mean_ce(m, x, y)
 
 
 def f_cluster(states: "RunState") -> tuple[float, ...]:
     """Per cluster, the sum of its assigned clients' losses, added in client
     order (0 if it has none)."""
-    losses = _per_client(states, states.data, _losses)
+    losses = _per_client(states, states.data, _mean_ce)
     return tuple(_add(losses[states.assignment == j].tolist()) for j in range(states.models.shape[1]))
 
 
@@ -141,7 +133,7 @@ def clustering_accuracy(states: "RunState") -> float:
     set (size a) into the larger scored on their confusion matrix, over only
     the columns among some row's a largest counts: a row mapped elsewhere
     can move, at no loss, to one of those that no other row takes."""
-    truth = np.array([d.distribution_id for d in states.data])
+    truth = states.data.distribution_id
     a_labels, a = np.unique(states.assignment, return_inverse=True)
     b_labels, b = np.unique(truth, return_inverse=True)
     confusion = np.bincount(a * len(b_labels) + b, minlength=len(a_labels) * len(b_labels))
@@ -160,25 +152,16 @@ def _hits(m: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sum(predict(m, x) == y, axis=-1)
 
 
-def _client_hits(states: "RunState") -> tuple[np.ndarray, np.ndarray]:
-    """Per client, how many of its test samples its assigned model predicts
-    right, and how many test samples it has."""
-    hits = _per_client(states, states.test_sets, _hits)
-    return hits, np.array([len(t) for t in states.test_sets], dtype=float)
-
-
 def test_accuracy(states: "RunState") -> float:
-    """Sample-weighted top-1 accuracy of each client's assigned model on its
-    own test split."""
-    hits, sizes = _client_hits(states)
-    return int(hits.sum()) / int(sizes.sum())
+    """Top-1 accuracy of each client's assigned model on its own test split,
+    over all test samples."""
+    return int(_per_client(states, states.test_sets, _hits).sum()) / states.test_sets.labels.size
 
 
 def client_mean_test_accuracy(states: "RunState") -> float:
-    """Unweighted mean of per-client test accuracies (reported alongside the
-    sample-weighted figure)."""
-    hits, sizes = _client_hits(states)
-    return float(np.mean(hits / sizes))
+    """Mean of the per-client test accuracies; with one test length per run
+    it differs from :func:`test_accuracy` only in rounding."""
+    return float(np.mean(_per_client(states, states.test_sets, _hits) / states.test_sets.labels.shape[-1]))
 
 
 def trace_columns(k: int) -> list[str]:

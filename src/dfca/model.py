@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -136,11 +136,11 @@ def _forward(m: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, act
 
 
-def _check_inputs(m: MlpModel, x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape[-1] != m.shape.dim:
-        raise ValueError(f"dataset dim {x.shape[-1]} does not match model dim {m.shape.dim}")
-    if int(y.max()) >= m.shape.n_classes:
-        raise ValueError(f"label {int(y.max())} out of range for {m.shape.n_classes} classes")
+def _check_inputs(shape: ModelShape, x: np.ndarray, y: np.ndarray) -> None:
+    if x.shape[-1] != shape.dim:
+        raise ValueError(f"dataset dim {x.shape[-1]} does not match model dim {shape.dim}")
+    if int(y.max()) >= shape.n_classes:
+        raise ValueError(f"label {int(y.max())} out of range for {shape.n_classes} classes")
 
 
 def _row_max(z: np.ndarray) -> np.ndarray:
@@ -180,33 +180,22 @@ def _mean_ce(m: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (lse - picked.reshape(lse.shape)).mean(axis=-1)
 
 
-def _stack_data(datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray]:
-    """Features ``(c, n, d)`` and labels ``(c, n)`` of ``c`` datasets of one
-    length."""
-    if len({len(data) for data in datasets}) != 1:
-        raise ValueError("models evaluated or trained in one call need datasets of one length")
-    x = np.stack([data.features for data in datasets])
-    return x, np.stack([data.labels for data in datasets])
-
-
-def forward_loss(m: MlpModel, d: Dataset | Sequence[Dataset]) -> float | np.ndarray:
+def forward_loss(m: MlpModel, d: Dataset) -> float | np.ndarray:
     """Mean softmax cross-entropy over all samples in ``d``; for a stack of
     models (see :class:`MlpModel`), one loss per model, each bitwise the loss
     of that model alone.
 
-    ``d`` may also hold one dataset per row of the stack, all of one length:
-    a ``(c, P)`` block then gives ``c`` losses and a ``(c, k, P)`` block, row
-    ``r`` of which is scored on ``d[r]``, gives ``(c, k)`` losses.
+    ``d`` may also be a stack of clients, one per row of the model stack: a
+    ``(c, P)`` block then gives ``c`` losses and a ``(c, k, P)`` block, row
+    ``r`` of which is scored on client ``r``, gives ``(c, k)`` losses.
     """
-    if isinstance(d, Dataset):
-        x, y = d.features, d.labels
-    else:
+    x, y = d.features, d.labels
+    if x.ndim == 3:
         if len(d) != len(m.values):
-            raise ValueError(f"{len(m.values)} stacked rows need as many datasets, got {len(d)}")
-        x, y = _stack_data(d)
-        for _ in range(m.values.ndim - 2):  # each dataset serves every model of its row
+            raise ValueError(f"{len(m.values)} stacked rows need as many clients, got {len(d)}")
+        for _ in range(m.values.ndim - 2):  # each client serves every model of its row
             x, y = x[:, None], y[:, None]
-    _check_inputs(m, x, y)
+    _check_inputs(m.shape, x, y)
     losses = _mean_ce(m, x, y)
     return float(losses) if losses.ndim == 0 else losses
 
@@ -243,30 +232,23 @@ def gradient(m: MlpModel, batch: Dataset) -> np.ndarray:
     """Exact gradient of :func:`forward_loss` over ``batch`` as a flat vector."""
     if len(batch) == 0:
         raise ValueError("gradient of an empty batch is undefined")
-    _check_inputs(m, batch.features, batch.labels)
+    _check_inputs(m.shape, batch.features, batch.labels)
     return np.concatenate(_grad_xy(m, batch.features, batch.labels))
 
 
 _CHUNK_ROWS = 2048  # rows per stacked pass; bounds the temporaries
 
 
-def _chunks(lengths: Sequence[int], batch_size: int | None = None) -> Iterator[list[int]]:
-    """Positions with equal dataset length, in order, cut into chunks of at
-    most ``_CHUNK_ROWS`` rows (at least one position each).  A dataset of
-    length n counts n rows, or ``min(n, batch_size)`` when it is trained in
-    minibatches."""
-    groups: dict[int, list[int]] = {}
-    for pos, n in enumerate(lengths):
-        groups.setdefault(n, []).append(pos)
-    for n, members in groups.items():
-        step = max(1, _CHUNK_ROWS // min(n, batch_size or n))
-        for start in range(0, len(members), step):
-            yield members[start : start + step]
+def _chunks(count: int, rows: int) -> Iterator[slice]:
+    """Slices of positions ``0..count-1``, in order, of at most ``_CHUNK_ROWS``
+    rows when each position counts ``rows`` (at least one position each)."""
+    step = max(1, _CHUNK_ROWS // rows)
+    return (slice(start, start + step) for start in range(0, count, step))
 
 
 def sgd_epochs(
     m: MlpModel,
-    d: Dataset | Sequence[Dataset],
+    d: Dataset,
     gamma: float,
     tau: int,
     batch_size: int,
@@ -282,7 +264,7 @@ def sgd_epochs(
 
     Many clients train in one call when ``m`` is a stack of models (a
     leading model axis, as :func:`unflatten_params` gives for an ``(m, P)``
-    block), ``d`` holds one dataset per model, all of one length, and
+    block), ``d`` is a stack of as many clients (see :class:`Dataset`), and
     ``keys`` is a ``(c, tau, n)`` table, one ``(tau, n)`` table per model.
     The block runs one loop over epochs and minibatches, and the result is
     the stack of trained models, each bitwise the model a call for that
@@ -295,14 +277,13 @@ def sgd_epochs(
         raise ValueError(f"tau must be >= 1, got {tau}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    single = isinstance(d, Dataset)
-    datasets = [d] if single else d
+    single = d.features.ndim == 2
+    x, y = (d.features[None], d.labels[None]) if single else (d.features, d.labels)
     shape = m.shape
     values = m.values.reshape(-1, shape.param_count).copy()
-    if len(values) != len(datasets):
-        raise ValueError(f"{len(values)} models need as many datasets, got {len(datasets)}")
-    x, y = _stack_data(datasets)
-    _check_inputs(m, x, y)
+    if len(values) != len(x):
+        raise ValueError(f"{len(values)} models need as many clients, got {len(x)}")
+    _check_inputs(shape, x, y)
     n = y.shape[1]
     table = (tau, n) if single else (len(values), tau, n)
     if np.shape(keys) != table:

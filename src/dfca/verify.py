@@ -485,24 +485,24 @@ def check_batched_metrics() -> tuple[bool, str]:
     averages and dispersions, against the per-client reference, bitwise,
     for hidden widths 0 and 3 and k = 1..4.
 
-    Clients have unequal train and test lengths; every instance runs once
-    with random assignments and once with the last cluster empty.  Two
-    length mixes need several chunks of ``_CHUNK_ROWS`` rows: one through
+    Each instance has its own client count and train and test lengths, and
+    runs once with random assignments and once with the last cluster empty.
+    Two of them need several chunks of ``_CHUNK_ROWS`` rows: one through
     long datasets, one through many short ones.
     """
     rng = np.random.default_rng(6)
     long_n = _CHUNK_ROWS // 3 + 1  # two clients per chunk
-    mixes = ((12,) * 6, (5, 9, 12, 9, 5, 12, 3), (long_n,) * 5 + (7, 7), (8,) * (_CHUNK_ROWS // 8 + 4))
+    mixes = ((6, 12, 12), (7, 9, 5), (7, long_n, long_n - 1), (_CHUNK_ROWS // 8 + 4, 8, 8))
     names = ("f_cluster", "test_accuracy", "client_mean_test_accuracy", "cluster_average", "dispersion")
     instances, bad = 0, []
-    for hidden, k, lengths, empty_last in itertools.product((0, 3), range(1, 5), mixes, (False, True)):
+    for hidden, k, (count, n, n_test), empty in itertools.product((0, 3), range(1, 5), mixes, (False, True)):
         shape = ModelShape(dim=4, hidden=hidden, n_classes=3)
-        drawn, data = random_states(rng, len(lengths), k, shape), []
-        for i, n in enumerate(lengths):
+        drawn, data = random_states(rng, count, k, shape), []
+        for i in range(count):
             data.append(random_dataset(rng, n, shape.dim, shape.n_classes))
-            if empty_last and k > 1:
+            if empty and k > 1:
                 drawn.assignment[i] = int(rng.integers(0, k - 1))
-        tests = [random_dataset(rng, n, shape.dim, shape.n_classes) for n in rng.permutation(lengths)]
+        tests = [random_dataset(rng, n_test, shape.dim, shape.n_classes) for _ in range(count)]
         states = RunState(shape, drawn.models, drawn.assignment, data, tests)
         batched = (
             f_cluster(states),
@@ -514,7 +514,7 @@ def check_batched_metrics() -> tuple[bool, str]:
         instances += 1
         for name, got, want in zip(names, batched, _per_client_metrics(states)):
             if np.asarray(got).tobytes() != np.asarray(want).tobytes():
-                bad.append(f"{name} (hidden={hidden}, k={k}, {len(lengths)} clients): {got} != {want}")
+                bad.append(f"{name} (hidden={hidden}, k={k}, {count} clients): {got} != {want}")
     if bad:
         return False, f"{len(bad)} mismatches, first: {bad[0]}"
     return True, f"{instances} instances bitwise equal to the per-client reference"
@@ -558,40 +558,38 @@ def check_stacked_sgd() -> tuple[bool, str]:
     key table from each group's stream, one row per client in participant
     order.  Batches cover a short last batch, a batch size at least the
     dataset length, and batch size 1, in groups of one and five clients;
-    one group mixes two dataset lengths (so its chunk order is not its
-    participant order) and one (hidden 0 and 3) spans three chunks of
-    ``_CHUNK_ROWS`` minibatch rows.  Lone clients also run the one-client
-    form of ``sgd_epochs``.
+    two groups span three chunks of ``_CHUNK_ROWS`` minibatch rows: five
+    clients of full-batch training, and (hidden 0 and 3) many clients of
+    batch size 16.  Lone clients also run the one-client form of
+    ``sgd_epochs``.
     """
     rng = np.random.default_rng(7)
     gamma, tau = 0.3, 2
     spans = 2 * _CHUNK_ROWS // 16 + 3  # three chunks at batch size 16
-    groups = [((10,) * m, 4) for m in (1, 5)] + [((6,) * m, 8) for m in (1, 5)]
-    groups += [((7,) * m, 1) for m in (1, 5)] + [((10, 7, 10, 7, 7), 4), ((20,) * spans, 16)]
+    groups = [(m, 10, 4) for m in (1, 5)] + [(m, 6, 8) for m in (1, 5)] + [(m, 7, 1) for m in (1, 5)]
+    groups += [(5, _CHUNK_ROWS // 3 + 1, _CHUNK_ROWS), (spans, 20, 16)]  # two full batches per chunk
     clients, bad = 0, []
     for hidden in (0, 3, 32):
         shape = ModelShape(dim=5, hidden=hidden, n_classes=3)
-        for lengths, batch_size in groups:
-            if hidden == 32 and len(lengths) == spans:
+        for count, n, batch_size in groups:
+            if hidden == 32 and count == spans:
                 continue
-            block = 0.5 * rng.standard_normal((len(lengths), shape.param_count))
-            data = [random_dataset(rng, n, shape.dim, shape.n_classes) for n in lengths]
+            block = 0.5 * rng.standard_normal((count, shape.param_count))
+            data = [random_dataset(rng, n, shape.dim, shape.n_classes) for _ in range(count)]
             seed = int(rng.integers(2**32))
-            states = RunState(shape, block[:, None].copy(), [0] * len(lengths), data, data)
-            plan = RoundPlan(tuple(range(len(lengths))), round_seed=seed)
+            states = RunState(shape, block[:, None].copy(), [0] * count, data, data)
+            plan = RoundPlan(tuple(range(count)), round_seed=seed)
             local_update(states, plan, Hyperparams(gamma, tau, batch_size))
-            keys = spawn_rng(seed, "sgd").random((len(lengths), tau, max(lengths)))
-            for i, (v, d, row) in enumerate(zip(block, data, keys)):
-                table = row[:, : len(d)]
+            keys = spawn_rng(seed, "sgd").random((count, tau, n))
+            for i, (v, d, table) in enumerate(zip(block, data, keys)):
                 want = _per_client_sgd(shape, v, d, gamma, tau, batch_size, table).tobytes()
                 got = [states.models[i, 0]]
-                if len(lengths) == 1:
+                if count == 1:
                     alone = sgd_epochs(unflatten_params(shape, v), d, gamma, tau, batch_size, table)
                     got.append(alone.values)
                 clients += 1
                 if any(g.tobytes() != want for g in got):
-                    bad.append(f"hidden={hidden}, {len(lengths)} clients, batch {batch_size}, "
-                               f"client {i}")
+                    bad.append(f"hidden={hidden}, {count} clients, batch {batch_size}, client {i}")
     if bad:
         return False, f"{len(bad)} of {clients} clients differ, first: {bad[0]}"
     return True, f"{clients} clients trained in stacked groups, bitwise equal to per-client SGD"

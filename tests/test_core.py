@@ -21,6 +21,7 @@ from dfca.core import (
     local_update,
     run_round,
 )
+from dfca.datagen import stack_datasets
 from dfca.harness import DisconnectedGraphError, run_one_seed
 from dfca.model import (
     DivergenceError,
@@ -65,8 +66,8 @@ def draw_states(data):
     """Random states of 1-6 clients, k = 1..3, training sets of 1-12 samples."""
     n, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    sizes = data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
-    datasets = [random_dataset(rng, n=size, dist=i % 2) for i, size in enumerate(sizes)]
+    size = data.draw(st.integers(1, 12))
+    datasets = [random_dataset(rng, n=size, dist=i % 2) for i in range(n)]
     return RunState(SHAPE, rng.standard_normal((n, k, SHAPE.param_count)),
                     [int(a) for a in rng.integers(0, k, size=n)], datasets, datasets)
 
@@ -189,8 +190,8 @@ class TestAssignCluster:
 
     def test_batched_assignment_matches_per_client_loop(self, caplog):
         rng = np.random.default_rng(9)
-        k, lengths = 3, [40, 25] * 30  # each length spans several chunks of _CHUNK_ROWS rows
-        assert max(model._CHUNK_ROWS // (k * n) for n in lengths) < len(lengths) // 2
+        k, lengths = 3, [40] * 60  # several chunks of _CHUNK_ROWS rows
+        assert model._CHUNK_ROWS // (k * 40) < len(lengths) // 3
         drawn = make_states(rng, len(lengths), k)
         data = [random_dataset(rng, n) for n in lengths]
         states = RunState(SHAPE, drawn.models, drawn.assignment, data, data)
@@ -257,7 +258,7 @@ class TestLocalUpdate:
     def test_a_clients_shuffle_does_not_depend_on_its_chunk(self, monkeypatch):
         rng = np.random.default_rng(28)
         drawn = make_states(rng, 6, 2)
-        data = [random_dataset(rng, n=(9, 12, 9, 9, 12, 5)[i]) for i in range(6)]
+        data = [random_dataset(rng, n=9) for i in range(6)]
         states = RunState(SHAPE, drawn.models, drawn.assignment, data, data)
         rows = [4, 0, 5, 2, 1]
         together = train(states.copy(), rows, 0.1, 2, 4, seed=3)
@@ -414,8 +415,69 @@ def test_run_state_rejects_models_of_the_wrong_shape(models_shape):
 @pytest.mark.parametrize("cluster", [-1, 2])
 def test_run_state_rejects_an_assignment_outside_its_clusters(cluster):
     data = [random_dataset(np.random.default_rng(0))] * 3
-    with pytest.raises(ValueError, match=rf"client 1 is assigned cluster {cluster}, outside \[0, 2\)"):
+    with pytest.raises(ValueError, match=rf"client 1 is assigned cluster {cluster}, not an integer in \[0, 2\)"):
         RunState(SHAPE, np.zeros((3, 2, SHAPE.param_count)), [0, cluster, 5], data, data)
+
+
+@pytest.mark.parametrize("assignment, client, shown", [
+    ([1.7, 0.2, 0], 0, "1.7"), ([0.0, 1.0, 0.5], 2, "0.5"), ([0, 1, np.nan], 2, "nan"),
+])
+def test_run_state_rejects_an_assignment_that_is_not_an_integer(assignment, client, shown):
+    data = [random_dataset(np.random.default_rng(0))] * 3
+    with pytest.raises(ValueError, match=f"client {client} is assigned cluster {shown}, not an integer"):
+        RunState(SHAPE, np.zeros((3, 2, SHAPE.param_count)), assignment, data, data)
+    whole = RunState(SHAPE, np.zeros((3, 2, SHAPE.param_count)), [1.0, 0.0, 1.0], data, data)
+    assert whole.assignment.tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("build", ["run-state", "initialize"])
+def test_splits_of_unequal_length_are_rejected_naming_the_first_client(build):
+    rng = np.random.default_rng(35)
+    data = [random_dataset(rng, n) for n in (6, 6, 7, 5)]
+    tests = [random_dataset(rng, 3) for _ in data]
+    message = "client 2 has 7 samples and client 0 has 6"
+    with pytest.raises(ValueError, match=message):
+        if build == "initialize":
+            initialize(k=2, mode="gi", model_shape=SHAPE, seed=0, datasets=data, test_sets=tests)
+        else:
+            RunState(SHAPE, np.zeros((4, 2, SHAPE.param_count)), [0] * 4, data, tests)
+    with pytest.raises(ValueError, match=message):
+        initialize(k=2, mode="gi", model_shape=SHAPE, seed=0, datasets=tests, test_sets=data)
+
+
+def test_the_run_holds_its_splits_as_two_stacks():
+    rng = np.random.default_rng(36)
+    data = [random_dataset(rng, 6, dist=i % 2) for i in range(4)]
+    tests = [random_dataset(rng, 3, dist=i % 2) for i in range(4)]
+    states = initialize(k=2, mode="li", model_shape=SHAPE, seed=1, datasets=data, test_sets=tests)
+    assert states.data.features.shape == (4, 6, SHAPE.dim) and states.test_sets.labels.shape == (4, 3)
+    assert states.data.distribution_id.tolist() == [0, 1, 0, 1]
+    for i, (d, t) in enumerate(zip(data, tests)):
+        assert states.data[i].features.tobytes() == d.features.tobytes()
+        assert states.test_sets[i].labels.tolist() == t.labels.tolist()
+    twin = initialize(k=2, mode="li", model_shape=SHAPE, seed=1, datasets=stack_datasets(data),
+                      test_sets=stack_datasets(tests))
+    assert twin.models.tobytes() == states.models.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["batch", "sequential", "server"])
+def test_a_round_stacks_no_data(monkeypatch, mode):
+    """The run's splits are stacked once; a round reads rows and slices of
+    them."""
+    rng = np.random.default_rng(37)
+    t, states, hp = tiny_problem(rng, 6, 2, p=1.0)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return stack(*args, **kwargs)
+
+    stack = np.stack
+    monkeypatch.setattr(np, "stack", counted)
+    for r in range(2):
+        plan = RoundPlan(participants=(0, 2, 3, 5), aggregation_mode=mode, round_seed=r, round_index=r)
+        run_round(states, None if mode == "server" else t, plan, hp)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n_tests", [2, 4])
@@ -570,8 +632,7 @@ class TestRunRound:
     def test_participants_train_like_per_client_sgd(self, gamma):
         rng = np.random.default_rng(20)
         drawn = make_states(rng, 9, 3)
-        # two train lengths, so two stacked groups
-        data = [random_dataset(rng, n=(10, 13)[i % 2], dist=i % 2) for i in range(9)]
+        data = [random_dataset(rng, n=13, dist=i % 2) for i in range(9)]
         tests = [random_dataset(rng, n=5) for _ in data]
         states = RunState(SHAPE, drawn.models, drawn.assignment, data, tests)
         hp = Hyperparams(gamma=gamma, tau=2, batch_size=4)
@@ -583,7 +644,7 @@ class TestRunRound:
             j = assign_cluster(expected[i])
             if gamma:
                 trained = sgd_epochs(unflatten_params(SHAPE, expected.models[i, j]), data[i],
-                                     gamma, hp.tau, hp.batch_size, table[:, : len(data[i])])
+                                     gamma, hp.tau, hp.batch_size, table)
                 expected.models[i, j] = trained.values
             expected.sent[i] = j
         run_round(states, graph_from_edges(9, []), plan, hp)  # no edges: nothing merges
@@ -694,12 +755,12 @@ def reference_round(states, t, plan, hp):
         finite = [(loss, j) for j, loss in enumerate(losses) if math.isfinite(loss)]
         if finite:
             states.assignment[i] = min(finite)[1]
-    longest = max((len(states.data[i]) for i in plan.participants), default=0)
-    keys = spawn_rng(plan.round_seed, "sgd").random((len(plan.participants), hp.tau, longest))
+    n = len(states.data[0])
+    keys = spawn_rng(plan.round_seed, "sgd").random((len(plan.participants), hp.tau, n))
     for i, table in zip(plan.participants, keys):
         j, d = states.assignment[i], states.data[i]
         states.models[i, j] = verify._per_client_sgd(states.shape, states.models[i, j], d, hp.gamma,
-                                                     hp.tau, hp.batch_size, table[:, : len(d)])
+                                                     hp.tau, hp.batch_size, table)
         states.sent[i] = j
     before = verify._per_client_metrics(states)[3]
     merge = verify._per_slot_sequential if plan.aggregation_mode == "sequential" else verify._per_slot_batch
@@ -721,14 +782,14 @@ def reference_round(states, t, plan, hp):
 ], ids=["full", "full-nan-model", "partial", "partial-restricted"])
 def test_round_equals_its_per_unit_references(participants, restricted, nan, mode, metropolis):
     """Three rounds of ``run_round`` against :func:`reference_round`,
-    bitwise: models, assignments and trace rows.  Clients hold two train
-    and two test lengths and start from scrambled assignments; with ``nan``,
+    bitwise: models, assignments and trace rows.  Clients hold 11 train and
+    4 test samples and start from scrambled assignments; with ``nan``,
     client 1 starts on a cluster whose model it holds as NaN."""
     rng = np.random.default_rng(32)
     n, k = 10, 3
     t = generate_erdos_renyi(n, 0.5, 3)
-    data = [random_dataset(rng, n=(8, 11)[i % 2], dist=i % 2) for i in range(n)]
-    tests = [random_dataset(rng, n=(5, 4)[i % 2], dist=i % 2) for i in range(n)]
+    data = [random_dataset(rng, n=11, dist=i % 2) for i in range(n)]
+    tests = [random_dataset(rng, n=4, dist=i % 2) for i in range(n)]
     states = initialize(k=k, mode="li", model_shape=SHAPE, seed=4, datasets=data, test_sets=tests)
     states.assignment[:] = rng.integers(0, k, size=n)
     if nan:

@@ -13,6 +13,7 @@ from dfca.datagen import (
     load_idx_pair,
     rotate_image,
     rotated_idx_datasets,
+    stack_datasets,
     train_test_split,
 )
 from dfca.datagen import _class_centers
@@ -255,3 +256,42 @@ class TestDatasetType:
     def test_whole_float_labels_become_integers(self):
         d = Dataset(features=[[1.0, 2.0], [0.5, 0.1]], labels=[1.0, 0.0], distribution_id=0)
         assert d.labels.dtype == np.int64 and d.labels.tolist() == [1, 0]
+
+
+class TestStack:
+    def clients(self, lengths):
+        return [generate_rotated_synthetic(SyntheticSpec(dim=3, samples_per_client=n), 2, i % 2, seed=i)
+                for i, n in enumerate(lengths)]
+
+    def test_rows_are_the_clients_in_order(self):
+        parts = self.clients([6, 6, 6])
+        stack = stack_datasets(parts)
+        assert len(stack) == 3 and stack.features.shape == (3, 6, 3) and stack.labels.shape == (3, 6)
+        assert stack.distribution_id.tolist() == [0, 1, 0]
+        for i, d in enumerate(parts):
+            row = stack[i]
+            assert len(row) == 6 and row.distribution_id == d.distribution_id
+            assert type(row.distribution_id) is int
+            assert row.features.tobytes() == d.features.tobytes() and row.labels.tolist() == d.labels.tolist()
+        assert stack[1:].distribution_id.tolist() == [1, 0] and len(stack[np.array([2, 0])]) == 2
+        assert [d.distribution_id for d in stack] == [0, 1, 0]
+        assert not (stack.features.flags.writeable or stack.distribution_id.flags.writeable)
+
+    def test_unequal_lengths_are_rejected_naming_the_first_client_that_differs(self):
+        with pytest.raises(ValueError, match="client 2 has 5 samples and client 0 has 6"):
+            stack_datasets(self.clients([6, 6, 5, 7]))
+
+    def test_one_client_is_not_indexed(self):
+        with pytest.raises(TypeError, match="only a stack"):
+            self.clients([4])[0][0]
+
+    @pytest.mark.parametrize("ids", [[0, 1], [0, 1, 2, 3], [0.0, 1.0, 0.5]])
+    def test_a_stack_needs_one_integer_distribution_id_per_client(self, ids):
+        with pytest.raises(ValueError, match="a stack of 3 clients needs as many integer distribution ids"):
+            Dataset(features=np.zeros((3, 2, 2)), labels=np.zeros((3, 2), dtype=int), distribution_id=ids)
+
+    def test_a_non_finite_feature_is_located_by_client(self):
+        features = np.zeros((3, 2, 2))
+        features[2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="feature nan at client 2, sample 1, column 0 is not finite"):
+            Dataset(features=features, labels=np.zeros((3, 2), dtype=int), distribution_id=[0, 0, 0])

@@ -228,15 +228,20 @@ class TestTestAccuracy:
         assert sample_weighted_accuracy(states) == 1.0
 
     def test_sample_weighted_mean(self):
+        """Test splits of one length weigh every client alike; splits of
+        unequal length, whose weights would differ, are rejected."""
         # w2 = [[-5, 0], [5, 0]], b2 = 0
         perfect = unflatten_params(SHAPE, np.array([-5.0, 0.0, 5.0, 0.0, 0.0, 0.0])).values
         zero = np.zeros(SHAPE.param_count)
         test_a = dataset([[1.0, 0.0]] * 10, [1] * 10)  # perfect model: 10/10
-        test_b = dataset([[1.0, 0.0]] * 15 + [[-1.0, 0.0]] * 15, [0] * 15 + [1] * 15)
-        # zero model predicts class 0 everywhere: 15/30
+        test_b = dataset([[1.0, 0.0]] * 8 + [[-1.0, 0.0]] * 2, [0] * 8 + [1] * 2)
+        # zero model predicts class 0 everywhere: 8/10
         states = one_model_states([perfect, zero], [test_a, test_b])
-        assert sample_weighted_accuracy(states) == pytest.approx(0.625)
-        assert client_mean_test_accuracy(states) == pytest.approx(0.75)
+        assert sample_weighted_accuracy(states) == 0.9
+        assert client_mean_test_accuracy(states) == 0.9
+        test_b = dataset([[1.0, 0.0]] * 15 + [[-1.0, 0.0]] * 15, [0] * 15 + [1] * 15)
+        with pytest.raises(ValueError, match="client 1 has 30 samples and client 0 has 10"):
+            one_model_states([perfect, zero], [test_a, test_b])
 
     def test_zero_model_near_chance_on_default_spec(self):
         spec = SyntheticSpec()

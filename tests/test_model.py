@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfca.core import Hyperparams
-from dfca.datagen import Dataset
+from dfca.datagen import Dataset, stack_datasets
 from dfca.model import (
     MlpModel,
     ModelShape,
@@ -80,9 +80,9 @@ class TestForwardLoss:
         rng = np.random.default_rng(10 + hidden)
         block = rng.standard_normal((6, 3, shape.param_count))
         data = [random_dataset(rng, 13, 4, 3) for _ in range(6)]
-        losses = forward_loss(MlpModel(shape, block), data)
+        losses = forward_loss(MlpModel(shape, block), stack_datasets(data))
         assert losses.shape == (6, 3)
-        flat = forward_loss(unflatten_params(shape, block[:, 0]), data)
+        flat = forward_loss(unflatten_params(shape, block[:, 0]), stack_datasets(data))
         for r, d in enumerate(data):
             assert flat[r].tobytes() == losses[r, 0].tobytes()
             for j in range(3):
@@ -93,10 +93,10 @@ class TestForwardLoss:
         shape = ModelShape(dim=2, hidden=0, n_classes=2)
         m = unflatten_params(shape, np.zeros((2, shape.param_count)))
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="as many datasets"):
-            forward_loss(m, [random_dataset(rng, 5, 2, 2)])
-        with pytest.raises(ValueError, match="one length"):
-            forward_loss(m, [random_dataset(rng, 5, 2, 2), random_dataset(rng, 6, 2, 2)])
+        with pytest.raises(ValueError, match="as many clients"):
+            forward_loss(m, stack_datasets([random_dataset(rng, 5, 2, 2)]))
+        with pytest.raises(ValueError, match="client 1 has 6 samples and client 0 has 5"):
+            stack_datasets([random_dataset(rng, 5, 2, 2), random_dataset(rng, 6, 2, 2)])
 
     def test_dimension_mismatch_rejected(self):
         m = init_model(ModelShape(dim=4, hidden=0, n_classes=3), seed=0)
@@ -124,8 +124,8 @@ class TestClassAxis:
         rng = np.random.default_rng(100 * n_classes + hidden)
         block = rng.standard_normal((5, 3, shape.param_count))
         data = [random_dataset(rng, 19, 4, n_classes) for _ in range(5)]
-        rows = forward_loss(MlpModel(shape, block[:, 0].copy()), data)
-        blocks = forward_loss(MlpModel(shape, block), data)
+        rows = forward_loss(MlpModel(shape, block[:, 0].copy()), stack_datasets(data))
+        blocks = forward_loss(MlpModel(shape, block), stack_datasets(data))
         for r, d in enumerate(data):
             assert rows[r].tobytes() == reference_bytes(shape, block[r, 0], d)
             for j in range(3):
@@ -139,7 +139,7 @@ class TestClassAxis:
         block = rng.standard_normal((4, shape.param_count))
         data = [random_dataset(rng, 11, 4, n_classes) for _ in range(4)]
         keys = rng.random((4, 1, 11))
-        got = sgd_epochs(MlpModel(shape, block), data, 0.3, 1, 11, keys).values
+        got = sgd_epochs(MlpModel(shape, block), stack_datasets(data), 0.3, 1, 11, keys).values
         for r, d in enumerate(data):
             assert got[r].tobytes() == _per_client_sgd(shape, block[r], d, 0.3, 1, 11, keys[r]).tobytes()
 
@@ -162,7 +162,7 @@ class TestClassAxis:
         with np.errstate(over="ignore", invalid="ignore"):
             want = _per_client_loss(shape, values, d)
         got = forward_loss(MlpModel(shape, values), d)
-        stacked = forward_loss(MlpModel(shape, np.stack([values, values])), [d, d])
+        stacked = forward_loss(MlpModel(shape, np.stack([values, values])), stack_datasets([d, d]))
         assert np.isnan(want) and np.isnan(got) and np.isnan(stacked).all()
 
 
@@ -220,13 +220,17 @@ class TestSgd:
             sgd_epochs(m, data, gamma=1e300, tau=3, batch_size=4, keys=keys_for(data, 3, 0))
 
     def test_stacked_call_needs_datasets_of_one_length(self):
-        shape = ModelShape(dim=2, hidden=0, n_classes=2)
-        block = np.stack([init_model(shape, seed=s).values for s in range(2)])
+        """A stacked call takes a stack, and no stack holds clients of two
+        lengths."""
         rng = np.random.default_rng(8)
-        data = [random_dataset(rng, n, 2, 2) for n in (4, 5)]
-        with pytest.raises(ValueError, match="one length"):
-            sgd_epochs(unflatten_params(shape, block), data, gamma=0.1, tau=1, batch_size=2,
-                       keys=rng.random((2, 1, 5)))
+        data = [random_dataset(rng, n, 2, 2) for n in (4, 4, 5)]
+        with pytest.raises(ValueError, match="client 2 has 5 samples and client 0 has 4"):
+            stack_datasets(data)
+        shape = ModelShape(dim=2, hidden=0, n_classes=2)
+        block = unflatten_params(shape, np.zeros((3, shape.param_count)))
+        with pytest.raises(ValueError, match="3 models need as many clients, got 2"):
+            sgd_epochs(block, stack_datasets(data[:2]), gamma=0.1, tau=1, batch_size=2,
+                       keys=rng.random((3, 1, 4)))
 
     @pytest.mark.parametrize("stacked, table", [
         (False, (3, 6)), (False, (2, 5)), (False, (6, 2)), (False, (1, 2, 6)), (False, (12,)),
@@ -237,7 +241,7 @@ class TestSgd:
         rng = np.random.default_rng(12)
         data = [random_dataset(rng, 6, 2, 2) for _ in range(2)]
         block = rng.standard_normal((2, shape.param_count))
-        m, d, want = ((unflatten_params(shape, block), data, (2, 2, 6)) if stacked
+        m, d, want = ((unflatten_params(shape, block), stack_datasets(data), (2, 2, 6)) if stacked
                       else (unflatten_params(shape, block[0]), data[0], (2, 6)))
         with pytest.raises(ValueError, match=re.escape(f"shuffle keys need shape {want}, got {table}")):
             sgd_epochs(m, d, gamma=0.1, tau=2, batch_size=2, keys=rng.random(table))
@@ -299,7 +303,7 @@ class TestSgd:
             raise AssertionError("sgd_epochs built a Generator")
 
         monkeypatch.setattr(np.random, "default_rng", forbidden)
-        sgd_epochs(block, data, gamma=0.1, tau=2, batch_size=3, keys=keys)
+        sgd_epochs(block, stack_datasets(data), gamma=0.1, tau=2, batch_size=3, keys=keys)
         sgd_epochs(unflatten_params(shape, block.values[0]), data[0], 0.1, 2, 3, keys[0])
 
     def test_loss_descends_on_default_style_data_over_20_seeds(self):
@@ -326,8 +330,16 @@ class TestHyperparams:
 
     @pytest.mark.parametrize("tau, batch_size, field", [(0, 0, "tau"), (1, 0, "batch_size")])
     def test_tau_and_batch_size_below_one_rejected_when_built(self, tau, batch_size, field):
-        with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got 0$"):
             Hyperparams(0.0, tau, batch_size)
+
+    @pytest.mark.parametrize("tau, batch_size, field, value", [
+        (1.5, 4, "tau", "1.5"), (1, 2.5, "batch_size", "2.5"), (2.0, 4, "tau", "2.0"),
+    ])
+    def test_tau_and_batch_size_must_be_integers_when_built(self, tau, batch_size, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got {value}$"):
+            Hyperparams(gamma=0.1, tau=tau, batch_size=batch_size)
+        assert Hyperparams(gamma=0.1, tau=np.int64(2), batch_size=np.int32(4)).tau == 2
 
 
 class TestFlatParams:

@@ -1,7 +1,8 @@
 """Certification matrix: one ``dfca run configs/desk.cfg`` per entry.
 
-It shows that a change keeps every trace and summary of the entries, and
-the output of ``dfca verify`` with and without ``--inject-fault``.
+It shows that a change keeps every trace and summary of the entries, the
+output of ``dfca verify`` with and without ``--inject-fault``, and what the
+demos print.
 
 Usage (from any directory)::
 
@@ -12,13 +13,15 @@ The first form writes each entry's run under ``OUT/<name>/`` (``desk/`` with
 ``seed_<s>/trace.csv`` and ``summary.json``), at ``T=25`` and ``n_seeds=2``
 unless the entry or a ``--set``, applied last, says otherwise, and the
 output of each ``dfca verify`` command of ``VERIFY`` into its file under
-``OUT/``, the exit status last.  It runs the ``src/`` of the checkout this
-script sits in, so run it in two checkouts, say a parent commit and a
-change, and diff the outputs.  The second form runs ``dfca diff`` on every
-entry of two such directories and compares their ``summary.json`` bytes
-and their verify files; it exits 1 if any entry or file differs or is
-missing.  The gossip and crowd entries take their overrides from the benchmark's
-``WORKLOADS`` in ``perfbench/run.py``.
+``OUT/``, and the standard output of each demo, ``demos/0[1-5]_*.py``, into
+``OUT/<demo>.txt``, the exit status last in every file.  It runs the
+``src/`` of the checkout this script sits in, so run it in two checkouts,
+say a parent commit and a change, and diff the outputs.  The second form
+runs ``dfca diff`` on every entry of two such directories and compares
+their ``summary.json`` bytes, their verify files and their demo files; it
+exits 1 if any entry or file differs or is missing.  The gossip and crowd
+entries take their overrides from the benchmark's ``WORKLOADS`` in
+``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import ast
 import contextlib
 import io
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,6 +43,12 @@ from dfca.cli import main as dfca  # noqa: E402
 DESK = ROOT / "configs" / "desk.cfg"
 BASE = ("T=25", "n_seeds=2")
 VERIFY = {"verify.txt": ("verify",), "verify-inject-fault.txt": ("verify", "--inject-fault")}
+DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
+
+
+def outputs() -> list[str]:
+    """The files under ``OUT/`` besides the entries: verify, then demos."""
+    return [*VERIFY, *(f"{demo.stem}.txt" for demo in DEMOS)]
 
 
 def _workloads() -> dict[str, tuple[str, ...]]:
@@ -76,8 +86,8 @@ def entries() -> dict[str, tuple[str, ...]]:
 
 
 def run_matrix(out: Path, overrides: list[str]) -> int:
-    """Run every entry into ``out/<name>/`` and every verify command into
-    its file; 1 if any run fails."""
+    """Run every entry into ``out/<name>/``, and every verify command and
+    demo into its file; 1 if any entry run or demo fails."""
     failed = []
     for name, entry in entries().items():
         os.environ["DFCA_OUTPUT_ROOT"] = str(out / name)
@@ -91,6 +101,15 @@ def run_matrix(out: Path, overrides: list[str]) -> int:
             code = dfca(list(argv))
         (out / name).write_text(f"{text.getvalue()}exit {code}\n", encoding="utf-8")
         print(f"{name}: dfca {' '.join(argv)} exit {code}")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for demo in DEMOS:
+        ran = subprocess.run([sys.executable, str(demo)], stdout=subprocess.PIPE,
+                             stderr=subprocess.DEVNULL, text=True, env=env, cwd=ROOT)
+        text = f"{ran.stdout}exit {ran.returncode}\n"
+        (out / f"{demo.stem}.txt").write_text(text, encoding="utf-8")
+        print(f"{demo.stem}.txt: exit {ran.returncode}")
+        if ran.returncode != 0:
+            failed.append(demo.name)
     if failed:
         print(f"failed: {', '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0
@@ -98,7 +117,7 @@ def run_matrix(out: Path, overrides: list[str]) -> int:
 
 def diff_matrix(a: Path, b: Path) -> int:
     """``dfca diff`` and a byte comparison of ``summary.json`` per entry,
-    and of each verify file; 1 if any differs or is missing."""
+    and of each verify and demo file; 1 if any differs or is missing."""
     differs = []
     for name in entries():
         run_a, run_b = a / name / DESK.stem, b / name / DESK.stem
@@ -110,7 +129,7 @@ def diff_matrix(a: Path, b: Path) -> int:
         if code != 0 or not same:
             differs.append(name)
     print(f"{len(differs)} of {len(entries())} entries differ" + (f": {', '.join(differs)}" if differs else ""))
-    for name in VERIFY:
+    for name in outputs():
         files = [a / name, b / name]
         same = all(p.is_file() for p in files) and files[0].read_bytes() == files[1].read_bytes()
         print(f"{name} {'identical' if same else 'differs or is missing'}")
