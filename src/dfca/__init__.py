@@ -29,6 +29,7 @@ from .datagen import (
     load_idx_pair,
     rotate_image,
     rotated_idx_datasets,
+    stack_datasets,
     train_test_split,
 )
 from .harness import DisconnectedGraphError, run_one_seed

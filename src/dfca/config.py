@@ -1,9 +1,10 @@
 """Experiment configuration: a flat key=value text file.
 
 Lines are ``key = value``; blank lines and ``#`` comments are ignored.
-Unknown keys are rejected.  A config checks every value when it is built
-(``load_config``, the constructor or ``replace``) with an error message
-naming the offending key, and cannot be changed afterwards.
+Unknown keys are rejected.  A config checks the type and then the range of
+every value when it is built (``load_config``, the constructor or
+``replace``) with an error message naming the offending key, and cannot be
+changed afterwards.
 """
 
 from __future__ import annotations
@@ -65,13 +66,16 @@ class ExperimentConfig:
     data_noise_std: float = 1.0
     data_test_fraction: float = 0.2
     model_hidden: int = 32
-    seed: int = 0
     n_seeds: int = 5
     output_dir: str = "runs"
     on_disconnected: str = "proceed"
     restrict_receive_to_participants: bool = False
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _TYPES[f.type]) or isinstance(value, bool) != (f.type == "bool"):
+                raise ConfigError(f"config key {_key(f.name)!r}: must be of type {f.type} (got {value!r})")
         checks: list[tuple[str, bool, str]] = [
             ("algorithm", self.algorithm in ALGORITHMS, f"must be one of {ALGORITHMS}"),
             ("n_clients", self.n_clients >= 1, "must be >= 1"),
@@ -122,7 +126,6 @@ class ExperimentConfig:
                 f"leaves an empty side in a split of {self.data_samples_per_client} samples",
             ),
             ("model.hidden", self.model_hidden >= 0, "must be >= 0"),
-            ("seed", self.seed >= 0, "must be >= 0"),
             ("n_seeds", self.n_seeds >= 1, "must be >= 1"),
             (
                 "on_disconnected",
@@ -175,6 +178,9 @@ def _key(field_name: str) -> str:
 # Field annotations are strings (postponed evaluation); ``int | None`` fields
 # are optional only in the dataclass, a config file always gives a number.
 _CASTERS = {"str": str, "int": int, "int | None": int, "float": float, "bool": _bool}
+# The values a field of each annotation takes; a bool is an int to isinstance,
+# so only bool fields take one.
+_TYPES = {"str": str, "int": int, "int | None": (int, type(None)), "float": (int, float), "bool": bool}
 _FIELD_BY_KEY = {_key(f.name): (f.name, _CASTERS[f.type]) for f in fields(ExperimentConfig)}
 
 

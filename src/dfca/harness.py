@@ -38,7 +38,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, _FIELD_BY_KEY, load_config
 from .core import Hyperparams, RoundPlan, initialize, run_round
 from .datagen import Dataset, generate_rotated_synthetic, train_test_split
-from .metrics import RoundMetrics, client_mean_test_accuracy, trace_columns, trace_row
+from .metrics import RoundMetrics, trace_columns, trace_row
 from .model import DivergenceError, ModelShape, _LocatedError
 from .seeding import derive_seed, spawn_rng
 from .topology import Topology, generate_erdos_renyi, is_connected
@@ -71,18 +71,16 @@ _FINALS = (
     "final_clustering_accuracy",
     "final_f_global",
     "stabilization_round",
-    "client_mean_test_accuracy",
 )
 
 
 @dataclass
 class SeedOutcome:
-    """Final numbers for one seed of a run.  The trace's finals are read from
-    its last row; they and the client mean are None for an empty trace."""
+    """Final numbers for one seed of a run, each read from its trace's last
+    row, or None for an empty trace."""
 
     seed: int
     trace: list[RoundMetrics]
-    client_mean_test_accuracy: float | None
     connected: bool | None
 
     @property
@@ -193,9 +191,9 @@ def _plan(config: ExperimentConfig, seed: int, round_index: int) -> RoundPlan:
 
 def run_one_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
     """Run ``config``'s T rounds under master seed ``seed`` and collect its
-    finals.  Every stream derives from ``seed``, never ``config.seed``, so
-    equal arguments give bitwise equal traces.  ``algorithm = ifca`` runs
-    the server merge and builds no graph, so its ``connected`` is None."""
+    finals.  Every stream derives from ``seed``, so equal arguments give
+    bitwise equal traces.  ``algorithm = ifca`` runs the server merge and
+    builds no graph, so its ``connected`` is None."""
     try:
         t, connected = (None, None) if config.algorithm == "ifca" else _graph(config, seed)
         trains, tests = _client_data(config, seed)
@@ -206,9 +204,7 @@ def run_one_seed(config: ExperimentConfig, seed: int) -> SeedOutcome:
         trace = [run_round(states, t, _plan(config, seed, r), hp)[1] for r in range(config.T)]
     except (DivergenceError, DisconnectedGraphError) as exc:
         raise exc.at(seed=seed) from None
-    client_mean = client_mean_test_accuracy(states) if trace else None
-    return SeedOutcome(seed=seed, trace=trace, client_mean_test_accuracy=client_mean,
-                       connected=connected)
+    return SeedOutcome(seed=seed, trace=trace, connected=connected)
 
 
 def _mean_std(values: list[float | None]) -> tuple[float | None, float | None]:
@@ -311,11 +307,6 @@ def cmd_sweep(config_path: str, key: str, values: Sequence[str], overrides: Iter
     field_name, caster = _FIELD_BY_KEY[key]
     if caster not in (int, float):
         raise ConfigError(f"config key {key!r} is not numeric and cannot be swept")
-    if key == "seed":
-        raise ConfigError(
-            "config key 'seed' cannot be swept: dfca run uses seeds 0..n_seeds-1 whatever its "
-            "value; sweep n_seeds or topology.seed instead"
-        )
     if not values:
         raise ConfigError("sweep needs at least one value")
     configs = [load_config(config_path, [*overrides, f"{key}={v}"]) for v in values]

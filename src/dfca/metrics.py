@@ -32,7 +32,6 @@ __all__ = [
     "cluster_average",
     "clustering_accuracy",
     "test_accuracy",
-    "client_mean_test_accuracy",
     "trace_columns",
     "trace_row",
 ]
@@ -156,12 +155,6 @@ def test_accuracy(states: "RunState") -> float:
     """Top-1 accuracy of each client's assigned model on its own test split,
     over all test samples."""
     return int(_per_client(states, states.test_sets, _hits).sum()) / states.test_sets.labels.size
-
-
-def client_mean_test_accuracy(states: "RunState") -> float:
-    """Mean of the per-client test accuracies; with one test length per run
-    it differs from :func:`test_accuracy` only in rounding."""
-    return float(np.mean(_per_client(states, states.test_sets, _hits) / states.test_sets.labels.shape[-1]))
 
 
 def trace_columns(k: int) -> list[str]:

@@ -191,8 +191,9 @@ def forward_loss(m: MlpModel, d: Dataset) -> float | np.ndarray:
     """
     x, y = d.features, d.labels
     if x.ndim == 3:
-        if len(d) != len(m.values):
-            raise ValueError(f"{len(m.values)} stacked rows need as many clients, got {len(d)}")
+        if m.values.ndim < 2 or len(m.values) != len(d):
+            raise ValueError(f"a stack of {len(d)} clients needs a model block with one row per "
+                             f"client, got models of shape {m.values.shape}")
         for _ in range(m.values.ndim - 2):  # each client serves every model of its row
             x, y = x[:, None], y[:, None]
     _check_inputs(m.shape, x, y)
@@ -229,7 +230,11 @@ def _grad_xy(m: MlpModel, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
 
 
 def gradient(m: MlpModel, batch: Dataset) -> np.ndarray:
-    """Exact gradient of :func:`forward_loss` over ``batch`` as a flat vector."""
+    """Exact gradient of :func:`forward_loss` of one model over one client's
+    ``batch`` as a flat vector."""
+    if batch.features.ndim == 3 or m.values.ndim != 1:
+        raise ValueError(f"gradient takes one model and one client's samples, got models of shape "
+                         f"{m.values.shape} and samples of shape {batch.features.shape}")
     if len(batch) == 0:
         raise ValueError("gradient of an empty batch is undefined")
     _check_inputs(m.shape, batch.features, batch.labels)

@@ -33,7 +33,6 @@ from .datagen import Dataset, generate_rotated_synthetic, rotate_image, Syntheti
 from .harness import run_one_seed
 from .metrics import (
     _add,
-    client_mean_test_accuracy,
     cluster_average,
     dispersion,
     f_cluster,
@@ -471,17 +470,16 @@ def _per_client_metrics(states: RunState) -> tuple:
         for values, a, t in zip(states.models, states.assignment, states.test_sets)
     ]
     acc = sum(int(np.sum(h)) for h in hits) / sum(len(h) for h in hits)
-    mean_acc = float(np.mean([float(np.mean(h)) for h in hits]))
     avg, disp = [], []
     for j in range(k):
         copies = states.models[:, j]
         avg.append(copies[0] + (copies - copies[0]).mean(axis=0))
         disp.append(float(np.mean(np.sum((copies - avg[j]) ** 2, axis=1))))
-    return f, acc, mean_acc, avg, disp
+    return f, acc, avg, disp
 
 
 def check_batched_metrics() -> tuple[bool, str]:
-    """Batched f_cluster and test accuracies, and the in-place cluster
+    """Batched f_cluster and test accuracy, and the in-place cluster
     averages and dispersions, against the per-client reference, bitwise,
     for hidden widths 0 and 3 and k = 1..4.
 
@@ -493,7 +491,7 @@ def check_batched_metrics() -> tuple[bool, str]:
     rng = np.random.default_rng(6)
     long_n = _CHUNK_ROWS // 3 + 1  # two clients per chunk
     mixes = ((6, 12, 12), (7, 9, 5), (7, long_n, long_n - 1), (_CHUNK_ROWS // 8 + 4, 8, 8))
-    names = ("f_cluster", "test_accuracy", "client_mean_test_accuracy", "cluster_average", "dispersion")
+    names = ("f_cluster", "test_accuracy", "cluster_average", "dispersion")
     instances, bad = 0, []
     for hidden, k, (count, n, n_test), empty in itertools.product((0, 3), range(1, 5), mixes, (False, True)):
         shape = ModelShape(dim=4, hidden=hidden, n_classes=3)
@@ -507,7 +505,6 @@ def check_batched_metrics() -> tuple[bool, str]:
         batched = (
             f_cluster(states),
             test_accuracy(states),
-            client_mean_test_accuracy(states),
             cluster_average(states),
             dispersion(states),
         )

@@ -32,28 +32,27 @@ def report(criterion, detail):
     print(f"PASS criterion {criterion}: {detail}")
 
 
-def _trace(config_kw):
-    config = ExperimentConfig(**config_kw)
-    return run_one_seed(config, config.seed).trace
+def _trace(seed, config_kw):
+    return run_one_seed(ExperimentConfig(**config_kw), seed).trace
 
 
-def run_all(configs):
-    """Traces of full experiments, one per config keyword dict, each run in a
-    worker process."""
+def run_all(runs):
+    """Traces of full experiments, one per (seed, config keyword dict) pair,
+    each run in a worker process."""
     with ProcessPoolExecutor(max_workers=os.cpu_count()) as pool:
-        return list(pool.map(_trace, configs))
+        return list(pool.map(_trace, *zip(*runs)))
 
 
 def run_batch(**config_kw):
     """Five-seed batch of full experiments; returns per-seed traces."""
-    return run_all([dict(seed=seed, **config_kw) for seed in range(N_SEEDS)])
+    return run_all([(seed, config_kw) for seed in range(N_SEEDS)])
 
 
 @pytest.fixture(scope="session")
 def desk_runs():
     """GI and LI desk-scale batches shared by criteria 5-7."""
     t0 = time.time()
-    traces = run_all([dict(seed=seed, init_mode=mode) for mode in ("gi", "li") for seed in range(N_SEEDS)])
+    traces = run_all([(seed, dict(init_mode=mode)) for mode in ("gi", "li") for seed in range(N_SEEDS)])
     return {"gi": traces[:N_SEEDS], "li": traces[N_SEEDS:], "elapsed": time.time() - t0}
 
 
@@ -166,7 +165,7 @@ class TestCriterion8ConnectivitySufficiency:
 
     def test_accuracy_flat_above_threshold(self):
         t0 = time.time()
-        traces = run_all([dict(seed=seed, n_clients=50, topology_p=p)
+        traces = run_all([(seed, dict(n_clients=50, topology_p=p))
                           for p in self.SWEEP_P for seed in range(N_SEEDS)])
         means = {}
         for r, p in enumerate(self.SWEEP_P):

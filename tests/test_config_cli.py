@@ -97,7 +97,7 @@ class TestConfigParsing:
             init_mode="li", aggregation_mode="batch", mixing_kind="metropolis", gamma=0.05,
             tau=2, batch_size=8, T=9, participation_fraction=0.5, data_n_classes=3,
             data_dim=5, data_samples_per_client=50, data_class_separation=2.5,
-            data_noise_std=0.5, data_test_fraction=0.3, model_hidden=6, seed=4, n_seeds=2,
+            data_noise_std=0.5, data_test_fraction=0.3, model_hidden=6, n_seeds=2,
             output_dir="elsewhere", on_disconnected="abort",
             restrict_receive_to_participants=restrict,
         )
@@ -122,12 +122,44 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             load_config(tiny_config, overrides=[f"{key}={value}"])
 
+    @pytest.mark.parametrize("key, value", [
+        ("restrict_receive_to_participants", "false"), ("restrict_receive_to_participants", 0),
+        ("n_clients", 6.5), ("n_clients", True), ("k", 2.0), ("T", 2.5), ("model.hidden", 4.0),
+        ("n_seeds", 1.5), ("gamma", "0.1"), ("gamma", False), ("algorithm", None),
+        ("topology.seed", 3.0), ("topology.seed", True),
+    ])
+    def test_a_value_of_another_type_named_when_built(self, key, value):
+        field = key.replace(".", "_")
+        with pytest.raises(ConfigError, match=f"config key '{key}': must be of type .* \\(got {value!r}\\)"):
+            ExperimentConfig(**{field: value})
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            ExperimentConfig().replace(**{field: value})
+
+    def test_values_of_the_field_type_accepted(self):
+        cfg = ExperimentConfig(gamma=1, topology_seed=None, restrict_receive_to_participants=True)
+        assert (cfg.gamma, cfg.topology_seed) == (1, None)
+        assert ExperimentConfig(topology_seed=0).topology_seed == 0
+
+    def test_seed_is_an_unknown_key(self, tiny_config, tmp_path, output_root, capsys):
+        """Runs take their seeds from 0..n_seeds-1, so no config key names one."""
+        assert "seed" not in ExperimentConfig().to_dict()
+        path = tmp_path / "seeded.cfg"
+        path.write_text(TINY + "seed = 3\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="unknown config key 'seed'"):
+            load_config(path)
+        with pytest.raises(ConfigError, match="--set: unknown config key 'seed'"):
+            load_config(tiny_config, ["seed=3"])
+        assert cmd_run(str(tiny_config), ["seed=3"]) == 2
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+        assert cmd_sweep(str(tiny_config), "seed", ["1", "7"]) == 2
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+        assert not output_root.exists()
+
     def test_key_list_covers_documented_interface(self):
         keys = ExperimentConfig().to_dict()
         for expected in ("n_clients", "k", "topology.p", "topology.seed", "init_mode",
                          "aggregation_mode", "mixing_kind", "gamma", "tau", "batch_size",
-                         "T", "participation_fraction", "algorithm", "n_seeds", "output_dir",
-                         "seed"):
+                         "T", "participation_fraction", "algorithm", "n_seeds", "output_dir"):
             assert expected in keys
 
 
@@ -143,6 +175,22 @@ class TestCmdRun:
         assert summary["mean"]["final_test_accuracy"] == pytest.approx(
             float(np.mean(per_seed)), abs=1e-12
         )
+
+    def test_summary_key_sets(self, tiny_config, output_root):
+        finals = {"final_test_accuracy", "final_clustering_accuracy", "final_f_global",
+                  "stabilization_round"}
+        assert cmd_run(str(tiny_config)) == 0
+        summary = json.loads((output_root / "tiny" / "summary.json").read_text())
+        assert set(summary) == {"config", "seeds", "per_seed", "mean", "std"}
+        assert set(summary["per_seed"]) == finals | {"connected"}
+        assert set(summary["mean"]) == set(summary["std"]) == finals
+        assert list(summary["config"]) == sorted(ExperimentConfig().to_dict())
+        assert len(summary["config"]) == 24
+        assert cmd_run(str(tiny_config), ["gamma=1e8", "T=5"]) == 4
+        failed = json.loads((output_root / "tiny" / "summary.json").read_text())
+        assert set(failed) == set(summary) | {"failed"}
+        assert [set(failed[part]) for part in ("per_seed", "mean", "std")] == [
+            set(summary[part]) for part in ("per_seed", "mean", "std")]
 
     def test_seed_finals_are_read_from_the_trace(self, tiny_config):
         config = load_config(tiny_config)
@@ -298,12 +346,6 @@ class TestCmdSweep:
     def test_non_numeric_key_rejected(self, tiny_config, capsys):
         assert cmd_sweep(str(tiny_config), "init_mode", ["gi"]) == 2
         assert "init_mode" in capsys.readouterr().err
-
-    def test_seed_rejected_as_every_value_runs_the_same_seeds(self, tiny_config, output_root, capsys):
-        assert cmd_sweep(str(tiny_config), "seed", ["1", "7"]) == 2
-        err = capsys.readouterr().err
-        assert "'seed'" in err and "0..n_seeds-1" in err and "topology.seed" in err
-        assert not (output_root / "tiny").exists()
 
     @pytest.mark.parametrize("key, values", [("k", ["2", "3"]), ("gamma", ["0.1", "-1"]),
                                              ("gamma", ["0.1", "0.10"]), ("topology.p", ["0.5", "0.9", "0.50"])])

@@ -15,3 +15,9 @@ def test_every_name_in_all_resolves(name):
     module = importlib.import_module(f"dfca.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"dfca.{name}.__all__ lists {missing}, which the module does not define"
+
+
+def test_stack_datasets_is_exported_next_to_dataset():
+    from dfca import Dataset, stack_datasets
+
+    assert (Dataset, stack_datasets) == (dfca.datagen.Dataset, dfca.datagen.stack_datasets)

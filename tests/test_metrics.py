@@ -10,7 +10,6 @@ from dfca.core import RunState
 from dfca.datagen import Dataset, SyntheticSpec, generate_rotated_synthetic
 from dfca.metrics import (
     RoundMetrics,
-    client_mean_test_accuracy,
     cluster_average,
     clustering_accuracy,
     dispersion,
@@ -238,7 +237,6 @@ class TestTestAccuracy:
         # zero model predicts class 0 everywhere: 8/10
         states = one_model_states([perfect, zero], [test_a, test_b])
         assert sample_weighted_accuracy(states) == 0.9
-        assert client_mean_test_accuracy(states) == 0.9
         test_b = dataset([[1.0, 0.0]] * 15 + [[-1.0, 0.0]] * 15, [0] * 15 + [1] * 15)
         with pytest.raises(ValueError, match="client 1 has 30 samples and client 0 has 10"):
             one_model_states([perfect, zero], [test_a, test_b])

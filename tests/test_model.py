@@ -93,10 +93,18 @@ class TestForwardLoss:
         shape = ModelShape(dim=2, hidden=0, n_classes=2)
         m = unflatten_params(shape, np.zeros((2, shape.param_count)))
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="as many clients"):
+        with pytest.raises(ValueError, match="one row per client"):
             forward_loss(m, stack_datasets([random_dataset(rng, 5, 2, 2)]))
         with pytest.raises(ValueError, match="client 1 has 6 samples and client 0 has 5"):
             stack_datasets([random_dataset(rng, 5, 2, 2), random_dataset(rng, 6, 2, 2)])
+
+    def test_one_model_on_a_stack_rejected(self):
+        shape = ModelShape(dim=2, hidden=4, n_classes=3)  # 27 parameters
+        data = stack_datasets([random_dataset(np.random.default_rng(i), 5, 2, 3) for i in range(4)])
+        with pytest.raises(ValueError, match=re.escape(
+                "a stack of 4 clients needs a model block with one row per client, "
+                "got models of shape (27,)")):
+            forward_loss(init_model(shape, seed=0), data)
 
     def test_dimension_mismatch_rejected(self):
         m = init_model(ModelShape(dim=4, hidden=0, n_classes=3), seed=0)
@@ -192,6 +200,18 @@ class TestGradient:
             np.concatenate([data.labels, data.labels]),
         )
         np.testing.assert_allclose(gradient(m, data), gradient(m, doubled), rtol=1e-12)
+
+    @pytest.mark.parametrize("models, clients, shapes", [
+        (1, 4, "(21,) and samples of shape (4, 5, 2)"), (3, 1, "(3, 21) and samples of shape (5, 2)"),
+    ], ids=["stacked-clients", "stacked-models"])
+    def test_stack_rejected(self, models, clients, shapes):
+        shape = ModelShape(dim=2, hidden=3, n_classes=3)  # 21 parameters
+        data = [random_dataset(np.random.default_rng(i), 5, 2, 3) for i in range(clients)]
+        values = np.zeros((models, shape.param_count))
+        m = MlpModel(shape, values[0] if models == 1 else values)
+        with pytest.raises(ValueError, match=re.escape(
+                f"gradient takes one model and one client's samples, got models of shape {shapes}")):
+            gradient(m, stack_datasets(data) if clients > 1 else data[0])
 
 
 def keys_for(data, tau, seed):

@@ -43,6 +43,7 @@ def test_one_round_matrix_equals_itself_and_a_changed_entry_differs(tmp_path):
     summary.write_text(summary.read_text().replace('"seeds": [\n    0', '"seeds": [\n    1', 1))
     differ = matrix("--diff", out, copy)
     assert differ.returncode == 1 and "1 of 16 entries differ: crowd" in differ.stdout
+    assert "summary.json differs at seeds\n" in differ.stdout
     trace = copy / "gossip" / "desk" / "seed_0" / "trace.csv"
     trace.write_text(trace.read_text().replace("\n0,", "\n7,", 1))
     differ = matrix("--diff", out, copy)

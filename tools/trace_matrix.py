@@ -18,7 +18,8 @@ output of each ``dfca verify`` command of ``VERIFY`` into its file under
 ``src/`` of the checkout this script sits in, so run it in two checkouts,
 say a parent commit and a change, and diff the outputs.  The second form
 runs ``dfca diff`` on every entry of two such directories and compares
-their ``summary.json`` bytes, their verify files and their demo files; it
+their ``summary.json`` bytes, naming the dotted keys (``mean.final_f_global``)
+at which two summaries differ, their verify files and their demo files; it
 exits 1 if any entry or file differs or is missing.  The gossip and crowd
 entries take their overrides from the benchmark's ``WORKLOADS`` in
 ``perfbench/run.py``.
@@ -30,6 +31,7 @@ import argparse
 import ast
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -115,6 +117,35 @@ def run_matrix(out: Path, overrides: list[str]) -> int:
     return 1 if failed else 0
 
 
+def _differing_keys(a, b, prefix: str = "") -> list[str]:
+    """Dotted paths of the keys at which two JSON values differ or that only
+    one of them has; a list is compared as one value."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if json.dumps(a) == json.dumps(b) else [prefix.rstrip(".")]
+    paths = []
+    for key in sorted(a.keys() | b.keys()):
+        if key in a and key in b:
+            paths += _differing_keys(a[key], b[key], f"{prefix}{key}.")
+        else:
+            paths.append(prefix + key)
+    return paths
+
+
+def _summary_verdict(paths: list[Path]) -> str:
+    """``identical``, ``differs at`` the keys that differ, or ``differs or is
+    missing``; the bytes decide whether the summaries are identical."""
+    if not all(p.is_file() for p in paths):
+        return "differs or is missing"
+    texts = [p.read_bytes() for p in paths]
+    if texts[0] == texts[1]:
+        return "identical"
+    try:
+        keys = _differing_keys(*(json.loads(t) for t in texts))
+    except ValueError:
+        keys = []
+    return f"differs at {', '.join(keys)}" if keys else "differs or is missing"
+
+
 def diff_matrix(a: Path, b: Path) -> int:
     """``dfca diff`` and a byte comparison of ``summary.json`` per entry,
     and of each verify and demo file; 1 if any differs or is missing."""
@@ -123,10 +154,9 @@ def diff_matrix(a: Path, b: Path) -> int:
         run_a, run_b = a / name / DESK.stem, b / name / DESK.stem
         print(f"== {name}", flush=True)
         code = dfca(["diff", str(run_a), str(run_b)])
-        summaries = [p / "summary.json" for p in (run_a, run_b)]
-        same = all(p.is_file() for p in summaries) and summaries[0].read_bytes() == summaries[1].read_bytes()
-        print(f"dfca diff exit {code}, summary.json {'identical' if same else 'differs or is missing'}")
-        if code != 0 or not same:
+        verdict = _summary_verdict([p / "summary.json" for p in (run_a, run_b)])
+        print(f"dfca diff exit {code}, summary.json {verdict}")
+        if code != 0 or verdict != "identical":
             differs.append(name)
     print(f"{len(differs)} of {len(entries())} entries differ" + (f": {', '.join(differs)}" if differs else ""))
     for name in outputs():
