@@ -50,7 +50,6 @@ class ExperimentConfig:
     n_clients: int = 20
     k: int = 2
     topology_p: float = 0.3
-    topology_seed: int | None = None
     init_mode: str = "gi"
     aggregation_mode: str = "sequential"
     mixing_kind: str = "paper-uniform"
@@ -62,8 +61,6 @@ class ExperimentConfig:
     data_n_classes: int = 4
     data_dim: int = 16
     data_samples_per_client: int = 200
-    data_class_separation: float = 3.0
-    data_noise_std: float = 1.0
     data_test_fraction: float = 0.2
     model_hidden: int = 32
     n_seeds: int = 5
@@ -74,18 +71,16 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, _TYPES[f.type]) or isinstance(value, bool) != (f.type == "bool"):
+            accepted, _ = _ANNOTATIONS[f.type]
+            if not isinstance(value, accepted) or isinstance(value, bool) != (f.type == "bool"):
                 raise ConfigError(f"config key {_key(f.name)!r}: must be of type {f.type} (got {value!r})")
+            if f.type == "float":  # an int stored as given would write 1, not 1.0, to summary.json
+                object.__setattr__(self, f.name, float(value))
         checks: list[tuple[str, bool, str]] = [
             ("algorithm", self.algorithm in ALGORITHMS, f"must be one of {ALGORITHMS}"),
             ("n_clients", self.n_clients >= 1, "must be >= 1"),
             ("k", self.k in _SUPPORTED_K, "must be 1, 2, or 4 (rotation-based clusters)"),
             ("topology.p", 0.0 <= self.topology_p <= 1.0, "must be in [0, 1]"),
-            (
-                "topology.seed",
-                self.topology_seed is None or self.topology_seed >= 0,
-                "must be >= 0",
-            ),
             ("init_mode", self.init_mode in INIT_MODES, f"must be one of {INIT_MODES}"),
             (
                 "aggregation_mode",
@@ -115,8 +110,6 @@ class ExperimentConfig:
             ("data.n_classes", self.data_n_classes >= 2, "must be >= 2"),
             ("data.dim", self.data_dim >= 2, "must be >= 2"),
             ("data.samples_per_client", self.data_samples_per_client >= 2, "must be >= 2"),
-            ("data.class_separation", self.data_class_separation > 0, "must be > 0"),
-            ("data.noise_std", self.data_noise_std > 0, "must be > 0"),
             ("data.test_fraction", 0.0 < self.data_test_fraction < 1.0, "must be in (0, 1)"),
             (
                 "data.test_fraction",
@@ -151,8 +144,6 @@ class ExperimentConfig:
             n_classes=self.data_n_classes,
             dim=self.data_dim,
             samples_per_client=self.data_samples_per_client,
-            class_separation=self.data_class_separation,
-            noise_std=self.data_noise_std,
         )
 
     @property
@@ -175,13 +166,11 @@ def _key(field_name: str) -> str:
     return field_name
 
 
-# Field annotations are strings (postponed evaluation); ``int | None`` fields
-# are optional only in the dataclass, a config file always gives a number.
-_CASTERS = {"str": str, "int": int, "int | None": int, "float": float, "bool": _bool}
-# The values a field of each annotation takes; a bool is an int to isinstance,
-# so only bool fields take one.
-_TYPES = {"str": str, "int": int, "int | None": (int, type(None)), "float": (int, float), "bool": bool}
-_FIELD_BY_KEY = {_key(f.name): (f.name, _CASTERS[f.type]) for f in fields(ExperimentConfig)}
+# Per field annotation (a string, under postponed evaluation): the values the
+# field takes and the parser of its config-file text.  A bool is an int to
+# isinstance, so only bool fields take one.
+_ANNOTATIONS = {"str": (str, str), "int": (int, int), "float": ((int, float), float), "bool": (bool, _bool)}
+_FIELD_BY_KEY = {_key(f.name): (f.name, _ANNOTATIONS[f.type][1]) for f in fields(ExperimentConfig)}
 
 
 def _parse_pairs(lines: Iterable[str], source: str) -> dict[str, str]:

@@ -223,7 +223,6 @@ def initialize(
     n = len(datasets)
     if k < 1 or n < 1:
         raise ValueError(f"need k >= 1 and at least one dataset, got k={k} and {n} datasets")
-    mode = mode.lower()
     if mode not in ("gi", "li"):
         raise ValueError(f"init mode must be 'gi' or 'li', got {mode!r}")
     models = np.empty((n, k, model_shape.param_count))

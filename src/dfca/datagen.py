@@ -105,6 +105,12 @@ def stack_datasets(datasets: list[Dataset]) -> Dataset:
                    np.array([d.distribution_id for d in datasets]))
 
 
+# Fixed properties of the synthetic data: the norm of every class center and
+# the standard deviation of the Gaussian noise around it.
+CLASS_SEPARATION = 3.0
+NOISE_STD = 1.0
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Knobs for the synthetic generator; ``dim`` is at least 2."""
@@ -112,8 +118,6 @@ class SyntheticSpec:
     n_classes: int = 4
     dim: int = 16
     samples_per_client: int = 200
-    class_separation: float = 3.0
-    noise_std: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_classes < 1:
@@ -122,10 +126,6 @@ class SyntheticSpec:
             raise ValueError("class centers live in the rotated plane; dim must be >= 2")
         if self.samples_per_client < 1:
             raise ValueError("samples_per_client must be positive")
-        if self.class_separation <= 0:
-            raise ValueError("class_separation must be positive")
-        if self.noise_std <= 0:
-            raise ValueError("noise_std must be positive")
 
 
 # Cluster counts that divide 4, so cluster j's rotation is j * (4 // k) exact quarter turns.
@@ -134,7 +134,7 @@ _SUPPORTED_K = (1, 2, 4)
 
 def _class_centers(spec: SyntheticSpec, center_seed: int) -> np.ndarray:
     """Shared class centers: isotropic Gaussian directions in the rotated
-    two-coordinate plane, scaled to norm ``class_separation``.
+    two-coordinate plane, scaled to norm ``CLASS_SEPARATION``.
 
     Centers live only in the plane the cluster rotations act on; all other
     coordinates carry pure noise.  Identical for every client of a run.
@@ -143,7 +143,7 @@ def _class_centers(spec: SyntheticSpec, center_seed: int) -> np.ndarray:
     raw = rng.standard_normal((spec.n_classes, 2))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     centers = np.zeros((spec.n_classes, spec.dim))
-    centers[:, :2] = raw / norms * spec.class_separation
+    centers[:, :2] = raw / norms * CLASS_SEPARATION
     return centers
 
 
@@ -183,7 +183,7 @@ def generate_rotated_synthetic(
     rng = np.random.default_rng(seed)
     n = spec.samples_per_client
     labels = rng.integers(0, spec.n_classes, size=n)
-    features = centers[labels] + rng.standard_normal((n, spec.dim)) * spec.noise_std
+    features = centers[labels] + rng.standard_normal((n, spec.dim)) * NOISE_STD
     features = _rotate_first_two(features, client_cluster * (4 // k))
     return Dataset(features=features, labels=labels, distribution_id=client_cluster)
 

@@ -138,7 +138,7 @@ def write_trace(path: Path, trace: Sequence[RoundMetrics], k: int) -> None:
 def _graph(config: ExperimentConfig, seed: int) -> tuple[Topology, bool]:
     """Sample the configured graph, apply the disconnection policy and return
     the graph with whether it is connected."""
-    topo_seed = config.topology_seed if config.topology_seed is not None else derive_seed(seed, "topology")
+    topo_seed = derive_seed(seed, "topology")
     t = generate_erdos_renyi(config.n_clients, config.topology_p, topo_seed)
     connected = is_connected(t)
     if not connected:

@@ -26,14 +26,15 @@ class Topology:
     """Undirected communication graph over ``n_clients = len(adjacency)`` clients.
 
     ``adjacency`` is a non-empty symmetric boolean square matrix with a zero
-    diagonal.  Two graphs are equal only if they are the same object, which
+    diagonal, copied before it is checked, so no array the caller keeps can
+    change it.  Two graphs are equal only if they are the same object, which
     also makes a graph hashable.
     """
 
     adjacency: np.ndarray
 
     def __post_init__(self) -> None:
-        adj = np.asarray(self.adjacency, dtype=bool)
+        adj = np.array(self.adjacency, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.size == 0:
             raise ValueError(f"adjacency must be a non-empty square matrix, got shape {adj.shape}")
         if np.any(np.diag(adj)):

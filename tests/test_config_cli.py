@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -19,6 +20,8 @@ from dfca.harness import (
 )
 from dfca.verify import CHECK_NAMES, CHECKS
 
+ROOT = Path(__file__).resolve().parents[1]
+QUICK = ROOT / "configs" / "quick.cfg"
 TINY = """
 # desk-scale smoke configuration
 n_clients = 6
@@ -93,11 +96,10 @@ class TestConfigParsing:
     @pytest.mark.parametrize("restrict", [True, False], ids=["true", "false"])
     def test_every_key_round_trips(self, tmp_path, restrict):
         cfg = ExperimentConfig(
-            algorithm="davg", n_clients=7, k=4, topology_p=0.45, topology_seed=3,
+            algorithm="davg", n_clients=7, k=4, topology_p=0.45,
             init_mode="li", aggregation_mode="batch", mixing_kind="metropolis", gamma=0.05,
             tau=2, batch_size=8, T=9, participation_fraction=0.5, data_n_classes=3,
-            data_dim=5, data_samples_per_client=50, data_class_separation=2.5,
-            data_noise_std=0.5, data_test_fraction=0.3, model_hidden=6, n_seeds=2,
+            data_dim=5, data_samples_per_client=50, data_test_fraction=0.3, model_hidden=6, n_seeds=2,
             output_dir="elsewhere", on_disconnected="abort",
             restrict_receive_to_participants=restrict,
         )
@@ -114,8 +116,7 @@ class TestConfigParsing:
         assert load_config(path) == cfg
 
     @pytest.mark.parametrize("key", [
-        "topology.p", "gamma", "participation_fraction", "data.class_separation",
-        "data.noise_std", "data.test_fraction",
+        "topology.p", "gamma", "participation_fraction", "data.test_fraction",
     ])
     @pytest.mark.parametrize("value", ["inf", "-inf"])
     def test_non_finite_float_named_in_error(self, tiny_config, key, value):
@@ -126,7 +127,6 @@ class TestConfigParsing:
         ("restrict_receive_to_participants", "false"), ("restrict_receive_to_participants", 0),
         ("n_clients", 6.5), ("n_clients", True), ("k", 2.0), ("T", 2.5), ("model.hidden", 4.0),
         ("n_seeds", 1.5), ("gamma", "0.1"), ("gamma", False), ("algorithm", None),
-        ("topology.seed", 3.0), ("topology.seed", True),
     ])
     def test_a_value_of_another_type_named_when_built(self, key, value):
         field = key.replace(".", "_")
@@ -136,31 +136,51 @@ class TestConfigParsing:
             ExperimentConfig().replace(**{field: value})
 
     def test_values_of_the_field_type_accepted(self):
-        cfg = ExperimentConfig(gamma=1, topology_seed=None, restrict_receive_to_participants=True)
-        assert (cfg.gamma, cfg.topology_seed) == (1, None)
-        assert ExperimentConfig(topology_seed=0).topology_seed == 0
+        cfg = ExperimentConfig(gamma=1, restrict_receive_to_participants=True)
+        assert (cfg.gamma, cfg.restrict_receive_to_participants) == (1, True)
+
+    def test_an_int_for_a_float_field_is_kept_as_a_float(self, tmp_path):
+        """Equal configs write equal summaries: ``gamma=1`` is stored as 1.0,
+        as ``gamma = 1`` in a config file loads."""
+        path = tmp_path / "int.cfg"
+        path.write_text("gamma = 1\ntopology.p = 1\n", encoding="utf-8")
+        configs = [ExperimentConfig(gamma=1, topology_p=1),
+                   ExperimentConfig().replace(gamma=1, topology_p=1), load_config(path)]
+        assert [json.dumps(c.to_dict()) for c in configs] == [json.dumps(configs[2].to_dict())] * 3
+        assert [(type(c.gamma), type(c.topology_p)) for c in configs] == [(float, float)] * 3
 
     def test_seed_is_an_unknown_key(self, tiny_config, tmp_path, output_root, capsys):
-        """Runs take their seeds from 0..n_seeds-1, so no config key names one."""
-        assert "seed" not in ExperimentConfig().to_dict()
-        path = tmp_path / "seeded.cfg"
-        path.write_text(TINY + "seed = 3\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="unknown config key 'seed'"):
-            load_config(path)
-        with pytest.raises(ConfigError, match="--set: unknown config key 'seed'"):
-            load_config(tiny_config, ["seed=3"])
-        assert cmd_run(str(tiny_config), ["seed=3"]) == 2
-        assert "unknown config key 'seed'" in capsys.readouterr().err
-        assert cmd_sweep(str(tiny_config), "seed", ["1", "7"]) == 2
-        assert "unknown config key 'seed'" in capsys.readouterr().err
+        """Runs take their seeds from 0..n_seeds-1 and draw the graph from
+        that seed, and the data's class separation and noise are fixed, so no
+        config key names any of them."""
+        for key in ("seed", "topology.seed", "data.class_separation", "data.noise_std"):
+            assert key not in ExperimentConfig().to_dict()
+            path = tmp_path / "seeded.cfg"
+            path.write_text(TINY + f"{key} = 3\n", encoding="utf-8")
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                load_config(path)
+            with pytest.raises(ConfigError, match=f"--set: unknown config key '{key}'"):
+                load_config(tiny_config, [f"{key}=3"])
+            assert cmd_run(str(tiny_config), [f"{key}=3"]) == 2
+            assert f"unknown config key '{key}'" in capsys.readouterr().err
+            assert cmd_sweep(str(tiny_config), key, ["1", "7"]) == 2
+            assert f"unknown config key '{key}'" in capsys.readouterr().err
         assert not output_root.exists()
 
+    def test_committed_configs_are_the_runs_they_name(self):
+        """The acceptance goldens run ``ExperimentConfig()`` and the
+        benchmark's desk workload runs ``configs/desk.cfg``."""
+        assert load_config(ROOT / "configs" / "desk.cfg") == ExperimentConfig()
+        assert load_config(QUICK).n_clients == 10
+
     def test_key_list_covers_documented_interface(self):
-        keys = ExperimentConfig().to_dict()
-        for expected in ("n_clients", "k", "topology.p", "topology.seed", "init_mode",
-                         "aggregation_mode", "mixing_kind", "gamma", "tau", "batch_size",
-                         "T", "participation_fraction", "algorithm", "n_seeds", "output_dir"):
-            assert expected in keys
+        """The backticked names in the first cell of each row of README's
+        configuration table are the config's keys."""
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+        documented = [name for cell in rows for name in re.findall(r"`([^`]+)`", cell)]
+        assert sorted(documented) == sorted(ExperimentConfig().to_dict())
 
 
 class TestCmdRun:
@@ -185,7 +205,7 @@ class TestCmdRun:
         assert set(summary["per_seed"]) == finals | {"connected"}
         assert set(summary["mean"]) == set(summary["std"]) == finals
         assert list(summary["config"]) == sorted(ExperimentConfig().to_dict())
-        assert len(summary["config"]) == 24
+        assert len(summary["config"]) == 21
         assert cmd_run(str(tiny_config), ["gamma=1e8", "T=5"]) == 4
         failed = json.loads((output_root / "tiny" / "summary.json").read_text())
         assert set(failed) == set(summary) | {"failed"}
@@ -250,8 +270,8 @@ class TestCmdRun:
                "cluster 0" in capsys.readouterr().err
 
     def test_infinite_noise_exits_2_naming_the_key(self, tiny_config, capsys, output_root):
-        assert cmd_run(str(tiny_config), overrides=["data.noise_std=inf", "T=3", "n_seeds=1"]) == 2
-        assert "data.noise_std" in capsys.readouterr().err
+        assert cmd_run(str(tiny_config), overrides=["gamma=inf", "T=3", "n_seeds=1"]) == 2
+        assert "'gamma'" in capsys.readouterr().err
         assert not output_root.exists()
 
     def test_empty_split_side_rejected_before_running(self, tiny_config, capsys, output_root):
@@ -359,9 +379,6 @@ class TestCmdSweep:
         assert cmd_sweep(str(tiny_config), "gamma", ["0.05", "0.1", "0.25"]) == 0
         lines = (output_root / "tiny" / "sweep_gamma.csv").read_text().splitlines()
         assert len(lines) == 4
-
-
-QUICK = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
 
 
 def quick_run(monkeypatch, root, *overrides):

@@ -139,9 +139,10 @@ class TestInitialize:
 
     def test_rejects_unknown_mode(self):
         datasets = [random_dataset(np.random.default_rng(0))]
-        with pytest.raises(ValueError):
-            initialize(k=1, mode="xx", model_shape=SHAPE, seed=0, datasets=datasets,
-                       test_sets=datasets)
+        for mode in ("xx", "GI"):
+            with pytest.raises(ValueError, match="init mode must be 'gi' or 'li'"):
+                initialize(k=1, mode=mode, model_shape=SHAPE, seed=0, datasets=datasets,
+                           test_sets=datasets)
 
 
 class TestAssignCluster:

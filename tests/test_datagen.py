@@ -16,7 +16,7 @@ from dfca.datagen import (
     stack_datasets,
     train_test_split,
 )
-from dfca.datagen import _class_centers
+from dfca.datagen import CLASS_SEPARATION, _class_centers
 
 SPEC = SyntheticSpec(n_classes=3, dim=5, samples_per_client=50)
 
@@ -79,14 +79,12 @@ class TestSyntheticGeneration:
     def test_centers_live_in_rotated_plane_with_requested_norm(self):
         centers = _class_centers(SPEC, center_seed=0)
         assert centers.shape == (3, 5)
-        assert np.allclose(np.linalg.norm(centers, axis=1), SPEC.class_separation)
+        assert np.allclose(np.linalg.norm(centers, axis=1), CLASS_SEPARATION)
         assert np.all(centers[:, 2:] == 0.0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SyntheticSpec(n_classes=0)
-        with pytest.raises(ValueError):
-            SyntheticSpec(noise_std=0.0)
         with pytest.raises(ValueError, match="dim must be >= 2"):
             SyntheticSpec(dim=1)
 

@@ -229,3 +229,12 @@ class TestTopologyType:
         with pytest.raises(ValueError):
             t.adjacency[0, 1] = False
 
+    def test_adjacency_is_a_copy_of_the_callers_array(self):
+        """A write to the base of the view a graph was built from leaves the
+        checked graph as it was, and the view stays writable."""
+        big = np.zeros((3, 3), dtype=bool)
+        view = big[:, :]
+        t = Topology(view)
+        big[0, 1] = True
+        assert not t.adjacency.any()
+        assert view.flags.writeable
