@@ -22,8 +22,8 @@ from dfca import (
 )
 from dfca.core import RunState, run_round
 from dfca.datagen import Dataset
-from dfca.metrics import cluster_average, dispersion, f_global
-from dfca.model import ModelShape
+from dfca.metrics import cluster_average, dispersion, f_cluster
+from dfca.model import MlpModel, ModelShape, forward_loss
 
 rng = np.random.default_rng(0)
 SHAPE = ModelShape(dim=4, hidden=0, n_classes=3)
@@ -40,11 +40,11 @@ states = initialize(k=3, mode="li", model_shape=SHAPE, seed=1, datasets=datasets
                     test_sets=datasets)
 for i in range(len(states)):
     states.assignment[i] = rng.integers(0, 3)  # scramble
-before = f_global(states)
+before = sum(f_cluster(states))
 for i in range(len(states)):
-    assign_cluster(states[i])
+    assign_cluster(states[i], forward_loss(MlpModel(SHAPE, states.models[i]), states.data[i]))
 print(f"global loss before re-assignment: {before:.4f}")
-print(f"global loss after  re-assignment: {f_global(states):.4f} (never higher)\n")
+print(f"global loss after  re-assignment: {sum(f_cluster(states)):.4f} (never higher)\n")
 
 print("=== 2. Gossip preserves the average and contracts disagreement ===")
 t = generate_erdos_renyi(16, 0.3, seed=4)

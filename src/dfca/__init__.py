@@ -38,7 +38,6 @@ from .metrics import (
     clustering_accuracy,
     dispersion,
     f_cluster,
-    f_global,
     test_accuracy,
 )
 from .model import (

@@ -187,17 +187,19 @@ class RoundPlan:
 @dataclass(frozen=True)
 class Hyperparams:
     """Per-run local SGD constants, fixed once built: step size, epochs and
-    minibatch size, checked when built."""
+    minibatch size, checked when built; no field takes a bool."""
 
     gamma: float
     tau: int
     batch_size: int
 
     def __post_init__(self) -> None:
+        number = lambda v, kind: isinstance(v, kind) and not isinstance(v, bool)
         for name, ok, rule in (
-            ("gamma", 0.0 <= self.gamma < np.inf, "must be finite and >= 0"),
-            ("tau", isinstance(self.tau, numbers.Integral) and self.tau >= 1, "must be an integer >= 1"),
-            ("batch_size", isinstance(self.batch_size, numbers.Integral) and self.batch_size >= 1,
+            ("gamma", number(self.gamma, numbers.Real) and 0.0 <= self.gamma < np.inf,
+             "must be finite and >= 0 (a number, not a bool)"),
+            ("tau", number(self.tau, numbers.Integral) and self.tau >= 1, "must be an integer >= 1"),
+            ("batch_size", number(self.batch_size, numbers.Integral) and self.batch_size >= 1,
              "must be an integer >= 1"),
         ):
             if not ok:
@@ -217,8 +219,8 @@ def initialize(
 
     ``gi`` draws one seeded model per cluster and gives every client an
     identical copy (zero initial dispersion); ``li`` draws every client's
-    models from client-distinct seeds.  Initial assignments are computed by
-    :func:`assign_cluster`, not fixed arbitrarily.
+    models from client-distinct seeds.  Initial assignments are chosen from
+    the losses of one stacked pass (see :func:`assign_cluster`).
     """
     n = len(datasets)
     if k < 1 or n < 1:
@@ -251,18 +253,16 @@ def _assign_clusters(states: RunState, rows: Sequence[int]) -> None:
         assign_cluster(states[i], row)
 
 
-def assign_cluster(c: ClientState, losses: np.ndarray | None = None) -> int:
+def assign_cluster(c: ClientState, losses: np.ndarray) -> int:
     """Reassign ``c`` to the cluster whose model has the lowest local loss.
 
-    ``losses`` are the client's k cluster losses, computed here when not
-    given; any other number of them is rejected.  Ties break toward the
-    lowest cluster index.  Clusters with non-finite loss (including models
-    with non-finite parameters) are excluded; if every loss is non-finite
-    the previous assignment is kept and the event logged.
+    ``losses`` are the client's k cluster losses, computed by the stacked
+    pass of :func:`_assign_clusters`; any other number is rejected.  Ties
+    break toward the lowest cluster index.  Clusters with non-finite loss
+    (including models with non-finite parameters) are excluded; if every
+    loss is non-finite the previous assignment is kept and the event logged.
     """
-    if losses is None:
-        losses = forward_loss(MlpModel(c.run.shape, c.models), c.run.data[c.client_id])
-    elif len(losses) != len(c.models):
+    if len(losses) != len(c.models):
         raise ValueError(f"client {c.client_id}: {len(losses)} losses for {len(c.models)} clusters")
     finite = np.isfinite(losses)
     if not finite.any():

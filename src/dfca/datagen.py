@@ -46,7 +46,8 @@ class Dataset:
     truth).  A stack of c clients (see :func:`stack_datasets`) has (c, n, d)
     features, (c, n) labels and a (c,) integer array of distribution ids,
     and indexing it takes clients.  ``len()`` counts one client's samples,
-    or a stack's clients.
+    or a stack's clients.  A features or ids array that owns its memory is
+    taken over and made read-only; a view of one (``base`` set) is copied.
     """
 
     features: np.ndarray
@@ -79,8 +80,10 @@ class Dataset:
         if feats.ndim == 3:
             if ids.shape != labels.shape[:1] or ids.dtype.kind not in "iu":
                 raise ValueError(f"a stack of {len(feats)} clients needs as many integer distribution ids")
+            ids = ids.copy() if ids.base is not None else ids
             ids.setflags(write=False)
             object.__setattr__(self, "distribution_id", ids)
+        feats = feats.copy() if feats.base is not None else feats
         feats.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -247,9 +250,9 @@ def load_idx_pair(images_path: str, labels_path: str) -> Dataset:
             f"count mismatch: {count} images in {images_path} vs {lbl_count} labels in {labels_path}"
         )
 
-    features = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64) / 255.0
+    features = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols).astype(np.float64) / 255.0
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
-    return Dataset(features=features.reshape(count, rows * cols), labels=labels, distribution_id=0)
+    return Dataset(features=features, labels=labels, distribution_id=0)
 
 
 def rotated_idx_datasets(
@@ -285,7 +288,9 @@ def _n_test(n: int, test_fraction: float) -> int:
 
 
 def train_test_split(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded disjoint (train, test) partition preserving ``distribution_id``."""
+    """Seeded disjoint (train, test) split of one client's samples, keeping ``distribution_id``."""
+    if d.features.ndim == 3:
+        raise ValueError(f"train_test_split splits one client's samples, got a stack of {len(d)} clients")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n = len(d)

@@ -27,7 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "RoundMetrics",
     "f_cluster",
-    "f_global",
     "dispersion",
     "cluster_average",
     "clustering_accuracy",
@@ -88,11 +87,6 @@ def f_cluster(states: "RunState") -> tuple[float, ...]:
     order (0 if it has none)."""
     losses = _per_client(states, states.data, _mean_ce)
     return tuple(_add(losses[states.assignment == j].tolist()) for j in range(states.models.shape[1]))
-
-
-def f_global(states: "RunState") -> float:
-    """Sum of every client's loss on its assigned model, added as a trace row adds it."""
-    return _add(f_cluster(states))
 
 
 def _average(copies: np.ndarray, dev: np.ndarray) -> np.ndarray:

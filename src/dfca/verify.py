@@ -20,11 +20,11 @@ from .core import (
     Hyperparams,
     RoundPlan,
     RunState,
+    _assign_clusters,
     _running_fold,
     _slots,
     aggregate_batch,
     aggregate_sequential,
-    assign_cluster,
     initialize,
     local_update,
     run_round,
@@ -36,7 +36,6 @@ from .metrics import (
     cluster_average,
     dispersion,
     f_cluster,
-    f_global,
     test_accuracy,
     trace_row,
 )
@@ -199,10 +198,9 @@ def check_assignment_descent() -> tuple[bool, str]:
     for _ in range(trials):
         k = int(rng.integers(2, 5))
         states = random_states(rng, int(rng.integers(2, 9)), k, shape)
-        before = f_global(states)
-        for i in range(len(states)):
-            assign_cluster(states[i])
-        worst = max(worst, f_global(states) - before)
+        before = _add(f_cluster(states))
+        _assign_clusters(states, range(len(states)))
+        worst = max(worst, _add(f_cluster(states)) - before)
     return worst <= 1e-12, (
         f"max post-assignment global-loss change {worst:.2e} over {trials} random states"
     )

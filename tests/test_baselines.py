@@ -13,7 +13,7 @@ from dfca.metrics import cluster_average, trace_row
 from dfca.model import ModelShape, sgd_epochs, unflatten_params
 from dfca.seeding import spawn_rng
 from dfca.topology import Topology
-from dfca.verify import random_states
+from dfca.verify import _per_client_loss, random_states
 
 SHAPE = ModelShape(dim=3, hidden=2, n_classes=3)
 
@@ -39,7 +39,8 @@ def server_round(states, hp, round_seed):
     longest = max(len(d) for d in trained.data)
     keys = spawn_rng(round_seed, "sgd").random((len(trained), hp.tau, longest))
     for i in range(len(trained)):
-        j = assign_cluster(trained[i])
+        losses = [_per_client_loss(SHAPE, v, trained.data[i]) for v in trained.models[i]]
+        j = assign_cluster(trained[i], np.array(losses))
         m = unflatten_params(SHAPE, trained.models[i, j])
         d = trained.data[i]
         trained.models[i, j] = sgd_epochs(m, d, hp.gamma, hp.tau, hp.batch_size, keys[i, :, : len(d)]).values

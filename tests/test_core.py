@@ -45,6 +45,20 @@ def make_states(rng, n, k):
     return verify.random_states(rng, n, k, SHAPE, n_samples=10)
 
 
+def reference_losses(states, i):
+    """Client ``i``'s k cluster losses from ``verify._per_client_loss``, a
+    forward pass that is not the kernel of the stacked assignment pass."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([verify._per_client_loss(states.shape, v, states.data[i]) for v in states.models[i]])
+
+
+def reference_choice(losses):
+    """The assignment rule written out: the lowest finite loss wins and ties
+    go to the lowest index; None when no loss is finite."""
+    finite = [(loss, j) for j, loss in enumerate(losses) if math.isfinite(loss)]
+    return min(finite)[1] if finite else None
+
+
 def stage_outboxes(states):
     """Every client sends its assigned model, as if it had just trained."""
     states.sent[:] = states.assignment
@@ -150,26 +164,26 @@ class TestAssignCluster:
         rng = np.random.default_rng(4)
         states = make_states(rng, 1, 2)
         losses = [forward_loss(unflatten_params(SHAPE, v), states.data[0]) for v in states.models[0]]
-        expected = int(np.argmin(losses))
-        assert assign_cluster(states[0]) == expected
-        assert states.assignment[0] == expected
+        core._assign_clusters(states, [0])
+        assert states.assignment[0] == np.argmin(losses)
 
     def test_tie_breaks_toward_lowest_index(self):
         rng = np.random.default_rng(5)
         states = make_states(rng, 1, 3)
         states.models[0, 2] = states.models[0, 0]  # exact tie between clusters 0 and 2
-        chosen = assign_cluster(states[0])
+        core._assign_clusters(states, [0])
         losses = [forward_loss(unflatten_params(SHAPE, v), states.data[0]) for v in states.models[0]]
         assert losses[0] == losses[2]
-        assert chosen != 2  # the later twin never wins a tie
+        assert states.assignment[0] != 2  # the later twin never wins a tie
         if losses[0] <= losses[1]:
-            assert chosen == 0
+            assert states.assignment[0] == 0
 
     def test_non_finite_loss_excluded(self):
         rng = np.random.default_rng(6)
         states = make_states(rng, 1, 2)
         states.models[0, 0] = 1e300  # overflows to non-finite loss
-        assert assign_cluster(states[0]) == 1
+        core._assign_clusters(states, [0])
+        assert states.assignment[0] == 1
 
     def test_all_non_finite_keeps_previous(self, caplog):
         rng = np.random.default_rng(7)
@@ -177,7 +191,8 @@ class TestAssignCluster:
         states.assignment[0] = 1
         states.models[0] = 1e300
         with caplog.at_level("WARNING"):
-            assert assign_cluster(states[0]) == 1
+            core._assign_clusters(states, [0])
+        assert states.assignment[0] == 1
         assert "non-finite" in caplog.text
 
     def test_all_nan_models_keep_previous(self, caplog):
@@ -186,7 +201,8 @@ class TestAssignCluster:
         states.assignment[0] = 2
         states.models[0] = np.nan
         with caplog.at_level("WARNING"):
-            assert assign_cluster(states[0]) == 2
+            core._assign_clusters(states, [0])
+        assert states.assignment[0] == 2
         assert "non-finite" in caplog.text
 
     def test_batched_assignment_matches_per_client_loop(self, caplog):
@@ -196,17 +212,35 @@ class TestAssignCluster:
         drawn = make_states(rng, len(lengths), k)
         data = [random_dataset(rng, n) for n in lengths]
         states = RunState(SHAPE, drawn.models, drawn.assignment, data, data)
+        for i in (3, 20, 41):  # tied rows: every model equal, so cluster 0 wins
+            states.models[i] = states.models[i, 1]
+            states.assignment[i] = 2
+        for i in (11, 37):
+            states.models[i, 2] = states.models[i, 0]
+        states.models[5, 1] = 1e300  # overflows: its loss is excluded
+        states.models[50] = 1e300  # overflows and NaN: no finite loss, the assignment stays
         states.models[7] = np.nan
-        states.assignment[7] = 2
-        looped = states.copy()
-        for i in range(len(looped)):
-            assign_cluster(looped[i])
+        states.assignment[[7, 50]] = 2, 1
+        expected, warned = states.assignment.copy(), []
+        for i in range(len(states)):
+            j = reference_choice(reference_losses(states, i))
+            if j is None:
+                warned.append(f"client {i}")
+            else:
+                expected[i] = j
         caplog.clear()
         with caplog.at_level("WARNING"):
             core._assign_clusters(states, range(len(states)))
-        np.testing.assert_array_equal(states.assignment, looped.assignment)
-        assert states.assignment[7] == 2
-        assert [r.getMessage().split(":")[0] for r in caplog.records] == ["client 7"]
+        assert states.assignment.tobytes() == expected.tobytes()
+        assert states.assignment[[3, 20, 41, 7, 50]].tolist() == [0, 0, 0, 2, 1]
+        assert not np.isfinite(reference_losses(states, 5)[1]) and states.assignment[5] != 1
+        assert warned == ["client 7", "client 50"]
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == warned
+
+    def test_losses_are_required(self):
+        states = make_states(np.random.default_rng(10), 1, 2)
+        with pytest.raises(TypeError):
+            assign_cluster(states[0])
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_losses_must_be_one_per_cluster(self, count):
@@ -642,7 +676,7 @@ class TestRunRound:
         # one key table from the round's stream, a row per participant in plan order
         keys = spawn_rng(21, "sgd").random((len(plan.participants), hp.tau, 13))
         for i, table in zip(plan.participants, keys):
-            j = assign_cluster(expected[i])
+            j = assign_cluster(expected[i], reference_losses(expected, i))
             if gamma:
                 trained = sgd_epochs(unflatten_params(SHAPE, expected.models[i, j]), data[i],
                                      gamma, hp.tau, hp.batch_size, table)
@@ -752,10 +786,9 @@ def reference_round(states, t, plan, hp):
     previous = states.assignment.copy()
     states.sent[:] = -1
     for i in plan.participants:
-        losses = [verify._per_client_loss(states.shape, v, states.data[i]) for v in states.models[i]]
-        finite = [(loss, j) for j, loss in enumerate(losses) if math.isfinite(loss)]
-        if finite:
-            states.assignment[i] = min(finite)[1]
+        j = reference_choice(reference_losses(states, i))
+        if j is not None:
+            states.assignment[i] = j
     n = len(states.data[0])
     keys = spawn_rng(plan.round_seed, "sgd").random((len(plan.participants), hp.tau, n))
     for i, table in zip(plan.participants, keys):

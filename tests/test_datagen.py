@@ -227,6 +227,11 @@ class TestTrainTestSplit:
         with pytest.raises(ValueError):
             train_test_split(d, 1.5, seed=0)
 
+    def test_rejects_a_stack_naming_its_client_count(self):
+        stack = stack_datasets([generate_rotated_synthetic(SPEC, 2, i % 2, seed=i) for i in range(5)])
+        with pytest.raises(ValueError, match="splits one client's samples, got a stack of 5 clients"):
+            train_test_split(stack, 0.2, seed=0)
+
 
 class TestDatasetType:
     def test_rejects_mismatched_lengths(self):
@@ -250,6 +255,20 @@ class TestDatasetType:
     def test_rejects_non_finite_feature(self, bad, where):
         with pytest.raises(ValueError, match=f"feature {where} is not finite"):
             Dataset(features=[[1.0, 2.0], [bad, -np.inf]], labels=[0, 1], distribution_id=0)
+
+    def test_a_view_is_copied_so_writes_through_its_base_do_not_reach_the_data(self):
+        x, ids = np.zeros((2, 2)), np.array([0, 1, 0])
+        d = Dataset(x[:, :], np.array([0, 1]), 0)
+        stack = Dataset(np.zeros((3, 2, 2)), np.zeros((3, 2), dtype=int), ids[:])
+        x[0, 0], ids[0] = 5.0, 1
+        assert d.features[0, 0] == 0.0 and stack.distribution_id.tolist() == [0, 1, 0]
+        assert x.flags.writeable and ids.flags.writeable
+
+    def test_an_array_that_owns_its_memory_is_taken_without_a_copy(self):
+        x, ids = np.zeros((3, 2, 2)), np.array([0, 1, 0])
+        stack = Dataset(x, np.zeros((3, 2), dtype=int), ids)
+        assert np.shares_memory(stack.features, x) and np.shares_memory(stack.distribution_id, ids)
+        assert not (x.flags.writeable or ids.flags.writeable)
 
     def test_whole_float_labels_become_integers(self):
         d = Dataset(features=[[1.0, 2.0], [0.5, 0.1]], labels=[1.0, 0.0], distribution_id=0)

@@ -21,3 +21,8 @@ def test_stack_datasets_is_exported_next_to_dataset():
     from dfca import Dataset, stack_datasets
 
     assert (Dataset, stack_datasets) == (dfca.datagen.Dataset, dfca.datagen.stack_datasets)
+
+
+def test_the_global_loss_is_defined_once():
+    """``RoundMetrics.f_global`` is the one global loss; no function recomputes it."""
+    assert not hasattr(dfca, "f_global") and not hasattr(dfca.metrics, "f_global")

@@ -14,7 +14,6 @@ from dfca.metrics import (
     clustering_accuracy,
     dispersion,
     f_cluster,
-    f_global,
     trace_columns,
 )
 from dfca.metrics import test_accuracy as sample_weighted_accuracy
@@ -80,11 +79,6 @@ class TestClusterLoss:
         states.assignment[1] = 1
         states.models[1, 1] = np.nan
         assert np.isnan(f_cluster(states)[1])
-
-    def test_global_loss_decomposes_over_clusters(self):
-        rng = np.random.default_rng(3)
-        states = random_states(rng, 6, 3)
-        assert f_global(states) == pytest.approx(sum(f_cluster(states)), abs=1e-9)
 
 
 @pytest.mark.parametrize("k", [1, 3])

@@ -343,7 +343,7 @@ class TestSgd:
 
 
 class TestHyperparams:
-    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -0.1])
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -0.1, True, "0.1"])
     def test_gamma_not_finite_or_negative_rejected_when_built(self, gamma):
         with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
             Hyperparams(gamma=gamma, tau=1, batch_size=8)
@@ -355,6 +355,7 @@ class TestHyperparams:
 
     @pytest.mark.parametrize("tau, batch_size, field, value", [
         (1.5, 4, "tau", "1.5"), (1, 2.5, "batch_size", "2.5"), (2.0, 4, "tau", "2.0"),
+        (True, 4, "tau", "True"), (1, True, "batch_size", "True"),
     ])
     def test_tau_and_batch_size_must_be_integers_when_built(self, tau, batch_size, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got {value}$"):

@@ -1,13 +1,19 @@
 """The certification matrix runs every entry, both verify commands and the
-demos, and its diff can fail on any of them."""
+demos, its diff can fail on any of them, and its digests match the ones
+committed in ``tests/matrix_digests.json``."""
 
+import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "trace_matrix.py"
 DEMOS = sorted(p.stem for p in (TOOL.parent.parent / "demos").glob("0[1-5]_*.py"))
+COMMITTED = Path(__file__).resolve().parent / "matrix_digests.json"
+SETS = ["T=3", "n_seeds=1"]
 
 
 def matrix(*args):
@@ -15,14 +21,36 @@ def matrix(*args):
                           capture_output=True, text=True, timeout=300)
 
 
-def test_one_round_matrix_equals_itself_and_a_changed_entry_differs(tmp_path):
-    out = tmp_path / "a"
-    ran = matrix(out, "--set", "T=1", "--set", "n_seeds=1")
+@pytest.fixture(scope="module")
+def matrix_out(tmp_path_factory):
+    """One three-round, one-seed matrix, shared by the tests of this module."""
+    out = tmp_path_factory.mktemp("matrix") / "a"
+    ran = matrix(out, *(arg for kv in SETS for arg in ("--set", kv)))
     assert ran.returncode == 0, ran.stderr
+    return out
+
+
+def test_matrix_matches_the_committed_digests(matrix_out):
+    """Every entry and verify file hashes as committed, in the environment
+    the digests were committed in; README says how to regenerate them."""
+    ran, committed = (json.loads(p.read_text()) for p in (matrix_out / "digests.json", COMMITTED))
+    assert ran["overrides"] == committed["overrides"] == SETS
+    env = [f"{key} ({committed['env'].get(key)!r} committed, {value!r} here)"
+           for key, value in ran["env"].items() if committed["env"].get(key) != value]
+    if env:
+        pytest.skip(f"the digests were committed in another environment: {', '.join(env)}")
+    differ = [name for part in ("entries", "verify")
+              for name in dict.fromkeys([*committed[part], *ran[part]])
+              if ran[part].get(name) != committed[part].get(name)]
+    assert not differ, f"digests differ from tests/matrix_digests.json at: {', '.join(differ)}"
+
+
+def test_matrix_equals_itself_and_a_changed_entry_differs(matrix_out, tmp_path):
+    out = matrix_out
     names = sorted(p.name for p in out.iterdir() if p.is_dir())
     assert len(names) == 16
     for name in names:
-        assert len((out / name / "desk" / "seed_0" / "trace.csv").read_text().splitlines()) == 2
+        assert len((out / name / "desk" / "seed_0" / "trace.csv").read_text().splitlines()) == 4
     verify = (out / "verify.txt").read_text().splitlines()
     assert verify[-1] == "exit 0" and all(line.startswith("PASS ") for line in verify[:-1])
     fault = (out / "verify-inject-fault.txt").read_text().splitlines()

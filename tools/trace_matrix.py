@@ -14,7 +14,11 @@ The first form writes each entry's run under ``OUT/<name>/`` (``desk/`` with
 unless the entry or a ``--set``, applied last, says otherwise, and the
 output of each ``dfca verify`` command of ``VERIFY`` into its file under
 ``OUT/``, and the standard output of each demo, ``demos/0[1-5]_*.py``, into
-``OUT/<demo>.txt``, the exit status last in every file.  It runs the
+``OUT/<demo>.txt``, the exit status last in every file.  It also writes
+``OUT/digests.json``: one sha256 per entry, over its ``seed_*/trace.csv``
+files and ``summary.json`` in sorted path order, one per verify file, the
+overrides, and the environment that produced them (Python, numpy, BLAS,
+BLAS threads, CPU model); BLAS runs on one thread.  It runs the
 ``src/`` of the checkout this script sits in, so run it in two checkouts,
 say a parent commit and a change, and diff the outputs.  The second form
 runs ``dfca diff`` on every entry of two such directories and compares
@@ -27,15 +31,26 @@ entries take their overrides from the benchmark's ``WORKLOADS`` in
 
 from __future__ import annotations
 
+import os
+
+# Pin BLAS to one thread before numpy is imported, as perfbench/run.py does;
+# the demos inherit it.  Only this process's environment changes.
+BLAS_THREADS = "1"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = BLAS_THREADS
+
 import argparse
 import ast
 import contextlib
+import hashlib
 import io
 import json
-import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -87,9 +102,53 @@ def entries() -> dict[str, tuple[str, ...]]:
     }
 
 
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def environment() -> dict[str, str]:
+    """What the digests depend on besides the code: the versions of Python,
+    numpy and BLAS, the BLAS thread count and the CPU model."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+            "blas_threads": BLAS_THREADS, "cpu": _cpu_model()}
+
+
+def _sha256(files: list[Path], root: Path) -> str:
+    """One digest over ``files``: each one's path under ``root``, then its bytes."""
+    h = hashlib.sha256()
+    for path in files:
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def digests(out: Path, overrides: list[str]) -> dict:
+    """The ``digests.json`` record of a matrix written into ``out``."""
+    runs = {}
+    for name in entries():
+        run = out / name / DESK.stem
+        files = [*run.glob("seed_*/trace.csv"), run / "summary.json"]
+        runs[name] = _sha256(sorted(p for p in files if p.is_file()), run)
+    return {"env": environment(), "overrides": overrides, "entries": runs,
+            "verify": {name: _sha256([out / name], out) for name in VERIFY}}
+
+
 def run_matrix(out: Path, overrides: list[str]) -> int:
-    """Run every entry into ``out/<name>/``, and every verify command and
-    demo into its file; 1 if any entry run or demo fails."""
+    """Run every entry into ``out/<name>/``, every verify command and demo
+    into its file, and write ``out/digests.json``; 1 if any entry run or
+    demo fails."""
     failed = []
     for name, entry in entries().items():
         os.environ["DFCA_OUTPUT_ROOT"] = str(out / name)
@@ -112,6 +171,8 @@ def run_matrix(out: Path, overrides: list[str]) -> int:
         print(f"{demo.stem}.txt: exit {ran.returncode}")
         if ran.returncode != 0:
             failed.append(demo.name)
+    (out / "digests.json").write_text(json.dumps(digests(out, overrides), indent=2) + "\n",
+                                      encoding="utf-8")
     if failed:
         print(f"failed: {', '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0
