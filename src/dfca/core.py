@@ -157,7 +157,8 @@ _PLAN_MODES = ("batch", "sequential", "server")  # server is set for algorithm =
 class RoundPlan:
     """Everything that varies per round: who participates, who receives, and
     the merge rule.  A plan is checked when built and cannot be changed:
-    ``participants`` is stored as a tuple of ints, whatever sequence it came in.
+    ``participants`` is stored as a tuple of ints, whatever sequence it came in,
+    and ``round_seed`` and ``round_index`` as ints; a float is refused.
 
     ``aggregation_mode`` is ``batch``, ``sequential`` or ``server`` (IFCA).
     ``metropolis`` weighs a gossip merge's senders by the graph's Metropolis
@@ -178,6 +179,8 @@ class RoundPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "participants", tuple(map(operator.index, self.participants)))
+        object.__setattr__(self, "round_seed", operator.index(self.round_seed))
+        object.__setattr__(self, "round_index", operator.index(self.round_index))
         if self.aggregation_mode not in _PLAN_MODES:
             raise ValueError(
                 f"unknown aggregation mode {self.aggregation_mode!r}; expected one of {_PLAN_MODES}"
@@ -369,9 +372,15 @@ def _fold(
     sent rows are copied once, before any write.  Slots run longest first,
     ``_FOLD_SLOTS`` at a time: at each arrival position one gather and three
     in-place operations update the chunk's slots that still have a sender
-    there, and the chunk is written back before the next is gathered.
+    there, and the chunk is written back before the next is gathered.  The
+    gather is unchecked: every live sender sent, so its outbox row exists,
+    and only the live prefix is gathered.  Where a pass's live factors at a
+    position, or its norms, are bitwise one number (uniform weights; norms
+    under Metropolis), they scale by that scalar, which gives the same
+    products as one factor per row; this is decided once per pass.
     Elementwise these are the operations of merging one slot and one sender
-    at a time, so every value is bitwise the same.
+    at a time, so every value is bitwise the same; ``merges-match-per-slot``
+    and the committed matrix digests hold those bits.
     """
     sending = np.flatnonzero(states.sent >= 0)
     outbox = states.models[sending, states.sent[sending]]  # read before any write
@@ -381,21 +390,32 @@ def _fold(
     longest_first = np.argsort(-np.count_nonzero(held, axis=1), kind="stable")
     for start in range(0, len(rows), _FOLD_SLOTS):
         s = longest_first[start : start + _FOLD_SLOTS]
-        active = np.count_nonzero(held[s], axis=0)  # per position: a prefix of the chunk
+        live = held[s]
+        active = np.count_nonzero(live, axis=0)  # per position: a prefix of the chunk
         sender, factor = outbox_row[senders[s]], factors[s]
+        shared = (_same_bits(factor) | ~live).all(axis=0)  # per position, decided once per pass
         value = states.models[rows[s], cols[s]]
         acc = value if norms is None else np.zeros_like(value)
         buf = np.empty_like(value)
         for q, a in enumerate(active[active > 0].tolist()):
             d = buf[:a]
-            np.take(outbox, sender[:a, q], axis=0, out=d)
+            # mode="raise" would buffer ``out``; the live prefix only names rows of the outbox.
+            np.take(outbox, sender[:a, q], axis=0, out=d, mode="clip")
             d -= value[:a]
-            d *= factor[:a, q, None]
+            d *= factor[0, q] if shared[q] else factor[:a, q, None]
             acc[:a] += d
         if norms is not None:
-            acc /= norms[s, None]
+            norm = norms[s]
+            acc /= norm[0] if _same_bits(norm).all() else norm[:, None]
             value += acc
         states.models[rows[s], cols[s]] = value
+
+
+def _same_bits(x: np.ndarray) -> np.ndarray:
+    """Where the float64 array ``x`` holds bitwise the value of its first row,
+    so that 0.0 and -0.0 stay apart and a NaN matches its own bits."""
+    bits = x.view(np.int64)
+    return bits == bits[:1]
 
 
 def aggregate_batch(states: RunState, t: Topology, plan: RoundPlan) -> RunState:

@@ -11,6 +11,7 @@ Python versions.
 
 from __future__ import annotations
 
+import operator
 import zlib
 
 import numpy as np
@@ -19,9 +20,16 @@ __all__ = ["spawn_rng", "derive_seed"]
 
 
 def _encode(part: int | str) -> int:
+    """A string's CRC-32, or an integer part itself: a float or a bool is
+    refused, not truncated, so ``2.5`` never reads as seed 2."""
     if isinstance(part, str):
         return zlib.crc32(part.encode("utf-8"))
-    value = int(part)
+    try:
+        if isinstance(part, bool):
+            raise TypeError
+        value = operator.index(part)
+    except TypeError:
+        raise ValueError(f"seed parts must be integers or strings, got {part!r}") from None
     if value < 0:
         raise ValueError(f"seed parts must be non-negative, got {value}")
     return value

@@ -425,6 +425,68 @@ class TestAggregateSequential:
         assert calls == [(9, "arrival")]
 
 
+def fold_table(rng, n, k):
+    """A slot table of two ``_fold`` passes, longest slot first: 1 slot with
+    4 senders and 64 with 3, then 5 with 2 and 4 with 1.  Each pass has
+    positions where every live factor is shared, one (position 1) where the
+    last live slot's factor differs, and one with a single live slot.  The
+    padding holds -1 and factor 0.0, as ``_slots`` writes it."""
+    lengths = np.array([4] + [3] * 64 + [2] * 5 + [1] * 4)
+    assert len(lengths) > core._FOLD_SLOTS
+    slot = rng.choice(n * k, size=len(lengths), replace=False)
+    rows, cols = slot // k, slot % k
+    senders = np.full((len(lengths), 4), -1, dtype=np.intp)
+    factors = np.zeros(senders.shape)
+    for s, length in enumerate(lengths):
+        senders[s, :length] = rng.choice(n, size=length, replace=False)
+        factors[s, :length] = 1.0 / np.arange(2, length + 2)
+    for start in range(0, len(lengths), core._FOLD_SLOTS):
+        last = start + np.count_nonzero(lengths[start : start + core._FOLD_SLOTS] > 1) - 1
+        factors[last, 1] = 0.3
+    return rows, cols, senders, factors
+
+
+def per_slot_fold(states, rows, cols, senders, factors, norms=None):
+    """The models after merging one slot and one sender at a time, from the
+    outboxes as they were before any write."""
+    before, merged = states.models.copy(), states.models.copy()
+    for s in range(len(rows)):
+        value = before[rows[s], cols[s]].copy()
+        acc = value if norms is None else np.zeros_like(value)
+        for m, f in zip(senders[s], factors[s]):
+            if m >= 0:
+                acc += (before[m, states.sent[m]] - value) * f
+        if norms is not None:
+            value += acc / norms[s]
+        merged[rows[s], cols[s]] = value
+    return merged
+
+
+@pytest.mark.parametrize("form", ["running", "equal-norms", "unequal-norms"])
+def test_fold_scales_by_one_number_or_per_row_bitwise_like_a_per_slot_loop(form):
+    """Positions whose live factors, or passes whose norms, are one number
+    scale by that scalar; the others per row.  Both match the loop bitwise."""
+    rng = np.random.default_rng(41)
+    states = make_states(rng, 40, 3)
+    states.sent[:] = rng.integers(0, 3, size=len(states))
+    rows, cols, senders, factors = fold_table(rng, len(states), 3)
+    norms = {"running": None, "equal-norms": np.ones(len(rows)),
+             "unequal-norms": np.count_nonzero(senders >= 0, axis=1) + 1.0}[form]
+    expected = per_slot_fold(states, rows, cols, senders, factors, norms)
+    core._fold(states, rows, cols, senders, factors, norms)
+    assert states.models.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("norms", [None, np.ones(0)], ids=["running", "batch"])
+def test_fold_of_no_slots_leaves_the_models_bitwise_untouched(norms):
+    states = make_states(np.random.default_rng(42), 4, 2)
+    stage_outboxes(states)
+    frozen = states.models.tobytes()
+    empty = np.zeros(0, dtype=np.intp)
+    core._fold(states, empty, empty, np.zeros((0, 0), dtype=np.intp), np.zeros((0, 0)), norms)
+    assert states.models.tobytes() == frozen
+
+
 @pytest.mark.parametrize("merge", [aggregate_batch, aggregate_sequential], ids=["batch", "sequential"])
 @pytest.mark.parametrize("size", [4, 2], ids=["topology-4", "topology-2"])
 def test_merges_reject_a_topology_or_matrix_of_another_size(merge, size):
@@ -624,6 +686,17 @@ class TestRunRound:
         assert from_list == from_array and hash(from_list) == hash(from_array)
         with pytest.raises(TypeError):
             RoundPlan(participants=(0, 1.5))
+
+    def test_a_plan_keeps_its_round_seed_and_index_as_ints(self):
+        """A float seed or index is refused, not truncated to the stream of
+        another round."""
+        plan = RoundPlan((0, 1), round_seed=np.int64(2), round_index=np.int32(1))
+        assert (plan.round_seed, plan.round_index) == (2, 1)
+        assert type(plan.round_seed) is int and type(plan.round_index) is int
+        with pytest.raises(TypeError):
+            RoundPlan((0, 1), round_seed=2.5)
+        with pytest.raises(TypeError):
+            RoundPlan((0, 1), round_index=1.5)
 
     @pytest.mark.parametrize("mode", ["batch", "sequential", "server"])
     def test_only_a_server_round_runs_without_a_topology(self, mode):

@@ -48,7 +48,7 @@ def test_matrix_matches_the_committed_digests(matrix_out):
 def test_matrix_equals_itself_and_a_changed_entry_differs(matrix_out, tmp_path):
     out = matrix_out
     names = sorted(p.name for p in out.iterdir() if p.is_dir())
-    assert len(names) == 16
+    assert len(names) == 17
     for name in names:
         assert len((out / name / "desk" / "seed_0" / "trace.csv").read_text().splitlines()) == 4
     verify = (out / "verify.txt").read_text().splitlines()
@@ -61,7 +61,7 @@ def test_matrix_equals_itself_and_a_changed_entry_differs(matrix_out, tmp_path):
         assert len(printed) > 1 and printed[-1] == "exit 0"
     same = matrix("--diff", out, out)
     assert same.returncode == 0, same.stdout + same.stderr
-    assert "0 of 16 entries differ" in same.stdout
+    assert "0 of 17 entries differ" in same.stdout
     assert "verify.txt identical" in same.stdout and "verify-inject-fault.txt identical" in same.stdout
     assert all(f"{demo}.txt identical" in same.stdout for demo in DEMOS)
 
@@ -70,19 +70,19 @@ def test_matrix_equals_itself_and_a_changed_entry_differs(matrix_out, tmp_path):
     summary = copy / "crowd" / "desk" / "summary.json"
     summary.write_text(summary.read_text().replace('"seeds": [\n    0', '"seeds": [\n    1', 1))
     differ = matrix("--diff", out, copy)
-    assert differ.returncode == 1 and "1 of 16 entries differ: crowd" in differ.stdout
+    assert differ.returncode == 1 and "1 of 17 entries differ: crowd" in differ.stdout
     assert "summary.json differs at seeds\n" in differ.stdout
     trace = copy / "gossip" / "desk" / "seed_0" / "trace.csv"
     trace.write_text(trace.read_text().replace("\n0,", "\n7,", 1))
     differ = matrix("--diff", out, copy)
-    assert differ.returncode == 1 and "2 of 16 entries differ: gossip, crowd" in differ.stdout
+    assert differ.returncode == 1 and "2 of 17 entries differ: gossip, crowd" in differ.stdout
 
     shutil.rmtree(copy)
     shutil.copytree(out, copy)
     verify = copy / "verify.txt"
     verify.write_text(verify.read_text().replace("PASS", "FAIL", 1))
     differ = matrix("--diff", out, copy)
-    assert differ.returncode == 1 and "0 of 16 entries differ" in differ.stdout
+    assert differ.returncode == 1 and "0 of 17 entries differ" in differ.stdout
     assert "verify.txt differs or is missing" in differ.stdout
     assert "verify-inject-fault.txt identical" in differ.stdout
 
@@ -92,7 +92,7 @@ def test_matrix_equals_itself_and_a_changed_entry_differs(matrix_out, tmp_path):
     demo.write_text(demo.read_text().replace("0", "1", 1))
     (copy / f"{DEMOS[4]}.txt").unlink()
     differ = matrix("--diff", out, copy)
-    assert differ.returncode == 1 and "0 of 16 entries differ" in differ.stdout
+    assert differ.returncode == 1 and "0 of 17 entries differ" in differ.stdout
     assert f"{DEMOS[2]}.txt differs or is missing" in differ.stdout
     assert f"{DEMOS[4]}.txt differs or is missing" in differ.stdout
     assert f"{DEMOS[0]}.txt identical" in differ.stdout

@@ -92,6 +92,8 @@ def entries() -> dict[str, tuple[str, ...]]:
         "sequential-metropolis": ("mixing_kind=metropolis",),
         "linear": ("model.hidden=0",),
         "gossip": (*workloads["gossip"], "T=4"),
+        # Metropolis factors differ per slot: the per-row running fold over many passes.
+        "gossip-metropolis": (*workloads["gossip"], "mixing_kind=metropolis", "T=4"),
         "crowd": (*workloads["crowd"], "T=8"),
         "ifca-k4": ("algorithm=ifca", "k=4", "n_clients=12", "T=10"),
         "odd-k4": ("k=4", "n_clients=13", "data.samples_per_client=37", "data.test_fraction=0.23"),
