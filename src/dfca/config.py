@@ -98,11 +98,6 @@ class ExperimentConfig:
                 "must be in (0, 1]",
             ),
             (
-                "participation_fraction",
-                self.algorithm != "ifca" or self.participation_fraction >= 1.0,
-                "must be 1 for algorithm = ifca, whose rounds train every client",
-            ),
-            (
                 "init_mode",
                 self.algorithm != "ifca" or self.init_mode == "gi",
                 "must be gi for algorithm = ifca, whose server broadcasts one model set",

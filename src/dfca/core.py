@@ -14,8 +14,8 @@ propagate even through sparse graphs.
 * sequential - a running average that folds neighbor models in one at a
   time in arrival order and telescopes to exactly the batch mean;
 * server - centralized IFCA: each cluster model becomes the mean of the
-  trained models of the clients that selected it, and every client receives
-  the result.  It needs no graph.
+  models the round's senders sent for it, and every client receives the
+  result.  It needs no graph.
 
 The gossip merges are computed in delta form (own + weighted sum of
 differences), so averaging identical vectors is exactly the identity.
@@ -467,14 +467,14 @@ def aggregate_sequential(states: RunState, t: Topology, plan: RoundPlan) -> RunS
 
 
 def _server_mean(states: RunState) -> None:
-    """Centralized merge: each cluster model becomes the mean of the trained
-    models of the clients that selected it (unchanged if none did), and every
+    """Centralized merge: each cluster model becomes the mean of the models
+    this round's senders sent for it (unchanged if none did), and every
     client receives a copy of the new global models."""
     merged = states.models[0].copy()
     for j in range(len(merged)):
-        members = states.assignment == j
-        if members.any():
-            merged[j] = states.models[members, j].mean(axis=0)
+        senders = states.sent == j
+        if senders.any():
+            merged[j] = states.models[senders, j].mean(axis=0)
     states.models[:] = merged
 
 

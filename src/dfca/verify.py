@@ -621,7 +621,7 @@ CHECKS = [
 CHECK_NAMES = [name for name, _ in CHECKS]
 
 
-def run_verification(inject_fault: bool = False, out=print) -> int:
+def run_verification(inject_fault: bool = False) -> int:
     """Run every property check; returns 0 iff all pass.
 
     ``inject_fault`` halves the running-average sender weights inside the
@@ -637,5 +637,5 @@ def run_verification(inject_fault: bool = False, out=print) -> int:
         status = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1
-        out(f"{status} {name}: {detail}")
+        print(f"{status} {name}: {detail}")
     return 0 if failures == 0 else 1

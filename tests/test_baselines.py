@@ -31,22 +31,22 @@ def ifca_clients(rng, n, scales):
     return states, globals_
 
 
-def server_round(states, hp, round_seed):
-    """One server-merge round, plus the trained models it should average:
-    each client's assigned model after its own assign and SGD on its row of
-    the round's key table."""
+def server_round(states, hp, round_seed, participants=None):
+    """One server-merge round of ``participants`` (every client by default),
+    plus the trained models it should average: each participant's assigned
+    model after its own assign and SGD on its row of the round's key table."""
+    participants = range(len(states)) if participants is None else participants
     trained = states.copy()
     longest = max(len(d) for d in trained.data)
-    keys = spawn_rng(round_seed, "sgd").random((len(trained), hp.tau, longest))
-    for i in range(len(trained)):
+    keys = spawn_rng(round_seed, "sgd").random((len(participants), hp.tau, longest))
+    for r, i in enumerate(participants):
         losses = [_per_client_loss(SHAPE, v, trained.data[i]) for v in trained.models[i]]
         j = assign_cluster(trained[i], np.array(losses))
         m = unflatten_params(SHAPE, trained.models[i, j])
         d = trained.data[i]
-        trained.models[i, j] = sgd_epochs(m, d, hp.gamma, hp.tau, hp.batch_size, keys[i, :, : len(d)]).values
+        trained.models[i, j] = sgd_epochs(m, d, hp.gamma, hp.tau, hp.batch_size, keys[r, :, : len(d)]).values
         trained.sent[i] = j
-    plan = RoundPlan(participants=tuple(range(len(states))), aggregation_mode="server",
-                     round_seed=round_seed)
+    plan = RoundPlan(participants=tuple(participants), aggregation_mode="server", round_seed=round_seed)
     _, measured = run_round(states, None, plan, hp)
     return trained, measured
 
@@ -84,6 +84,24 @@ class TestIfcaRound:
             np.testing.assert_array_equal(states.models[i], states.models[0])
         assert states.models.shape == (len(states), 2, SHAPE.param_count)  # own copies
         assert all(d == 0.0 for d in measured.disp)  # broadcast copies agree exactly
+
+    def test_partial_round_averages_only_what_the_participants_sent(self):
+        """IFCA with client sampling: each cluster some participant sent
+        becomes the mean of the senders' trained models, not of every client
+        assigned to it, and every other cluster keeps its global model."""
+        rng = np.random.default_rng(4)
+        states, globals_ = ifca_clients(rng, 8, (1.0, 1.0, 100.0))
+        participants = (1, 2, 4, 6)
+        trained, _ = server_round(states, HP, round_seed=5, participants=participants)
+        sent = set(trained.sent[list(participants)].tolist())
+        idle = [i for i in range(len(states)) if i not in participants]
+        assert 0 < len(sent) < 3  # some cluster was sent and some was not
+        assert any(trained.assignment[i] in sent for i in idle)  # idle members of a sent cluster
+        for j in range(3):
+            want = np.mean(trained.models[trained.sent == j, j], axis=0) if j in sent else globals_[j]
+            for i in range(len(states)):
+                np.testing.assert_array_equal(states.models[i, j], want)
+        np.testing.assert_array_equal(states.assignment, trained.assignment)
 
 
 class TestEquivalenceWithGossipOnCompleteGraph:

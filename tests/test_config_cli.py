@@ -88,11 +88,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="override"):
             load_config(tiny_config, overrides=["gamma0.25"])
 
-    def test_ifca_rejects_partial_participation(self):
-        with pytest.raises(ConfigError, match="participation_fraction"):
-            ExperimentConfig(algorithm="ifca", participation_fraction=0.5)
-        ExperimentConfig(algorithm="dfca", participation_fraction=0.5)
-
     @pytest.mark.parametrize("restrict", [True, False], ids=["true", "false"])
     def test_every_key_round_trips(self, tmp_path, restrict):
         cfg = ExperimentConfig(
@@ -269,7 +264,7 @@ class TestCmdRun:
         assert "loss went non-finite although local SGD left finite parameters at seed 1, round 4, " \
                "cluster 0" in capsys.readouterr().err
 
-    def test_infinite_noise_exits_2_naming_the_key(self, tiny_config, capsys, output_root):
+    def test_infinite_gamma_exits_2_naming_the_key(self, tiny_config, capsys, output_root):
         assert cmd_run(str(tiny_config), overrides=["gamma=inf", "T=3", "n_seeds=1"]) == 2
         assert "'gamma'" in capsys.readouterr().err
         assert not output_root.exists()
@@ -286,6 +281,13 @@ class TestCmdRun:
         assert code == 2
         assert "init_mode" in capsys.readouterr().err
         assert not output_root.exists()
+
+    def test_ifca_with_partial_participation_runs(self, tiny_config, output_root):
+        """IFCA samples clients: the server averages what the sampled ones sent."""
+        assert cmd_run(str(tiny_config), overrides=["algorithm=ifca", "participation_fraction=0.5",
+                                                     "T=3", "n_seeds=1"]) == 0
+        trace = (output_root / "tiny" / "seed_0" / "trace.csv").read_text().splitlines()
+        assert len(trace) == 4
 
     def test_disconnected_abort_exits_nonzero(self, tiny_config, capsys):
         code = cmd_run(str(tiny_config), overrides=["topology.p=0.0", "on_disconnected=abort"])
@@ -479,12 +481,6 @@ class TestVerifyCommand:
         for name in CHECK_NAMES:
             assert f"PASS {name}:" in out
         assert out.count("PASS") == len(CHECKS)
-
-    def test_injected_fault_detected(self, capsys):
-        assert main(["verify", "--inject-fault"]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL sequential-equals-batch" in out
-        assert out.count("FAIL") == 1
 
     @pytest.mark.parametrize("name", CHECK_NAMES)
     def test_check(self, verify_run, name):

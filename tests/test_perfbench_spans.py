@@ -4,11 +4,12 @@ its hooks still count what they counted.
 ``perfbench/run.py --trace 1`` fails when a required span records zero
 calls, which happens when a public function it wraps stops being called (say,
 because a round calls a private helper instead).  This runs each workload's
-overrides for two rounds under the benchmark's tracer and applies the same
-check, so such a change fails here first.  The hooks read the arguments of
-the functions they wrap by name (``sgd_epochs``'s ``d``, say, counts
-``tau * ceil(len(d) / batch_size)`` steps); their counts over those two
-rounds are pinned, so an argument that changes its meaning fails here too.
+overrides for two rounds under the benchmark's tracer, once per workload,
+and applies the same check, so such a change fails here first.  The hooks
+read the arguments of the functions they wrap by name (``sgd_epochs``'s
+``d``, say, counts ``tau * ceil(len(d) / batch_size)`` steps); their counts
+over those two rounds are pinned, so an argument that changes its meaning
+fails here too.
 """
 
 import importlib.util
@@ -28,31 +29,34 @@ HOOK_COUNTS = {
 }
 
 
-@pytest.fixture
-def bench(monkeypatch):
+@pytest.fixture(scope="module")
+def bench():
     """``perfbench/run.py`` as a module; the environment variables and
-    ``sys.path`` entries it sets on import are undone afterwards."""
-    for var in BLAS_VARS:
-        monkeypatch.setenv(var, "1")  # records the old value, restored on teardown
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
-    return run
+    ``sys.path`` entries it sets on import are undone after this module."""
+    with pytest.MonkeyPatch.context() as patch:
+        for var in BLAS_VARS:
+            patch.setenv(var, "1")  # records the old value, restored on exit
+        patch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        yield run
 
 
-def two_traced_rounds(bench, workload, path):
-    """The benchmark's tracer over seed 0 of ``workload`` at T=2."""
+@pytest.fixture(scope="module", params=["desk", "gossip", "crowd"])
+def traced(bench, request, tmp_path_factory):
+    """The workload and the benchmark's tracer over seed 0 of it at T=2,
+    one run shared by both tests of each workload."""
+    workload = request.param
     cfg = bench.dfca.config.load_config(bench.BASE_CONFIG, (*bench.WORKLOADS[workload], "T=2"))
     with bench.Tracer() as tracer:
-        result = bench.seed_run(cfg, 0, path)
+        result = bench.seed_run(cfg, 0, tmp_path_factory.mktemp(workload) / "trace.csv")
     assert result["problem"] is None
-    return tracer
+    return workload, tracer
 
 
-@pytest.mark.parametrize("workload", ["desk", "gossip", "crowd"])
-def test_no_required_span_has_zero_calls(bench, workload, tmp_path):
-    tracer = two_traced_rounds(bench, workload, tmp_path / "trace.csv")
+def test_no_required_span_has_zero_calls(bench, traced):
+    workload, tracer = traced
     uncalled = [
         name for name in bench.REQUIRED_SPANS
         if name not in bench.NOT_CALLED[workload] and tracer.calls.get(name, 0) == 0
@@ -60,7 +64,6 @@ def test_no_required_span_has_zero_calls(bench, workload, tmp_path):
     assert uncalled == []
 
 
-@pytest.mark.parametrize("workload", ["desk", "gossip", "crowd"])
-def test_hook_counts_of_two_rounds_are_pinned(bench, workload, tmp_path):
-    tracer = two_traced_rounds(bench, workload, tmp_path / "trace.csv")
+def test_hook_counts_of_two_rounds_are_pinned(traced):
+    workload, tracer = traced
     assert dict(zip(HOOKS, HOOK_COUNTS[workload])) == {name: tracer.counts[name] for name in HOOKS}

@@ -101,6 +101,8 @@ def entries() -> dict[str, tuple[str, ...]]:
         "partial": ("participation_fraction=0.3", "data.test_fraction=0.5"),
         "sparse": ("topology.p=0.08",),  # disconnected at seed 0, connected at seed 1
         "classes10": ("data.n_classes=10",),  # 8 or more classes: numpy's pairwise class sums
+        "ifca-partial": ("algorithm=ifca", "participation_fraction=0.5"),  # IFCA's client sampling
+        "batch-uniform": ("aggregation_mode=batch",),
     }
 
 
