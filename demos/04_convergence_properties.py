@@ -59,8 +59,9 @@ for r in range(6):
     plan = RoundPlan(participants=tuple(range(16)), aggregation_mode="batch", round_seed=r,
                      metropolis=True)
     run_round(states, t, plan, hp)
-    drift = np.abs(cluster_average(states)[0] - avg_before).max()
-    print(f"round {r}: dispersion {dispersion(states)[0]:9.5f}, average moved {drift:.1e}")
+    avg = cluster_average(states)
+    drift = np.abs(avg[0] - avg_before).max()
+    print(f"round {r}: dispersion {dispersion(states, avg)[0]:9.5f}, average moved {drift:.1e}")
 
 print("\n=== 3. Sequential merging equals the batch mean in any order ===")
 t = generate_erdos_renyi(5, 0.9, seed=5)

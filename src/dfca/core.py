@@ -377,7 +377,8 @@ def _fold(
     and only the live prefix is gathered.  Where a pass's live factors at a
     position, or its norms, are bitwise one number (uniform weights; norms
     under Metropolis), they scale by that scalar, which gives the same
-    products as one factor per row; this is decided once per pass.
+    products as one factor per row, and a pass whose norms are all 1.0 skips
+    the division; this is decided once per pass.
     Elementwise these are the operations of merging one slot and one sender
     at a time, so every value is bitwise the same; ``merges-match-per-slot``
     and the committed matrix digests hold those bits.
@@ -406,7 +407,8 @@ def _fold(
             acc[:a] += d
         if norms is not None:
             norm = norms[s]
-            acc /= norm[0] if _same_bits(norm).all() else norm[:, None]
+            if (norm != 1.0).any():  # x / 1.0 is x: a Metropolis pass skips it
+                acc /= norm[0] if _same_bits(norm).all() else norm[:, None]
             value += acc
         states.models[rows[s], cols[s]] = value
 
@@ -522,11 +524,12 @@ def run_round(
                 "loss went non-finite although local SGD left finite parameters",
                 round=plan.round_index, cluster=j,
             )
-    drift = tuple(float(np.linalg.norm(post - pre)) for post, pre in zip(cluster_average(states), pre_avg))
+    post_avg = cluster_average(states)
+    drift = tuple(float(np.linalg.norm(post - pre)) for post, pre in zip(post_avg, pre_avg))
     return states, RoundMetrics(
         round=plan.round_index,
         f_cluster=per_cluster,
-        disp=dispersion(states),
+        disp=dispersion(states, post_avg),
         clustering_accuracy=clustering_accuracy(states),
         test_accuracy=test_accuracy(states),
         avg_drift=drift,

@@ -65,7 +65,7 @@ class DisconnectedGraphError(_LocatedError, RuntimeError):
     names the graph, and :func:`run_one_seed` adds the seed."""
 
 
-# SeedOutcome attributes that summary.json reports per seed and as a mean and std.
+# SeedOutcome attributes that summary.json and the sweep CSV report as a mean and std.
 _FINALS = (
     "final_test_accuracy",
     "final_clustering_accuracy",
@@ -300,8 +300,10 @@ def cmd_run(config_path: str, overrides: Iterable[str] = ()) -> int:
 
 @_exit_codes
 def cmd_sweep(config_path: str, key: str, values: Sequence[str], overrides: Iterable[str] = ()) -> int:
-    """One ``cmd_run`` per value of ``key``; emits a combined (value, mean, std)
-    CSV.  Every value's config is loaded and checked before the first run."""
+    """One ``cmd_run`` per value of ``key``; emits a combined CSV: the value,
+    the mean and std of each final (test accuracy first, as ``mean,std``) and
+    the count of connected seeds.  Every value's config is loaded and checked
+    before the first run."""
     if key not in _FIELD_BY_KEY:
         raise ConfigError(f"unknown config key {key!r}")
     field_name, caster = _FIELD_BY_KEY[key]
@@ -317,20 +319,17 @@ def cmd_sweep(config_path: str, key: str, values: Sequence[str], overrides: Iter
             raise ConfigError(f"sweep value {v!r} of {key!r} repeats {first!r}: both load as {value}")
 
     root = _output_root(configs[0]) / Path(config_path).stem
-    rows = []
+    stats = [f"{name}_{stat}" for name in _FINALS[1:] for stat in ("mean", "std")]
+    rows = [["value", "mean", "std", *stats, "connected_seeds"]]
     for config, value in zip(configs, loaded):
         summary = _run_into(config, root / f"{key}={value}")
-        rows.append((value, summary["mean"]["final_test_accuracy"],
-                     summary["std"]["final_test_accuracy"]))
-
+        connected = summary["per_seed"]["connected"]
+        cells = [value, *(summary[stat][name] for name in _FINALS for stat in ("mean", "std")),
+                 None if None in connected else connected.count(True)]
+        rows.append(["" if c is None else repr(c) if isinstance(c, float) else str(c) for c in cells])
     combined = root / f"sweep_{field_name}.csv"
-    _write_rows(combined, [["value", "mean", "std"]] + [
-        [repr(float(value)) if isinstance(value, float) else str(value),
-         "" if mean is None else repr(float(mean)),
-         "" if std is None else repr(float(std))]
-        for value, mean, std in rows
-    ])
-    print(f"sweep over {key}: {len(rows)} runs -> {combined}")
+    _write_rows(combined, rows)
+    print(f"sweep over {key}: {len(rows) - 1} runs -> {combined}")
     return 0
 
 

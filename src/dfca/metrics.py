@@ -1,13 +1,15 @@
 """Measured quantities: loss hierarchy, dispersion, clustering and test accuracy.
 
 All functions are read-only over a run's client states and take nothing
-else: they read its ``(N, k, P)`` model array, its assignments and its
-clients' stacked train and test splits directly.  The per-cluster ones
-answer for all k clusters at once.  Losses and predictions are evaluated
-for many clients per forward pass, in slices of the stacks of about
-``_CHUNK_ROWS`` sample rows, and their models are gathered from the array
-into one block read through per-layer views.  Each client's value is
-bitwise the one a forward pass over that client alone gives.
+else but the averages that ``dispersion`` is given: they read its ``(N, k,
+P)`` model array (the averages and dispersion in blocks of client rows),
+its assignments and its clients' stacked train and test splits directly.
+The per-cluster ones answer for all k clusters at once.  Losses and
+predictions are evaluated for many clients per forward pass, in slices of
+the stacks of about ``_CHUNK_ROWS`` sample rows, and their models are
+gathered from the array into one block read through per-layer views.  Each
+client's value is bitwise the one a forward pass over that client alone
+gives.
 """
 
 from __future__ import annotations
@@ -89,34 +91,43 @@ def f_cluster(states: "RunState") -> tuple[float, ...]:
     return tuple(_add(losses[states.assignment == j].tolist()) for j in range(states.models.shape[1]))
 
 
-def _average(copies: np.ndarray, dev: np.ndarray) -> np.ndarray:
-    """``base + mean(copies - base)`` over the client axis, with ``base``
-    the first row; the deviations go into ``dev``."""
-    base = copies[0].copy()
-    np.subtract(copies, base, out=dev)
-    return base + dev.mean(axis=0)
+_BLOCK_BYTES = 1 << 18  # scratch of the averages and dispersion: blocks of client rows, all k models
+
+
+def _block(models: np.ndarray) -> tuple[np.ndarray, int]:
+    """A scratch of ``r + 1`` rows of ``(k, P)``, for blocks of r client rows."""
+    rows = min(len(models), max(1, _BLOCK_BYTES // models[0].nbytes))
+    return np.empty((rows + 1, *models.shape[1:])), rows
 
 
 def cluster_average(states: "RunState") -> np.ndarray:
-    """``(k, P)``: row ``j`` is the network average of all clients' copies
-    of model ``j``.
+    """``(k, P)``: row ``j`` is the network average of all clients' copies of
+    model ``j``, as base (client 0's copies) plus the mean deviation, so that
+    identical copies average to themselves exactly.  Row 0 of the scratch
+    carries the running total into each block's reduce, so the deviations
+    add in client order, as in one reduce over all N."""
+    models, (buf, rows) = states.models, _block(states.models)
+    base = models[0].copy()
+    buf[0] = total = models[0] - base
+    for s in range(1, len(models), rows):
+        d = buf[: 1 + min(rows, len(models) - s)]
+        np.subtract(models[s : s + len(d) - 1], base, out=d[1:])
+        d[0] = np.add.reduce(d, axis=0, out=total)
+    return base + total / len(models)
 
-    Computed as base + mean(deviations) so that identical copies average to
-    themselves exactly.
-    """
-    dev = np.empty_like(states.models[:, 0])
-    return np.array([_average(states.models[:, j], dev) for j in range(states.models.shape[1])])
 
-
-def dispersion(states: "RunState") -> tuple[float, ...]:
-    """Per cluster, the mean squared distance of all N copies of its model
-    from their average."""
-    dev, disp = np.empty_like(states.models[:, 0]), []
-    for j in range(states.models.shape[1]):
-        copies = states.models[:, j]
-        np.subtract(copies, _average(copies, dev), out=dev)
-        disp.append(float(np.mean(np.sum(np.square(dev, out=dev), axis=1))))
-    return tuple(disp)
+def dispersion(states: "RunState", averages: np.ndarray) -> tuple[float, ...]:
+    """Per cluster, the mean over clients of the squared distance of their
+    copy of its model from ``averages``, which is ``cluster_average(states)``."""
+    models, (buf, rows) = states.models, _block(states.models)
+    if averages.shape != models.shape[1:]:
+        raise ValueError(f"averages of shape {averages.shape} are not (k, P) of models {models.shape}")
+    table = np.empty(models.shape[1::-1])  # (k, N): one contiguous row per cluster
+    for s in range(0, len(models), rows):
+        d = buf[: min(rows, len(models) - s)]
+        np.square(np.subtract(models[s : s + len(d)], averages, out=d), out=d)
+        table[:, s : s + len(d)] = np.add.reduce(d, axis=2).T
+    return tuple(float(np.mean(row)) for row in table)
 
 
 def clustering_accuracy(states: "RunState") -> float:

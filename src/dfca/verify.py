@@ -412,16 +412,15 @@ def check_gossip_consensus() -> tuple[bool, str]:
         hp = Hyperparams(gamma=0.0, tau=1, batch_size=8)
         for r in range(rounds):
             avg_before = cluster_average(states)
-            disp_before = dispersion(states)[0]
+            disp_before = dispersion(states, avg_before)[0]
             plan = RoundPlan(
                 participants=tuple(range(n)), aggregation_mode="batch", round_seed=r, round_index=r,
                 metropolis=True,
             )
             run_round(states, t, plan, hp)
-            worst_avg = max(
-                worst_avg, float(np.abs(cluster_average(states) - avg_before).max())
-            )
-            worst_slack = max(worst_slack, dispersion(states)[0] - lam**2 * disp_before)
+            avg_after = cluster_average(states)
+            worst_avg = max(worst_avg, float(np.abs(avg_after - avg_before).max()))
+            worst_slack = max(worst_slack, dispersion(states, avg_after)[0] - lam**2 * disp_before)
     ok = worst_avg <= 1e-9 and worst_slack <= 1e-9
     return ok, (
         f"10 connected graphs x {rounds} rounds: average drift {worst_avg:.2e}, "
@@ -435,7 +434,7 @@ def check_gi_zero_dispersion() -> tuple[bool, str]:
     datasets = [random_dataset(rng, 20, 16, 4) for _ in range(20)]
     states = initialize(k=4, mode="gi", model_shape=shape, seed=0, datasets=datasets,
                         test_sets=datasets)
-    disps = list(dispersion(states))
+    disps = list(dispersion(states, cluster_average(states)))
     return all(d == 0.0 for d in disps), f"initial dispersions {disps} (exact zeros)"
 
 
@@ -500,12 +499,8 @@ def check_batched_metrics() -> tuple[bool, str]:
                 drawn.assignment[i] = int(rng.integers(0, k - 1))
         tests = [random_dataset(rng, n_test, shape.dim, shape.n_classes) for _ in range(count)]
         states = RunState(shape, drawn.models, drawn.assignment, data, tests)
-        batched = (
-            f_cluster(states),
-            test_accuracy(states),
-            cluster_average(states),
-            dispersion(states),
-        )
+        averages = cluster_average(states)
+        batched = (f_cluster(states), test_accuracy(states), averages, dispersion(states, averages))
         instances += 1
         for name, got, want in zip(names, batched, _per_client_metrics(states)):
             if np.asarray(got).tobytes() != np.asarray(want).tobytes():

@@ -351,10 +351,34 @@ class TestCmdSweep:
         assert cmd_sweep(str(tiny_config), "topology.p", ["0.5", "0.9"]) == 0
         combined = output_root / "tiny" / "sweep_topology_p.csv"
         lines = combined.read_text().splitlines()
-        assert lines[0] == "value,mean,std"
+        assert lines[0] == (
+            "value,mean,std,final_clustering_accuracy_mean,final_clustering_accuracy_std,"
+            "final_f_global_mean,final_f_global_std,stabilization_round_mean,stabilization_round_std,"
+            "connected_seeds"
+        )
         assert len(lines) == 3
         for p in ("0.5", "0.9"):
             assert (output_root / "tiny" / f"topology.p={p}" / "summary.json").exists()
+
+    @pytest.mark.parametrize("algorithm", ["dfca", "ifca"])
+    def test_sweep_csv_holds_every_final_of_each_summary(self, tiny_config, output_root, algorithm):
+        """Each row: the value, then each final's mean and std from that
+        value's summary.json, test accuracy first, then how many seeds had
+        a connected graph (empty for ifca, which runs without one)."""
+        overrides = ["n_seeds=3", f"algorithm={algorithm}"]
+        assert cmd_sweep(str(tiny_config), "topology.p", ["0.2", "0.9"], overrides) == 0
+        with open(output_root / "tiny" / "sweep_topology_p.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row, p in zip(rows, ("0.2", "0.9")):
+            summary = json.loads((output_root / "tiny" / f"topology.p={p}" / "summary.json").read_text())
+            assert row["value"] == p
+            assert [row["mean"], row["std"]] == [repr(summary[s]["final_test_accuracy"]) for s in ("mean", "std")]
+            for name in _FINALS[1:]:
+                assert [row[f"{name}_mean"], row[f"{name}_std"]] == [
+                    repr(summary[s][name]) for s in ("mean", "std")]
+            connected = summary["per_seed"]["connected"]
+            assert row["connected_seeds"] == ("" if algorithm == "ifca" else str(connected.count(True)))
+        assert algorithm == "ifca" or {row["connected_seeds"] for row in rows} != {"3"}
 
     def test_single_value_sweep_matches_run(self, tiny_config, output_root):
         assert cmd_sweep(str(tiny_config), "gamma", ["0.1"]) == 0

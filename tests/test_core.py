@@ -462,15 +462,16 @@ def per_slot_fold(states, rows, cols, senders, factors, norms=None):
     return merged
 
 
-@pytest.mark.parametrize("form", ["running", "equal-norms", "unequal-norms"])
+@pytest.mark.parametrize("form", ["running", "equal-norms", "unit-norms", "unequal-norms"])
 def test_fold_scales_by_one_number_or_per_row_bitwise_like_a_per_slot_loop(form):
     """Positions whose live factors, or passes whose norms, are one number
-    scale by that scalar; the others per row.  Both match the loop bitwise."""
+    scale by that scalar, passes whose norms are all 1.0 skip the division,
+    and the others scale per row.  All match the loop bitwise."""
     rng = np.random.default_rng(41)
     states = make_states(rng, 40, 3)
     states.sent[:] = rng.integers(0, 3, size=len(states))
     rows, cols, senders, factors = fold_table(rng, len(states), 3)
-    norms = {"running": None, "equal-norms": np.ones(len(rows)),
+    norms = {"running": None, "equal-norms": np.full(len(rows), 3.0), "unit-norms": np.ones(len(rows)),
              "unequal-norms": np.count_nonzero(senders >= 0, axis=1) + 1.0}[form]
     expected = per_slot_fold(states, rows, cols, senders, factors, norms)
     core._fold(states, rows, cols, senders, factors, norms)

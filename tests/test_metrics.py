@@ -1,11 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfca import verify
+from dfca import metrics, verify
 from dfca.core import RunState
 from dfca.datagen import Dataset, SyntheticSpec, generate_rotated_synthetic
 from dfca.metrics import (
@@ -87,7 +88,8 @@ def test_cluster_metrics_answer_for_every_cluster(k):
     added in client order, its average and dispersion those of its copies
     alone."""
     states = random_states(np.random.default_rng(12), 7, k)
-    losses, averages, disps = f_cluster(states), cluster_average(states), dispersion(states)
+    averages = cluster_average(states)
+    losses, disps = f_cluster(states), dispersion(states, averages)
     assert len(losses) == len(disps) == k and averages.shape == (k, SHAPE.param_count)
     for j in range(k):
         total = 0.0
@@ -96,7 +98,7 @@ def test_cluster_metrics_answer_for_every_cluster(k):
         assert losses[j] == total
         alone = one_model_states(states.models[:, j], states.data)
         assert averages[j].tobytes() == cluster_average(alone)[0].tobytes()
-        assert disps[j] == dispersion(alone)[0]
+        assert disps[j] == dispersion(alone, cluster_average(alone))[0]
 
 
 class TestDispersion:
@@ -104,14 +106,14 @@ class TestDispersion:
         rng = np.random.default_rng(4)
         value = rng.standard_normal(SHAPE.param_count)
         states = one_model_states([value] * 5, [simple_data(rng) for _ in range(5)])
-        assert dispersion(states) == (0.0,)
+        assert dispersion(states, cluster_average(states)) == (0.0,)
 
     def test_two_scalar_copies(self):
         rng = np.random.default_rng(5)
         models = np.zeros((2, SHAPE.param_count))
         models[1, 0] = 2.0  # the copies differ in one parameter
         states = one_model_states(models, [simple_data(rng), simple_data(rng)])
-        assert dispersion(states) == (1.0,)
+        assert dispersion(states, cluster_average(states)) == (1.0,)
         assert cluster_average(states)[0, 0] == 1.0
 
     @given(seed=st.integers(0, 99), shift=st.floats(-50, 50, allow_nan=False))
@@ -119,9 +121,51 @@ class TestDispersion:
     def test_translation_invariant(self, seed, shift):
         rng = np.random.default_rng(seed)
         states = random_states(rng, 4, 1)
-        before = dispersion(states)[0]
+        before = dispersion(states, cluster_average(states))[0]
         states.models[:, 0] += shift
-        assert dispersion(states)[0] == pytest.approx(before, rel=1e-9, abs=1e-9)
+        assert dispersion(states, cluster_average(states))[0] == pytest.approx(before, rel=1e-9, abs=1e-9)
+
+
+WIDE = ModelShape(dim=16, hidden=32, n_classes=4)  # P = 676, as in every benchmark workload
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("edge", ["1", "r-1", "r", "r+1", "3r+2"])
+def test_averages_and_dispersion_across_block_edges_match_the_reference(k, edge):
+    """Client counts on either side of the kernel's block edges give bitwise
+    the averages and dispersions of the per-client reference, which works on
+    each cluster's ``(N, P)`` copies with fresh temporaries."""
+    r = metrics._BLOCK_BYTES // (k * WIDE.param_count * 8)  # the kernel's client rows per block
+    n = {"1": 1, "r-1": r - 1, "r": r, "r+1": r + 1, "3r+2": 3 * r + 2}[edge]
+    states = verify.random_states(np.random.default_rng(n), n, k, WIDE, n_samples=2)
+    assert metrics._block(states.models)[1] == min(n, r)
+    _, _, avg, disp = verify._per_client_metrics(states)
+    averages = cluster_average(states)
+    assert averages.tobytes() == np.array(avg).tobytes()
+    assert np.array(dispersion(states, averages)).tobytes() == np.array(disp).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 7), (3, 6), (6,)])
+def test_dispersion_rejects_averages_that_are_not_k_by_p(shape):
+    states = random_states(np.random.default_rng(15), 5, 2)
+    with pytest.raises(ValueError, match=rf"averages of shape \({shape[0]},.*models \(5, 2, 6\)"):
+        dispersion(states, np.zeros(shape))
+
+
+def test_averages_and_dispersion_hold_no_client_by_parameter_scratch():
+    """On a ``(500, 2, 676)`` state each call peaks below a quarter of one
+    cluster's ``(N, P)`` copies: the blocks, not a whole-array scratch."""
+    states = verify.random_states(np.random.default_rng(16), 500, 2, WIDE, n_samples=2)
+    averages = cluster_average(states)
+    limit = 500 * WIDE.param_count * 8 // 4
+    for call in (lambda: cluster_average(states), lambda: dispersion(states, averages)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 class TestClusteringAccuracy:
