@@ -23,8 +23,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands = (
         ("run", "run n_seeds experiments from a config file", ()),
-        ("sweep", "repeat a run over values of one numeric key",
-         (("--key", "numeric config key to sweep"), ("--values", "comma-separated values"))),
+        ("sweep", "repeat a run over values of one config key",
+         (("--key", "config key to sweep"), ("--values", "comma-separated values"))),
     )
     for name, summary, options in commands:
         command = sub.add_parser(name, help=summary)

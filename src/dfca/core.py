@@ -47,6 +47,7 @@ from .model import (
     DivergenceError,
     MlpModel,
     ModelShape,
+    _block_rows,
     _check_inputs,
     _chunks,
     forward_loss,
@@ -356,9 +357,6 @@ def _slots(
     return rows, cols, senders, np.where(held, t.metropolis[rows[:, None], senders], 0.0)
 
 
-_FOLD_SLOTS = 64  # receiver slots per pass of the fold; bounds the gathered rows
-
-
 def _fold(
     states: RunState, rows: np.ndarray, cols: np.ndarray, senders: np.ndarray,
     factors: np.ndarray, norms: np.ndarray | None = None,
@@ -370,15 +368,15 @@ def _fold(
     into the value, ``v += f * (x - v)``; with them the terms ``f * (x - v)``
     of the pre-merge value add up in ``acc`` and ``v += acc / norm``.  The
     sent rows are copied once, before any write.  Slots run longest first,
-    ``_FOLD_SLOTS`` at a time: at each arrival position one gather and three
-    in-place operations update the chunk's slots that still have a sender
-    there, and the chunk is written back before the next is gathered.  The
-    gather is unchecked: every live sender sent, so its outbox row exists,
-    and only the live prefix is gathered.  Where a pass's live factors at a
-    position, or its norms, are bitwise one number (uniform weights; norms
-    under Metropolis), they scale by that scalar, which gives the same
-    products as one factor per row, and a pass whose norms are all 1.0 skips
-    the division; this is decided once per pass.
+    as many per pass as ``_BLOCK_BYTES`` holds model rows: at each arrival
+    position one gather and three in-place operations update the pass's
+    slots that still have a sender there, and the pass is written back
+    before the next is gathered.  The gather is unchecked: every live sender
+    sent, so its outbox row exists, and only the live prefix is gathered.
+    Where a pass's live factors at a position are bitwise one number
+    (uniform weights), they scale by that scalar, which gives the same
+    products as one factor per row; this is decided once per pass.  A pass
+    whose norms are all 1.0 (Metropolis) skips the division.
     Elementwise these are the operations of merging one slot and one sender
     at a time, so every value is bitwise the same; ``merges-match-per-slot``
     and the committed matrix digests hold those bits.
@@ -389,10 +387,11 @@ def _fold(
     outbox_row[sending] = np.arange(len(sending))
     held = senders >= 0
     longest_first = np.argsort(-np.count_nonzero(held, axis=1), kind="stable")
-    for start in range(0, len(rows), _FOLD_SLOTS):
-        s = longest_first[start : start + _FOLD_SLOTS]
+    step = _block_rows(states.models.shape[-1] * states.models.itemsize)
+    for start in range(0, len(rows), step):
+        s = longest_first[start : start + step]
         live = held[s]
-        active = np.count_nonzero(live, axis=0)  # per position: a prefix of the chunk
+        active = np.count_nonzero(live, axis=0)  # per position: a prefix of the pass
         sender, factor = outbox_row[senders[s]], factors[s]
         shared = (_same_bits(factor) | ~live).all(axis=0)  # per position, decided once per pass
         value = states.models[rows[s], cols[s]]
@@ -408,7 +407,7 @@ def _fold(
         if norms is not None:
             norm = norms[s]
             if (norm != 1.0).any():  # x / 1.0 is x: a Metropolis pass skips it
-                acc /= norm[0] if _same_bits(norm).all() else norm[:, None]
+                acc /= norm[:, None]
             value += acc
         states.models[rows[s], cols[s]] = value
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 import numpy as np
 
 from .datagen import Dataset
-from .model import MlpModel, _chunks, _mean_ce, predict
+from .model import MlpModel, _block_rows, _chunks, _mean_ce, predict
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import RunState
@@ -91,12 +91,9 @@ def f_cluster(states: "RunState") -> tuple[float, ...]:
     return tuple(_add(losses[states.assignment == j].tolist()) for j in range(states.models.shape[1]))
 
 
-_BLOCK_BYTES = 1 << 18  # scratch of the averages and dispersion: blocks of client rows, all k models
-
-
 def _block(models: np.ndarray) -> tuple[np.ndarray, int]:
     """A scratch of ``r + 1`` rows of ``(k, P)``, for blocks of r client rows."""
-    rows = min(len(models), max(1, _BLOCK_BYTES // models[0].nbytes))
+    rows = min(len(models), _block_rows(models[0].nbytes))
     return np.empty((rows + 1, *models.shape[1:])), rows
 
 

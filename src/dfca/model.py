@@ -242,6 +242,7 @@ def gradient(m: MlpModel, batch: Dataset) -> np.ndarray:
 
 
 _CHUNK_ROWS = 2048  # rows per stacked pass; bounds the temporaries
+_BLOCK_BYTES = 1 << 18  # bytes of model rows per pass: the merge fold and the cluster averages
 
 
 def _chunks(count: int, rows: int) -> Iterator[slice]:
@@ -249,6 +250,11 @@ def _chunks(count: int, rows: int) -> Iterator[slice]:
     rows when each position counts ``rows`` (at least one position each)."""
     step = max(1, _CHUNK_ROWS // rows)
     return (slice(start, start + step) for start in range(0, count, step))
+
+
+def _block_rows(row_nbytes: int) -> int:
+    """Rows of ``row_nbytes`` bytes that one pass over model rows holds (at least one)."""
+    return max(1, _BLOCK_BYTES // row_nbytes)
 
 
 def sgd_epochs(

@@ -16,7 +16,6 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .core import (
-    _FOLD_SLOTS,
     Hyperparams,
     RoundPlan,
     RunState,
@@ -356,17 +355,18 @@ def check_merges_match_per_slot() -> tuple[bool, str]:
     """Both gossip merges against the per-slot references, bitwise.
 
     Graphs are the small ones of ``sequential-equals-batch`` with k = 1..4,
-    plus one with more receiver slots than one pass of the fold and unequal
-    sender counts.  About a third of the clients do not send.  Each instance
+    plus one whose model is wide enough that its receiver slots, with
+    unequal sender counts, take many passes of the fold (three slots a
+    pass).  About a third of the clients do not send.  Each instance
     runs under uniform and Metropolis weights, with and without restricted
     receiving, and the sequential merge under two round seeds.
     """
     rng = np.random.default_rng(8)
-    shape = ModelShape(dim=2, hidden=0, n_classes=2)
-    cases = [(t, k) for t in _small_graphs() for k in range(1, 5)]
-    cases.append((generate_erdos_renyi(_FOLD_SLOTS, 0.3, 5), 3))
+    small = ModelShape(dim=2, hidden=0, n_classes=2)
+    cases = [(t, k, small) for t in _small_graphs() for k in range(1, 5)]
+    cases.append((generate_erdos_renyi(20, 0.3, 5), 3, ModelShape(dim=64, hidden=128, n_classes=10)))
     merges, most_slots, bad = 0, 0, []
-    for t, k in cases:
+    for t, k, shape in cases:
         states = random_states(rng, t.n_clients, k, shape)
         sending = np.flatnonzero(rng.random(t.n_clients) < 0.7)
         states.sent[sending] = states.assignment[sending]

@@ -389,12 +389,22 @@ class TestCmdSweep:
         direct = json.loads((output_root / "tiny" / "summary.json").read_text())
         assert swept["per_seed"] == direct["per_seed"]
 
-    def test_non_numeric_key_rejected(self, tiny_config, capsys):
-        assert cmd_sweep(str(tiny_config), "init_mode", ["gi"]) == 2
-        assert "init_mode" in capsys.readouterr().err
+    def test_sweep_over_a_string_key(self, tiny_config, output_root):
+        """Any config key sweeps: one run directory per algorithm and one CSV,
+        whose ``connected_seeds`` is empty for ifca, which samples no graph."""
+        values = ["dfca", "davg", "ifca"]
+        assert cmd_sweep(str(tiny_config), "algorithm", values, ["T=2"]) == 0
+        with open(output_root / "tiny" / "sweep_algorithm.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["value"] for row in rows] == values
+        assert [row["connected_seeds"] == "" for row in rows] == [False, False, True]
+        for v in values:
+            assert (output_root / "tiny" / f"algorithm={v}" / "summary.json").exists()
 
     @pytest.mark.parametrize("key, values", [("k", ["2", "3"]), ("gamma", ["0.1", "-1"]),
-                                             ("gamma", ["0.1", "0.10"]), ("topology.p", ["0.5", "0.9", "0.50"])])
+                                             ("gamma", ["0.1", "0.10"]), ("topology.p", ["0.5", "0.9", "0.50"]),
+                                             ("algorithm", ["dfca", "bogus"]),
+                                             ("restrict_receive_to_participants", ["true", "1"])])
     def test_a_bad_value_runs_no_value(self, tiny_config, output_root, capsys, key, values):
         """An invalid value, or one that loads the same as an earlier one."""
         assert cmd_sweep(str(tiny_config), key, values, ["T=2", "n_seeds=1"]) == 2

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -425,14 +426,18 @@ class TestAggregateSequential:
         assert calls == [(9, "arrival")]
 
 
+SLOTS = 64  # receiver slots per fold pass under a budget of 64 rows of SHAPE
+
+
 def fold_table(rng, n, k):
-    """A slot table of two ``_fold`` passes, longest slot first: 1 slot with
-    4 senders and 64 with 3, then 5 with 2 and 4 with 1.  Each pass has
-    positions where every live factor is shared, one (position 1) where the
-    last live slot's factor differs, and one with a single live slot.  The
-    padding holds -1 and factor 0.0, as ``_slots`` writes it."""
+    """A slot table of two ``_fold`` passes of ``SLOTS``, longest slot
+    first: 1 slot with 4 senders and 64 with 3, then 5 with 2 and 4 with 1.
+    Each pass has positions where every live factor is shared, one
+    (position 1) where the last live slot's factor differs, and one with a
+    single live slot.  The padding holds -1 and factor 0.0, as ``_slots``
+    writes it."""
     lengths = np.array([4] + [3] * 64 + [2] * 5 + [1] * 4)
-    assert len(lengths) > core._FOLD_SLOTS
+    assert len(lengths) > SLOTS
     slot = rng.choice(n * k, size=len(lengths), replace=False)
     rows, cols = slot // k, slot % k
     senders = np.full((len(lengths), 4), -1, dtype=np.intp)
@@ -440,8 +445,8 @@ def fold_table(rng, n, k):
     for s, length in enumerate(lengths):
         senders[s, :length] = rng.choice(n, size=length, replace=False)
         factors[s, :length] = 1.0 / np.arange(2, length + 2)
-    for start in range(0, len(lengths), core._FOLD_SLOTS):
-        last = start + np.count_nonzero(lengths[start : start + core._FOLD_SLOTS] > 1) - 1
+    for start in range(0, len(lengths), SLOTS):
+        last = start + np.count_nonzero(lengths[start : start + SLOTS] > 1) - 1
         factors[last, 1] = 0.3
     return rows, cols, senders, factors
 
@@ -463,10 +468,12 @@ def per_slot_fold(states, rows, cols, senders, factors, norms=None):
 
 
 @pytest.mark.parametrize("form", ["running", "equal-norms", "unit-norms", "unequal-norms"])
-def test_fold_scales_by_one_number_or_per_row_bitwise_like_a_per_slot_loop(form):
-    """Positions whose live factors, or passes whose norms, are one number
-    scale by that scalar, passes whose norms are all 1.0 skip the division,
-    and the others scale per row.  All match the loop bitwise."""
+def test_fold_scales_by_one_number_or_per_row_bitwise_like_a_per_slot_loop(form, monkeypatch):
+    """Positions whose live factors are one number scale by that scalar and
+    the others per row; passes whose norms are all 1.0 skip the division and
+    the others divide per row.  All match the loop bitwise."""
+    monkeypatch.setattr(model, "_BLOCK_BYTES", SLOTS * SHAPE.param_count * 8)
+    assert model._block_rows(SHAPE.param_count * 8) == SLOTS
     rng = np.random.default_rng(41)
     states = make_states(rng, 40, 3)
     states.sent[:] = rng.integers(0, 3, size=len(states))
@@ -476,6 +483,41 @@ def test_fold_scales_by_one_number_or_per_row_bitwise_like_a_per_slot_loop(form)
     expected = per_slot_fold(states, rows, cols, senders, factors, norms)
     core._fold(states, rows, cols, senders, factors, norms)
     assert states.models.tobytes() == expected.tobytes()
+
+
+WIDE = ModelShape(dim=64, hidden=128, n_classes=10)  # P = 9,610: three slots per fold pass
+
+
+def test_fold_holds_the_outbox_and_a_few_budgets_of_model_rows():
+    """On a ``(20, 2, 9610)`` state in which every client sends, the batch
+    fold over the complete graph's 40 slots peaks below the outbox copy plus
+    five budgets, room for one pass's three row arrays and the next pass's
+    gather: passes of 64 slots would hold about 9 MB of rows at once."""
+    states = verify.random_states(np.random.default_rng(43), 20, 2, WIDE, n_samples=2)
+    stage_outboxes(states)
+    rows, cols, senders, weights = core._slots(states, complete(20), RoundPlan(tuple(range(20))))
+    norms = np.count_nonzero(senders >= 0, axis=1) + 1.0
+    limit = 20 * WIDE.param_count * 8 + 5 * model._BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        core._fold(states, rows, cols, senders, weights, norms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 40 and peak < limit
+
+
+def test_merges_match_per_slot_spans_three_or_more_fold_passes(monkeypatch):
+    """The check's wide instance runs the fold over at least three passes."""
+    passes, fold = [], core._fold
+
+    def counted(states, rows, *rest):
+        passes.append(-(-len(rows) // model._block_rows(states.models[0, 0].nbytes)))
+        return fold(states, rows, *rest)
+
+    monkeypatch.setattr(core, "_fold", counted)
+    assert verify.check_merges_match_per_slot()[0]
+    assert max(passes) >= 3
 
 
 @pytest.mark.parametrize("norms", [None, np.ones(0)], ids=["running", "batch"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfca import metrics, verify
+from dfca import metrics, model, verify
 from dfca.core import RunState
 from dfca.datagen import Dataset, SyntheticSpec, generate_rotated_synthetic
 from dfca.metrics import (
@@ -135,7 +135,7 @@ def test_averages_and_dispersion_across_block_edges_match_the_reference(k, edge)
     """Client counts on either side of the kernel's block edges give bitwise
     the averages and dispersions of the per-client reference, which works on
     each cluster's ``(N, P)`` copies with fresh temporaries."""
-    r = metrics._BLOCK_BYTES // (k * WIDE.param_count * 8)  # the kernel's client rows per block
+    r = model._BLOCK_BYTES // (k * WIDE.param_count * 8)  # the kernel's client rows per block
     n = {"1": 1, "r-1": r - 1, "r": r, "r+1": r + 1, "3r+2": 3 * r + 2}[edge]
     states = verify.random_states(np.random.default_rng(n), n, k, WIDE, n_samples=2)
     assert metrics._block(states.models)[1] == min(n, r)

@@ -103,6 +103,7 @@ def entries() -> dict[str, tuple[str, ...]]:
         "classes10": ("data.n_classes=10",),  # 8 or more classes: numpy's pairwise class sums
         "ifca-partial": ("algorithm=ifca", "participation_fraction=0.5"),  # IFCA's client sampling
         "batch-uniform": ("aggregation_mode=batch",),
+        "wide": ("data.dim=64", "model.hidden=128", "data.n_classes=10"),  # P = 9,610: 3 slots per fold pass
     }
 
 
